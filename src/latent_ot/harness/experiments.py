@@ -228,7 +228,7 @@ def _fast_cell(config: ExperimentConfig, total: int, seed: int) -> list[ResultRo
 
     k_block = fast_kernel_block(graph, rho, n, m)
     eta = config.eta if config.eta is not None else math.exp(c_max / eps)
-    value_est, _pot = dual_ascent_boxed(k_block, alpha, beta, config.solver.build(eps, eta))
+    value_est = dual_ascent_boxed(k_block, alpha, beta, config.solver.build(eps, eta)).value
 
     k_true = form.evaluate(latents.xs, latents.ys)
     kernel_disc = diagnostics.discrepancy(k_true, k_block)

@@ -246,8 +246,8 @@ def _check_boxed_matches_sinkhorn(rng: Xoshiro256StarStar, scale: float) -> floa
     reference = _solve(cost, alpha, beta, eps)
     eta = math.exp((cost.c_max - cost.c_min / 2.0) / eps)
     kernel = gibbs_kernel(cost, eps)
-    boxed, _ = dual_ascent_boxed(kernel, alpha, beta, SolverConfig(epsilon=eps, eta=eta))
-    gap = abs(boxed - reference.value) / max(1.0, abs(reference.value))
+    boxed = dual_ascent_boxed(kernel, alpha, beta, SolverConfig(epsilon=eps, eta=eta))
+    gap = abs(boxed.value - reference.value) / max(1.0, abs(reference.value))
     return 1e-6 * scale - gap
 
 

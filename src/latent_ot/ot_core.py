@@ -4,26 +4,25 @@ This module solves the regularized transport problem
 
     value(C) = min_P  <P, C> + epsilon * KL(P | alpha x beta)
 
-over couplings P of two discrete distributions, via Sinkhorn iterations in
-the log domain.  It also provides a box-constrained dual ascent that stays
-finite when the kernel matrix has zero entries (needed when the kernel is
-estimated from a sparse graph), an exact assignment solver used as the
-unregularized reference for uniform marginals, and
-:func:`stability_report`, which evaluates how far the transport value and
-plan can move when the cost matrix is replaced by an estimate.
-
-Cost matrices carry explicit entry bounds ``c_min <= C_ij <= c_max`` because
-the perturbation bounds depend on the bounds rather than on the realized
-entries.
+over couplings P of two discrete distributions.  :func:`sinkhorn` and the
+box-constrained :func:`dual_ascent_boxed`, which stays finite when an
+estimated kernel has zero entries and reports how it ended in a
+:class:`BoxedResult`, share one stabilised scaling loop: each sweep is two
+matrix-vector products with a kernel into which the potentials are absorbed
+whenever a scaling drifts out of range.  An exact assignment solver is the
+unregularized reference for uniform marginals, and :func:`stability_report`
+evaluates how far the value and plan can move when the cost matrix is
+replaced by an estimate.  Cost matrices carry explicit entry bounds
+``c_min <= C_ij <= c_max`` because the perturbation bounds depend on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from . import diagnostics
 from .errors import InvalidParameterError, NumericFailureError, UnboundedDualError
@@ -34,23 +33,17 @@ BOUND_SLACK_TOLERANCE = 1e-9
 _WEIGHT_SUM_TOLERANCE = 1e-12
 _PLAN_MASS_TOLERANCE = 1e-9
 
-# Boxed ascent extrapolates its slowest mode once per this many sweeps.
+# Both solvers extrapolate their slowest mode once per this many sweeps.
 _AITKEN_BLOCK = 32
+
+# A scaling leaving this range is absorbed and the stabilised kernel rebuilt.
+_SCALING_RANGE = (math.exp(-50.0), math.exp(50.0))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
-
-
-def _logsumexp(mat: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp along one axis; rows of all -inf map to -inf."""
-    peak = np.max(mat, axis=axis, keepdims=True)
-    safe = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(mat - safe), axis=axis))
-    return out + np.squeeze(safe, axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +240,29 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class OtResult:
-    """Converged (or budget-exhausted) output of the Sinkhorn solver."""
+    """Converged (or budget-exhausted) output of the Sinkhorn solver.
+
+    ``marginal_residual`` is the final L1 row plus column marginal violation;
+    a plateau stop can set ``converged`` while it is above the tolerance.
+    """
 
     value: float
     plan: TransportPlan
     potentials: DualPotentials
     iterations: int
     converged: bool
+    marginal_residual: float
+
+
+@dataclass(frozen=True)
+class BoxedResult:
+    """Boxed ascent output; ``pinned_fraction`` is the share of all potentials on the box face."""
+
+    value: float
+    potentials: DualPotentials
+    iterations: int
+    converged: bool
+    pinned_fraction: float
 
 
 @dataclass(frozen=True)
@@ -401,8 +410,148 @@ def primal_value(
 
 
 # ---------------------------------------------------------------------------
-# Sinkhorn solver (log domain)
+# Solvers: one scaling-domain block ascent behind sinkhorn and the boxed ascent
 # ---------------------------------------------------------------------------
+
+
+def _in_range(scaling: np.ndarray) -> bool:
+    return _SCALING_RANGE[0] <= scaling.min() and scaling.max() <= _SCALING_RANGE[1]
+
+
+class _ScalingAscent:
+    """Alternating exact block maximisation of the entropic dual, in scaling form.
+
+    f = fbar + eps*log(u), g = gbar + eps*log(v); the absorbed offsets define
+    kernel = exp(log_k + (fbar_i + gbar_j)/eps), so the plan is diag(a*u)
+    kernel diag(b*v) and a block update is one product: u = 1/(kernel (b*v)),
+    v = 1/(kernel^T (a*u)), each clipped to the box.  A scaling leaving
+    _SCALING_RANGE resets its offset to the other side's hard c-transform
+    (every kernel line then peaks at one) and rebuilds the kernel, the only
+    n x m exponential (Schmitzer 2019; Peyre & Cuturi 2019, section 4.4).
+    einsum keeps products off BLAS, whose gemv may order sums by thread count.
+    """
+
+    def __init__(self, log_k: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float, radius: float):
+        self.log_k, self.a, self.b, self.eps, self.radius = log_k, a, b, eps, radius
+        zeros = np.zeros(b.size)
+        self._absorb(self._c_transform(zeros, axis=1), zeros)
+        self.value = self._value(self.f, self.g, float(a @ self.row_sums))
+
+    @property
+    def f(self) -> np.ndarray:
+        return self.fbar + self.eps * np.log(self.u)
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.gbar + self.eps * np.log(self.v)
+
+    def run(self, max_iterations: int, stop) -> tuple[int, bool]:
+        """Sweep until ``stop(iteration, previous_value, self)``; return (sweeps, stopped).
+
+        Small eps and sparse kernels have a slow mode that makes the sweep
+        contraction nearly unit.  Every _AITKEN_BLOCK sweeps the displacement
+        ratio of the last two blocks estimates it and its geometric series is
+        added; the clipped candidate is kept only if it raises the objective.
+        """
+        snapshot, previous_norm = None, -1.0
+        for iteration in range(1, max_iterations + 1):
+            previous = self.value
+            self._sweep()
+            if math.isnan(self.value):
+                raise NumericFailureError("dual objective became NaN")
+            if stop(iteration, previous, self):
+                return iteration, True
+            if iteration % _AITKEN_BLOCK or iteration == max_iterations:
+                continue
+            f, g = self.f, self.g
+            if snapshot is not None:
+                delta_f, delta_g = f - snapshot[0], g - snapshot[1]
+                norm = float(delta_f @ delta_f + delta_g @ delta_g)
+                if 0.0 < norm and 0.0 < previous_norm:
+                    ratio = math.sqrt(norm / previous_norm)
+                    if 0.05 < ratio < 1.0:
+                        scale = ratio / (1.0 - ratio)
+                        trial_f = np.clip(f + scale * delta_f, -self.radius, self.radius)
+                        trial_g = np.clip(g + scale * delta_g, -self.radius, self.radius)
+                        if self._jump(trial_f, trial_g):
+                            f, g = trial_f, trial_g
+                            norm = -1.0  # the jump invalidated the direction
+                previous_norm = norm
+            snapshot = (f, g)
+        return max_iterations, False
+
+    def _sweep(self) -> None:
+        """Update f exactly, then g; refresh the value and marginal gaps."""
+        self.u = self._scaling(self.row_sums, self.u_box)
+        if not _in_range(self.u):
+            self._absorb(self._c_transform(self.g, axis=1), self.g)
+            self.u = self._scaling(self.row_sums, self.u_box)
+        col_sums = np.einsum("ij,i->j", self.kernel, self.a * self.u)
+        self.v = self._scaling(col_sums, self.v_box)
+        if not _in_range(self.v):
+            self._absorb(self.f, self._c_transform(self.f, axis=0))
+            col_sums = np.einsum("ij,i->j", self.kernel, self.a)
+            self.v = self._scaling(col_sums, self.v_box)
+        # The next sweep's first product is also this sweep's row marginal.
+        self.row_sums = np.einsum("ij,j->i", self.kernel, self.b * self.v)
+        col_mass = self.b * self.v * col_sums
+        self.row_gap = float(np.abs(self.a * self.u * self.row_sums - self.a).sum())
+        self.col_gap = float(np.abs(col_mass - self.b).sum())
+        self.value = self._value(self.f, self.g, float(col_mass.sum()))
+
+    def _jump(self, f: np.ndarray, g: np.ndarray) -> bool:
+        """Move to (f, g) if that raises the dual objective; report whether it did."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u, v = np.exp((f - self.fbar) / self.eps), np.exp((g - self.gbar) / self.eps)
+            row_sums = np.einsum("ij,j->i", self.kernel, self.b * v)
+            value = self._value(f, g, float((self.a * u) @ row_sums))
+        if not value > self.value:  # also rejects an overflowed trial
+            return False
+        if _in_range(u) and _in_range(v):
+            self.u, self.v, self.row_sums = u, v, row_sums
+        else:
+            self._absorb(f, g)
+        self.value = value
+        return True
+
+    def _value(self, f: np.ndarray, g: np.ndarray, coupling: float) -> float:
+        return float(self.a @ f + self.b @ g - self.eps * coupling + self.eps)
+
+    @staticmethod
+    def _scaling(sums: np.ndarray, box: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # the box pins a zero kernel line
+            return np.clip(1.0 / sums, *box)
+
+    def _absorb(self, f: np.ndarray, g: np.ndarray) -> None:
+        eps, radius = self.eps, self.radius
+        self.fbar, self.gbar = f, g
+        self.u, self.v = np.ones(f.size), np.ones(g.size)
+        exponent = self.log_k + (f / eps)[:, None]
+        exponent += (g / eps)[None, :]
+        self.kernel = np.exp(exponent, out=exponent)
+        self.row_sums = np.einsum("ij,j->i", self.kernel, self.b)
+        with np.errstate(over="ignore"):
+            self.u_box = (np.exp((-radius - f) / eps), np.exp((radius - f) / eps))
+            self.v_box = (np.exp((-radius - g) / eps), np.exp((radius - g) / eps))
+
+    def _c_transform(self, other: np.ndarray, axis: int) -> np.ndarray:
+        """Min over ``axis`` of cost minus ``other``, clipped to the box."""
+        peak = np.max(self.log_k + np.expand_dims(other / self.eps, 1 - axis), axis=axis)
+        return np.clip(-self.eps * peak, -self.radius, self.radius)
+
+
+def _support(alpha: DiscreteDistribution, beta: DiscreteDistribution, matrix: np.ndarray):
+    """Indices and weights of the atoms with positive mass, and that block of ``matrix``."""
+    rows = np.flatnonzero(alpha.weights > 0)
+    cols = np.flatnonzero(beta.weights > 0)
+    return rows, cols, alpha.weights[rows], beta.weights[cols], matrix[np.ix_(rows, cols)]
+
+
+def _scatter(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """Values on the supported atoms, zero on the zero-mass ones."""
+    full = np.zeros(size)
+    full[index] = values
+    return full
 
 
 def sinkhorn(
@@ -411,178 +560,49 @@ def sinkhorn(
     beta: DiscreteDistribution,
     cfg: SolverConfig,
 ) -> OtResult:
-    """Solve the entropic transport problem with log-domain Sinkhorn sweeps.
+    """Solve the entropic transport problem with stabilised Sinkhorn sweeps.
 
-    Each sweep updates the f block exactly, then the g block, so column
-    marginals are exact after every sweep.  Iteration stops (with
-    ``converged`` set) when the marginal residuals drop below
-    ``marginal_tolerance``, or when the marginal residual has stalled (it
-    improved by less than 10% across a whole extrapolation block) while
-    the dual value gained at most ``value_tolerance`` relative per sweep
-    of that block.  The second criterion is what terminates small-epsilon
-    solves, whose marginal residual decays only harmonically even though
-    the dual value settles long before; a geometrically converging solve
-    never stalls, so it is always left to reach the marginal stop.  The
-    reported value is the dual objective at the final potentials, which at
-    column-feasible iterates is exactly a @ f + b @ g and agrees with the
-    primal objective of the returned plan up to the residual marginal
-    violation.  Returns centered potentials and the plan
+    Each sweep updates f exactly, then g, so column marginals are exact after
+    every sweep.  Iteration stops (with ``converged`` set) when both L1
+    marginal residuals drop below ``marginal_tolerance``, or when their sum
+    stalled (improved by less than 10% across an extrapolation block) while
+    the dual value gained at most ``value_tolerance`` relative per sweep of
+    that block: small-eps residuals decay only harmonically although the
+    value settles long before.  The value is the dual objective at the final
+    potentials.  Returns centered potentials and the plan
     P_ij = alpha_i beta_j exp((f_i + g_j - C_ij) / epsilon).
     """
     n, m = cost.shape
     _check_dims(n, m, alpha, beta)
-    eps = cfg.epsilon
+    rows, cols, a, b, log_k = _support(alpha, beta, cost.entries / -cfg.epsilon)
+    block_gap, block_value = math.inf, -math.inf
 
-    row_support = np.flatnonzero(alpha.weights > 0)
-    col_support = np.flatnonzero(beta.weights > 0)
-    a = alpha.weights[row_support]
-    b = beta.weights[col_support]
-    sub_cost = cost.entries[np.ix_(row_support, col_support)] / eps
-    log_a = np.log(a)
-    log_b = np.log(b)
+    def stop(iteration: int, previous: float, state: _ScalingAscent) -> bool:
+        nonlocal block_gap, block_value
+        if max(state.row_gap, state.col_gap) <= cfg.marginal_tolerance:
+            return True
+        if iteration % _AITKEN_BLOCK:
+            return False
+        # Judged over a whole block so single flat sweeps inside an
+        # otherwise geometric decay cannot trigger a premature stop.
+        gap, value = state.row_gap + state.col_gap, state.value
+        stalled, gained = gap >= 0.9 * block_gap, value - block_value
+        block_gap, block_value = gap, value
+        return stalled and gained <= _AITKEN_BLOCK * cfg.value_tolerance * max(1.0, abs(value))
 
-    f = np.zeros(a.size)
-    g = np.zeros(b.size)
-    iterations = 0
-    converged = False
-    plan = np.outer(a, b)
-    dual = -math.inf
-    gap = math.inf
-    block_dual = -math.inf
-    block_gap = math.inf
-
-    # Small epsilon makes the marginal residual decay only harmonically.
-    # The same block extrapolation as the boxed solver compresses the slow
-    # mode; it sits at the top of the body so the plan rebuild below always
-    # reflects an accepted jump.  At the top of the body the column
-    # marginals are exact from the previous sweep, the coupling term sums
-    # to one, and the dual objective collapses to a @ f + b @ g.
-    snap_f: np.ndarray | None = None
-    snap_g: np.ndarray | None = None
-    previous_norm = -1.0
-
-    for iterations in range(1, cfg.max_iterations + 1):
-        if iterations % _AITKEN_BLOCK == 1 and iterations > 1:
-            if snap_f is not None:
-                delta_f = f - snap_f
-                delta_g = g - snap_g
-                norm = float(delta_f @ delta_f + delta_g @ delta_g)
-                if 0.0 < norm and 0.0 < previous_norm:
-                    ratio = math.sqrt(norm / previous_norm)
-                    if 0.05 < ratio < 1.0:
-                        scale = ratio / (1.0 - ratio)
-                        trial_f = f + scale * delta_f
-                        trial_g = g + scale * delta_g
-                        trial = _dual_objective(
-                            -sub_cost, eps, a, b, log_a, log_b, trial_f, trial_g
-                        )
-                        if trial > dual:
-                            f, g = trial_f, trial_g
-                            norm = -1.0  # the jump invalidated the direction
-                previous_norm = norm
-            snap_f = f.copy()
-            snap_g = g.copy()
-
-        f = -eps * _logsumexp(g[None, :] / eps - sub_cost + log_b[None, :], axis=1)
-        g = -eps * _logsumexp(f[:, None] / eps - sub_cost + log_a[:, None], axis=0)
-        log_plan = (
-            (f[:, None] + g[None, :]) / eps
-            - sub_cost
-            + log_a[:, None]
-            + log_b[None, :]
-        )
-        plan = np.exp(log_plan)
-        row_gap = float(np.abs(plan.sum(axis=1) - a).sum())
-        col_gap = float(np.abs(plan.sum(axis=0) - b).sum())
-        gap = row_gap + col_gap
-        dual = float(a @ f + b @ g)
-        if row_gap <= cfg.marginal_tolerance and col_gap <= cfg.marginal_tolerance:
-            converged = True
-            break
-        if iterations % _AITKEN_BLOCK == 0:
-            # Judged over a whole block so single flat sweeps inside an
-            # otherwise geometric decay cannot trigger a premature stop.
-            stalled = gap >= 0.9 * block_gap
-            plateau = dual - block_dual <= (
-                _AITKEN_BLOCK * cfg.value_tolerance * max(1.0, abs(dual))
-            )
-            if stalled and plateau:
-                converged = True
-                break
-            block_gap = gap
-            block_dual = dual
-
-    value = dual
-
-    full_f = np.zeros(n)
-    full_g = np.zeros(m)
-    full_f[row_support] = f
-    full_g[col_support] = g
-    full_plan = np.zeros((n, m))
-    full_plan[np.ix_(row_support, col_support)] = plan
-
-    potentials = center_potentials(DualPotentials(full_f, full_g), alpha, beta)
+    state = _ScalingAscent(log_k, a, b, cfg.epsilon, math.inf)
+    iterations, converged = state.run(cfg.max_iterations, stop)
+    plan = np.zeros((n, m))
+    plan[np.ix_(rows, cols)] = (a * state.u)[:, None] * state.kernel * (b * state.v)[None, :]
+    potentials = DualPotentials(_scatter(state.f, rows, n), _scatter(state.g, cols, m))
     return OtResult(
-        value=value,
-        plan=TransportPlan(full_plan),
-        potentials=potentials,
+        value=state.value,
+        plan=TransportPlan(plan),
+        potentials=center_potentials(potentials, alpha, beta),
         iterations=iterations,
         converged=converged,
+        marginal_residual=state.row_gap + state.col_gap,
     )
-
-
-# ---------------------------------------------------------------------------
-# Exact assignment reference (uniform marginals, epsilon = 0)
-# ---------------------------------------------------------------------------
-
-
-def exact_ot_assignment(cost: CostMatrix) -> float:
-    """Unregularized transport value for uniform marginals on n = m atoms.
-
-    With equal uniform marginals an optimal coupling is a permutation scaled
-    by 1/n, so the value is the mean cost along a minimum-cost assignment.
-    """
-    n, m = cost.shape
-    if n != m:
-        raise InvalidParameterError(f"assignment needs a square cost matrix: ({n}, {m})")
-    rows, cols = optimize.linear_sum_assignment(cost.entries)
-    return float(cost.entries[rows, cols].sum() / n)
-
-
-# ---------------------------------------------------------------------------
-# Dual-side evaluation and boxed ascent
-# ---------------------------------------------------------------------------
-
-
-def dual_value(
-    kernel: GibbsKernel,
-    alpha: DiscreteDistribution,
-    beta: DiscreteDistribution,
-    pot: DualPotentials,
-) -> float:
-    """Dual objective alpha@f + beta@g - eps * s(f, g) + eps.
-
-    Here s(f, g) = (e^{f/eps} alpha)^T K (e^{g/eps} beta), evaluated in log
-    space so large potentials cannot overflow before cancellation.
-    """
-    n, m = kernel.shape
-    _check_dims(n, m, alpha, beta)
-    _check_dims(pot.f.size, pot.g.size, alpha, beta)
-    with np.errstate(divide="ignore"):
-        log_k = np.log(kernel.entries)
-        log_a = np.log(alpha.weights)
-        log_b = np.log(beta.weights)
-    return _dual_objective(
-        log_k, kernel.epsilon, alpha.weights, beta.weights, log_a, log_b, pot.f, pot.g
-    )
-
-
-def _dual_objective(log_k, eps, a, b, log_a, log_b, f, g) -> float:
-    exponents = (f[:, None] + g[None, :]) / eps + log_k + log_a[:, None] + log_b[None, :]
-    log_total = float(_logsumexp(exponents.reshape(-1), axis=0))
-    if log_total > 700.0:  # exp would overflow; the objective is a huge negative
-        return -math.inf
-    return float(a @ f + b @ g - eps * math.exp(log_total) + eps)
 
 
 def dual_ascent_boxed(
@@ -590,18 +610,17 @@ def dual_ascent_boxed(
     alpha: DiscreteDistribution,
     beta: DiscreteDistribution,
     cfg: SolverConfig,
-) -> tuple[float, DualPotentials]:
+) -> BoxedResult:
     """Maximize the dual objective over potentials confined to a box.
 
     The box is ||f||_inf, ||g||_inf <= epsilon * log(eta).  Each block update
-    is the unconstrained maximizer clamped into the box, which is the exact
-    block maximizer because the objective is concave and separable per
-    coordinate.  Kernel entries may be zero (estimated kernels); a zero row
-    or column simply pins the matching potential at the box edge.  With
-    eta = inf such a row or column makes the dual unbounded, which raises
-    :class:`UnboundedDualError`.
-
-    Returns the final dual value and the centered potentials.
+    is the unconstrained maximizer clipped into the box, the exact block
+    maximizer since the objective is concave and separable per coordinate.
+    Kernel entries may be zero (estimated kernels); a zero row or column pins
+    the matching potential at the box edge, and with eta = inf makes the dual
+    unbounded, which raises :class:`UnboundedDualError`.  Iteration stops
+    (``converged``) once a sweep moves the dual value by at most
+    ``value_tolerance`` relative.  Potentials are uncentered, 0 on zero-mass atoms.
     """
     if isinstance(kernel, GibbsKernel):
         entries = kernel.entries
@@ -619,79 +638,65 @@ def dual_ascent_boxed(
         raise InvalidParameterError("boxed ascent needs cfg.eta")
     n, m = entries.shape
     _check_dims(n, m, alpha, beta)
-
-    eps = cfg.epsilon
-    radius = eps * math.log(cfg.eta) if math.isfinite(cfg.eta) else math.inf
-
-    row_support = np.flatnonzero(alpha.weights > 0)
-    col_support = np.flatnonzero(beta.weights > 0)
-    a = alpha.weights[row_support]
-    b = beta.weights[col_support]
-    sub = entries[np.ix_(row_support, col_support)]
-
-    if not math.isfinite(radius):
-        if np.any(sub.sum(axis=1) == 0) or np.any(sub.sum(axis=0) == 0):
-            raise UnboundedDualError(
-                "kernel has an all-zero row or column and the box is infinite"
-            )
-
+    radius = cfg.epsilon * math.log(cfg.eta) if math.isfinite(cfg.eta) else math.inf
+    rows, cols, a, b, sub = _support(alpha, beta, entries)
+    if not math.isfinite(radius) and not (sub.sum(axis=1).all() and sub.sum(axis=0).all()):
+        raise UnboundedDualError("kernel has an all-zero row or column and the box is infinite")
     with np.errstate(divide="ignore"):
-        log_k = np.log(sub)
-        log_a = np.log(a)
-        log_b = np.log(b)
+        log_k = np.log(sub, out=sub)
 
-    f = np.zeros(a.size)
-    g = np.zeros(b.size)
-    previous = -math.inf
-    value = _dual_objective(log_k, eps, a, b, log_a, log_b, f, g)
+    def stop(iteration: int, previous: float, state: _ScalingAscent) -> bool:
+        return abs(state.value - previous) <= cfg.value_tolerance * max(1.0, abs(state.value))
 
-    # Sparse kernels can have a dominant slow mode (weakly coupled node
-    # pairs sliding toward the box face), turning the sweep contraction
-    # nearly unit.  Every _AITKEN_BLOCK sweeps the displacement ratio of the
-    # last two blocks estimates that mode, and its geometric series is added
-    # in one step.  The candidate is clamped and only kept if it increases
-    # the objective, so feasibility and monotone ascent are preserved.
-    snap_f: np.ndarray | None = None
-    snap_g: np.ndarray | None = None
-    previous_norm = -1.0
-    iteration = 0
+    state = _ScalingAscent(log_k, a, b, cfg.epsilon, radius)
+    iterations, converged = state.run(cfg.max_iterations, stop)
+    f = _scatter(np.clip(state.f, -radius, radius), rows, n)
+    g = _scatter(np.clip(state.g, -radius, radius), cols, m)
+    face = np.abs(np.concatenate([f, g])) >= radius * (1.0 - 1e-12)
+    return BoxedResult(
+        value=state.value,
+        potentials=DualPotentials(f, g),
+        iterations=iterations,
+        converged=converged,
+        pinned_fraction=float(np.count_nonzero(face)) / (n + m),
+    )
 
-    for iteration in range(1, cfg.max_iterations + 1):
-        f = -eps * _logsumexp(log_k + (g / eps + log_b)[None, :], axis=1)
-        np.clip(f, -radius, radius, out=f)
-        g = -eps * _logsumexp(log_k + (f / eps + log_a)[:, None], axis=0)
-        np.clip(g, -radius, radius, out=g)
-        previous = value
-        value = _dual_objective(log_k, eps, a, b, log_a, log_b, f, g)
-        if math.isnan(value):
-            raise NumericFailureError("dual objective became NaN")
-        if abs(value - previous) <= cfg.value_tolerance * max(1.0, abs(value)):
-            break
-        if iteration % _AITKEN_BLOCK == 0:
-            if snap_f is not None:
-                delta_f = f - snap_f
-                delta_g = g - snap_g
-                norm = float(delta_f @ delta_f + delta_g @ delta_g)
-                if 0.0 < norm and 0.0 < previous_norm:
-                    ratio = math.sqrt(norm / previous_norm)
-                    if 0.05 < ratio < 1.0:
-                        scale = ratio / (1.0 - ratio)
-                        trial_f = np.clip(f + scale * delta_f, -radius, radius)
-                        trial_g = np.clip(g + scale * delta_g, -radius, radius)
-                        trial = _dual_objective(log_k, eps, a, b, log_a, log_b, trial_f, trial_g)
-                        if trial > value:
-                            f, g, value = trial_f, trial_g, trial
-                            norm = -1.0  # the jump invalidated the direction
-                previous_norm = norm
-            snap_f = f.copy()
-            snap_g = g.copy()
 
-    # Zero-mass atoms get potential 0, which lies in every box (radius >= 0).
-    full_f = np.zeros(n)
-    full_g = np.zeros(m)
-    full_f[row_support] = f
-    full_g[col_support] = g
-    return value, DualPotentials(full_f, full_g)
+def exact_ot_assignment(cost: CostMatrix) -> float:
+    """Unregularized transport value for uniform marginals on n = m atoms.
+
+    With equal uniform marginals an optimal coupling is a permutation scaled
+    by 1/n, so the value is the mean cost along a minimum-cost assignment.
+    """
+    n, m = cost.shape
+    if n != m:
+        raise InvalidParameterError(f"assignment needs a square cost matrix: ({n}, {m})")
+    rows, cols = optimize.linear_sum_assignment(cost.entries)
+    return float(cost.entries[rows, cols].sum() / n)
+
+
+def dual_value(
+    kernel: GibbsKernel,
+    alpha: DiscreteDistribution,
+    beta: DiscreteDistribution,
+    pot: DualPotentials,
+) -> float:
+    """Dual objective alpha@f + beta@g - eps * s(f, g) + eps.
+
+    Here s(f, g) = (e^{f/eps} alpha)^T K (e^{g/eps} beta), evaluated in log
+    space so large potentials cannot overflow before cancellation.
+    """
+    n, m = kernel.shape
+    _check_dims(n, m, alpha, beta)
+    _check_dims(pot.f.size, pot.g.size, alpha, beta)
+    eps = kernel.epsilon
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(alpha.weights), np.log(beta.weights)
+        exponents = (pot.f[:, None] + pot.g[None, :]) / eps + np.log(kernel.entries)
+    log_total = float(special.logsumexp(exponents + log_a[:, None] + log_b[None, :]))
+    if log_total > 700.0:  # exp would overflow; the objective is a huge negative
+        return -math.inf
+    return float(alpha.weights @ pot.f + beta.weights @ pot.g - eps * math.exp(log_total) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +734,7 @@ def stability_report(
         raise InvalidParameterError(f"epsilon must be positive: {epsilon}")
     cfg = solver if solver is not None else SolverConfig(epsilon=epsilon)
     if cfg.epsilon != epsilon:
-        cfg = SolverConfig(
-            epsilon=epsilon,
-            eta=cfg.eta,
-            max_iterations=cfg.max_iterations,
-            marginal_tolerance=cfg.marginal_tolerance,
-            value_tolerance=cfg.value_tolerance,
-        )
+        cfg = replace(cfg, epsilon=epsilon)
 
     c_min = min(cost_true.c_min, cost_est.c_min)
     c_max = max(cost_true.c_max, cost_est.c_max)

@@ -1,17 +1,22 @@
 """Harness tests: config parsing, result tables, plots, runners, CLI.
 
 Runner determinism is exercised by comparing serialized tables across
-worker counts and across overlapping grids; CLI exit codes are checked
-end to end through ``main``.
+worker counts, overlapping grids and BLAS thread counts; CLI exit codes are
+checked end to end through ``main``.
 """
 
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latent_ot
 import latent_ot.harness.cli as cli
 from latent_ot.errors import ConfigError, InvalidParameterError, NumericFailureError
 from latent_ot.harness.config import (
@@ -711,3 +716,24 @@ def test_cli_gen(tmp_path, capsys):
     capsys.readouterr()
     stability = write_config(tmp_path, stability_config_dict(), name="s.json")
     assert cli.main(["gen", "--config", str(stability), "--out", str(out)]) == 1
+
+
+def test_cli_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The thread count is set only in each child's environment.
+    data = fast_config_dict()
+    data["grid"] = [200]
+    data["seeds"] = [0, 1]
+    path = write_config(tmp_path, data)
+    src = str(Path(latent_ot.__file__).resolve().parents[1])
+    tables = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["run", "--config", str(path), "--out-dir", str(out)]
+        subprocess.run(
+            [sys.executable, "-m", "latent_ot.harness.cli", *argv],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        tables.append((out / "results.csv").read_bytes())
+    assert tables[0] == tables[1]

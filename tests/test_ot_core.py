@@ -2,9 +2,10 @@
 
 Derived values are checked against oracles implemented in this file:
 a one-parameter brute-force minimization for the symmetric 2x2 family,
-permutation enumeration for the assignment reference, a scan oracle for
-the minimal potential box, and direct inequality evaluation for the
-perturbation bounds.
+plain log-domain Sinkhorn and clipped log-domain ascent for the scaling
+solver, permutation enumeration for the assignment reference, a scan
+oracle for the minimal potential box, and direct inequality evaluation
+for the perturbation bounds.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from latent_ot.errors import InvalidParameterError, UnboundedDualError
 from latent_ot.ot_core import (
@@ -74,6 +76,34 @@ def symmetric_2x2_oracle(off_cost, eps):
         lo, hi = max(0.0, best - 2 * step), min(0.5, best + 2 * step)
         step /= 1000.0
     return float(objective(np.array([best]))[0])
+
+
+def log_domain_sinkhorn(cost, a, b, eps, tolerance=1e-13, max_sweeps=200_000):
+    """Plain log-domain Sinkhorn: no extrapolation, no absorption."""
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(a), np.log(b)
+    f, g = np.zeros(a.size), np.zeros(b.size)
+    for _ in range(max_sweeps):
+        f = -eps * logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
+        g = -eps * logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
+        plan = np.exp((f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :])
+        if np.abs(plan.sum(axis=1) - a).sum() <= tolerance:
+            break
+    return float(a @ f + b @ g), plan
+
+
+def clipped_log_ascent(kernel, a, b, eps, radius, sweeps):
+    """Block ascent of the boxed dual in the log domain, clipping each update."""
+    with np.errstate(divide="ignore"):
+        log_k, log_a, log_b = np.log(kernel), np.log(a), np.log(b)
+        f, g = np.zeros(a.size), np.zeros(b.size)
+        for _ in range(sweeps):
+            f = -eps * logsumexp(log_k + (g / eps + log_b)[None, :], axis=1)
+            f = np.clip(f, -radius, radius)
+            g = -eps * logsumexp(log_k + (f / eps + log_a)[:, None], axis=0)
+            g = np.clip(g, -radius, radius)
+        log_mass = log_k + (f / eps + log_a)[:, None] + (g / eps + log_b)[None, :]
+    return float(a @ f + b @ g - eps * np.exp(logsumexp(log_mass)) + eps), f, g
 
 
 def assignment_oracle(entries):
@@ -257,6 +287,53 @@ def test_budget_exhaustion_reports_unconverged():
     assert math.isfinite(res.value)
 
 
+def test_marginal_residual_is_the_plan_residual():
+    rng = Xoshiro256StarStar(RngSeed(61))
+    cost = random_cost(rng, 5, 5)
+    alpha, beta = uniform(5), uniform(5)
+    res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=1e-3, max_iterations=500_000))
+    p = res.plan.entries
+    recomputed = (
+        np.abs(p.sum(axis=1) - alpha.weights).sum() + np.abs(p.sum(axis=0) - beta.weights).sum()
+    )
+    assert res.marginal_residual == pytest.approx(recomputed, abs=1e-12)
+
+
+def test_matches_plain_log_domain_sinkhorn_with_zero_mass_atoms():
+    rng = Xoshiro256StarStar(RngSeed(67))
+    for trial in range(12):
+        n = 2 + int(rng.uniform() * 6)
+        m = 2 + int(rng.uniform() * 6)
+        cost = random_cost(rng, n, m)
+        weights = []
+        for size in (n, m):
+            raw = rng.uniforms(size) + 0.1
+            raw[int(rng.uniform() * size)] = 0.0
+            weights.append(raw / raw.sum())
+        alpha, beta = DiscreteDistribution(weights[0]), DiscreteDistribution(weights[1])
+        eps = (1e-2, 0.15, 1.0)[trial % 3]
+        res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps))
+        value, plan = log_domain_sinkhorn(cost.entries, alpha.weights, beta.weights, eps)
+        assert res.value == pytest.approx(value, rel=1e-8)
+        assert np.allclose(res.plan.entries, plan, rtol=0.0, atol=1e-8)
+
+
+def test_row_whose_kernel_underflows_is_absorbed():
+    # exp(-C/eps) is exactly zero along row 2, and column 4 underflows even
+    # relative to the row minima, so both offsets have to be reset.
+    eps = 1e-3
+    rng = Xoshiro256StarStar(RngSeed(71))
+    entries = 0.1 * rng.uniforms(36).reshape(6, 6)
+    entries[2] = 0.8 + 0.05 * rng.uniforms(6)
+    entries[:, 4] = 0.9 + 0.1 * rng.uniforms(6)
+    entries[2, 4] = 1.7
+    assert not np.exp(-entries[2] / eps).any()
+    cost = CostMatrix.from_entries(entries)
+    res = sinkhorn(cost, uniform(6), uniform(6), SolverConfig(epsilon=eps, max_iterations=500_000))
+    assert res.converged and math.isfinite(res.value)
+    assert abs(res.value - exact_ot_assignment(cost)) <= eps * math.log(6) + 1e-6
+
+
 def test_dimension_mismatch_rejected():
     cost = CostMatrix(np.array([[0.5]]), 0.5, 0.5)
     with pytest.raises(InvalidParameterError):
@@ -386,7 +463,8 @@ def test_quadratic_growth_of_the_dual_gap():
 
 def test_boxed_allones_kernel_is_zero():
     k = GibbsKernel(np.ones((2, 3)), 1.0, 1.0, 1.0)
-    value, pot = dual_ascent_boxed(k, uniform(2), uniform(3), SolverConfig(epsilon=1.0, eta=5.0))
+    res = dual_ascent_boxed(k, uniform(2), uniform(3), SolverConfig(epsilon=1.0, eta=5.0))
+    value, pot = res.value, res.potentials
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(pot.f, 0.0, atol=1e-9) and np.allclose(pot.g, 0.0, atol=1e-9)
 
@@ -398,7 +476,8 @@ def test_boxed_collapsed_box_forces_zero_potentials():
     k = gibbs_kernel(cost, eps)
     alpha = DiscreteDistribution(np.array([0.2, 0.5, 0.3]))
     beta = uniform(3)
-    value, pot = dual_ascent_boxed(k, alpha, beta, SolverConfig(epsilon=eps, eta=1.0))
+    res = dual_ascent_boxed(k, alpha, beta, SolverConfig(epsilon=eps, eta=1.0))
+    value, pot = res.value, res.potentials
     coupling = float(alpha.weights @ k.entries @ beta.weights)
     assert value == pytest.approx(eps * (1.0 - coupling), abs=1e-12)
     assert np.all(pot.f == 0.0) and np.all(pot.g == 0.0)
@@ -411,10 +490,36 @@ def test_boxed_matches_sinkhorn_with_sufficient_box():
         eps = 0.2 + 0.8 * rng.uniform()
         eta = math.exp((cost.c_max - cost.c_min / 2.0) / eps)
         full = sinkhorn(cost, uniform(5), uniform(4), SolverConfig(epsilon=eps))
-        value, _ = dual_ascent_boxed(
+        value = dual_ascent_boxed(
             gibbs_kernel(cost, eps), uniform(5), uniform(4), SolverConfig(epsilon=eps, eta=eta)
-        )
+        ).value
         assert value == pytest.approx(full.value, rel=1e-6)
+
+
+def test_boxed_matches_clipped_log_ascent_on_a_zero_one_kernel():
+    rng = Xoshiro256StarStar(RngSeed(73))
+    kernel = (rng.uniforms(7 * 9).reshape(7, 9) < 0.5).astype(float)
+    kernel[3] = 0.0
+    alpha = DiscreteDistribution(np.full(7, 1.0 / 7))
+    beta = uniform(9)
+    eps, eta = 0.5, 1e3
+    radius = eps * math.log(eta)
+    res = dual_ascent_boxed(kernel, alpha, beta, SolverConfig(epsilon=eps, eta=eta))
+    value, f, g = clipped_log_ascent(kernel, alpha.weights, beta.weights, eps, radius, 2_000)
+    assert res.converged
+    assert res.value == pytest.approx(value, rel=1e-8)
+    assert res.potentials.f[3] == pytest.approx(radius, abs=1e-12)
+    assert res.pinned_fraction == pytest.approx(np.mean(np.abs(np.r_[f, g]) >= radius - 1e-9))
+
+
+def test_boxed_budget_exhaustion_reports_unconverged():
+    rng = Xoshiro256StarStar(RngSeed(79))
+    cost = random_cost(rng, 4, 3)
+    cfg = SolverConfig(epsilon=0.5, eta=10.0, max_iterations=1)
+    res = dual_ascent_boxed(gibbs_kernel(cost, 0.5), uniform(4), uniform(3), cfg)
+    assert not res.converged
+    assert res.iterations == 1
+    assert math.isfinite(res.value)
 
 
 def test_boxed_zero_row_with_infinite_box_is_unbounded():
@@ -425,7 +530,8 @@ def test_boxed_zero_row_with_infinite_box_is_unbounded():
 
 def test_boxed_zero_row_with_finite_box_stays_finite():
     k = np.array([[0.0, 0.0], [0.4, 0.5]])
-    value, pot = dual_ascent_boxed(k, uniform(2), uniform(2), SolverConfig(epsilon=1.0, eta=50.0))
+    res = dual_ascent_boxed(k, uniform(2), uniform(2), SolverConfig(epsilon=1.0, eta=50.0))
+    value, pot = res.value, res.potentials
     assert math.isfinite(value)
     radius = 1.0 * math.log(50.0)
     assert np.all(np.abs(pot.f) <= radius + 1e-12)
