@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     InvalidParameterError,
@@ -141,26 +143,8 @@ class HopMatrix:
         return None if hits.size == 0 else (int(hits[0, 0]), int(hits[0, 1]))
 
 
-def _bfs_distances(graph: Graph, source: int) -> np.ndarray:
-    """Hop distances from one source to every node; -1 where unreachable."""
-    dist = np.full(graph.node_count, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    level = 0
-    neighbors = graph.neighbors
-    while frontier:
-        level += 1
-        candidates = np.unique(np.concatenate([neighbors[v] for v in frontier]))
-        fresh = candidates[dist[candidates] == UNREACHABLE]
-        if fresh.size == 0:
-            break
-        dist[fresh] = level
-        frontier = fresh.tolist()
-    return dist
-
-
 def hop_counts(graph: Graph, sources, targets) -> HopMatrix:
-    """BFS shortest-path edge counts from each source to each target."""
+    """Shortest-path edge counts from each source to each target."""
     sources = [int(s) for s in sources]
     targets = [int(t) for t in targets]
     if not sources or not targets:
@@ -172,10 +156,11 @@ def hop_counts(graph: Graph, sources, targets) -> HopMatrix:
         raise InvalidParameterError("sources and targets must be disjoint")
     if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
         raise InvalidParameterError("duplicate source or target index")
-    target_array = np.array(targets, dtype=np.int64)
-    entries = np.empty((len(sources), len(targets)), dtype=np.int64)
-    for row, source in enumerate(sources):
-        entries[row] = _bfs_distances(graph, source)[target_array]
+    indptr = np.concatenate([[0], np.cumsum([nbrs.size for nbrs in graph.neighbors])])
+    indices = np.concatenate(graph.neighbors)
+    adjacency = csr_array((np.ones(indices.size), indices, indptr), shape=(graph.node_count, graph.node_count))
+    dist = shortest_path(adjacency, directed=False, unweighted=True, indices=sources)[:, targets]
+    entries = np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)
     return HopMatrix(entries)
 
 
@@ -344,23 +329,3 @@ def fast_kernel_block(adjacency: Graph | np.ndarray, rho: float, n: int, m: int)
             f"adjacency must be ({n + m}, {n + m}) for n={n}, m={m}: got {dense.shape}"
         )
     return dense[:n, n : n + m] / rho
-
-
-# ---------------------------------------------------------------------------
-# Matrix serialization
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_csv(matrix: np.ndarray) -> str:
-    """Row-major CSV with 12 significant digits per entry."""
-    mat = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    lines = [",".join(f"{value:.12g}" for value in row) for row in mat]
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    """Parse the CSV produced by :func:`matrix_to_csv`."""
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
-        raise InvalidParameterError("malformed matrix CSV")
-    return np.array([[float(cell) for cell in row] for row in rows])

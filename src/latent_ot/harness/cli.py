@@ -16,10 +16,9 @@ import sys
 from pathlib import Path
 
 from ..errors import ConfigError, InvalidParameterError, LatentOtError
-from ..latent_models import NonlocalKernel, eps_graph, graph_to_edgelist, sample_kernel_graph, sample_latents
-from ..rng import RngSeed
+from ..latent_models import graph_to_edgelist
 from .config import apply_seed_override, load_config
-from .experiments import run_experiment
+from .experiments import run_experiment, sample_cell
 from .plots import emit_plot
 from .properties import run_property_suite
 from .results import emit_csv, parse_csv
@@ -63,8 +62,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     config = apply_seed_override(load_config(args.config))
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     tables = run_experiment(config, workers=args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -96,21 +93,7 @@ def _cmd_gen(args) -> int:
     config = apply_seed_override(load_config(args.config))
     if config.experiment == "stability_suite":
         raise ConfigError("the stability suite has no graph to generate")
-    assert config.manifold is not None and config.kernel is not None
-    total = config.grid[0]
-    seed = config.seeds[0]
-    n, m = config.sizes_at(total)
-    base = RngSeed(seed)
-    latents = sample_latents(
-        config.manifold, config.density, n, m, total, base.derive("latents", total), config.placement
-    )
-    if config.kernel.kind == "local":
-        h = config.kernel.radius_at(total, config.manifold.intrinsic_dim)
-        graph = eps_graph(latents, h)
-    else:
-        assert config.kernel.form is not None
-        model = NonlocalKernel(rho=config.kernel.rho_at(total), form=config.kernel.form)
-        graph = sample_kernel_graph(latents, model, base.derive("graph", total))
+    _, graph = sample_cell(config, config.grid[0], config.seeds[0])
     out = Path(args.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -42,7 +42,7 @@ _COMMON_KEYS = frozenset({"experiment", "grid", "seeds", "solver", "output"})
 # Top-level keys each experiment accepts beyond the common set.
 _EXPERIMENT_KEYS: dict[str, frozenset[str]] = {
     "local_geodesic": frozenset(
-        {"manifold", "density", "placement", "kernel", "cost_map", "n", "m", "m_ratio", "epsilon"}
+        {"manifold", "density", "placement", "kernel", "cost_map", "n", "m", "epsilon"}
     ),
     "usvt_nonlocal": frozenset(
         {"manifold", "density", "placement", "kernel", "cost_map", "n", "m", "m_ratio", "epsilon", "gamma"}

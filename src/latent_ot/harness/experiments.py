@@ -1,5 +1,11 @@
 """Experiment cells: one (N, seed) pair per cell, merged into result tables.
 
+A graph cell runs one pipeline: :func:`sample_cell` draws the latents and
+the observed graph, then the experiment's route (shortest_path, usvt,
+fast_adjacency) estimates a cost or kernel block from them, solves, and
+reports.  The perturbation_pair route draws random cost pairs instead and
+shares the stability-report rows.
+
 Every random draw inside a cell comes from a stream derived from the cell's
 seed and N alone, so a cell's rows do not depend on which other cells run,
 on their order, or on the worker count.  Wall-clock timings go to a second
@@ -29,9 +35,10 @@ from ..cost_estimators import (
 )
 from ..errors import InvalidParameterError
 from ..latent_models import (
+    Graph,
+    LatentConfiguration,
     NonlocalKernel,
     eps_graph,
-    pairwise_squared_distances,
     sample_kernel_graph,
     sample_latents,
     true_kernel_matrix,
@@ -65,21 +72,19 @@ class ExperimentTables:
     timings: ResultTable
 
 
-class _RowMaker:
-    """Binds the invariant row fields of one cell."""
+class _Cell:
+    """One (N, seed) cell of a config, with the fields all its rows share."""
 
     def __init__(self, config: ExperimentConfig, total: int, seed: int):
-        n, m = config.sizes_at(total)
-        self.experiment = config.experiment
-        self.seed = seed
+        self.config = config
         self.total = total
-        self.n = n
-        self.m = m
+        self.seed = seed
+        self.n, self.m = config.sizes_at(total)
         self.eps = config.epsilon_at()
 
-    def __call__(self, estimator: str, metric: str, value: float) -> ResultRow:
+    def row(self, estimator: str, metric: str, value: float) -> ResultRow:
         return ResultRow(
-            experiment=self.experiment,
+            experiment=self.config.experiment,
             seed=self.seed,
             total=self.total,
             n=self.n,
@@ -97,152 +102,141 @@ def _normalized_gap(value_true: float, value_est: float) -> float:
     return abs(1.0 - value_est / value_true)
 
 
-def _report_rows(
-    make: _RowMaker,
-    estimator: str,
-    report: StabilityReport,
-    cost_operator_gap: float,
-) -> list[ResultRow]:
+def _report_rows(cell: _Cell, label: str, report: StabilityReport) -> list[ResultRow]:
+    """Transport values, cost gaps, and every bound's ceiling and slack."""
     rows = [
-        make(estimator, "cost_sup_err", report.cost_sup_gap),
-        make(estimator, "cost_frobenius_err", report.cost_frobenius_gap),
-        make(estimator, "cost_operator_err", cost_operator_gap),
-        make(estimator, "ot_value_true", report.value_true),
-        make(estimator, "ot_value_est", report.value_est),
-        make(estimator, "ot_error_abs", report.value_gap),
-        make(estimator, "ot_error_normalized", _normalized_gap(report.value_true, report.value_est)),
-        make(estimator, "kl_plans", report.plan_divergence),
-        make(estimator, "kernel_operator_gap", report.kernel_operator_gap),
+        cell.row(label, "cost_sup_err", report.cost_sup_gap),
+        cell.row(label, "cost_frobenius_err", report.cost_frobenius_gap),
+        cell.row(label, "ot_value_true", report.value_true),
+        cell.row(label, "ot_value_est", report.value_est),
+        cell.row(label, "ot_error_abs", report.value_gap),
+        cell.row(label, "kl_plans", report.plan_divergence),
+        cell.row(label, "kernel_operator_gap", report.kernel_operator_gap),
     ]
     for check in report.checks:
-        rows.append(make(estimator, f"bound_{check.name}_rhs", check.rhs))
-        rows.append(make(estimator, f"slack_{check.name}", check.slack))
-    rows.append(make(estimator, "slack_min", min(check.slack for check in report.checks)))
-    rows.append(make(estimator, "all_bounds_hold", 1.0 if report.all_passed else 0.0))
+        rows.append(cell.row(label, f"bound_{check.name}_rhs", check.rhs))
+        rows.append(cell.row(label, f"slack_{check.name}", check.slack))
+    rows.append(cell.row(label, "slack_min", min(check.slack for check in report.checks)))
+    rows.append(cell.row(label, "all_bounds_hold", 1.0 if report.all_passed else 0.0))
     return rows
 
 
-def _local_cell(config: ExperimentConfig, total: int, seed: int) -> list[ResultRow]:
-    assert config.manifold is not None and config.kernel is not None and config.cost_map is not None
-    make = _RowMaker(config, total, seed)
-    n, m = make.n, make.m
+def _cost_block_rows(cell: _Cell, label: str, cost_true: CostMatrix, cost_est: CostMatrix) -> list[ResultRow]:
+    """Solve on the true and on the estimated cost block and report the gaps."""
+    alpha = DiscreteDistribution.uniform(cell.n)
+    beta = DiscreteDistribution.uniform(cell.m)
+    report = stability_report(cost_true, cost_est, alpha, beta, cell.eps, cell.config.solver.build(cell.eps))
+    cost_disc = diagnostics.discrepancy(cost_true.entries, cost_est.entries)
+    rows = _report_rows(cell, label, report)
+    rows.append(cell.row(label, "cost_operator_err", cost_disc.operator))
+    rows.append(cell.row(label, "ot_error_normalized", _normalized_gap(report.value_true, report.value_est)))
+    return rows
+
+
+def _nonlocal_model(config: ExperimentConfig, total: int) -> NonlocalKernel:
+    assert config.kernel is not None and config.kernel.form is not None
+    return NonlocalKernel(rho=config.kernel.rho_at(total), form=config.kernel.form)
+
+
+def sample_cell(config: ExperimentConfig, total: int, seed: int) -> tuple[LatentConfiguration, Graph]:
+    """The latent points and the observed graph of one (N, seed) cell.
+
+    The latents and the Bernoulli graph draw from separate streams derived
+    from the seed and N; a local kernel gives the epsilon-graph at the
+    scheduled radius instead.
+    """
+    assert config.manifold is not None and config.kernel is not None
+    n, m = config.sizes_at(total)
     base = RngSeed(seed)
     latents = sample_latents(
         config.manifold, config.density, n, m, total, base.derive("latents", total), config.placement
     )
-    h = config.kernel.radius_at(total, config.manifold.intrinsic_dim)
-    graph = eps_graph(latents, h)
+    if config.kernel.kind == "local":
+        graph = eps_graph(latents, config.kernel.radius_at(total, config.manifold.intrinsic_dim))
+    else:
+        graph = sample_kernel_graph(latents, _nonlocal_model(config, total), base.derive("graph", total))
+    return latents, graph
+
+
+# ---------------------------------------------------------------------------
+# Routes: from a sampled cell to its result rows
+# ---------------------------------------------------------------------------
+
+
+def _shortest_path_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[ResultRow]:
+    config = cell.config
+    assert config.manifold is not None and config.kernel is not None and config.cost_map is not None
     label = ESTIMATOR_LABELS["local_geodesic"]
-
-    hops = hop_counts(graph, range(n), range(n, n + m))
+    hops = hop_counts(graph, range(cell.n), range(cell.n, cell.n + cell.m))
     if not hops.all_reachable:
-        return [make(label, "failed_disconnected", 1.0)]
-
+        return [cell.row(label, "failed_disconnected", 1.0)]
+    h = config.kernel.radius_at(cell.total, config.manifold.intrinsic_dim)
     d_est = geodesic_estimate(hops, h)
     d_true = config.manifold.geodesic_matrix(latents.xs, latents.ys)
+    rows = [
+        cell.row(label, "graph_h", h),
+        cell.row(label, "graph_edges", float(graph.edge_count)),
+        cell.row(label, "sp_sup_err", float(np.abs(d_est - d_true).max())),
+    ]
     cost_true = cost_from_distances(d_true, config.cost_map)
     cost_est = cost_from_distances(d_est, config.cost_map)
-    eps = config.epsilon_at()
-    report = stability_report(
-        cost_true, cost_est, DiscreteDistribution.uniform(n), DiscreteDistribution.uniform(m), eps, config.solver.build(eps)
-    )
-    cost_disc = diagnostics.discrepancy(cost_true.entries, cost_est.entries)
-
-    rows = [
-        make(label, "graph_h", h),
-        make(label, "graph_edges", float(graph.edge_count)),
-        make(label, "sp_sup_err", float(np.abs(d_est - d_true).max())),
-    ]
-    rows.extend(_report_rows(make, label, report, cost_disc.operator))
-    return rows
+    return rows + _cost_block_rows(cell, label, cost_true, cost_est)
 
 
-def _usvt_cell(config: ExperimentConfig, total: int, seed: int) -> list[ResultRow]:
+def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[ResultRow]:
+    config = cell.config
     assert config.manifold is not None and config.kernel is not None and config.cost_map is not None
     assert config.kernel.form is not None
-    make = _RowMaker(config, total, seed)
-    n, m = make.n, make.m
-    base = RngSeed(seed)
-    latents = sample_latents(
-        config.manifold, config.density, n, m, total, base.derive("latents", total), config.placement
-    )
-    rho = config.kernel.rho_at(total)
-    model = NonlocalKernel(rho=rho, form=config.kernel.form)
-    graph = sample_kernel_graph(latents, model, base.derive("graph", total))
+    model = _nonlocal_model(config, cell.total)
     w_true = true_kernel_matrix(latents, model)
+    cost_true = usvt_cost_block(w_true, cell.n, cell.m, config.cost_map)
     clamp = config.kernel.form.bounds(config.manifold)
-    cost_true = usvt_cost_block(w_true, n, m, config.cost_map)
-    eps = config.epsilon_at()
-    solver = config.solver.build(eps)
-
     if config.experiment == "gamma_sweep":
         spectrum = Eigendecomposition.from_symmetric(graph.to_dense())
         estimates = [
-            (f"usvt@gamma={gamma:g}", usvt_from_eigen(spectrum, total, UsvtParams(gamma=gamma, rho=rho, clamp_range=clamp)))
+            (f"usvt@gamma={gamma:g}", usvt_from_eigen(spectrum, cell.total, UsvtParams(gamma, model.rho, clamp)))
             for gamma in config.gammas
         ]
     else:
-        params = UsvtParams(gamma=config.gamma, rho=rho, clamp_range=clamp)
-        estimates = [(ESTIMATOR_LABELS["usvt_nonlocal"], usvt(graph, params))]
+        estimates = [(ESTIMATOR_LABELS["usvt_nonlocal"], usvt(graph, UsvtParams(config.gamma, model.rho, clamp)))]
 
     rows: list[ResultRow] = []
     for label, w_est in estimates:
-        cost_est = usvt_cost_block(w_est, n, m, config.cost_map)
-        report = stability_report(
-            cost_true, cost_est, DiscreteDistribution.uniform(n), DiscreteDistribution.uniform(m), eps, solver
-        )
-        cost_disc = diagnostics.discrepancy(cost_true.entries, cost_est.entries)
+        cost_est = usvt_cost_block(w_est, cell.n, cell.m, config.cost_map)
+        rows.extend(_cost_block_rows(cell, label, cost_true, cost_est))
         kernel_disc = diagnostics.discrepancy(w_true, w_est)
-        rows.append(make(label, "kernel_frobenius_normalized", kernel_disc.frobenius_normalized))
-        rows.append(make(label, "rho_used", rho))
-        rows.extend(_report_rows(make, label, report, cost_disc.operator))
+        rows.append(cell.row(label, "kernel_frobenius_normalized", kernel_disc.frobenius_normalized))
+        rows.append(cell.row(label, "rho_used", model.rho))
     return rows
 
 
-def _fast_cell(config: ExperimentConfig, total: int, seed: int) -> list[ResultRow]:
-    assert config.manifold is not None and config.kernel is not None
-    assert config.kernel.form is not None
-    make = _RowMaker(config, total, seed)
-    n, m = make.n, make.m
-    base = RngSeed(seed)
-    latents = sample_latents(
-        config.manifold, config.density, n, m, total, base.derive("latents", total), config.placement
-    )
-    rho = config.kernel.rho_at(total)
-    model = NonlocalKernel(rho=rho, form=config.kernel.form)
-    graph = sample_kernel_graph(latents, model, base.derive("graph", total))
-
+def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[ResultRow]:
+    config = cell.config
+    assert config.manifold is not None and config.kernel is not None and config.kernel.form is not None
     form = config.kernel.form
-    squared = pairwise_squared_distances(latents.xs, latents.ys)
-    if form.p == 2.0:
-        cost_entries = squared
-    else:
-        cost_entries = np.sqrt(np.maximum(squared, 0.0)) ** form.p
+    rho = config.kernel.rho_at(cell.total)
+    powers = form.distance_power(latents.xs, latents.ys)
     c_max = config.manifold.euclidean_diameter**form.p
-    cost_true = CostMatrix(entries=cost_entries, c_min=0.0, c_max=c_max)
+    alpha = DiscreteDistribution.uniform(cell.n)
+    beta = DiscreteDistribution.uniform(cell.m)
+    cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=c_max)
+    value_true = sinkhorn(cost_true, alpha, beta, config.solver.build(cell.eps)).value
 
-    eps = form.sigma
-    alpha = DiscreteDistribution.uniform(n)
-    beta = DiscreteDistribution.uniform(m)
-    result_true = sinkhorn(cost_true, alpha, beta, config.solver.build(eps))
-
-    k_block = fast_kernel_block(graph, rho, n, m)
-    eta = config.eta if config.eta is not None else math.exp(c_max / eps)
-    value_est = dual_ascent_boxed(k_block, alpha, beta, config.solver.build(eps, eta)).value
-
-    k_true = form.evaluate(latents.xs, latents.ys)
-    kernel_disc = diagnostics.discrepancy(k_true, k_block)
+    k_block = fast_kernel_block(graph, rho, cell.n, cell.m)
+    eta = config.eta if config.eta is not None else math.exp(c_max / cell.eps)
+    value_est = dual_ascent_boxed(k_block, alpha, beta, config.solver.build(cell.eps, eta)).value
+    kernel_disc = diagnostics.discrepancy(np.exp(-powers / form.sigma), k_block)
 
     label = ESTIMATOR_LABELS["fast_nonlocal"]
     return [
-        make(label, "ot_value_true", result_true.value),
-        make(label, "ot_value_est", value_est),
-        make(label, "ot_error_abs", abs(result_true.value - value_est)),
-        make(label, "ot_error_normalized", _normalized_gap(result_true.value, value_est)),
-        make(label, "kernel_operator_gap", kernel_disc.operator),
-        make(label, "kernel_frobenius_normalized", kernel_disc.frobenius_normalized),
-        make(label, "eta_used", eta),
-        make(label, "rho_used", rho),
+        cell.row(label, "ot_value_true", value_true),
+        cell.row(label, "ot_value_est", value_est),
+        cell.row(label, "ot_error_abs", abs(value_true - value_est)),
+        cell.row(label, "ot_error_normalized", _normalized_gap(value_true, value_est)),
+        cell.row(label, "kernel_operator_gap", kernel_disc.operator),
+        cell.row(label, "kernel_frobenius_normalized", kernel_disc.frobenius_normalized),
+        cell.row(label, "eta_used", eta),
+        cell.row(label, "rho_used", rho),
     ]
 
 
@@ -252,60 +246,45 @@ def _simplex_point(rng: Xoshiro256StarStar, size: int) -> DiscreteDistribution:
     return DiscreteDistribution(weights=weights / weights.sum())
 
 
-def _stability_cell(config: ExperimentConfig, total: int, seed: int) -> list[ResultRow]:
-    make = _RowMaker(config, total, seed)
-    rng = Xoshiro256StarStar(RngSeed(seed).derive("stability", total))
+def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
+    """Random cost pairs and marginals; this route samples no latents or graph."""
+    config = cell.config
+    rng = Xoshiro256StarStar(RngSeed(cell.seed).derive("stability", cell.total))
     lo, hi = config.cost_low, config.cost_high
-    span = hi - lo
-    entries_true = lo + span * rng.uniforms(total * total).reshape(total, total)
-    entries_est = lo + span * rng.uniforms(total * total).reshape(total, total)
-    alpha = _simplex_point(rng, total)
-    beta = _simplex_point(rng, total)
-    eps = config.epsilon_at()
+    side = cell.total
+    entries_true = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
+    entries_est = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
+    alpha = _simplex_point(rng, side)
+    beta = _simplex_point(rng, side)
     report = stability_report(
         CostMatrix(entries=entries_true, c_min=lo, c_max=hi),
         CostMatrix(entries=entries_est, c_min=lo, c_max=hi),
         alpha,
         beta,
-        eps,
-        config.solver.build(eps),
+        cell.eps,
+        config.solver.build(cell.eps),
     )
-    label = ESTIMATOR_LABELS["stability_suite"]
-    rows = [
-        make(label, "ot_value_true", report.value_true),
-        make(label, "ot_value_est", report.value_est),
-        make(label, "ot_error_abs", report.value_gap),
-        make(label, "kl_plans", report.plan_divergence),
-        make(label, "cost_sup_err", report.cost_sup_gap),
-        make(label, "cost_frobenius_err", report.cost_frobenius_gap),
-        make(label, "kernel_operator_gap", report.kernel_operator_gap),
-    ]
-    for check in report.checks:
-        rows.append(make(label, f"bound_{check.name}_rhs", check.rhs))
-        rows.append(make(label, f"slack_{check.name}", check.slack))
-    rows.append(make(label, "slack_min", min(check.slack for check in report.checks)))
-    rows.append(make(label, "all_bounds_hold", 1.0 if report.all_passed else 0.0))
-    return rows
+    return _report_rows(cell, ESTIMATOR_LABELS["stability_suite"], report)
 
 
-_CELL_RUNNERS = {
-    "local_geodesic": _local_cell,
-    "usvt_nonlocal": _usvt_cell,
-    "gamma_sweep": _usvt_cell,
-    "fast_nonlocal": _fast_cell,
-    "stability_suite": _stability_cell,
+_GRAPH_ROUTES = {
+    "local_geodesic": _shortest_path_rows,
+    "usvt_nonlocal": _usvt_rows,
+    "gamma_sweep": _usvt_rows,
+    "fast_nonlocal": _fast_adjacency_rows,
 }
 
 
 def _run_cell(args: tuple[ExperimentConfig, int, int]) -> tuple[list[ResultRow], ResultRow]:
     config, total, seed = args
-    runner = _CELL_RUNNERS[config.experiment]
+    cell = _Cell(config, total, seed)
     start = time.perf_counter()
-    rows = runner(config, total, seed)
+    if config.experiment == "stability_suite":
+        rows = _perturbation_pair_rows(cell)
+    else:
+        rows = _GRAPH_ROUTES[config.experiment](cell, *sample_cell(config, total, seed))
     elapsed = time.perf_counter() - start
-    make = _RowMaker(config, total, seed)
-    timing = make(ESTIMATOR_LABELS[config.experiment], "wall_seconds", elapsed)
-    return rows, timing
+    return rows, cell.row(ESTIMATOR_LABELS[config.experiment], "wall_seconds", elapsed)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentTables:

@@ -136,9 +136,6 @@ class ResultTable:
                 series.append((total, statistics.median(cell)))
         return series
 
-    def merged_with(self, other: "ResultTable") -> "ResultTable":
-        return ResultTable(rows=self.rows + other.rows)
-
 
 def table_to_csv_text(table: ResultTable) -> str:
     lines = [CSV_HEADER]

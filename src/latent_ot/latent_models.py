@@ -424,17 +424,6 @@ def sample_latents(
 
 
 @dataclass(frozen=True)
-class LocalKernel:
-    """Hard connectivity within radius h (edge iff distance <= h)."""
-
-    h: float
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise InvalidParameterError(f"connectivity radius must be positive: {self.h}")
-
-
-@dataclass(frozen=True)
 class GaussianPowerKernel:
     """Kernel w(x, y) = exp(-||x - y||^p / sigma) on ambient distances.
 
@@ -451,13 +440,15 @@ class GaussianPowerKernel:
         if not self.sigma > 0:
             raise InvalidParameterError(f"sigma must be positive: {self.sigma}")
 
-    def evaluate(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def distance_power(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Matrix of ||x - y||^p between two point sets."""
         squared = pairwise_squared_distances(xs, ys)
         if self.p == 2.0:
-            exponents = squared / self.sigma
-        else:
-            exponents = np.sqrt(np.maximum(squared, 0.0)) ** self.p / self.sigma
-        return np.exp(-exponents)
+            return squared
+        return np.sqrt(np.maximum(squared, 0.0)) ** self.p
+
+    def evaluate(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return np.exp(-self.distance_power(xs, ys) / self.sigma)
 
     def bounds(self, manifold: Manifold) -> tuple[float, float]:
         """(w_min, w_max) over pairs of points of the manifold."""
@@ -479,13 +470,6 @@ class NonlocalKernel:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise InvalidParameterError(f"rho must lie in [0, 1]: {self.rho}")
-
-
-def dense_rho(value: float) -> float:
-    """Dense sparsity preset: rho constant in N."""
-    if not 0.0 < value <= 1.0:
-        raise InvalidParameterError(f"dense rho must lie in (0, 1]: {value}")
-    return value
 
 
 def sparse_log_rho(c: float, total: int) -> float:
@@ -669,44 +653,3 @@ def graph_from_edgelist(text: str) -> Graph:
             raise InvalidParameterError(f"edge lines must have i < j: {line!r}")
         edges.append((i, j))
     return Graph.from_edges(node_count, edges)
-
-
-def latents_to_csv(config: LatentConfiguration) -> str:
-    """CSV with header index,role,coord0,...  Roles are x, y, z by block."""
-    dim = config.manifold.ambient_dim
-    header = "index,role," + ",".join(f"coord{d}" for d in range(dim))
-    lines = [header]
-    index = 0
-    for role, block in (("x", config.xs), ("y", config.ys), ("z", config.zs)):
-        for point in block:
-            coords = ",".join(repr(float(c)) for c in point)
-            lines.append(f"{index},{role},{coords}")
-            index += 1
-    return "\n".join(lines) + "\n"
-
-
-def latents_from_csv(text: str, manifold: Manifold) -> LatentConfiguration:
-    """Parse the CSV produced by :func:`latents_to_csv`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 2:
-        raise InvalidParameterError("latents CSV needs a header and at least one point")
-    blocks: dict[str, list[list[float]]] = {"x": [], "y": [], "z": []}
-    for expected_index, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != 2 + manifold.ambient_dim:
-            raise InvalidParameterError(f"malformed latents row: {line!r}")
-        if int(cells[0]) != expected_index:
-            raise InvalidParameterError(f"latents rows out of order at index {cells[0]}")
-        role = cells[1]
-        if role not in blocks:
-            raise InvalidParameterError(f"unknown role {role!r}")
-        blocks[role].append([float(c) for c in cells[2:]])
-    if not blocks["x"] or not blocks["y"]:
-        raise InvalidParameterError("latents CSV must contain x and y points")
-    dim = manifold.ambient_dim
-    return LatentConfiguration(
-        xs=np.array(blocks["x"]),
-        ys=np.array(blocks["y"]),
-        zs=np.array(blocks["z"]).reshape(-1, dim) if blocks["z"] else np.empty((0, dim)),
-        manifold=manifold,
-    )

@@ -41,6 +41,8 @@ from latent_ot.harness.results import (
     parse_csv,
     table_to_csv_text,
 )
+from latent_ot.latent_models import NonlocalKernel, graph_from_edgelist, sample_kernel_graph, sample_latents
+from latent_ot.rng import RngSeed
 
 
 def local_config_dict():
@@ -250,6 +252,11 @@ def test_size_rules():
     data["m_ratio"] = 1e9
     with pytest.raises(ConfigError, match="empty group"):
         config_from_dict(data)
+    # the local pipeline needs explicit sizes, so it takes no ratio at all
+    data = local_config_dict()
+    data["m_ratio"] = 1.0
+    with pytest.raises(ConfigError, match="unknown key.*'m_ratio'"):
+        config_from_dict(data)
 
 
 def test_sizes_at_ratio_and_stability():
@@ -449,15 +456,6 @@ def test_median_series():
     assert table.estimators_for("err") == ("perturbation_pair",)
 
 
-def test_merged_with():
-    a = ResultTable(rows=(row(metric="a"),))
-    b = ResultTable(rows=(row(metric="b"),))
-    merged = a.merged_with(b)
-    assert len(merged) == 2
-    with pytest.raises(InvalidParameterError):
-        a.merged_with(a)
-
-
 # ---------------------------------------------------------------------------
 # Plots
 # ---------------------------------------------------------------------------
@@ -508,11 +506,22 @@ def metrics_of(table, estimator=None):
     }
 
 
+BOUND_NAMES = ("sup_norm", "kernel_spectral", "plan_kl", "kernel_frobenius")
+REPORT_METRICS = {
+    "cost_sup_err", "cost_frobenius_err", "ot_value_true", "ot_value_est", "ot_error_abs",
+    "kl_plans", "kernel_operator_gap", "slack_min", "all_bounds_hold",
+    *(f"bound_{name}_rhs" for name in BOUND_NAMES),
+    *(f"slack_{name}" for name in BOUND_NAMES),
+}
+COST_BLOCK_METRICS = REPORT_METRICS | {"cost_operator_err", "ot_error_normalized"}
+USVT_METRICS = COST_BLOCK_METRICS | {"kernel_frobenius_normalized", "rho_used"}
+
+
 def test_local_cell_produces_the_expected_metrics():
     tables = run_experiment(config_from_dict(local_config_dict()))
     names = metrics_of(tables.results, "shortest_path")
-    assert {"graph_h", "graph_edges", "sp_sup_err", "ot_value_true", "ot_value_est",
-            "slack_min", "all_bounds_hold", "kl_plans"} <= names
+    assert names == COST_BLOCK_METRICS | {"graph_h", "graph_edges", "sp_sup_err"}
+    assert metrics_of(tables.results) == names
     for r in tables.results.rows:
         if r.metric == "all_bounds_hold":
             assert r.value == 1.0
@@ -530,9 +539,8 @@ def test_local_cell_reports_disconnection():
 
 def test_usvt_cell_produces_the_expected_metrics():
     tables = run_experiment(config_from_dict(usvt_config_dict()))
-    names = metrics_of(tables.results, "usvt")
-    assert {"kernel_frobenius_normalized", "rho_used", "cost_sup_err",
-            "ot_error_normalized", "slack_min"} <= names
+    assert metrics_of(tables.results, "usvt") == USVT_METRICS
+    assert metrics_of(tables.results) == USVT_METRICS
     rows = {r.metric: r for r in tables.results.rows}
     assert rows["rho_used"].value == 1.0
     assert rows["ot_value_true"].n == 8 and rows["ot_value_true"].m == 16
@@ -542,6 +550,8 @@ def test_gamma_sweep_labels_each_threshold():
     tables = run_experiment(config_from_dict(sweep_config_dict()))
     estimators = {r.estimator for r in tables.results.rows}
     assert estimators == {"usvt@gamma=0.5", "usvt@gamma=1"}
+    for estimator in estimators:
+        assert metrics_of(tables.results, estimator) == USVT_METRICS
 
 
 def test_fast_cell_produces_the_expected_metrics():
@@ -560,6 +570,8 @@ def test_stability_cells_hold_their_bounds():
     data["grid"] = [3, 4]
     data["seeds"] = [0, 1]
     tables = run_experiment(config_from_dict(data))
+    assert metrics_of(tables.results, "perturbation_pair") == REPORT_METRICS
+    assert metrics_of(tables.results) == REPORT_METRICS
     slack_rows = [r for r in tables.results.rows if r.metric == "slack_min"]
     assert len(slack_rows) == 4
     assert all(r.value >= -1e-9 for r in slack_rows)
@@ -667,6 +679,14 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_cli_rejects_zero_workers_before_writing(tmp_path, capsys):
+    path = write_config(tmp_path, stability_config_dict())
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out), "--workers", "0"]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert not (out / "results.csv").exists()
+
+
 def test_cli_numeric_failures_exit_two(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, stability_config_dict())
 
@@ -713,9 +733,37 @@ def test_cli_gen(tmp_path, capsys):
     count_nodes, count_edges = (int(t) for t in lines[0].split())
     assert count_nodes == 30
     assert count_edges == len(lines) - 1
+    # the same graph as the one the run cell reports on
+    rows = run_experiment(config_from_dict(local_config_dict())).results.rows
+    assert [r.value for r in rows if r.metric == "graph_edges"] == [count_edges]
     capsys.readouterr()
     stability = write_config(tmp_path, stability_config_dict(), name="s.json")
     assert cli.main(["gen", "--config", str(stability), "--out", str(out)]) == 1
+
+
+def test_cli_gen_writes_the_graph_a_nonlocal_run_cell_sees(tmp_path, capsys):
+    data = fast_config_dict()
+    data["grid"] = [30]
+    data["seeds"] = [5, 6]
+    path = write_config(tmp_path, data)
+    out = tmp_path / "graph.txt"
+    assert cli.main(["gen", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    graph = graph_from_edgelist(out.read_text(encoding="utf-8"))
+
+    # the first cell's streams, derived as documented: latents then graph
+    config = config_from_dict(data)
+    n, m = config.sizes_at(30)
+    latents = sample_latents(config.manifold, config.density, n, m, 30, RngSeed(5).derive("latents", 30))
+    model = NonlocalKernel(rho=1.0, form=config.kernel.form)
+    assert graph == sample_kernel_graph(latents, model, RngSeed(5).derive("graph", 30))
+
+    # and the run's kernel gap at that cell is measured against this graph
+    block = graph.to_dense()[:n, n:]
+    expected = np.linalg.norm(config.kernel.form.evaluate(latents.xs, latents.ys) - block) / math.sqrt(n * m)
+    rows = run_experiment(config).results.rows
+    (measured,) = [r.value for r in rows if r.seed == 5 and r.metric == "kernel_frobenius_normalized"]
+    assert measured == pytest.approx(expected, rel=1e-10)
 
 
 def test_cli_results_do_not_depend_on_the_blas_thread_count(tmp_path):

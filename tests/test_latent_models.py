@@ -17,18 +17,14 @@ from latent_ot.latent_models import (
     GaussianPowerKernel,
     Graph,
     LatentConfiguration,
-    LocalKernel,
     NonlocalKernel,
     Placement,
     Sphere,
     UnitSquare,
-    dense_rho,
     eps_graph,
     graph_from_edgelist,
     graph_to_edgelist,
     h_schedule,
-    latents_from_csv,
-    latents_to_csv,
     make_manifold,
     pairwise_squared_distances,
     sample_kernel_graph,
@@ -228,12 +224,6 @@ def test_all_points_orders_blocks():
 # ---------------------------------------------------------------------------
 
 
-def test_local_kernel_validation():
-    LocalKernel(h=0.5)
-    with pytest.raises(InvalidParameterError):
-        LocalKernel(h=0.0)
-
-
 def test_gaussian_power_kernel_values():
     k = GaussianPowerKernel(p=2.0, sigma=0.5)
     xs = np.array([[0.0, 0.0]])
@@ -266,9 +256,6 @@ def test_nonlocal_kernel_rho_range():
 
 
 def test_sparsity_presets():
-    assert dense_rho(0.5) == 0.5
-    with pytest.raises(InvalidParameterError):
-        dense_rho(0.0)
     assert sparse_log_rho(2.0, 100) == pytest.approx(2.0 * math.log(100) / 100)
     assert sparse_log_rho(1000.0, 10) == 1.0
     with pytest.raises(InvalidParameterError):
@@ -431,34 +418,3 @@ def test_edgelist_parse_errors():
         graph_from_edgelist("3 1\n1 0\n")
     with pytest.raises(InvalidParameterError):
         graph_from_edgelist("3 1\n0 x\n")
-
-
-def test_latents_csv_roundtrip_is_bit_exact():
-    config = sample_latents(Sphere(), Density(), 3, 4, 9, RngSeed(70))
-    text = latents_to_csv(config)
-    back = latents_from_csv(text, Sphere())
-    assert np.array_equal(back.xs, config.xs)
-    assert np.array_equal(back.ys, config.ys)
-    assert np.array_equal(back.zs, config.zs)
-    header = text.splitlines()[0]
-    assert header == "index,role,coord0,coord1,coord2"
-
-
-def test_latents_csv_parse_errors():
-    with pytest.raises(InvalidParameterError):
-        latents_from_csv("index,role,coord0,coord1,coord2\n", Sphere())
-    with pytest.raises(InvalidParameterError):
-        latents_from_csv("h\n0,x,1.0,0.0\n", Sphere())
-    config = sample_latents(Sphere(), Density(), 2, 2, 4, RngSeed(71))
-    text = latents_to_csv(config)
-    shuffled = text.replace("\n1,", "\n9,", 1)
-    with pytest.raises(InvalidParameterError):
-        latents_from_csv(shuffled, Sphere())
-    bad_role = text.replace(",x,", ",q,", 1)
-    with pytest.raises(InvalidParameterError):
-        latents_from_csv(bad_role, Sphere())
-    only_x = "\n".join(
-        line for line in text.splitlines() if not line.split(",")[1:2] == ["y"]
-    )
-    with pytest.raises(InvalidParameterError):
-        latents_from_csv(only_x + "\n", Sphere())
