@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
@@ -156,10 +155,8 @@ def hop_counts(graph: Graph, sources, targets) -> HopMatrix:
         raise InvalidParameterError("sources and targets must be disjoint")
     if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
         raise InvalidParameterError("duplicate source or target index")
-    indptr = np.concatenate([[0], np.cumsum([nbrs.size for nbrs in graph.neighbors])])
-    indices = np.concatenate(graph.neighbors)
-    adjacency = csr_array((np.ones(indices.size), indices, indptr), shape=(graph.node_count, graph.node_count))
-    dist = shortest_path(adjacency, directed=False, unweighted=True, indices=sources)[:, targets]
+    # The adjacency is symmetric, so a directed search gives the undirected distances.
+    dist = shortest_path(graph.adjacency, directed=True, unweighted=True, indices=sources)[:, targets]
     entries = np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)
     return HopMatrix(entries)
 
@@ -323,9 +320,10 @@ def fast_kernel_block(adjacency: Graph | np.ndarray, rho: float, n: int, m: int)
         raise InvalidParameterError(f"rho must lie in (0, 1]: {rho}")
     if n < 1 or m < 1:
         raise InvalidParameterError(f"block sizes must be positive: n={n}, m={m}")
-    dense = adjacency.to_dense() if isinstance(adjacency, Graph) else np.asarray(adjacency, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape != (n + m, n + m):
+    matrix = adjacency.adjacency if isinstance(adjacency, Graph) else np.asarray(adjacency, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape != (n + m, n + m):
         raise InvalidParameterError(
-            f"adjacency must be ({n + m}, {n + m}) for n={n}, m={m}: got {dense.shape}"
+            f"adjacency must be ({n + m}, {n + m}) for n={n}, m={m}: got {matrix.shape}"
         )
-    return dense[:n, n : n + m] / rho
+    block = matrix[:n, n : n + m]
+    return (block.toarray() if isinstance(adjacency, Graph) else block) / rho

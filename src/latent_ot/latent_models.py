@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.spatial import cKDTree
 
 from .errors import DensityMisconfiguredError, InvalidParameterError
 from .rng import RngSeed, Xoshiro256StarStar
@@ -486,91 +488,79 @@ def sparse_log_rho(c: float, total: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph stored as sorted neighbor lists."""
+    """Undirected simple graph stored as its adjacency matrix: a symmetric
+    CSR array with sorted indices, unit entries and an empty diagonal."""
 
-    node_count: int
-    neighbors: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if self.node_count < 1 or len(self.neighbors) != self.node_count:
-            raise InvalidParameterError("neighbor lists must cover every node")
+    adjacency: csr_array
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "Graph":
-        """Build from an iterable of (i, j) pairs; direction and duplicates
-        are ignored."""
+        """Build from an (E, 2) array-like of index pairs; direction and
+        duplicates are ignored."""
         if node_count < 1:
             raise InvalidParameterError(f"node_count must be positive: {node_count}")
-        adjacency: list[set[int]] = [set() for _ in range(node_count)]
-        for i, j in edges:
-            i, j = int(i), int(j)
-            if i == j:
-                raise InvalidParameterError(f"self-loop at node {i}")
-            if not (0 <= i < node_count and 0 <= j < node_count):
-                raise InvalidParameterError(f"edge ({i}, {j}) outside node range")
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        lists = tuple(np.array(sorted(nbrs), dtype=np.int64) for nbrs in adjacency)
-        return cls(node_count=node_count, neighbors=lists)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
+        if loops.size:
+            raise InvalidParameterError(f"self-loop at node {pairs[loops[0], 0]}")
+        outside = np.flatnonzero(np.any((pairs < 0) | (pairs >= node_count), axis=1))
+        if outside.size:
+            raise InvalidParameterError(f"edge {tuple(pairs[outside[0]].tolist())} outside node range")
+        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+        adjacency = csr_array((np.ones(rows.size), (rows, cols)), shape=(node_count, node_count))
+        adjacency.sum_duplicates()
+        adjacency.data[:] = 1.0
+        return cls(adjacency)
 
-    @classmethod
-    def from_adjacency_mask(cls, mask: np.ndarray) -> "Graph":
-        """Build from a symmetric boolean matrix; the diagonal is ignored."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
-            raise InvalidParameterError("adjacency mask must be square")
-        if not np.array_equal(mask, mask.T):
-            raise InvalidParameterError("adjacency mask must be symmetric")
-        mask = mask.copy()
-        np.fill_diagonal(mask, False)
-        lists = tuple(np.flatnonzero(mask[i]).astype(np.int64) for i in range(mask.shape[0]))
-        return cls(node_count=mask.shape[0], neighbors=lists)
+    @property
+    def node_count(self) -> int:
+        return self.adjacency.shape[0]
 
     @property
     def edge_count(self) -> int:
-        return sum(arr.size for arr in self.neighbors) // 2
+        return self.adjacency.nnz // 2
+
+    def neighbors(self, node: int) -> np.ndarray:
+        """Sorted neighbor indices of one node."""
+        indptr = self.adjacency.indptr
+        return self.adjacency.indices[indptr[node] : indptr[node + 1]]
 
     def degree(self, node: int) -> int:
-        return int(self.neighbors[node].size)
+        return int(self.neighbors(node).size)
 
     def has_edge(self, i: int, j: int) -> bool:
-        arr = self.neighbors[i]
-        pos = int(np.searchsorted(arr, j))
-        return pos < arr.size and int(arr[pos]) == j
+        return bool(self.adjacency[i, j])
 
-    def edges(self):
-        """Yield edges (i, j) with i < j in ascending lexicographic order."""
-        for i in range(self.node_count):
-            for j in self.neighbors[i]:
-                if i < j:
-                    yield (i, int(j))
+    def edges(self) -> np.ndarray:
+        """Edges (i, j) with i < j as an (E, 2) array in ascending
+        lexicographic order."""
+        rows = np.repeat(np.arange(self.node_count), np.diff(self.adjacency.indptr))
+        cols = self.adjacency.indices
+        upper = rows < cols
+        return np.column_stack([rows[upper], cols[upper]])
 
     def to_dense(self) -> np.ndarray:
         """Dense symmetric 0/1 float adjacency matrix."""
-        out = np.zeros((self.node_count, self.node_count))
-        for i, nbrs in enumerate(self.neighbors):
-            out[i, nbrs] = 1.0
-        return out
+        return self.adjacency.toarray()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.node_count == other.node_count and all(
-            np.array_equal(a, b) for a, b in zip(self.neighbors, other.neighbors)
-        )
+        return self.node_count == other.node_count and (self.adjacency != other.adjacency).nnz == 0
 
 
 def eps_graph(latents: LatentConfiguration, h: float) -> Graph:
-    """Connectivity graph with an edge iff ambient distance <= h (closed ball)."""
+    """Connectivity graph with an edge iff ambient distance <= h (closed ball).
+
+    Pairs come from a k-d tree, so no N x N distance matrix is formed.
+    """
     if h <= 0:
         raise InvalidParameterError(f"connectivity radius must be positive: {h}")
     points = latents.all_points()
-    squared = pairwise_squared_distances(points, points)
-    mask = squared <= h * h
-    np.fill_diagonal(mask, False)
-    return Graph.from_adjacency_mask(mask)
+    pairs = cKDTree(points).query_pairs(h, output_type="ndarray")
+    return Graph.from_edges(points.shape[0], pairs)
 
 
 def sample_kernel_graph(
@@ -592,7 +582,7 @@ def sample_kernel_graph(
     rng = Xoshiro256StarStar(seed)
     draws = rng.uniforms(rows.size)
     picked = draws < probabilities[rows, cols]
-    return Graph.from_edges(count, zip(rows[picked], cols[picked]))
+    return Graph.from_edges(count, np.column_stack([rows[picked], cols[picked]]))
 
 
 def true_kernel_matrix(latents: LatentConfiguration, kernel: NonlocalKernel) -> np.ndarray:
@@ -626,7 +616,7 @@ def graph_to_edgelist(graph: Graph) -> str:
     """Edge-list text: first line "N E", then one "i j" line per edge with
     0-based i < j in ascending lexicographic order."""
     lines = [f"{graph.node_count} {graph.edge_count}"]
-    lines.extend(f"{i} {j}" for i, j in graph.edges())
+    lines.extend(f"{i} {j}" for i, j in graph.edges().tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -652,4 +642,9 @@ def graph_from_edgelist(text: str) -> Graph:
         if not i < j:
             raise InvalidParameterError(f"edge lines must have i < j: {line!r}")
         edges.append((i, j))
-    return Graph.from_edges(node_count, edges)
+    graph = Graph.from_edges(node_count, edges)
+    if graph.edge_count != edge_count:
+        raise InvalidParameterError(
+            f"header declares {edge_count} edges but the lines hold {graph.edge_count} distinct ones"
+        )
+    return graph

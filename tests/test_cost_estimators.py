@@ -37,7 +37,7 @@ def bfs_oracle(graph, source):
     queue = collections.deque([source])
     while queue:
         v = queue.popleft()
-        for w in graph.neighbors[v]:
+        for w in graph.neighbors(v):
             w = int(w)
             if dist[w] == UNREACHABLE:
                 dist[w] = dist[v] + 1

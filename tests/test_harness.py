@@ -537,6 +537,34 @@ def test_local_cell_reports_disconnection():
     assert tables.results.rows[0].value == 1.0
 
 
+_PEAK_RSS_SCRIPT = """
+import json, resource, sys
+from latent_ot.harness.config import config_from_dict
+from latent_ot.harness.experiments import run_experiment
+tables = run_experiment(config_from_dict(json.loads(sys.argv[1])))
+print(json.dumps({
+    "metrics": {r.metric: r.value for r in tables.results.rows},
+    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+def test_local_cell_at_thirty_thousand_points_holds_no_n_by_n_array():
+    # One N x N boolean mask alone would take 900 MB at this size.
+    data = local_config_dict()
+    data.update(grid=[30000], n=20, m=20, kernel={"kind": "local", "c0": 2.0})
+    src = str(Path(latent_ot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT, json.dumps(data)],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    report = json.loads(done.stdout)
+    assert report["metrics"]["all_bounds_hold"] == 1.0
+    assert report["metrics"]["graph_edges"] > 30000
+    assert report["maxrss_kb"] < 600 * 1024
+
+
 def test_usvt_cell_produces_the_expected_metrics():
     tables = run_experiment(config_from_dict(usvt_config_dict()))
     assert metrics_of(tables.results, "usvt") == USVT_METRICS

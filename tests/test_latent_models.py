@@ -270,38 +270,55 @@ def test_sparsity_presets():
 
 
 def test_graph_from_edges_ignores_direction_and_duplicates():
-    g = Graph.from_edges(4, [(1, 0), (0, 1), (2, 3), (2, 3)])
-    assert g.edge_count == 2
+    g = Graph.from_edges(4, [(1, 0), (0, 1), (2, 3), (2, 3), (1, 2)])
+    assert g.edge_count == 3
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert g.has_edge(2, 3)
     assert not g.has_edge(0, 2)
-    assert g.degree(0) == 1
-    assert list(g.edges()) == [(0, 1), (2, 3)]
+    assert g.degree(0) == 1 and g.degree(1) == 2
+    assert g.neighbors(1).tolist() == [0, 2]
+    assert g.edges().tolist() == [[0, 1], [1, 2], [2, 3]]
+    expected = np.array(
+        [
+            [0.0, 1.0, 0.0, 0.0],
+            [1.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 0.0, 1.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    assert np.array_equal(g.to_dense(), expected)
+    assert g == Graph.from_edges(4, np.array([[2, 3], [0, 1], [2, 1]]))
+    assert g != Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert g != Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
+
+    empty = Graph.from_edges(3, [])
+    assert empty.node_count == 3 and empty.edge_count == 0
+    assert empty.edges().shape == (0, 2)
+    assert np.array_equal(empty.to_dense(), np.zeros((3, 3)))
 
 
 def test_graph_validation():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="self-loop"):
         Graph.from_edges(3, [(1, 1)])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="outside node range"):
         Graph.from_edges(3, [(0, 3)])
+    with pytest.raises(InvalidParameterError, match="outside node range"):
+        Graph.from_edges(3, [(0, 1), (-1, 2)])
     with pytest.raises(InvalidParameterError):
         Graph.from_edges(0, [])
-    with pytest.raises(InvalidParameterError):
-        Graph.from_adjacency_mask(np.array([[0, 1], [0, 0]], dtype=bool))
-    with pytest.raises(InvalidParameterError):
-        Graph.from_adjacency_mask(np.zeros((2, 3), dtype=bool))
 
 
 def test_adjacency_mask_roundtrip_ignores_diagonal():
     mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
-    g = Graph.from_adjacency_mask(mask)
+    off_diagonal = np.argwhere(np.triu(mask, k=1))
+    g = Graph.from_edges(3, off_diagonal)
     dense = g.to_dense()
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diag(dense) == 0.0)
     expected = mask.astype(float)
     np.fill_diagonal(expected, 0.0)
     assert np.array_equal(dense, expected)
-    assert g == Graph.from_adjacency_mask(dense.astype(bool))
+    assert g == Graph.from_edges(3, np.argwhere(np.triu(dense.astype(bool), k=1)))
 
 
 def test_eps_graph_exact_thresholds_on_the_unit_square():
@@ -311,20 +328,20 @@ def test_eps_graph_exact_thresholds_on_the_unit_square():
     )
     g = eps_graph(config, h=1.0)
     # sides are edges at exactly h; the diagonal sqrt(2) is not
-    assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert g.edges().tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
     with pytest.raises(InvalidParameterError):
         eps_graph(config, h=0.0)
 
 
 def test_eps_graph_matches_brute_force():
-    config = sample_latents(Sphere(), Density(), 10, 10, 30, RngSeed(7))
-    h = 0.9
-    g = eps_graph(config, h)
-    points = config.all_points()
-    for i in range(30):
-        for j in range(i + 1, 30):
-            expected = float(np.linalg.norm(points[i] - points[j])) <= h
-            assert g.has_edge(i, j) == expected, (i, j)
+    scheduled = [(m, 700, h_schedule(700, m.intrinsic_dim, 2.0)) for m in (Sphere(), UnitSquare(), Circle())]
+    for manifold, total, h in [(Sphere(), 30, 0.9)] + scheduled:
+        config = sample_latents(manifold, Density(), 10, 10, total, RngSeed(7))
+        g = eps_graph(config, h)
+        points = config.all_points()
+        for i in range(total):
+            within = np.flatnonzero(np.linalg.norm(points - points[i], axis=1) <= h).tolist()
+            assert g.neighbors(i).tolist() == [j for j in within if j != i], (manifold.kind, total, i)
 
 
 def test_sample_kernel_graph_replays_the_documented_stream():
@@ -416,5 +433,7 @@ def test_edgelist_parse_errors():
         graph_from_edgelist("3 2\n0 1\n")
     with pytest.raises(InvalidParameterError):
         graph_from_edgelist("3 1\n1 0\n")
+    with pytest.raises(InvalidParameterError, match="distinct"):
+        graph_from_edgelist("3 2\n0 1\n0 1\n")
     with pytest.raises(InvalidParameterError):
         graph_from_edgelist("3 1\n0 x\n")
