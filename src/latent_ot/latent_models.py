@@ -19,9 +19,11 @@ from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .errors import DensityMisconfiguredError, InvalidParameterError
-from .rng import RngSeed, Xoshiro256StarStar
+from .rng import RngSeed, Xoshiro256StarStar, pair_uniforms
 
 _REJECTION_ATTEMPT_CAP = 1_000_000
+# Pairs per row block of the Bernoulli graph sampler.
+_GRAPH_BLOCK_PAIRS = 1 << 20
 _ON_MANIFOLD_TOLERANCE = 1e-12
 
 
@@ -362,29 +364,32 @@ def _sample_from_density(
     region: tuple[np.ndarray, float] | None = None,
 ) -> np.ndarray:
     """Rejection sampling from the density, optionally restricted to a
-    geodesic ball (anchor, radius)."""
-    if count == 0:
-        return np.empty((0, manifold.ambient_dim))
+    geodesic ball (anchor, radius).
+
+    Each round proposes one uniform point for every point still missing and
+    keeps the accepted ones in proposal order, so ``_REJECTION_ATTEMPT_CAP``
+    rounds are that many attempts per point.
+    """
     _, upper = density.weight_bounds(manifold)
     points = np.empty((count, manifold.ambient_dim))
-    for idx in range(count):
-        for attempt in range(_REJECTION_ATTEMPT_CAP):
-            proposal = manifold.sample_uniform(rng, 1)
-            if density.kind != "uniform":
-                accept = rng.uniform() * upper
-                if accept >= float(density.relative_weight(proposal)[0]):
-                    continue
-            if region is not None:
-                anchor, radius = region
-                dist = float(manifold.geodesic_matrix(proposal, anchor[None, :])[0, 0])
-                if dist > radius:
-                    continue
-            points[idx] = proposal[0]
+    filled = 0
+    for _ in range(_REJECTION_ATTEMPT_CAP):
+        if filled == count:
             break
-        else:
-            raise DensityMisconfiguredError(
-                f"rejection sampling exceeded {_REJECTION_ATTEMPT_CAP} attempts per point"
-            )
+        proposals = manifold.sample_uniform(rng, count - filled)
+        keep = np.ones(proposals.shape[0], dtype=bool)
+        if density.kind != "uniform":
+            keep &= rng.uniforms(proposals.shape[0]) * upper < density.relative_weight(proposals)
+        if region is not None:
+            anchor, radius = region
+            keep &= manifold.geodesic_matrix(proposals, anchor[None, :])[:, 0] <= radius
+        accepted = proposals[keep]
+        points[filled : filled + accepted.shape[0]] = accepted
+        filled += accepted.shape[0]
+    if filled < count:
+        raise DensityMisconfiguredError(
+            f"rejection sampling exceeded {_REJECTION_ATTEMPT_CAP} attempts per point"
+        )
     return points
 
 
@@ -568,21 +573,29 @@ def sample_kernel_graph(
 ) -> Graph:
     """Draw each unordered pair as an independent Bernoulli edge.
 
-    Pair (i, j) with i < j is an edge with probability rho * w(z_i, z_j).
-    Pairs are visited in ascending row-major order and consume one uniform
-    each, so the draw is bit-reproducible given the seed.
+    Pair (i, j) with i < j is an edge with probability rho * w(z_i, z_j),
+    decided by the counter-based uniform :func:`~latent_ot.rng.pair_uniforms`
+    of (seed, i, j).  Each pair's draw depends only on the seed and the pair,
+    so the rows are walked in blocks of about ``_GRAPH_BLOCK_PAIRS`` pairs
+    and memory does not grow as N x N.
     """
     points = latents.all_points()
     count = points.shape[0]
-    weights = kernel.form.evaluate(points, points)
-    probabilities = kernel.rho * weights
-    if float(probabilities.max()) > 1.0 + 1e-12:
-        raise InvalidParameterError("edge probability rho * w exceeds 1")
-    rows, cols = np.triu_indices(count, k=1)
-    rng = Xoshiro256StarStar(seed)
-    draws = rng.uniforms(rows.size)
-    picked = draws < probabilities[rows, cols]
-    return Graph.from_edges(count, np.column_stack([rows[picked], cols[picked]]))
+    block_rows = max(1, _GRAPH_BLOCK_PAIRS // count)
+    columns = np.arange(count)
+    picked_rows, picked_cols = [], []
+    for start in range(0, count, block_rows):
+        stop = min(start + block_rows, count)
+        probabilities = kernel.rho * kernel.form.evaluate(points[start:stop], points)
+        if float(probabilities.max()) > 1.0 + 1e-12:
+            raise InvalidParameterError("edge probability rho * w exceeds 1")
+        local, cols = np.nonzero(columns[None, :] > np.arange(start, stop)[:, None])
+        rows = local + start
+        hit = pair_uniforms(seed, rows, cols) < probabilities[local, cols]
+        picked_rows.append(rows[hit])
+        picked_cols.append(cols[hit])
+    edges = np.column_stack([np.concatenate(picked_rows), np.concatenate(picked_cols)])
+    return Graph.from_edges(count, edges)
 
 
 def true_kernel_matrix(latents: LatentConfiguration, kernel: NonlocalKernel) -> np.ndarray:

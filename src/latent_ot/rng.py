@@ -1,10 +1,19 @@
 """Deterministic pseudo-random streams for reproducible experiments.
 
-The generator is xoshiro256** (Blackman & Vigna) seeded through SplitMix64,
-implemented here directly so that draws are bit-reproducible across platforms
-and numpy versions.  Every randomized routine in the package takes an
-:class:`RngSeed` and builds its own :class:`Xoshiro256StarStar` stream from
-it; independent sub-streams are derived by hashing labels into the seed with
+Two generators are implemented here directly, so that draws are
+bit-reproducible across platforms and numpy versions:
+
+* :class:`Xoshiro256StarStar`, the sequential xoshiro256** generator
+  (Blackman & Vigna) seeded through SplitMix64.  Latent points, the
+  stability route and the property suite draw from it.
+* :func:`pair_uniforms`, a counter-based uniform per index pair (i, j): the
+  SplitMix64 output at counter ``(i << 32) | j``, computed over numpy
+  ``uint64`` (the counter-based design of Salmon et al., "Parallel random
+  numbers: as easy as 1, 2, 3", SC'11).  A pair's draw depends only on
+  (seed, i, j), so Bernoulli graphs can be drawn in any order and in blocks.
+
+Every randomized routine in the package takes an :class:`RngSeed`;
+independent sub-streams are derived by hashing labels into the seed with
 :meth:`RngSeed.derive`.
 """
 
@@ -19,6 +28,8 @@ from .errors import InvalidParameterError
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MUL1 = 0xBF58476D1CE4E5B9
+_SPLITMIX_MUL2 = 0x94D049BB133111EB
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 # Unit scaling for 53-bit mantissa uniforms.
@@ -29,8 +40,8 @@ def _splitmix64(state: int) -> tuple[int, int]:
     """One SplitMix64 step: returns (next_state, output)."""
     state = (state + _SPLITMIX_GAMMA) & _MASK64
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & _MASK64
     return state, z ^ (z >> 31)
 
 
@@ -69,6 +80,32 @@ class RngSeed:
                 raise InvalidParameterError(f"derive parts must be int or str: {part!r}")
             _, state = _splitmix64(state ^ folded)
         return RngSeed(state)
+
+
+_PAIR_INDEX_LIMIT = 1 << 32
+
+
+def pair_uniforms(seed: RngSeed, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """One uniform in [0, 1) per index pair (rows[k], cols[k]).
+
+    Pair (i, j) gets ``(_splitmix64((seed + c * gamma) mod 2^64)[1] >> 11) * 2^-53``
+    with ``c = (i << 32) | j``: SplitMix64's output at counter c.  Indices
+    must lie in [0, 2^32) so that distinct pairs get distinct counters.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    for name, index in (("rows", rows), ("cols", cols)):
+        if index.size and (index.min() < 0 or index.max() >= _PAIR_INDEX_LIMIT):
+            raise InvalidParameterError(f"pair {name} must lie in [0, 2^32)")
+    counters = (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64)
+    # uint64 array arithmetic wraps modulo 2^64, as the scalar step masks.
+    z = (counters + np.uint64(1)) * np.uint64(_SPLITMIX_GAMMA) + np.uint64(seed.value)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_SPLITMIX_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_SPLITMIX_MUL2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * _U53
 
 
 class Xoshiro256StarStar:

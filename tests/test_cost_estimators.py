@@ -26,7 +26,15 @@ from latent_ot.cost_estimators import (
     usvt_from_eigen,
 )
 from latent_ot.errors import InvalidParameterError, TargetsDisconnectedError
-from latent_ot.latent_models import Density, Graph, Sphere, eps_graph, sample_latents
+from latent_ot.latent_models import (
+    Circle,
+    Density,
+    Graph,
+    LatentConfiguration,
+    Sphere,
+    eps_graph,
+    sample_latents,
+)
 from latent_ot.rng import RngSeed, Xoshiro256StarStar
 
 
@@ -119,18 +127,42 @@ def test_hop_counts_marks_unreachable_pairs():
     assert hops.first_unreachable() == (0, 0)
 
 
+def _two_jittered_arcs(seed: RngSeed) -> LatentConfiguration:
+    """Points on the unit circle along two far-apart arcs, 0.05 rad apart with
+    at most 0.005 rad of jitter.  Within h = 0.07 lie exactly the arc
+    neighbours, so each arc is a path.  The sources are drawn from the first
+    20 points of the long arc; four targets end that arc, at least 17 hops
+    away, and four lie on the short arc, out of reach."""
+    rng = Xoshiro256StarStar(seed)
+    long_arc = 0.05 * np.arange(40) + 0.005 * (2.0 * rng.uniforms(40) - 1.0)
+    short_arc = math.pi + 0.05 * np.arange(20) + 0.005 * (2.0 * rng.uniforms(20) - 1.0)
+    order = np.argsort(rng.uniforms(20), kind="stable")
+    sources, spare = long_arc[order[:8]], long_arc[order[8:]]
+    targets = np.concatenate([long_arc[36:], short_arc[:4]])
+    rest = np.concatenate([spare, long_arc[20:36], short_arc[4:]])
+
+    def on_circle(angles):
+        return np.column_stack([np.cos(angles), np.sin(angles)])
+
+    return LatentConfiguration(
+        xs=on_circle(sources), ys=on_circle(targets), zs=on_circle(rest), manifold=Circle()
+    )
+
+
 def test_hop_counts_matches_queue_bfs_on_random_graphs():
     sources = list(range(8))
     targets = list(range(8, 16))
-    # the second graph leaves some pairs unreachable and joins others by long paths
-    for seed, total, h in ((100, 40, 0.8), (101, 60, 0.6)):
-        config = sample_latents(Sphere(), Density(), 8, 8, total, RngSeed(seed))
-        g = eps_graph(config, h=h)
+    graphs = (
+        eps_graph(sample_latents(Sphere(), Density(), 8, 8, 40, RngSeed(100)), h=0.8),
+        eps_graph(_two_jittered_arcs(RngSeed(101)), h=0.07),
+    )
+    for case, g in enumerate(graphs):
         hops = hop_counts(g, sources, targets)
         for row, s in enumerate(sources):
             reference = bfs_oracle(g, s)
             for col, t in enumerate(targets):
-                assert hops.entries[row, col] == reference[t], (seed, s, t)
+                assert hops.entries[row, col] == reference[t], (case, s, t)
+    # the second graph leaves some pairs unreachable and joins others by long paths
     assert 0 < np.count_nonzero(hops.entries == UNREACHABLE) < hops.entries.size
     assert hops.entries.max() > 5
 

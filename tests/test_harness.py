@@ -549,20 +549,50 @@ print(json.dumps({
 """
 
 
+def _run_json_script(script: str, *args: str) -> dict:
+    """Run a script in a fresh interpreter on this package; parse its JSON output."""
+    src = str(Path(latent_ot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    return json.loads(done.stdout)
+
+
 def test_local_cell_at_thirty_thousand_points_holds_no_n_by_n_array():
     # One N x N boolean mask alone would take 900 MB at this size.
     data = local_config_dict()
     data.update(grid=[30000], n=20, m=20, kernel={"kind": "local", "c0": 2.0})
-    src = str(Path(latent_ot.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", _PEAK_RSS_SCRIPT, json.dumps(data)],
-        env=env, check=True, capture_output=True, text=True, timeout=300,
-    )
-    report = json.loads(done.stdout)
+    report = _run_json_script(_PEAK_RSS_SCRIPT, json.dumps(data))
     assert report["metrics"]["all_bounds_hold"] == 1.0
     assert report["metrics"]["graph_edges"] > 30000
     assert report["maxrss_kb"] < 600 * 1024
+
+
+_KERNEL_GRAPH_RSS_SCRIPT = """
+import json, resource
+from latent_ot.latent_models import (
+    Density, GaussianPowerKernel, NonlocalKernel, Sphere, sample_kernel_graph, sample_latents,
+    sparse_log_rho,
+)
+from latent_ot.rng import RngSeed
+total = 6000
+latents = sample_latents(Sphere(), Density(), 20, 20, total, RngSeed(5))
+kernel = NonlocalKernel(rho=sparse_log_rho(2.0, total), form=GaussianPowerKernel())
+graph = sample_kernel_graph(latents, kernel, RngSeed(6))
+print(json.dumps({
+    "edges": graph.edge_count,
+    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+def test_kernel_graph_at_six_thousand_points_holds_no_n_by_n_array():
+    # One N x N float64 array alone would take 288 MB at this size.
+    report = _run_json_script(_KERNEL_GRAPH_RSS_SCRIPT)
+    assert report["edges"] > 6000
+    assert report["maxrss_kb"] < 6000 * 6000 * 8 // 1024
 
 
 def test_usvt_cell_produces_the_expected_metrics():

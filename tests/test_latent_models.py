@@ -2,7 +2,7 @@
 
 Geodesics are checked against hand-computed arc lengths, graph builders
 against brute-force O(N^2) reconstruction, and the Bernoulli sampler
-against an in-test replay of its documented draw order.
+against an in-test replay of its documented per-pair draws.
 """
 
 import math
@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from latent_ot import latent_models
 from latent_ot.errors import DensityMisconfiguredError, InvalidParameterError
 from latent_ot.latent_models import (
     Circle,
@@ -33,7 +34,7 @@ from latent_ot.latent_models import (
     true_geodesic,
     true_kernel_matrix,
 )
-from latent_ot.rng import RngSeed, Xoshiro256StarStar
+from latent_ot.rng import RngSeed, Xoshiro256StarStar, _splitmix64
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,13 @@ def test_two_regions_placement_respects_the_balls():
         assert true_geodesic(manifold, x, anchor_a) <= radius + 1e-9
     for y in config.ys:
         assert true_geodesic(manifold, y, anchor_b) <= radius + 1e-9
+
+
+def test_rejection_sampling_gives_up_after_the_attempt_cap(monkeypatch):
+    monkeypatch.setattr(latent_models, "_REJECTION_ATTEMPT_CAP", 5)
+    placement = Placement(mode="two_regions", region_radius=1e-6)
+    with pytest.raises(DensityMisconfiguredError):
+        sample_latents(Sphere(), Density(), 3, 3, 8, RngSeed(9), placement=placement)
 
 
 def test_sample_latents_shapes_and_determinism():
@@ -344,21 +352,32 @@ def test_eps_graph_matches_brute_force():
             assert g.neighbors(i).tolist() == [j for j in within if j != i], (manifold.kind, total, i)
 
 
-def test_sample_kernel_graph_replays_the_documented_stream():
+def _scalar_pair_uniform(seed: RngSeed, i: int, j: int) -> float:
+    counter = (i << 32) | j
+    _, out = _splitmix64((seed.value + counter * 0x9E3779B97F4A7C15) % 2**64)
+    return (out >> 11) * 2.0**-53
+
+
+def test_sample_kernel_graph_replays_the_documented_stream(monkeypatch):
     config = sample_latents(Sphere(), Density(), 5, 5, 14, RngSeed(40))
     kernel = NonlocalKernel(rho=0.6, form=GaussianPowerKernel(p=2.0, sigma=1.0))
     seed = RngSeed(41)
     g = sample_kernel_graph(config, kernel, seed)
     points = config.all_points()
     probs = 0.6 * kernel.form.evaluate(points, points)
-    rows, cols = np.triu_indices(14, k=1)
-    draws = Xoshiro256StarStar(seed).uniforms(rows.size)
     expected_edges = [
-        (int(i), int(j)) for i, j, u in zip(rows, cols, draws) if u < probs[i, j]
+        (i, j)
+        for i in range(14)
+        for j in range(i + 1, 14)
+        if _scalar_pair_uniform(seed, i, j) < probs[i, j]
     ]
     assert g == Graph.from_edges(14, expected_edges)
     assert g == sample_kernel_graph(config, kernel, seed)
     assert g != sample_kernel_graph(config, kernel, RngSeed(42))
+    # row blocks of one, two and three rows draw the same graph
+    for block_pairs in (1, 28, 42):
+        monkeypatch.setattr(latent_models, "_GRAPH_BLOCK_PAIRS", block_pairs)
+        assert sample_kernel_graph(config, kernel, seed) == g
 
 
 def test_sample_kernel_graph_edge_frequency():

@@ -1,8 +1,9 @@
-"""Bit-level checks of the seeded generator against a reference written here.
+"""Bit-level checks of the seeded generators against a reference written here.
 
 The reference SplitMix64 and xoshiro256** steps below are implemented
 independently of the package (straight from the published recurrences) so a
-transcription slip in either copy shows up as a mismatch.
+transcription slip in either copy shows up as a mismatch.  The vectorised
+pair hash is also checked against the package's scalar SplitMix64 step.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from latent_ot.errors import InvalidParameterError
-from latent_ot.rng import RngSeed, Xoshiro256StarStar
+from latent_ot.rng import RngSeed, Xoshiro256StarStar, _splitmix64, pair_uniforms
 
 MASK = (1 << 64) - 1
 
@@ -138,3 +139,31 @@ def test_same_seed_same_stream_fresh_instances():
     a = Xoshiro256StarStar(RngSeed(77)).uniforms(32)
     b = Xoshiro256StarStar(RngSeed(77)).uniforms(32)
     assert np.array_equal(a, b)
+
+
+def test_pair_uniforms_are_splitmix64_outputs_at_the_pair_counter():
+    pairs = [(0, 0), (0, 1), (1, 0), (3, 7), (70_000, 65_537), (2**32 - 1, 2**32 - 1), (12, 2**31)]
+    rows = np.array([i for i, _ in pairs])
+    cols = np.array([j for _, j in pairs])
+    for seed in (0, 41, 0xDEADBEEF, 2**64 - 1, 2**64 - 3):
+        ours = pair_uniforms(RngSeed(seed), rows, cols)
+        for k, (i, j) in enumerate(pairs):
+            state = (seed + ((i << 32) | j) * 0x9E3779B97F4A7C15) & MASK
+            _, scalar = _splitmix64(state)
+            _, (reference,) = ref_splitmix64_stream(state, 1)
+            assert scalar == reference
+            assert ours[k] == (scalar >> 11) * 2.0**-53, (seed, i, j)
+
+
+def test_pair_uniforms_along_row_zero_replay_the_splitmix64_stream():
+    _, outs = ref_splitmix64_stream(2**64 - 2, 6)
+    ours = pair_uniforms(RngSeed(2**64 - 2), np.zeros(6, dtype=np.int64), np.arange(6))
+    assert ours.tolist() == [(out >> 11) * 2.0**-53 for out in outs]
+
+
+def test_pair_uniforms_reject_indices_outside_32_bits():
+    seed = RngSeed(3)
+    for rows, cols in (([0], [2**32]), ([2**32], [0]), ([-1], [0]), ([0], [-1])):
+        with pytest.raises(InvalidParameterError):
+            pair_uniforms(seed, np.array(rows), np.array(cols))
+    assert pair_uniforms(seed, np.array([], dtype=np.int64), np.array([], dtype=np.int64)).shape == (0,)
