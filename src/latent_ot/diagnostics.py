@@ -1,9 +1,7 @@
 """Matrix discrepancy norms and log-log rate fitting.
 
-Operator norms are estimated by power iteration on the Gram matrix, which
-keeps the cost at a few matrix-vector products per step even for matrices
-with thousands of rows; a dense SVD stays available in tests as the oracle
-for small matrices.
+Operator norms come from ARPACK on einsum products, which keeps them exact
+and independent of the BLAS thread count; a dense SVD is the test oracle.
 """
 
 from __future__ import annotations
@@ -12,10 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
 from .errors import InvalidParameterError, NumericFailureError
-
-_POWER_ITERATION_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -59,62 +56,41 @@ class RateFit:
     r_squared: float
 
 
-def operator_norm(matrix: np.ndarray, tol: float = 1e-10) -> float:
-    """Largest singular value via power iteration on the Gram matrix.
+def operator_norm(matrix: np.ndarray) -> float:
+    """Largest singular value, from ARPACK's Lanczos solver (``svds``, k = 1).
 
-    Starts from the normalized all-ones vector; if an iteration stalls (for
-    instance because the start vector lies in the null space) it restarts
-    from a different deterministic vector.  Raises
-    :class:`NumericFailureError` if no start converges within the shared
-    budget of 1e5 iterations.
+    The matrix is scaled to a largest entry of 1, so the Gram products
+    neither underflow nor overflow.  The start vector is fixed and the
+    products are ``np.einsum`` calls, not BLAS gemv, so the bits do not
+    depend on the BLAS thread count.  One row or one column gives the
+    Euclidean norm (``svds`` needs k < min(shape)).  Raises
+    :class:`NumericFailureError` if ARPACK does not converge.
     """
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
         raise InvalidParameterError("operator_norm needs a nonempty matrix")
     if not np.all(np.isfinite(mat)):
         raise InvalidParameterError("operator_norm needs finite entries")
-    if tol <= 0:
-        raise InvalidParameterError(f"tol must be positive: {tol}")
-    if not mat.any():
+    scale = float(np.abs(mat).max())
+    if scale == 0.0:
         return 0.0
+    unit = mat / scale
+    if min(mat.shape) == 1:
+        return scale * float(np.linalg.norm(unit))
 
-    cols = mat.shape[1]
-    starts = [
-        np.full(cols, 1.0 / math.sqrt(cols)),
-        _basis_vector(cols, 0),
-        _alternating_vector(cols),
-    ]
-    budget = _POWER_ITERATION_BUDGET // len(starts)
-    for start in starts:
-        vec = start
-        estimate = 0.0
-        for _ in range(budget):
-            image = mat @ vec
-            norm_image = float(np.linalg.norm(image))
-            if norm_image == 0.0:
-                break  # start vector is in the null space; restart
-            previous = estimate
-            estimate = norm_image / float(np.linalg.norm(vec))
-            vec = mat.T @ image
-            vec_norm = float(np.linalg.norm(vec))
-            if vec_norm == 0.0:
-                break
-            vec = vec / vec_norm
-            if abs(estimate - previous) <= tol * max(estimate, 1e-300):
-                return estimate
-    raise NumericFailureError("power iteration did not converge within its budget")
-
-
-def _basis_vector(size: int, index: int) -> np.ndarray:
-    out = np.zeros(size)
-    out[index] = 1.0
-    return out
-
-
-def _alternating_vector(size: int) -> np.ndarray:
-    out = np.ones(size)
-    out[1::2] = -1.0
-    return out / math.sqrt(size)
+    # einsum, not gemv: svds on the ndarray changes its last bit with the BLAS thread count.
+    op = LinearOperator(
+        mat.shape,
+        matvec=lambda vec: np.einsum("ij,j->i", unit, vec.ravel()),
+        rmatvec=lambda vec: np.einsum("ij,i->j", unit, vec.ravel()),
+        dtype=np.float64,
+    )
+    # Not linspace or all-ones: a small-integer matrix can annihilate a rational start.
+    start = np.cos(np.arange(min(mat.shape), dtype=np.float64))
+    try:
+        return scale * float(svds(op, k=1, v0=start, return_singular_vectors=False)[0])
+    except ArpackNoConvergence as exc:
+        raise NumericFailureError("ARPACK did not converge on the operator norm") from exc
 
 
 def discrepancy(matrix: np.ndarray, estimate: np.ndarray) -> DiscrepancyReport:
@@ -127,7 +103,7 @@ def discrepancy(matrix: np.ndarray, estimate: np.ndarray) -> DiscrepancyReport:
         raise InvalidParameterError("discrepancy needs nonempty matrices")
     diff = a - b
     frobenius = float(np.linalg.norm(diff))
-    operator = operator_norm(diff) if diff.any() else 0.0
+    operator = operator_norm(diff)
     rows, cols = diff.shape
     return DiscrepancyReport(
         sup_norm=float(np.abs(diff).max()),

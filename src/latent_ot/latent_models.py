@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import DensityMisconfiguredError, InvalidParameterError
 from .rng import RngSeed, Xoshiro256StarStar, pair_uniforms
@@ -226,16 +227,10 @@ def make_manifold(kind: str, radius: float = 1.0) -> Manifold:
     raise InvalidParameterError(f"unknown manifold kind: {kind!r}")
 
 
-def pairwise_squared_distances(xs: np.ndarray, ys: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Squared Euclidean distances between two point sets, computed in chunks."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    out = np.empty((xs.shape[0], ys.shape[0]))
-    for start in range(0, xs.shape[0], chunk):
-        stop = min(start + chunk, xs.shape[0])
-        diff = xs[start:stop, None, :] - ys[None, :, :]
-        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
+def pairwise_squared_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between two point sets, from ``cdist``;
+    exactly symmetric when both sets are the same."""
+    return cdist(np.atleast_2d(xs), np.atleast_2d(ys), "sqeuclidean")
 
 
 def true_geodesic(manifold: Manifold, x: np.ndarray, y: np.ndarray) -> float:
@@ -601,8 +596,7 @@ def sample_kernel_graph(
 def true_kernel_matrix(latents: LatentConfiguration, kernel: NonlocalKernel) -> np.ndarray:
     """Matrix of kernel values w(z_i, z_j) over all points, diagonal included."""
     points = latents.all_points()
-    weights = kernel.form.evaluate(points, points)
-    return 0.5 * (weights + weights.T)
+    return kernel.form.evaluate(points, points)
 
 
 def h_schedule(total: int, k: int, c0: float) -> float:

@@ -748,7 +748,7 @@ def stability_report(
     sup_gap = float(np.abs(diff).max())
     frobenius_gap = float(np.linalg.norm(diff))
     kernel_diff = np.exp(-cost_true.entries / epsilon) - np.exp(-cost_est.entries / epsilon)
-    kernel_gap = 0.0 if not kernel_diff.any() else diagnostics.operator_norm(kernel_diff)
+    kernel_gap = diagnostics.operator_norm(kernel_diff)
 
     norm_a = alpha.euclidean_norm
     norm_b = beta.euclidean_norm

@@ -1,16 +1,24 @@
 """Norm and rate-fit tests.
 
-The power-iteration operator norm is checked against numpy's dense SVD,
-and the rate fitter against synthetic power laws with known exponents.
+The ARPACK operator norm is checked against numpy's dense SVD to 1e-12
+relative, and against itself at one and two BLAS threads; the rate fitter
+is checked against synthetic power laws with known exponents.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import latent_ot
+import latent_ot.diagnostics as diagnostics
 from latent_ot.diagnostics import discrepancy, fit_rate, operator_norm
-from latent_ot.errors import InvalidParameterError
+from latent_ot.errors import InvalidParameterError, NumericFailureError
 from latent_ot.rng import RngSeed, Xoshiro256StarStar
 
 
@@ -36,15 +44,32 @@ def test_operator_norm_matches_svd_on_random_matrices():
     for _ in range(10):
         mat = rng.uniforms(24).reshape(6, 4) - 0.5
         expected = float(np.linalg.svd(mat, compute_uv=False)[0])
-        assert operator_norm(mat) == pytest.approx(expected, rel=1e-8)
+        assert operator_norm(mat) == pytest.approx(expected, rel=1e-12)
+
+
+def test_operator_norm_of_one_row_or_one_column():
+    row = np.array([[3.0, -4.0, 12.0]])
+    for mat in (row, row.T, np.array([[-2.5]])):
+        expected = float(np.linalg.svd(mat, compute_uv=False)[0])
+        assert operator_norm(mat) == pytest.approx(expected, rel=1e-12)
+    assert operator_norm(row) == 13.0
 
 
 def test_operator_norm_zero_and_nullspace_start():
     assert operator_norm(np.zeros((3, 3))) == 0.0
-    # all-ones start vector is in the null space; the restart vectors are not
-    mat = np.array([[1.0, -1.0], [1.0, -1.0]])
-    expected = float(np.linalg.svd(mat, compute_uv=False)[0])
-    assert operator_norm(mat) == pytest.approx(expected, rel=1e-8)
+    # all-ones and linspace(1, 2) start vectors lie in these null spaces
+    for mat in (np.array([[1.0, -1.0], [1.0, -1.0]]), np.array([[2.0, -1.0], [4.0, -2.0]])):
+        expected = float(np.linalg.svd(mat, compute_uv=False)[0])
+        assert operator_norm(mat) == pytest.approx(expected, rel=1e-12)
+
+
+def test_operator_norm_of_tiny_and_huge_matrices():
+    rng = Xoshiro256StarStar(RngSeed(17))
+    mat = rng.uniforms(12).reshape(4, 3) - 0.5
+    for scale in (1e-300, 1e300):
+        expected = float(np.linalg.svd(scale * mat, compute_uv=False)[0])
+        assert operator_norm(scale * mat) == pytest.approx(expected, rel=1e-12)
+        assert operator_norm(scale * mat[:1]) == pytest.approx(scale * np.linalg.norm(mat[0]), rel=1e-12)
 
 
 def test_operator_norm_transpose_invariance():
@@ -59,9 +84,44 @@ def test_operator_norm_validation():
     with pytest.raises(InvalidParameterError):
         operator_norm(np.array([[np.nan]]))
     with pytest.raises(InvalidParameterError):
-        operator_norm(np.ones((2, 2)), tol=0.0)
-    with pytest.raises(InvalidParameterError):
         operator_norm(np.empty((0, 2)))
+
+
+def test_operator_norm_reports_arpack_non_convergence(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0)))
+
+    monkeypatch.setattr(diagnostics, "svds", no_convergence)
+    with pytest.raises(NumericFailureError):
+        operator_norm(np.arange(9.0).reshape(3, 3))
+
+
+_THREADED_NORM_SCRIPT = """
+import numpy as np
+from latent_ot.diagnostics import operator_norm
+from latent_ot.rng import RngSeed, Xoshiro256StarStar, pair_uniforms
+rows, cols = 533, 1067
+w = Xoshiro256StarStar(RngSeed(7)).uniforms(rows * cols).reshape(rows, cols)
+i, j = np.indices((rows, cols))
+for seed in (7, 8, 9):
+    edges = pair_uniforms(RngSeed(seed), i.ravel(), j.ravel()).reshape(rows, cols) < w
+    print(operator_norm(w - edges).hex())
+"""
+
+
+def test_operator_norm_does_not_depend_on_the_blas_thread_count():
+    # The thread count is set only in each child's environment.
+    src = str(Path(latent_ot.__file__).resolve().parents[1])
+    norms = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADED_NORM_SCRIPT],
+            env=env, check=True, capture_output=True, text=True, timeout=300,
+        )
+        norms.append(done.stdout.strip())
+    assert norms[0] == norms[1]
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,6 @@ def test_pairwise_squared_distances_matches_brute_force():
     ys = rng.uniforms(12).reshape(4, 3)
     expected = np.array([[np.sum((x - y) ** 2) for y in ys] for x in xs])
     assert np.allclose(pairwise_squared_distances(xs, ys), expected, atol=1e-14)
-    # chunked path covers the same values
-    assert np.allclose(pairwise_squared_distances(xs, ys, chunk=2), expected, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
