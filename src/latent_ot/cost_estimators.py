@@ -4,9 +4,9 @@ Three routes produce an estimated cost block between the two target groups:
 
 * shortest-path hop counts on a connectivity graph, scaled by the
   connectivity radius, approximate geodesic distances;
-* a spectral hard-threshold estimate recovers the full kernel matrix from
-  one Bernoulli adjacency matrix, and a cost map is applied to its
-  cross-group block;
+* a spectral hard-threshold estimate keeps the top eigenpairs of one
+  Bernoulli adjacency matrix, and a cost map is applied to the
+  cross-group block they give;
 * the raw cross-group adjacency block divided by the sparsity level is an
   unbiased (if rough) kernel estimate consumed directly by the boxed dual
   solver.
@@ -17,11 +17,15 @@ constants so estimation error transfers linearly to cost error.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import (
     InvalidParameterError,
@@ -32,7 +36,9 @@ from .latent_models import Graph
 from .ot_core import CostMatrix
 
 UNREACHABLE = -1
-_DENSE_EIG_LIMIT = 4096
+_FIRST_EIGENPAIRS = 6
+# scipy >= 1.16 draws ARPACK's restart vectors (few distinct eigenvalues) from ``rng``.
+_EIGSH_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
 
 
 # ---------------------------------------------------------------------------
@@ -189,45 +195,6 @@ def cost_from_distances(dhat: np.ndarray, cost_map: CostMap) -> CostMatrix:
 
 
 @dataclass(frozen=True)
-class Eigendecomposition:
-    """Symmetric eigendecomposition with eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.eigenvalues, dtype=np.float64)
-        vectors = np.asarray(self.eigenvectors, dtype=np.float64)
-        if values.ndim != 1 or vectors.ndim != 2 or vectors.shape[1] != values.size:
-            raise InvalidParameterError("eigenvalues and eigenvector columns must align")
-        for name, arr in (("eigenvalues", values), ("eigenvectors", vectors)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_symmetric(cls, matrix: np.ndarray) -> "Eigendecomposition":
-        mat = np.asarray(matrix, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.size == 0:
-            raise InvalidParameterError("eigendecomposition needs a square matrix")
-        if mat.shape[0] > _DENSE_EIG_LIMIT:
-            raise InvalidParameterError(
-                f"dense eigendecomposition capped at {_DENSE_EIG_LIMIT} rows"
-            )
-        if not np.allclose(mat, mat.T, atol=1e-8):
-            raise InvalidParameterError("matrix must be symmetric")
-        try:
-            values, vectors = np.linalg.eigh(mat)
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailureError(f"eigendecomposition failed: {exc}") from exc
-        order = np.argsort(values)[::-1]
-        return cls(eigenvalues=values[order], eigenvectors=vectors[:, order])
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.T
-
-
-@dataclass(frozen=True)
 class UsvtParams:
     """Spectral threshold settings.
 
@@ -254,55 +221,73 @@ class UsvtParams:
             raise InvalidParameterError(f"clamp range must satisfy 0 <= lo <= hi <= 1: {self.clamp_range}")
         object.__setattr__(self, "clamp_range", (float(lo), float(hi)))
 
+    def threshold(self, node_count: int) -> float:
+        return self.gamma * math.sqrt(self.rho * node_count)
 
-def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> np.ndarray:
-    """Kernel matrix estimate by spectral hard thresholding.
 
-    Keeps the eigenpairs of the adjacency matrix whose eigenvalue is at
-    least gamma * sqrt(rho * N), rescales by 1/rho, and clamps entries into
-    the kernel's known range.  Accepts a Graph or a dense symmetric matrix
-    (so exact inputs can bypass sampling).
+@dataclass(frozen=True)
+class UsvtEstimate:
+    """The kept eigenpairs of a spectral estimate: ``values`` descending and
+    ``vectors`` (N, rank).  The N x N estimate itself is never formed."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    params: UsvtParams
+
+    @property
+    def rank(self) -> int:
+        return self.values.size
+
+    def at_gamma(self, gamma: float) -> "UsvtEstimate":
+        """The estimate at a gamma no smaller than this one's, from the same spectrum."""
+        if gamma < self.params.gamma:
+            raise InvalidParameterError(f"gamma {gamma} is below the decomposed {self.params.gamma}")
+        params = replace(self.params, gamma=gamma)
+        keep = self.values >= params.threshold(self.vectors.shape[0])
+        return UsvtEstimate(self.values[keep], self.vectors[:, keep], params)
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Entries (rows, cols) of V diag(values / rho) V^T, clamped into the kernel range."""
+        # einsum, not gemm: a BLAS product changes its last bits with the thread count.
+        raw = np.einsum("ik,jk->ij", self.vectors[rows] * (self.values / self.params.rho), self.vectors[cols])
+        return np.clip(raw, *self.params.clamp_range, out=raw)
+
+
+def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
+    """Kernel estimate by spectral hard thresholding (Chatterjee's USVT).
+
+    Keeps the eigenpairs with eigenvalue at least gamma * sqrt(rho * N);
+    Chatterjee thresholds |eigenvalue|, which agrees while no negative
+    eigenvalue reaches -threshold.  ARPACK computes the top k, k doubling
+    until the smallest falls below the threshold; it needs k < N, so if all
+    N - 1 pass, the smallest eigenpair decides the last.  A dense symmetric
+    input is converted to CSR, so it gives the same bits as its Graph.
     """
-    dense = adjacency.to_dense() if isinstance(adjacency, Graph) else np.asarray(adjacency, dtype=np.float64)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1] or dense.shape[0] < 2:
-        raise InvalidParameterError("adjacency must be square with at least 2 nodes")
-    decomposition = Eigendecomposition.from_symmetric(dense)
-    return usvt_from_eigen(decomposition, dense.shape[0], params)
-
-
-def usvt_from_eigen(
-    decomposition: Eigendecomposition, node_count: int, params: UsvtParams
-) -> np.ndarray:
-    """Thresholding step of :func:`usvt`, reusing a precomputed spectrum.
-
-    Splitting this out lets a threshold sweep factor one eigendecomposition
-    across many gamma values.
-    """
-    threshold = params.gamma * math.sqrt(params.rho * node_count)
-    keep = decomposition.eigenvalues >= threshold
-    values = decomposition.eigenvalues[keep]
-    vectors = decomposition.eigenvectors[:, keep]
-    raw = (vectors * values) @ vectors.T / params.rho
-    raw = 0.5 * (raw + raw.T)
-    lo, hi = params.clamp_range
-    return np.clip(raw, lo, hi)
-
-
-def usvt_cost_block(estimate: np.ndarray, n: int, m: int, cost_map: CostMap) -> CostMatrix:
-    """Cost matrix from the cross-group block of a full kernel estimate.
-
-    Rows 0..n-1 index the first target group and columns n..n+m-1 the
-    second, matching the stacking order of the latent configuration.
-    """
-    mat = np.asarray(estimate, dtype=np.float64)
-    if n < 1 or m < 1:
-        raise InvalidParameterError(f"block sizes must be positive: n={n}, m={m}")
-    if mat.ndim != 2 or mat.shape != (n + m, n + m):
-        raise InvalidParameterError(
-            f"estimate must be ({n + m}, {n + m}) for n={n}, m={m}: got {mat.shape}"
-        )
-    block = mat[:n, n : n + m]
-    return cost_from_distances(block, cost_map)
+    if isinstance(adjacency, Graph):
+        matrix = adjacency.adjacency
+    else:
+        dense = np.asarray(adjacency, dtype=np.float64)
+        if dense.ndim != 2 or dense.shape != dense.T.shape or not np.allclose(dense, dense.T, atol=1e-8):
+            raise InvalidParameterError("adjacency must be a symmetric matrix")
+        matrix = csr_array(dense)
+    count = matrix.shape[0]
+    if count < 2:
+        raise InvalidParameterError("adjacency must have at least 2 nodes")
+    threshold = params.threshold(count)
+    # A fixed start (and restart seed) gives the same bits for the same matrix.
+    eigenpairs = partial(eigsh, matrix, v0=np.cos(np.arange(count, dtype=np.float64)), **_EIGSH_RNG)
+    k, values = 0, np.array([np.inf])
+    try:
+        while values[0] >= threshold and k < count - 1:
+            k = min(max(2 * k, _FIRST_EIGENPAIRS), count - 1)
+            values, vectors = eigenpairs(k, which="LA")  # ascending
+        if values[0] >= threshold:
+            last_value, last_vector = eigenpairs(1, which="SA")
+            values, vectors = np.append(last_value, values), np.hstack([last_vector, vectors])
+    except ArpackNoConvergence as exc:
+        raise NumericFailureError("ARPACK did not converge on the top eigenpairs") from exc
+    keep = np.flatnonzero(values >= threshold)[::-1]
+    return UsvtEstimate(values[keep], vectors[:, keep], params)
 
 
 # ---------------------------------------------------------------------------

@@ -23,25 +23,23 @@ import numpy as np
 
 from .. import diagnostics
 from ..cost_estimators import (
-    Eigendecomposition,
+    UsvtEstimate,
     UsvtParams,
     cost_from_distances,
     fast_kernel_block,
     geodesic_estimate,
     hop_counts,
     usvt,
-    usvt_cost_block,
-    usvt_from_eigen,
 )
 from ..errors import InvalidParameterError
 from ..latent_models import (
+    GaussianPowerKernel,
     Graph,
     LatentConfiguration,
     NonlocalKernel,
     eps_graph,
     sample_kernel_graph,
     sample_latents,
-    true_kernel_matrix,
 )
 from ..ot_core import (
     CostMatrix,
@@ -133,11 +131,6 @@ def _cost_block_rows(cell: _Cell, label: str, cost_true: CostMatrix, cost_est: C
     return rows
 
 
-def _nonlocal_model(config: ExperimentConfig, total: int) -> NonlocalKernel:
-    assert config.kernel is not None and config.kernel.form is not None
-    return NonlocalKernel(rho=config.kernel.rho_at(total), form=config.kernel.form)
-
-
 def sample_cell(config: ExperimentConfig, total: int, seed: int) -> tuple[LatentConfiguration, Graph]:
     """The latent points and the observed graph of one (N, seed) cell.
 
@@ -154,7 +147,9 @@ def sample_cell(config: ExperimentConfig, total: int, seed: int) -> tuple[Latent
     if config.kernel.kind == "local":
         graph = eps_graph(latents, config.kernel.radius_at(total, config.manifold.intrinsic_dim))
     else:
-        graph = sample_kernel_graph(latents, _nonlocal_model(config, total), base.derive("graph", total))
+        assert config.kernel.form is not None
+        model = NonlocalKernel(rho=config.kernel.rho_at(total), form=config.kernel.form)
+        graph = sample_kernel_graph(latents, model, base.derive("graph", total))
     return latents, graph
 
 
@@ -183,30 +178,40 @@ def _shortest_path_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph)
     return rows + _cost_block_rows(cell, label, cost_true, cost_est)
 
 
+def _kernel_frobenius_normalized(points: np.ndarray, form: GaussianPowerKernel, estimate: UsvtEstimate) -> float:
+    """||W - W_est||_F / N, summed over row blocks of about 2^20 entries so
+    that neither N x N matrix is formed."""
+    count = points.shape[0]
+    step = max(1, (1 << 20) // count)
+    squared = 0.0
+    for start in range(0, count, step):
+        rows = slice(start, start + step)
+        gap = form.evaluate(points[rows], points) - estimate.block(rows, slice(None))
+        squared += float(np.einsum("ij,ij->", gap, gap))
+    return math.sqrt(squared) / count
+
+
 def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[ResultRow]:
     config = cell.config
     assert config.manifold is not None and config.kernel is not None and config.cost_map is not None
     assert config.kernel.form is not None
-    model = _nonlocal_model(config, cell.total)
-    w_true = true_kernel_matrix(latents, model)
-    cost_true = usvt_cost_block(w_true, cell.n, cell.m, config.cost_map)
-    clamp = config.kernel.form.bounds(config.manifold)
+    form, rho = config.kernel.form, config.kernel.rho_at(cell.total)
     if config.experiment == "gamma_sweep":
-        spectrum = Eigendecomposition.from_symmetric(graph.to_dense())
-        estimates = [
-            (f"usvt@gamma={gamma:g}", usvt_from_eigen(spectrum, cell.total, UsvtParams(gamma, model.rho, clamp)))
-            for gamma in config.gammas
-        ]
+        gammas = {f"usvt@gamma={gamma:g}": gamma for gamma in config.gammas}
     else:
-        estimates = [(ESTIMATOR_LABELS["usvt_nonlocal"], usvt(graph, UsvtParams(config.gamma, model.rho, clamp)))]
-
+        gammas = {ESTIMATOR_LABELS["usvt_nonlocal"]: config.gamma}
+    # One decomposition at the lowest threshold serves every gamma.
+    spectrum = usvt(graph, UsvtParams(min(gammas.values()), rho, form.bounds(config.manifold)))
+    cost_true = cost_from_distances(form.evaluate(latents.xs, latents.ys), config.cost_map)
     rows: list[ResultRow] = []
-    for label, w_est in estimates:
-        cost_est = usvt_cost_block(w_est, cell.n, cell.m, config.cost_map)
+    for label, gamma in gammas.items():
+        estimate = spectrum.at_gamma(gamma)
+        cost_est = cost_from_distances(estimate.block(slice(0, cell.n), slice(cell.n, cell.total)), config.cost_map)
         rows.extend(_cost_block_rows(cell, label, cost_true, cost_est))
-        frobenius_normalized = float(np.linalg.norm(w_true - w_est)) / math.sqrt(cell.total * cell.total)
-        rows.append(cell.row(label, "kernel_frobenius_normalized", frobenius_normalized))
-        rows.append(cell.row(label, "rho_used", model.rho))
+        frobenius = _kernel_frobenius_normalized(latents.all_points(), form, estimate)
+        rows.append(cell.row(label, "kernel_frobenius_normalized", frobenius))
+        rows.append(cell.row(label, "rho_used", rho))
+        rows.append(cell.row(label, "usvt_rank", float(estimate.rank)))
     return rows
 
 

@@ -541,10 +541,6 @@ class Graph:
         upper = rows < cols
         return np.column_stack([rows[upper], cols[upper]])
 
-    def to_dense(self) -> np.ndarray:
-        """Dense symmetric 0/1 float adjacency matrix."""
-        return self.adjacency.toarray()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
@@ -591,12 +587,6 @@ def sample_kernel_graph(
         picked_cols.append(cols[hit])
     edges = np.column_stack([np.concatenate(picked_rows), np.concatenate(picked_cols)])
     return Graph.from_edges(count, edges)
-
-
-def true_kernel_matrix(latents: LatentConfiguration, kernel: NonlocalKernel) -> np.ndarray:
-    """Matrix of kernel values w(z_i, z_j) over all points, diagonal included."""
-    points = latents.all_points()
-    return kernel.form.evaluate(points, points)
 
 
 def h_schedule(total: int, k: int, c0: float) -> float:

@@ -1,19 +1,27 @@
 """Cost-estimator tests.
 
 Hop counts are checked against an in-test queue BFS, the spectral
-estimator against exact low-rank inputs where thresholding is lossless,
-and the adjacency route against hand-built graphs.
+estimator against exact low-rank inputs where thresholding is lossless and
+against a dense eigh oracle, and the adjacency route against hand-built
+graphs.
 """
 
 import collections
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import latent_ot
+import latent_ot.cost_estimators as cost_estimators
 from latent_ot.cost_estimators import (
     CostMap,
-    Eigendecomposition,
     HopMatrix,
     UNREACHABLE,
     UsvtParams,
@@ -22,10 +30,8 @@ from latent_ot.cost_estimators import (
     geodesic_estimate,
     hop_counts,
     usvt,
-    usvt_cost_block,
-    usvt_from_eigen,
 )
-from latent_ot.errors import InvalidParameterError, TargetsDisconnectedError
+from latent_ot.errors import InvalidParameterError, NumericFailureError, TargetsDisconnectedError
 from latent_ot.latent_models import (
     Circle,
     Density,
@@ -213,34 +219,21 @@ def test_cost_from_distances_applies_the_map():
 # ---------------------------------------------------------------------------
 
 
-def test_eigendecomposition_sorts_and_reconstructs():
-    mat = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 0.5], [0.0, 0.5, 3.0]])
-    dec = Eigendecomposition.from_symmetric(mat)
-    assert np.all(np.diff(dec.eigenvalues) <= 0)
-    assert np.allclose(dec.reconstruct(), mat, atol=1e-12)
-
-
-def test_eigendecomposition_validation():
-    with pytest.raises(InvalidParameterError):
-        Eigendecomposition.from_symmetric(np.ones((2, 3)))
-    with pytest.raises(InvalidParameterError):
-        Eigendecomposition.from_symmetric(np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(InvalidParameterError):
-        Eigendecomposition(np.array([1.0]), np.ones((2, 2)))
+ALL = slice(None)
 
 
 def test_usvt_recovers_exact_rank_one_kernel():
     v = np.array([0.9, 0.6, 0.3, 0.8])
     w = np.outer(v, v)
     params = UsvtParams(gamma=0.1, rho=1.0)
-    assert np.allclose(usvt(w, params), w, atol=1e-10)
+    assert np.allclose(usvt(w, params).block(ALL, ALL), w, atol=1e-10)
 
 
 def test_usvt_rescales_by_rho_on_noiseless_input():
     v = np.array([0.9, 0.6, 0.3])
     w = np.outer(v, v)
     rho = 0.5
-    estimate = usvt(rho * w, UsvtParams(gamma=0.1, rho=rho))
+    estimate = usvt(rho * w, UsvtParams(gamma=0.1, rho=rho)).block(ALL, ALL)
     assert np.allclose(estimate, w, atol=1e-10)
 
 
@@ -248,31 +241,24 @@ def test_usvt_threshold_drops_small_spectra():
     v = np.array([0.9, 0.6, 0.3])
     w = np.outer(v, v)
     # eigenvalue is ||v||^2 = 1.26 < gamma * sqrt(N) for gamma = 2
-    estimate = usvt(w, UsvtParams(gamma=2.0, rho=1.0))
+    estimate = usvt(w, UsvtParams(gamma=2.0, rho=1.0)).block(ALL, ALL)
     assert np.array_equal(estimate, np.zeros((3, 3)))
 
 
 def test_usvt_clamps_into_the_kernel_range():
     mat = np.array([[0.0, 3.0], [3.0, 0.0]])
-    estimate = usvt(mat, UsvtParams(gamma=0.1, rho=1.0))
+    estimate = usvt(mat, UsvtParams(gamma=0.1, rho=1.0)).block(ALL, ALL)
     assert np.array_equal(estimate, np.ones((2, 2)))
-    tighter = usvt(mat, UsvtParams(gamma=0.1, rho=1.0, clamp_range=(0.0, 0.8)))
+    tighter = usvt(mat, UsvtParams(gamma=0.1, rho=1.0, clamp_range=(0.0, 0.8))).block(ALL, ALL)
     assert np.array_equal(tighter, np.full((2, 2), 0.8))
 
 
 def test_usvt_graph_and_dense_inputs_agree():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
     params = UsvtParams(gamma=0.3, rho=1.0)
-    assert np.array_equal(usvt(g, params), usvt(g.to_dense(), params))
-
-
-def test_usvt_from_eigen_matches_usvt():
-    rng = Xoshiro256StarStar(RngSeed(9))
-    raw = rng.uniforms(36).reshape(6, 6)
-    sym = 0.5 * (raw + raw.T)
-    params = UsvtParams(gamma=0.4, rho=0.7)
-    dec = Eigendecomposition.from_symmetric(sym)
-    assert np.array_equal(usvt(sym, params), usvt_from_eigen(dec, 6, params))
+    from_graph, from_dense = usvt(g, params), usvt(g.adjacency.toarray(), params)
+    assert np.array_equal(from_graph.values, from_dense.values)
+    assert np.array_equal(from_graph.block(ALL, ALL), from_dense.block(ALL, ALL))
 
 
 def test_usvt_validation():
@@ -280,6 +266,8 @@ def test_usvt_validation():
         usvt(np.array([[1.0]]), UsvtParams(gamma=0.1, rho=1.0))
     with pytest.raises(InvalidParameterError):
         usvt(np.ones((2, 3)), UsvtParams(gamma=0.1, rho=1.0))
+    with pytest.raises(InvalidParameterError):
+        usvt(np.array([[0.0, 1.0], [0.5, 0.0]]), UsvtParams(gamma=0.1, rho=1.0))
     with pytest.raises(InvalidParameterError):
         UsvtParams(gamma=0.0, rho=1.0)
     with pytest.raises(InvalidParameterError):
@@ -292,16 +280,133 @@ def test_usvt_validation():
         UsvtParams(gamma=0.1, rho=1.0, clamp_range=(0.0, 1.5))
 
 
-def test_usvt_cost_block_extracts_the_cross_block():
-    n, m = 2, 3
-    v = np.array([0.9, 0.8, 0.6, 0.5, 0.4])
-    w = np.outer(v, v)
-    cost = usvt_cost_block(w, n, m, CostMap.one_minus())
-    assert np.allclose(cost.entries, 1.0 - w[:n, n:], atol=1e-12)
+def _dense_usvt_oracle(matrix: np.ndarray, params: UsvtParams) -> tuple[int, np.ndarray]:
+    """Rank and full matrix of the estimate, from numpy's dense eigh."""
+    values, vectors = np.linalg.eigh(matrix)
+    keep = values >= params.gamma * math.sqrt(params.rho * matrix.shape[0])
+    raw = (vectors[:, keep] * values[keep]) @ vectors[:, keep].T / params.rho
+    return int(keep.sum()), np.clip(raw, *params.clamp_range)
+
+
+@pytest.mark.parametrize("size", [2, 3, 6, 40, 300])
+def test_usvt_matches_a_dense_eigh_oracle(size):
+    rng = Xoshiro256StarStar(RngSeed(size))
+    raw = rng.uniforms(size * size).reshape(size, size)
+    kernel = 0.5 * (raw + raw.T)
+    # A positive spectrum, so that some threshold keeps every eigenpair.
+    kernel += (1.0 - np.linalg.eigvalsh(kernel)[0]) * np.eye(size)
+    rho = 0.7
+    observed = rho * kernel
+    values = np.linalg.eigvalsh(observed)[::-1]
+    some = max(1, size // 3)
+    cases = {
+        0: values[0] + 1.0,
+        some: 0.5 * (values[some - 1] + values[some]),
+        size: 0.5 * values[-1],
+    }
+    lowest = usvt(observed, UsvtParams(gamma=cases[size] / math.sqrt(rho * size), rho=rho))
+    for kept, threshold in cases.items():
+        params = UsvtParams(gamma=threshold / math.sqrt(rho * size), rho=rho)
+        rank, expected = _dense_usvt_oracle(observed, params)
+        assert rank == kept
+        for estimate in (usvt(observed, params), lowest.at_gamma(params.gamma)):
+            assert estimate.rank == kept
+            assert np.all(np.diff(estimate.values) <= 0)
+            assert np.abs(estimate.block(ALL, ALL) - expected).max() <= 1e-10
+            rows, cols = slice(0, size // 2), slice(size // 2, size)
+            assert np.abs(estimate.block(rows, cols) - expected[rows, cols]).max() <= 1e-10
     with pytest.raises(InvalidParameterError):
-        usvt_cost_block(w, 3, 3, CostMap.one_minus())
-    with pytest.raises(InvalidParameterError):
-        usvt_cost_block(w, 0, 5, CostMap.one_minus())
+        usvt(observed, UsvtParams(gamma=1.0, rho=rho)).at_gamma(0.5)
+
+
+def test_usvt_repeats_its_bits_when_arpack_restarts():
+    # A rank-one matrix exhausts the Krylov space after one step, so ARPACK
+    # draws restart vectors; they must not change from call to call.
+    v = np.array([0.9, 0.6, 0.3, 0.8, 0.5, 0.7, 0.2, 0.4])
+    params = UsvtParams(gamma=1e-6, rho=1.0)
+    first, second = usvt(np.outer(v, v), params), usvt(np.outer(v, v), params)
+    assert first.rank == 1
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.vectors, second.vectors)
+
+
+def test_usvt_reports_arpack_non_convergence(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((6, 0)))
+
+    monkeypatch.setattr(cost_estimators, "eigsh", no_convergence)
+    with pytest.raises(NumericFailureError):
+        usvt(np.ones((6, 6)), UsvtParams(gamma=0.1, rho=1.0))
+
+
+_USVT_RSS_SCRIPT = """
+import json, resource
+from latent_ot.cost_estimators import UsvtParams, usvt
+from latent_ot.latent_models import (
+    Density, GaussianPowerKernel, NonlocalKernel, Sphere, sample_kernel_graph, sample_latents,
+)
+from latent_ot.rng import RngSeed
+total, n = 8000, 2667
+latents = sample_latents(Sphere(), Density(), n, total - n, total, RngSeed(21))
+form = GaussianPowerKernel(p=2.0, sigma=0.15)
+graph = sample_kernel_graph(latents, NonlocalKernel(rho=1.0, form=form), RngSeed(22))
+estimate = usvt(graph, UsvtParams(gamma=1.0, rho=1.0, clamp_range=form.bounds(Sphere())))
+block = estimate.block(slice(0, n), slice(n, total))
+print(json.dumps({
+    "rank": estimate.rank,
+    "shape": list(block.shape),
+    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+def _run_json_script(script: str, **env_vars: str) -> dict:
+    """Run a script in a fresh interpreter on this package; parse its JSON output."""
+    src = str(Path(latent_ot.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True, timeout=300
+    )
+    return json.loads(done.stdout)
+
+
+def test_usvt_at_eight_thousand_nodes_holds_no_n_by_n_array():
+    # One N x N float64 array alone would take 512 MB at this size.
+    report = _run_json_script(_USVT_RSS_SCRIPT)
+    assert report["rank"] > 0
+    assert report["shape"] == [2667, 5333]
+    assert report["maxrss_kb"] < 8000 * 8000 * 8 // 1024
+
+
+_THREADED_USVT_SCRIPT = """
+import hashlib, json
+from latent_ot.cost_estimators import UsvtParams, usvt
+from latent_ot.latent_models import (
+    Density, GaussianPowerKernel, NonlocalKernel, Sphere, sample_kernel_graph, sample_latents,
+)
+from latent_ot.rng import RngSeed
+total, n = 1600, 533
+latents = sample_latents(Sphere(), Density(), n, total - n, total, RngSeed(31))
+graph = sample_kernel_graph(latents, NonlocalKernel(rho=1.0, form=GaussianPowerKernel(sigma=0.15)), RngSeed(32))
+estimate = usvt(graph, UsvtParams(gamma=0.5, rho=1.0))
+digest = lambda arr: hashlib.sha256(arr.tobytes()).hexdigest()
+print(json.dumps({
+    "rank": estimate.rank,
+    "values": digest(estimate.values),
+    "vectors": digest(estimate.vectors),
+    "cross": digest(estimate.block(slice(0, n), slice(n, total))),
+    "rows": digest(estimate.block(slice(0, 700), slice(None))),
+}))
+"""
+
+
+def test_usvt_does_not_depend_on_the_blas_thread_count():
+    # A BLAS gemm block product differs in its last bits between 1 and 2
+    # threads on this graph; the eigenpairs and einsum blocks must not.
+    one, two = (_run_json_script(_THREADED_USVT_SCRIPT, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one["rank"] > 0
+    assert one == two
 
 
 # ---------------------------------------------------------------------------

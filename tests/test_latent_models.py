@@ -32,7 +32,6 @@ from latent_ot.latent_models import (
     sample_latents,
     sparse_log_rho,
     true_geodesic,
-    true_kernel_matrix,
 )
 from latent_ot.rng import RngSeed, Xoshiro256StarStar, _splitmix64
 
@@ -292,7 +291,7 @@ def test_graph_from_edges_ignores_direction_and_duplicates():
             [0.0, 0.0, 1.0, 0.0],
         ]
     )
-    assert np.array_equal(g.to_dense(), expected)
+    assert np.array_equal(g.adjacency.toarray(), expected)
     assert g == Graph.from_edges(4, np.array([[2, 3], [0, 1], [2, 1]]))
     assert g != Graph.from_edges(4, [(0, 1), (2, 3)])
     assert g != Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)])
@@ -300,7 +299,7 @@ def test_graph_from_edges_ignores_direction_and_duplicates():
     empty = Graph.from_edges(3, [])
     assert empty.node_count == 3 and empty.edge_count == 0
     assert empty.edges().shape == (0, 2)
-    assert np.array_equal(empty.to_dense(), np.zeros((3, 3)))
+    assert np.array_equal(empty.adjacency.toarray(), np.zeros((3, 3)))
 
 
 def test_graph_validation():
@@ -318,7 +317,7 @@ def test_adjacency_mask_roundtrip_ignores_diagonal():
     mask = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
     off_diagonal = np.argwhere(np.triu(mask, k=1))
     g = Graph.from_edges(3, off_diagonal)
-    dense = g.to_dense()
+    dense = g.adjacency.toarray()
     assert np.array_equal(dense, dense.T)
     assert np.all(np.diag(dense) == 0.0)
     expected = mask.astype(float)
@@ -403,15 +402,6 @@ def test_rho_zero_gives_empty_graph():
     config = sample_latents(Sphere(), Density(), 3, 3, 8, RngSeed(50))
     kernel = NonlocalKernel(rho=0.0, form=GaussianPowerKernel())
     assert sample_kernel_graph(config, kernel, RngSeed(51)).edge_count == 0
-
-
-def test_true_kernel_matrix_is_symmetric_with_unit_diagonal():
-    config = sample_latents(Sphere(), Density(), 4, 4, 10, RngSeed(60))
-    kernel = NonlocalKernel(rho=0.5, form=GaussianPowerKernel(p=2.0, sigma=0.7))
-    w = true_kernel_matrix(config, kernel)
-    assert np.array_equal(w, w.T)
-    assert np.allclose(np.diag(w), 1.0, atol=1e-15)
-    assert np.all((w > 0) & (w <= 1))
 
 
 def test_h_schedule_formula_and_validation():
