@@ -3,6 +3,13 @@
 Unknown keys are rejected at every nesting level so a typo cannot silently
 fall back to a default.  Each experiment kind declares which top-level keys
 it accepts; irrelevant keys are treated as errors rather than ignored.
+
+This module checks keys, types and the rules that tie keys together.  The
+domain types own their value checks: the parser builds each manifold,
+density, placement, kernel form and the solver settings through
+:func:`_build`, which reports their errors as a :class:`ConfigError` at the
+key path.  The solver settings are resolved once, at load, into the one
+:class:`~latent_ot.ot_core.SolverConfig` every solve of the run uses.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..cost_estimators import CostMap
-from ..errors import ConfigError
+from ..errors import ConfigError, DensityMisconfiguredError, InvalidParameterError
 from ..latent_models import (
     Density,
     GaussianPowerKernel,
@@ -108,13 +115,26 @@ def _get_int(
     return value
 
 
-def _get_string(data: dict, key: str, context: str, *, default: str | None = None) -> str | None:
+def _get_string(
+    data: dict, key: str, context: str, *, default: str | None = None, required: bool = False
+) -> str | None:
     if key not in data:
+        if required:
+            raise ConfigError(f"{context}: missing required key '{key}'")
         return default
     value = data[key]
     if not isinstance(value, str):
         raise ConfigError(f"{context}: '{key}' must be a string, got {type(value).__name__}")
     return value
+
+
+def _build(context: str, constructor, *args, **kwargs):
+    """Call a domain constructor or check; its value errors become a
+    :class:`ConfigError` prefixed with the key path ``context``."""
+    try:
+        return constructor(*args, **kwargs)
+    except (InvalidParameterError, DensityMisconfiguredError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -152,55 +172,35 @@ class KernelSettings:
 
 def _parse_manifold(data: dict, context: str) -> Manifold:
     _reject_unknown(data, {"kind", "radius"}, context)
-    kind = _get_string(data, "kind", context)
-    if kind is None:
-        raise ConfigError(f"{context}: missing required key 'kind'")
-    if kind not in ("sphere", "unit_square", "circle"):
-        raise ConfigError(f"{context}: unknown manifold kind '{kind}'")
-    radius = _get_number(data, "radius", context, default=1.0)
+    kind = _get_string(data, "kind", context, required=True)
     if kind == "unit_square" and "radius" in data:
         raise ConfigError(f"{context}: 'radius' does not apply to unit_square")
-    if radius <= 0.0:
-        raise ConfigError(f"{context}: 'radius' must be positive, got {radius}")
-    return make_manifold(kind, radius=radius)
+    return _build(context, make_manifold, kind, radius=_get_number(data, "radius", context, default=1.0))
 
 
-def _parse_density(data: dict, context: str) -> Density:
+def _parse_density(data: dict, context: str, manifold: Manifold) -> Density:
     _reject_unknown(data, {"kind", "axis", "strength"}, context)
-    kind = _get_string(data, "kind", context)
-    if kind is None:
-        raise ConfigError(f"{context}: missing required key 'kind'")
-    if kind == "uniform":
+    kind = _get_string(data, "kind", context, required=True)
+    if kind != "tilted":
         _reject_unknown(data, {"kind"}, context)
-        return Density(kind="uniform")
-    if kind == "tilted":
-        axis = _get_int(data, "axis", context, default=0)
-        strength = _get_number(data, "strength", context, default=0.5)
-        assert axis is not None and strength is not None
-        if axis < 0:
-            raise ConfigError(f"{context}: 'axis' must be nonnegative, got {axis}")
-        return Density(kind="tilted", axis=axis, strength=strength)
-    raise ConfigError(f"{context}: unknown density kind '{kind}'")
+        return _build(context, Density, kind=kind)
+    axis = _get_int(data, "axis", context, default=0)
+    strength = _get_number(data, "strength", context, default=0.5)
+    density = _build(context, Density, kind=kind, axis=axis, strength=strength)
+    _build(context, density.weight_bounds, manifold)
+    return density
 
 
 def _parse_placement(data: dict, context: str) -> Placement:
     _reject_unknown(data, {"mode", "region_radius"}, context)
-    mode = _get_string(data, "mode", context)
-    if mode is None:
-        raise ConfigError(f"{context}: missing required key 'mode'")
-    if mode == "iid":
+    mode = _get_string(data, "mode", context, required=True)
+    if mode != "two_regions":
         _reject_unknown(data, {"mode"}, context)
-        return Placement(mode="iid")
-    if mode == "two_regions":
-        radius = _get_number(data, "region_radius", context)
-        return Placement(mode="two_regions", region_radius=radius)
-    raise ConfigError(f"{context}: unknown placement mode '{mode}'")
+    return _build(context, Placement, mode=mode, region_radius=_get_number(data, "region_radius", context))
 
 
 def _parse_kernel(data: dict, context: str, expected_kind: str) -> KernelSettings:
-    kind = _get_string(data, "kind", context)
-    if kind is None:
-        raise ConfigError(f"{context}: missing required key 'kind'")
+    kind = _get_string(data, "kind", context, required=True)
     if kind != expected_kind:
         raise ConfigError(f"{context}: this experiment requires a '{expected_kind}' kernel, got '{kind}'")
     if kind == "local":
@@ -227,25 +227,20 @@ def _parse_kernel(data: dict, context: str, expected_kind: str) -> KernelSetting
         raise ConfigError(f"{context}: 'rho_log_coefficient' must be positive, got {rho_log}")
     if "form" not in data:
         raise ConfigError(f"{context}: a nonlocal kernel needs a 'form' object")
-    form_data = _expect_mapping(data["form"], f"{context}.form")
-    _reject_unknown(form_data, {"kind", "p", "sigma"}, f"{context}.form")
-    form_kind = _get_string(form_data, "kind", f"{context}.form")
+    form_context = f"{context}.form"
+    form_data = _expect_mapping(data["form"], form_context)
+    _reject_unknown(form_data, {"kind", "p", "sigma"}, form_context)
+    form_kind = _get_string(form_data, "kind", form_context)
     if form_kind != "gaussian_power":
-        raise ConfigError(f"{context}.form: unknown form kind '{form_kind}'")
-    p = _get_number(form_data, "p", f"{context}.form", default=2.0)
-    sigma = _get_number(form_data, "sigma", f"{context}.form", required=True)
-    assert p is not None and sigma is not None
-    if p < 1.0:
-        raise ConfigError(f"{context}.form: 'p' must be at least 1, got {p}")
-    if sigma <= 0.0:
-        raise ConfigError(f"{context}.form: 'sigma' must be positive, got {sigma}")
-    return KernelSettings(kind="nonlocal", rho=rho, rho_log_coefficient=rho_log, form=GaussianPowerKernel(p=p, sigma=sigma))
+        raise ConfigError(f"{form_context}: unknown form kind '{form_kind}'")
+    p = _get_number(form_data, "p", form_context, default=2.0)
+    sigma = _get_number(form_data, "sigma", form_context, required=True)
+    form = _build(form_context, GaussianPowerKernel, p=p, sigma=sigma)
+    return KernelSettings(kind="nonlocal", rho=rho, rho_log_coefficient=rho_log, form=form)
 
 
 def _parse_cost_map(data: dict, context: str, experiment: str, manifold: Manifold | None) -> CostMap:
-    kind = _get_string(data, "kind", context)
-    if kind is None:
-        raise ConfigError(f"{context}: missing required key 'kind'")
+    kind = _get_string(data, "kind", context, required=True)
     if kind == "identity":
         _reject_unknown(data, {"kind"}, context)
         if experiment != "local_geodesic":
@@ -274,35 +269,13 @@ def _parse_cost_map(data: dict, context: str, experiment: str, manifold: Manifol
     raise ConfigError(f"{context}: unknown cost map kind '{kind}'")
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Iteration and tolerance knobs shared by every OT solve in a run."""
-
-    max_iterations: int = 100000
-    marginal_tolerance: float = 1e-9
-    value_tolerance: float = 1e-12
-
-    def build(self, epsilon: float, eta: float | None = None) -> SolverConfig:
-        return SolverConfig(
-            epsilon=epsilon,
-            eta=eta,
-            max_iterations=self.max_iterations,
-            marginal_tolerance=self.marginal_tolerance,
-            value_tolerance=self.value_tolerance,
-        )
-
-
-def _parse_solver(data: dict, context: str) -> SolverSettings:
+def _parse_solver(data: dict, context: str) -> dict[str, float]:
+    """The solver keys the file gives; :class:`SolverConfig` holds the defaults."""
     _reject_unknown(data, {"max_iterations", "marginal_tolerance", "value_tolerance"}, context)
-    max_iterations = _get_int(data, "max_iterations", context, default=100000)
-    marginal = _get_number(data, "marginal_tolerance", context, default=1e-9)
-    value = _get_number(data, "value_tolerance", context, default=1e-12)
-    assert max_iterations is not None and marginal is not None and value is not None
-    if max_iterations < 1:
-        raise ConfigError(f"{context}: 'max_iterations' must be at least 1, got {max_iterations}")
-    if marginal <= 0.0 or value <= 0.0:
-        raise ConfigError(f"{context}: tolerances must be positive")
-    return SolverSettings(max_iterations=max_iterations, marginal_tolerance=marginal, value_tolerance=value)
+    given = {key: _get_number(data, key, context) for key in ("marginal_tolerance", "value_tolerance") if key in data}
+    if "max_iterations" in data:
+        given["max_iterations"] = _get_int(data, "max_iterations", context)
+    return given
 
 
 @dataclass(frozen=True)
@@ -334,11 +307,15 @@ class ExperimentConfig:
     stability suite).  One cell is run per (N, seed) pair; where a choice
     depends on N (graph radius, edge density, group sizes) it is resolved
     through the ``*_at`` helpers so workers need only the config itself.
+    ``solver`` is the one solver configuration every solve of the run
+    uses: its epsilon is sigma on the adjacency route, and its eta is set
+    on that route only.
     """
 
     experiment: str
     grid: tuple[int, ...]
     seeds: tuple[int, ...]
+    solver: SolverConfig
     manifold: Manifold | None = None
     density: Density = Density(kind="uniform")
     placement: Placement = Placement(mode="iid")
@@ -347,13 +324,10 @@ class ExperimentConfig:
     n: int | None = None
     m: int | None = None
     m_ratio: float = 2.0
-    epsilon: float | None = None
-    eta: float | None = None
     gamma: float = 1.0
     gammas: tuple[float, ...] = ()
     cost_low: float = 0.1
     cost_high: float = 1.0
-    solver: SolverSettings = SolverSettings()
     output: OutputSettings = OutputSettings()
 
     def sizes_at(self, total: int) -> tuple[int, int]:
@@ -366,14 +340,6 @@ class ExperimentConfig:
         n = int(round(total / (1.0 + self.m_ratio)))
         n = max(1, min(total - 1, n))
         return n, total - n
-
-    def epsilon_at(self) -> float:
-        """Regularization actually used; the adjacency pipeline imposes sigma."""
-        if self.experiment == "fast_nonlocal":
-            assert self.kernel is not None and self.kernel.form is not None
-            return self.kernel.form.sigma
-        assert self.epsilon is not None
-        return self.epsilon
 
 
 def config_from_dict(raw: object) -> ExperimentConfig:
@@ -412,14 +378,11 @@ def config_from_dict(raw: object) -> ExperimentConfig:
         raise ConfigError("config: 'seeds' must not contain duplicates")
     seeds = tuple(seed_values)
 
-    solver = _parse_solver(_expect_mapping(data["solver"], "config.solver"), "config.solver") if "solver" in data else SolverSettings()
+    solver_keys = _parse_solver(_expect_mapping(data["solver"], "config.solver"), "config.solver") if "solver" in data else {}
     output = _parse_output(_expect_mapping(data["output"], "config.output"), "config.output") if "output" in data else OutputSettings()
 
     if experiment == "stability_suite":
         epsilon = _get_number(data, "epsilon", "config", required=True)
-        assert epsilon is not None
-        if epsilon <= 0.0:
-            raise ConfigError(f"config: 'epsilon' must be positive, got {epsilon}")
         cost_low = _get_number(data, "cost_low", "config", default=0.1)
         cost_high = _get_number(data, "cost_high", "config", default=1.0)
         assert cost_low is not None and cost_high is not None
@@ -429,22 +392,16 @@ def config_from_dict(raw: object) -> ExperimentConfig:
             experiment=experiment,
             grid=grid,
             seeds=seeds,
-            epsilon=epsilon,
+            solver=_build("config", SolverConfig, epsilon=epsilon, **solver_keys),
             cost_low=cost_low,
             cost_high=cost_high,
-            solver=solver,
             output=output,
         )
 
     if "manifold" not in data:
         raise ConfigError("config: missing required key 'manifold'")
     manifold = _parse_manifold(_expect_mapping(data["manifold"], "config.manifold"), "config.manifold")
-    density = _parse_density(_expect_mapping(data["density"], "config.density"), "config.density") if "density" in data else Density(kind="uniform")
-    if density.kind == "tilted" and density.axis >= manifold.ambient_dim:
-        raise ConfigError(
-            f"config.density: axis {density.axis} is out of range for a manifold in R^{manifold.ambient_dim}"
-        )
-    density.weight_bounds(manifold)  # fail fast if the tilt makes weights nonpositive
+    density = _parse_density(_expect_mapping(data["density"], "config.density"), "config.density", manifold) if "density" in data else Density(kind="uniform")
     placement = _parse_placement(_expect_mapping(data["placement"], "config.placement"), "config.placement") if "placement" in data else Placement(mode="iid")
 
     if "kernel" not in data:
@@ -501,23 +458,29 @@ def config_from_dict(raw: object) -> ExperimentConfig:
                 if not 1 <= split <= total - 1:
                     raise ConfigError(f"config: 'm_ratio' {m_ratio} leaves an empty group at N={total}")
 
-    epsilon = _get_number(data, "epsilon", "config")
+    epsilon = _get_number(data, "epsilon", "config", required=experiment != "fast_nonlocal")
+    eta = None
     if experiment == "fast_nonlocal":
         assert kernel.form is not None
-        if epsilon is not None and abs(epsilon - kernel.form.sigma) > 1e-12:
+        sigma = kernel.form.sigma
+        if epsilon is not None and abs(epsilon - sigma) > 1e-12:
             raise ConfigError(
-                f"config: the adjacency pipeline solves at epsilon = sigma = {kernel.form.sigma}; "
+                f"config: the adjacency pipeline solves at epsilon = sigma = {sigma}; "
                 f"drop 'epsilon' or set it to that value"
             )
-    else:
-        if epsilon is None:
-            raise ConfigError("config: missing required key 'epsilon'")
-        if epsilon <= 0.0:
-            raise ConfigError(f"config: 'epsilon' must be positive, got {epsilon}")
-
-    eta = _get_number(data, "eta", "config")
-    if eta is not None and eta < 1.0:
-        raise ConfigError(f"config: 'eta' must be at least 1, got {eta}")
+        epsilon = sigma
+        eta = _get_number(data, "eta", "config")
+        if eta is None:
+            # The dual box exp(c_max / sigma), c_max the largest cost diam^p.
+            c_max = manifold.euclidean_diameter**kernel.form.p
+            try:
+                eta = math.exp(c_max / sigma)
+            except OverflowError:
+                raise ConfigError(
+                    f"config: the default 'eta' = exp(diam^p / sigma) = exp({c_max / sigma:g}) "
+                    f"overflows a float; give 'eta'"
+                ) from None
+    solver = _build("config", SolverConfig, epsilon=epsilon, eta=eta, **solver_keys)
 
     gamma = _get_number(data, "gamma", "config", default=1.0)
     assert gamma is not None
@@ -552,8 +515,6 @@ def config_from_dict(raw: object) -> ExperimentConfig:
         n=n,
         m=m,
         m_ratio=m_ratio,
-        epsilon=epsilon,
-        eta=eta,
         gamma=gamma,
         gammas=gammas,
         solver=solver,

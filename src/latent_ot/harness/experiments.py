@@ -78,7 +78,7 @@ class _Cell:
         self.total = total
         self.seed = seed
         self.n, self.m = config.sizes_at(total)
-        self.eps = config.epsilon_at()
+        self.eps = config.solver.epsilon
 
     def row(self, estimator: str, metric: str, value: float) -> ResultRow:
         return ResultRow(
@@ -123,7 +123,7 @@ def _cost_block_rows(cell: _Cell, label: str, cost_true: CostMatrix, cost_est: C
     """Solve on the true and on the estimated cost block and report the gaps."""
     alpha = DiscreteDistribution.uniform(cell.n)
     beta = DiscreteDistribution.uniform(cell.m)
-    report = stability_report(cost_true, cost_est, alpha, beta, cell.eps, cell.config.solver.build(cell.eps))
+    report = stability_report(cost_true, cost_est, alpha, beta, cell.eps, cell.config.solver)
     cost_disc = diagnostics.discrepancy(cost_true.entries, cost_est.entries)
     rows = _report_rows(cell, label, report)
     rows.append(cell.row(label, "cost_operator_err", cost_disc.operator))
@@ -225,11 +225,10 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph
     alpha = DiscreteDistribution.uniform(cell.n)
     beta = DiscreteDistribution.uniform(cell.m)
     cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=c_max)
-    value_true = sinkhorn(cost_true, alpha, beta, config.solver.build(cell.eps)).value
+    value_true = sinkhorn(cost_true, alpha, beta, config.solver).value
 
     k_block = fast_kernel_block(graph, rho, cell.n, cell.m)
-    eta = config.eta if config.eta is not None else math.exp(c_max / cell.eps)
-    value_est = dual_ascent_boxed(k_block, alpha, beta, config.solver.build(cell.eps, eta)).value
+    value_est = dual_ascent_boxed(k_block, alpha, beta, config.solver).value
     kernel_disc = diagnostics.discrepancy(np.exp(-powers / form.sigma), k_block)
 
     label = ESTIMATOR_LABELS["fast_nonlocal"]
@@ -240,7 +239,7 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph
         cell.row(label, "ot_error_normalized", _normalized_gap(value_true, value_est)),
         cell.row(label, "kernel_operator_gap", kernel_disc.operator),
         cell.row(label, "kernel_frobenius_normalized", kernel_disc.frobenius_normalized),
-        cell.row(label, "eta_used", eta),
+        cell.row(label, "eta_used", config.solver.eta),
         cell.row(label, "rho_used", rho),
     ]
 
@@ -267,7 +266,7 @@ def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
         alpha,
         beta,
         cell.eps,
-        config.solver.build(cell.eps),
+        config.solver,
     )
     return _report_rows(cell, ESTIMATOR_LABELS["stability_suite"], report)
 

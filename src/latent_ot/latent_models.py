@@ -75,23 +75,16 @@ class Manifold(abc.ABC):
 
 
 @dataclass(frozen=True)
-class Sphere(Manifold):
-    """Round sphere of the given radius embedded in R^3."""
+class _RoundManifold(Manifold):
+    """A round sphere of the given radius centred at the origin; geodesics
+    are great-circle arcs.  Subclasses fix the dimensions, the uniform
+    sampler and the region anchors."""
 
     radius: float = 1.0
-    kind = "sphere"
 
     def __post_init__(self):
         if self.radius <= 0:
             raise InvalidParameterError(f"radius must be positive: {self.radius}")
-
-    @property
-    def ambient_dim(self) -> int:
-        return 3
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return 2
 
     @property
     def diameter(self) -> float:
@@ -100,6 +93,32 @@ class Sphere(Manifold):
     @property
     def euclidean_diameter(self) -> float:
         return 2.0 * self.radius
+
+    def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        cosines = (xs @ ys.T) / (self.radius * self.radius)
+        return self.radius * np.arccos(np.clip(cosines, -1.0, 1.0))
+
+    def on_manifold(self, points: np.ndarray, tol: float = _ON_MANIFOLD_TOLERANCE) -> bool:
+        norms = np.linalg.norm(np.atleast_2d(points), axis=1)
+        return bool(np.all(np.abs(norms - self.radius) <= tol * max(1.0, self.radius)))
+
+    def coordinate_range(self, axis: int) -> tuple[float, float]:
+        return (-self.radius, self.radius)
+
+
+@dataclass(frozen=True)
+class Sphere(_RoundManifold):
+    """Round sphere of the given radius embedded in R^3."""
+
+    kind = "sphere"
+
+    @property
+    def ambient_dim(self) -> int:
+        return 3
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return 2
 
     def sample_uniform(self, rng: Xoshiro256StarStar, count: int) -> np.ndarray:
         points = np.empty((count, 3))
@@ -112,17 +131,6 @@ class Sphere(Manifold):
             points[filled : filled + kept.shape[0]] = kept
             filled += kept.shape[0]
         return points
-
-    def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        cosines = (xs @ ys.T) / (self.radius * self.radius)
-        return self.radius * np.arccos(np.clip(cosines, -1.0, 1.0))
-
-    def on_manifold(self, points: np.ndarray, tol: float = _ON_MANIFOLD_TOLERANCE) -> bool:
-        norms = np.linalg.norm(np.atleast_2d(points), axis=1)
-        return bool(np.all(np.abs(norms - self.radius) <= tol * max(1.0, self.radius)))
-
-    def coordinate_range(self, axis: int) -> tuple[float, float]:
-        return (-self.radius, self.radius)
 
     def region_anchors(self) -> tuple[np.ndarray, np.ndarray]:
         return (
@@ -171,15 +179,10 @@ class UnitSquare(Manifold):
 
 
 @dataclass(frozen=True)
-class Circle(Manifold):
+class Circle(_RoundManifold):
     """Circle of the given radius embedded in R^2; geodesics are arcs."""
 
-    radius: float = 1.0
     kind = "circle"
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise InvalidParameterError(f"radius must be positive: {self.radius}")
 
     @property
     def ambient_dim(self) -> int:
@@ -189,28 +192,9 @@ class Circle(Manifold):
     def intrinsic_dim(self) -> int:
         return 1
 
-    @property
-    def diameter(self) -> float:
-        return math.pi * self.radius
-
-    @property
-    def euclidean_diameter(self) -> float:
-        return 2.0 * self.radius
-
     def sample_uniform(self, rng: Xoshiro256StarStar, count: int) -> np.ndarray:
         angles = 2.0 * math.pi * rng.uniforms(count)
         return self.radius * np.column_stack([np.cos(angles), np.sin(angles)])
-
-    def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        cosines = (xs @ ys.T) / (self.radius * self.radius)
-        return self.radius * np.arccos(np.clip(cosines, -1.0, 1.0))
-
-    def on_manifold(self, points: np.ndarray, tol: float = _ON_MANIFOLD_TOLERANCE) -> bool:
-        norms = np.linalg.norm(np.atleast_2d(points), axis=1)
-        return bool(np.all(np.abs(norms - self.radius) <= tol * max(1.0, self.radius)))
-
-    def coordinate_range(self, axis: int) -> tuple[float, float]:
-        return (-self.radius, self.radius)
 
     def region_anchors(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([self.radius, 0.0]), np.array([-self.radius, 0.0]))

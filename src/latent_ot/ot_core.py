@@ -746,7 +746,7 @@ def stability_report(
 
     diff = cost_true.entries - cost_est.entries
     sup_gap = float(np.abs(diff).max())
-    frobenius_gap = float(np.linalg.norm(diff))
+    frobenius_gap = math.sqrt(float(np.einsum("ij,ij->", diff, diff)))
     kernel_diff = np.exp(-cost_true.entries / epsilon) - np.exp(-cost_est.entries / epsilon)
     kernel_gap = diagnostics.operator_norm(kernel_diff)
 

@@ -1,7 +1,8 @@
 """Norm and rate-fit tests.
 
 The ARPACK operator norm is checked against numpy's dense SVD to 1e-12
-relative, and against itself at one and two BLAS threads; the rate fitter
+relative, and against itself at one and two BLAS threads, as are the
+Frobenius norms of the discrepancy and stability reports; the rate fitter
 is checked against synthetic power laws with known exponents.
 """
 
@@ -96,9 +97,13 @@ def test_operator_norm_reports_arpack_non_convergence(monkeypatch):
         operator_norm(np.arange(9.0).reshape(3, 3))
 
 
+# The operator norms of three matrices w - Bernoulli(w), then the two
+# Frobenius norms of w - 1/2: the discrepancy report's and the stability
+# report's.
 _THREADED_NORM_SCRIPT = """
 import numpy as np
-from latent_ot.diagnostics import operator_norm
+from latent_ot.diagnostics import discrepancy, operator_norm
+from latent_ot.ot_core import CostMatrix, DiscreteDistribution, stability_report
 from latent_ot.rng import RngSeed, Xoshiro256StarStar, pair_uniforms
 rows, cols = 533, 1067
 w = Xoshiro256StarStar(RngSeed(7)).uniforms(rows * cols).reshape(rows, cols)
@@ -106,6 +111,16 @@ i, j = np.indices((rows, cols))
 for seed in (7, 8, 9):
     edges = pair_uniforms(RngSeed(seed), i.ravel(), j.ravel()).reshape(rows, cols) < w
     print(operator_norm(w - edges).hex())
+half = np.full((rows, cols), 0.5)
+print(discrepancy(w, half).frobenius.hex())
+report = stability_report(
+    CostMatrix(entries=w, c_min=0.0, c_max=1.0),
+    CostMatrix(entries=half, c_min=0.0, c_max=1.0),
+    DiscreteDistribution.uniform(rows),
+    DiscreteDistribution.uniform(cols),
+    1.0,
+)
+print(report.cost_frobenius_gap.hex())
 """
 
 
@@ -120,7 +135,8 @@ def test_operator_norm_does_not_depend_on_the_blas_thread_count():
             [sys.executable, "-c", _THREADED_NORM_SCRIPT],
             env=env, check=True, capture_output=True, text=True, timeout=300,
         )
-        norms.append(done.stdout.strip())
+        norms.append(done.stdout.split())
+    assert len(norms[0]) == 5
     assert norms[0] == norms[1]
 
 

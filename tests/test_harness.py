@@ -42,6 +42,7 @@ from latent_ot.harness.results import (
     table_to_csv_text,
 )
 from latent_ot.latent_models import NonlocalKernel, graph_from_edgelist, sample_kernel_graph, sample_latents
+from latent_ot.ot_core import SolverConfig
 from latent_ot.rng import RngSeed
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -271,13 +272,59 @@ def test_sizes_at_ratio_and_stability():
 
 def test_fast_pipeline_epsilon_is_pinned_to_sigma():
     config = config_from_dict(fast_config_dict())
-    assert config.epsilon_at() == 0.5
+    assert config.solver.epsilon == 0.5
     data = fast_config_dict()
     data["epsilon"] = 0.5
-    assert config_from_dict(data).epsilon_at() == 0.5
+    assert config_from_dict(data).solver.epsilon == 0.5
     data["epsilon"] = 0.3
     with pytest.raises(ConfigError, match="sigma"):
         config_from_dict(data)
+
+
+def test_fast_pipeline_eta_is_resolved_at_load():
+    # The default box is exp(diam^p / sigma), diam the unit sphere's chord 2.
+    assert config_from_dict(fast_config_dict()).solver.eta == math.exp(2.0**2 / 0.5)
+    data = fast_config_dict()
+    data["eta"] = 1e6
+    assert config_from_dict(data).solver.eta == 1e6
+    for build in (local_config_dict, usvt_config_dict, sweep_config_dict, stability_config_dict):
+        assert config_from_dict(build()).solver.eta is None
+
+
+def test_fast_pipeline_eta_overflow_is_a_config_error():
+    # exp(4 / 0.005) overflows a float; the default box must not crash a run.
+    data = fast_config_dict()
+    data["kernel"]["form"]["sigma"] = 0.005
+    with pytest.raises(ConfigError, match="'eta'"):
+        config_from_dict(data)
+    data["eta"] = 1e6
+    config = config_from_dict(data)
+    assert config.solver.eta == 1e6 and config.solver.epsilon == 0.005
+
+
+def test_domain_value_errors_are_config_errors_at_their_key_path():
+    cases = [
+        (local_config_dict, ("manifold",), {"kind": "circle", "radius": -1.0}, "config.manifold: radius"),
+        (local_config_dict, ("manifold",), {"kind": "torus"}, "config.manifold: unknown manifold"),
+        (usvt_config_dict, ("density",), {"kind": "tilted", "axis": -1}, "config.density: tilt axis"),
+        (usvt_config_dict, ("density",), {"kind": "lumpy"}, "config.density: unknown density"),
+        (usvt_config_dict, ("placement",), {"mode": "two_regions", "region_radius": 0.0}, "config.placement: region_radius"),
+        (usvt_config_dict, ("placement",), {"mode": "scatter"}, "config.placement: unknown placement"),
+        (usvt_config_dict, ("kernel", "form", "p"), 0.5, "config.kernel.form: power"),
+        (usvt_config_dict, ("kernel", "form", "sigma"), 0.0, "config.kernel.form: sigma"),
+        (usvt_config_dict, ("epsilon",), -1.0, "config: epsilon"),
+        (fast_config_dict, ("eta",), 0.5, "config: eta"),
+        (stability_config_dict, ("solver",), {"max_iterations": 0}, "config: max_iterations"),
+        (stability_config_dict, ("solver",), {"value_tolerance": 0.0}, "config: tolerances"),
+    ]
+    for build, path, value, message in cases:
+        data = build()
+        holder = data
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
 
 
 def test_epsilon_required_elsewhere():
@@ -314,6 +361,9 @@ def test_density_checks_against_the_manifold():
     data["density"] = {"kind": "tilted", "axis": 0, "strength": 0.5}
     config = config_from_dict(data)
     assert config.density.strength == 0.5
+    data["density"] = {"kind": "tilted", "axis": 0, "strength": 2.0}
+    with pytest.raises(ConfigError, match="config.density: tilted density is not positive"):
+        config_from_dict(data)
 
 
 def test_solver_and_output_settings():
@@ -321,8 +371,8 @@ def test_solver_and_output_settings():
     data["solver"] = {"max_iterations": 500, "marginal_tolerance": 1e-8}
     config = config_from_dict(data)
     assert config.solver.max_iterations == 500
-    built = config.solver.build(0.5)
-    assert built.marginal_tolerance == 1e-8
+    assert config.solver.marginal_tolerance == 1e-8
+    assert config.solver.value_tolerance == SolverConfig(epsilon=0.5).value_tolerance
     data["solver"] = {"max_iterations": 0}
     with pytest.raises(ConfigError):
         config_from_dict(data)
@@ -737,6 +787,16 @@ def test_cli_config_errors_exit_one(tmp_path, capsys):
     assert cli.main([]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_cli_rejects_a_density_that_is_not_positive_with_exit_one(tmp_path, capsys):
+    data = usvt_config_dict()
+    data["density"] = {"kind": "tilted", "axis": 0, "strength": 2.0}
+    path = write_config(tmp_path, data)
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "density" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_zero_workers_before_writing(tmp_path, capsys):
