@@ -27,7 +27,6 @@ class DiscrepancyReport:
             for a square N x N difference this equals the norm divided by N.
         operator: Largest singular value of the difference.
         rows, cols: Shape of the compared matrices.
-        normalization: Label describing the normalization convention.
     """
 
     sup_norm: float
@@ -36,7 +35,6 @@ class DiscrepancyReport:
     operator: float
     rows: int
     cols: int
-    normalization: str = "sqrt(rows*cols)"
 
 
 @dataclass(frozen=True)

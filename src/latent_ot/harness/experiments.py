@@ -123,10 +123,10 @@ def _cost_block_rows(cell: _Cell, label: str, cost_true: CostMatrix, cost_est: C
     """Solve on the true and on the estimated cost block and report the gaps."""
     alpha = DiscreteDistribution.uniform(cell.n)
     beta = DiscreteDistribution.uniform(cell.m)
-    report = stability_report(cost_true, cost_est, alpha, beta, cell.eps, cell.config.solver)
-    cost_disc = diagnostics.discrepancy(cost_true.entries, cost_est.entries)
+    report = stability_report(cost_true, cost_est, alpha, beta, cell.config.solver)
+    cost_operator_gap = diagnostics.operator_norm(cost_true.entries - cost_est.entries)
     rows = _report_rows(cell, label, report)
-    rows.append(cell.row(label, "cost_operator_err", cost_disc.operator))
+    rows.append(cell.row(label, "cost_operator_err", cost_operator_gap))
     rows.append(cell.row(label, "ot_error_normalized", _normalized_gap(report.value_true, report.value_est)))
     return rows
 
@@ -265,7 +265,6 @@ def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
         CostMatrix(entries=entries_est, c_min=lo, c_max=hi),
         alpha,
         beta,
-        cell.eps,
         config.solver,
     )
     return _report_rows(cell, ESTIMATOR_LABELS["stability_suite"], report)

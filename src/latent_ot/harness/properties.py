@@ -41,12 +41,10 @@ from ..ot_core import (
     CostMatrix,
     DiscreteDistribution,
     DualPotentials,
-    GibbsKernel,
     SolverConfig,
     dual_ascent_boxed,
     dual_value,
     exact_ot_assignment,
-    gibbs_kernel,
     min_box_radius,
     primal_value,
     sinkhorn,
@@ -122,8 +120,7 @@ def _check_strong_duality(rng: Xoshiro256StarStar, scale: float) -> float:
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
     eps = _pick(rng, _EPS_CHOICES)
     result = _solve(cost, alpha, beta, eps)
-    kernel = gibbs_kernel(cost, eps)
-    dual = dual_value(kernel, alpha, beta, result.potentials)
+    dual = dual_value(result.potentials, cost, alpha, beta, eps)
     primal = primal_value(result.plan, cost, alpha, beta, eps)
     gap = abs(dual - primal)
     return 1e-8 * max(1.0, abs(primal)) * scale - gap
@@ -194,16 +191,15 @@ def _check_quadratic_growth(rng: Xoshiro256StarStar, scale: float) -> float:
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
     eps = _pick(rng, _EPS_CHOICES)
     result = _solve(cost, alpha, beta, eps)
-    kernel = gibbs_kernel(cost, eps)
-    best = dual_value(kernel, alpha, beta, result.potentials)
+    best = dual_value(result.potentials, cost, alpha, beta, eps)
     f_star, g_star = result.potentials.f, result.potentials.g
-    mass = alpha.weights[:, None] * beta.weights[None, :] * kernel.entries
+    mass = alpha.weights[:, None] * beta.weights[None, :] * np.exp(-cost.entries / eps)
     factor = 0.5 * eps * math.exp(2.0 * span / eps)
     worst = math.inf
     for _ in range(10):
         f = span * (2.0 * rng.uniforms(n) - 1.0)
         g = span * (2.0 * rng.uniforms(m) - 1.0)
-        candidate = dual_value(kernel, alpha, beta, DualPotentials(f=f, g=g))
+        candidate = dual_value(DualPotentials(f=f, g=g), cost, alpha, beta, eps)
         drop = best - candidate
         spread = (f[:, None] + g[None, :]) - (f_star[:, None] + g_star[None, :])
         lhs = float((mass * spread**2).sum())
@@ -217,7 +213,7 @@ def _check_stability_bound(rng: Xoshiro256StarStar, scale: float, name: str) -> 
     cost_est = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
     eps = _pick(rng, _EPS_CHOICES)
-    report = stability_report(cost_true, cost_est, alpha, beta, eps)
+    report = stability_report(cost_true, cost_est, alpha, beta, SolverConfig(epsilon=eps))
     check = report.check(name)
     return check.rhs * scale + 1e-9 - check.lhs
 
@@ -245,7 +241,7 @@ def _check_boxed_matches_sinkhorn(rng: Xoshiro256StarStar, scale: float) -> floa
     eps = _pick(rng, _EPS_CHOICES)
     reference = _solve(cost, alpha, beta, eps)
     eta = math.exp((cost.c_max - cost.c_min / 2.0) / eps)
-    kernel = gibbs_kernel(cost, eps)
+    kernel = np.exp(-cost.entries / eps)
     boxed = dual_ascent_boxed(kernel, alpha, beta, SolverConfig(epsilon=eps, eta=eta))
     gap = abs(boxed.value - reference.value) / max(1.0, abs(reference.value))
     return 1e-6 * scale - gap

@@ -9,17 +9,21 @@ box-constrained :func:`dual_ascent_boxed`, which stays finite when an
 estimated kernel has zero entries and reports how it ended in a
 :class:`BoxedResult`, share one stabilised scaling loop: each sweep is two
 matrix-vector products with a kernel into which the potentials are absorbed
-whenever a scaling drifts out of range.  An exact assignment solver is the
-unregularized reference for uniform marginals, and :func:`stability_report`
-evaluates how far the value and plan can move when the cost matrix is
-replaced by an estimate.  Cost matrices carry explicit entry bounds
-``c_min <= C_ij <= c_max`` because the perturbation bounds depend on them.
+whenever a scaling drifts out of range.  The boxed ascent takes its kernel as
+a plain nonnegative array, since an estimated kernel need not be exp(-C/eps)
+of any cost.  An exact assignment solver is the unregularized reference for
+uniform marginals, and :func:`stability_report` evaluates how far the value
+and plan can move when the cost matrix is replaced by an estimate.  Cost
+matrices carry explicit entry bounds ``c_min <= C_ij <= c_max`` because the
+perturbation bounds depend on them.  The solvers and the report read epsilon
+from their :class:`SolverConfig` alone; only the standalone objectives
+:func:`primal_value` and :func:`dual_value` take it as an argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, special
@@ -133,43 +137,6 @@ class CostMatrix:
 
 
 @dataclass(frozen=True)
-class GibbsKernel:
-    """Entrywise exponential kernel exp(-C / epsilon) with entry bounds.
-
-    Attributes:
-        entries: Positive matrix exp(-C_ij / epsilon).
-        delta_min: Lower entry bound exp(-c_max / epsilon), > 0.
-        delta_max: Upper entry bound exp(-c_min / epsilon).
-        epsilon: Regularization strength the kernel was built with.
-    """
-
-    entries: np.ndarray
-    delta_min: float
-    delta_max: float
-    epsilon: float
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2 or entries.size == 0:
-            raise InvalidParameterError("kernel entries must form a nonempty matrix")
-        if self.epsilon <= 0:
-            raise InvalidParameterError(f"epsilon must be positive: {self.epsilon}")
-        if not (0.0 < self.delta_min <= self.delta_max):
-            raise InvalidParameterError(
-                f"kernel bounds must satisfy 0 < delta_min <= delta_max: "
-                f"({self.delta_min}, {self.delta_max})"
-            )
-        slack = 1e-12 * self.delta_max
-        if entries.min() < self.delta_min - slack or entries.max() > self.delta_max + slack:
-            raise InvalidParameterError("kernel entries violate the declared bounds")
-        object.__setattr__(self, "entries", _readonly(entries))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
 class DualPotentials:
     """Dual variables (f, g) in cost units."""
 
@@ -275,6 +242,9 @@ class BoundCheck:
 
     @property
     def slack(self) -> float:
+        # An infinite ceiling holds vacuously, even over an infinite lhs.
+        if self.rhs == math.inf:
+            return math.inf
         return self.rhs - self.lhs
 
     @property
@@ -292,9 +262,6 @@ class StabilityReport:
     kernel operator gap.
     """
 
-    epsilon: float
-    c_min: float
-    c_max: float
     value_true: float
     value_est: float
     plan_divergence: float
@@ -319,21 +286,8 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Kernel construction and potential utilities
+# Potential utilities
 # ---------------------------------------------------------------------------
-
-
-def gibbs_kernel(cost: CostMatrix, epsilon: float) -> GibbsKernel:
-    """Entrywise exp(-C / epsilon) with bounds inherited from the cost bounds."""
-    if epsilon <= 0:
-        raise InvalidParameterError(f"epsilon must be positive: {epsilon}")
-    entries = np.exp(-cost.entries / epsilon)
-    return GibbsKernel(
-        entries=entries,
-        delta_min=math.exp(-cost.c_max / epsilon),
-        delta_max=math.exp(-cost.c_min / epsilon),
-        epsilon=epsilon,
-    )
 
 
 def center_potentials(
@@ -399,13 +353,7 @@ def primal_value(
         raise InvalidParameterError(f"epsilon must be positive: {epsilon}")
     p = plan.entries
     _check_dims(p.shape[0], p.shape[1], alpha, beta)
-    product = np.outer(alpha.weights, beta.weights)
-    support = p > 0
-    if np.any(product[support] == 0):
-        return math.inf
-    divergence = float(
-        np.sum(p[support] * (np.log(p[support]) - np.log(product[support])))
-    )
+    divergence = kl_plans(plan, TransportPlan(np.outer(alpha.weights, beta.weights)))
     return float(np.sum(p * cost.entries)) + epsilon * divergence
 
 
@@ -606,7 +554,7 @@ def sinkhorn(
 
 
 def dual_ascent_boxed(
-    kernel: GibbsKernel | np.ndarray,
+    kernel: np.ndarray,
     alpha: DiscreteDistribution,
     beta: DiscreteDistribution,
     cfg: SolverConfig,
@@ -622,18 +570,11 @@ def dual_ascent_boxed(
     (``converged``) once a sweep moves the dual value by at most
     ``value_tolerance`` relative.  Potentials are uncentered, 0 on zero-mass atoms.
     """
-    if isinstance(kernel, GibbsKernel):
-        entries = kernel.entries
-        if abs(kernel.epsilon - cfg.epsilon) > 1e-12 * max(1.0, cfg.epsilon):
-            raise InvalidParameterError(
-                f"kernel epsilon {kernel.epsilon} does not match solver epsilon {cfg.epsilon}"
-            )
-    else:
-        entries = np.asarray(kernel, dtype=np.float64)
-        if entries.ndim != 2 or entries.size == 0:
-            raise InvalidParameterError("kernel entries must form a nonempty matrix")
-        if not np.all(np.isfinite(entries)) or np.any(entries < 0):
-            raise InvalidParameterError("kernel entries must be finite and nonnegative")
+    entries = np.asarray(kernel, dtype=np.float64)
+    if entries.ndim != 2 or entries.size == 0:
+        raise InvalidParameterError("kernel entries must form a nonempty matrix")
+    if not np.all(np.isfinite(entries)) or np.any(entries < 0):
+        raise InvalidParameterError("kernel entries must be finite and nonnegative")
     if cfg.eta is None:
         raise InvalidParameterError("boxed ascent needs cfg.eta")
     n, m = entries.shape
@@ -676,27 +617,30 @@ def exact_ot_assignment(cost: CostMatrix) -> float:
 
 
 def dual_value(
-    kernel: GibbsKernel,
+    pot: DualPotentials,
+    cost: CostMatrix,
     alpha: DiscreteDistribution,
     beta: DiscreteDistribution,
-    pot: DualPotentials,
+    epsilon: float,
 ) -> float:
-    """Dual objective alpha@f + beta@g - eps * s(f, g) + eps.
+    """Dual objective alpha@f + beta@g - epsilon * s(f, g) + epsilon.
 
-    Here s(f, g) = (e^{f/eps} alpha)^T K (e^{g/eps} beta), evaluated in log
-    space so large potentials cannot overflow before cancellation.
+    Here s(f, g) = sum_ij alpha_i beta_j exp((f_i + g_j - C_ij) / epsilon),
+    evaluated in log space so large potentials cannot overflow before
+    cancellation.
     """
-    n, m = kernel.shape
+    if epsilon <= 0:
+        raise InvalidParameterError(f"epsilon must be positive: {epsilon}")
+    n, m = cost.shape
     _check_dims(n, m, alpha, beta)
     _check_dims(pot.f.size, pot.g.size, alpha, beta)
-    eps = kernel.epsilon
+    exponents = (pot.f[:, None] + pot.g[None, :] - cost.entries) / epsilon
     with np.errstate(divide="ignore"):
         log_a, log_b = np.log(alpha.weights), np.log(beta.weights)
-        exponents = (pot.f[:, None] + pot.g[None, :]) / eps + np.log(kernel.entries)
     log_total = float(special.logsumexp(exponents + log_a[:, None] + log_b[None, :]))
     if log_total > 700.0:  # exp would overflow; the objective is a huge negative
         return -math.inf
-    return float(alpha.weights @ pot.f + beta.weights @ pot.g - eps * math.exp(log_total) + eps)
+    return float(alpha.weights @ pot.f + beta.weights @ pot.g - epsilon * math.exp(log_total) + epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -709,14 +653,13 @@ def stability_report(
     cost_est: CostMatrix,
     alpha: DiscreteDistribution,
     beta: DiscreteDistribution,
-    epsilon: float,
-    solver: SolverConfig | None = None,
+    cfg: SolverConfig,
 ) -> StabilityReport:
-    """Solve both problems and compare the measured gaps to their ceilings.
+    """Solve both problems under ``cfg`` and compare the gaps to their ceilings.
 
     The shared cost bounds are the union of the two matrices' bounds.  The
-    four recorded inequalities, with dC = C - C_hat and
-    dK = exp(-C/eps) - exp(-C_hat/eps):
+    four recorded inequalities, with eps = ``cfg.epsilon``, dC = C - C_hat
+    and dK = exp(-C/eps) - exp(-C_hat/eps):
 
     * ``sup_norm``:  |value gap| <= sup|dC|
     * ``kernel_spectral``:  |value gap| <=
@@ -730,12 +673,7 @@ def stability_report(
         raise InvalidParameterError(
             f"cost shapes differ: {cost_true.shape} vs {cost_est.shape}"
         )
-    if epsilon <= 0:
-        raise InvalidParameterError(f"epsilon must be positive: {epsilon}")
-    cfg = solver if solver is not None else SolverConfig(epsilon=epsilon)
-    if cfg.epsilon != epsilon:
-        cfg = replace(cfg, epsilon=epsilon)
-
+    eps = cfg.epsilon
     c_min = min(cost_true.c_min, cost_est.c_min)
     c_max = max(cost_true.c_max, cost_est.c_max)
 
@@ -747,21 +685,21 @@ def stability_report(
     diff = cost_true.entries - cost_est.entries
     sup_gap = float(np.abs(diff).max())
     frobenius_gap = math.sqrt(float(np.einsum("ij,ij->", diff, diff)))
-    kernel_diff = np.exp(-cost_true.entries / epsilon) - np.exp(-cost_est.entries / epsilon)
+    kernel_diff = np.exp(-cost_true.entries / eps) - np.exp(-cost_est.entries / eps)
     kernel_gap = diagnostics.operator_norm(kernel_diff)
 
     norm_a = alpha.euclidean_norm
     norm_b = beta.euclidean_norm
     with np.errstate(over="ignore"):
         spectral_rhs = float(
-            epsilon * np.exp((2.0 * c_max - c_min) / epsilon) * norm_a * norm_b * kernel_gap
+            eps * np.exp((2.0 * c_max - c_min) / eps) * norm_a * norm_b * kernel_gap
         )
         plan_rhs = float(
-            np.exp(2.0 * (c_max - c_min) / epsilon) / epsilon * norm_a * norm_b * frobenius_gap
-            + np.exp((4.0 * c_max - 3.5 * c_min) / epsilon)
+            np.exp(2.0 * (c_max - c_min) / eps) / eps * norm_a * norm_b * frobenius_gap
+            + np.exp((4.0 * c_max - 3.5 * c_min) / eps)
             * math.sqrt(norm_a * norm_b * kernel_gap)
         )
-        frobenius_rhs = float(np.exp(-c_min / epsilon) / epsilon * frobenius_gap)
+        frobenius_rhs = float(np.exp(-c_min / eps) / eps * frobenius_gap)
 
     checks = (
         BoundCheck("sup_norm", value_gap, sup_gap),
@@ -770,9 +708,6 @@ def stability_report(
         BoundCheck("kernel_frobenius", kernel_gap, frobenius_rhs),
     )
     return StabilityReport(
-        epsilon=epsilon,
-        c_min=c_min,
-        c_max=c_max,
         value_true=result_true.value,
         value_est=result_est.value,
         plan_divergence=divergence,

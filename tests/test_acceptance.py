@@ -34,7 +34,6 @@ from latent_ot.ot_core import (
     dual_ascent_boxed,
     dual_value,
     exact_ot_assignment,
-    gibbs_kernel,
     min_box_radius,
     sinkhorn,
     stability_report,
@@ -83,7 +82,7 @@ def test_criterion_1_stability_bounds():
         alpha = _mixed_weights(rng, n)
         beta = _mixed_weights(rng, m)
         eps = EPS_CHOICES[trial % 3]
-        report = stability_report(cost_true, cost_est, alpha, beta, eps)
+        report = stability_report(cost_true, cost_est, alpha, beta, SolverConfig(epsilon=eps))
         worst = min(worst, min(check.slack for check in report.checks))
     elapsed = time.perf_counter() - start
     _verdict(
@@ -172,7 +171,7 @@ def test_criterion_3_boxed_dual_consistency():
         eta = math.exp((cost.c_max - cost.c_min / 2.0) / eps)
         reference = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps))
         boxed = dual_ascent_boxed(
-            gibbs_kernel(cost, eps), alpha, beta, SolverConfig(epsilon=eps, eta=eta)
+            np.exp(-cost.entries / eps), alpha, beta, SolverConfig(epsilon=eps, eta=eta)
         ).value
         worst = max(worst, abs(boxed - reference.value) / abs(reference.value))
     elapsed = time.perf_counter() - start
@@ -200,11 +199,10 @@ def test_criterion_4_potential_box_and_quadratic_growth():
         beta = _mixed_weights(rng, m)
 
         # box check: converged potentials admit a shift into the radius
-        # implied by the kernel's entry bounds
+        # c_max - c_min / 2 implied by the cost bounds
         cost = _random_cost(rng, n, m)
         result = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps))
-        kernel = gibbs_kernel(cost, eps)
-        ceiling = eps * math.log(math.sqrt(kernel.delta_max) / kernel.delta_min)
+        ceiling = cost.c_max - cost.c_min / 2.0
         worst_box = max(worst_box, min_box_radius(result.potentials) - ceiling - 1e-6)
 
         # growth check: costs shifted to [0, c_bar]; kernel-weighted square
@@ -212,15 +210,14 @@ def test_criterion_4_potential_box_and_quadratic_growth():
         shifted = CostMatrix(cost.entries - cost.c_min, 0.0, cost.c_max - cost.c_min)
         c_bar = shifted.c_max
         result_s = sinkhorn(shifted, alpha, beta, SolverConfig(epsilon=eps))
-        kernel_s = gibbs_kernel(shifted, eps)
-        best = dual_value(kernel_s, alpha, beta, result_s.potentials)
-        mass = alpha.weights[:, None] * beta.weights[None, :] * kernel_s.entries
+        best = dual_value(result_s.potentials, shifted, alpha, beta, eps)
+        mass = alpha.weights[:, None] * beta.weights[None, :] * np.exp(-shifted.entries / eps)
         f_star, g_star = result_s.potentials.f, result_s.potentials.g
         factor = 0.5 * eps * math.exp(2.0 * c_bar / eps)
         for _ in range(100):
             f = c_bar * (2.0 * rng.uniforms(n) - 1.0)
             g = c_bar * (2.0 * rng.uniforms(m) - 1.0)
-            drop = best - dual_value(kernel_s, alpha, beta, DualPotentials(f=f, g=g))
+            drop = best - dual_value(DualPotentials(f=f, g=g), shifted, alpha, beta, eps)
             spread = (f[:, None] + g[None, :]) - (f_star[:, None] + g_star[None, :])
             lhs = float((mass * spread**2).sum())
             worst_growth = max(worst_growth, lhs - (factor * drop + 1e-8))

@@ -103,7 +103,7 @@ def test_operator_norm_reports_arpack_non_convergence(monkeypatch):
 _THREADED_NORM_SCRIPT = """
 import numpy as np
 from latent_ot.diagnostics import discrepancy, operator_norm
-from latent_ot.ot_core import CostMatrix, DiscreteDistribution, stability_report
+from latent_ot.ot_core import CostMatrix, DiscreteDistribution, SolverConfig, stability_report
 from latent_ot.rng import RngSeed, Xoshiro256StarStar, pair_uniforms
 rows, cols = 533, 1067
 w = Xoshiro256StarStar(RngSeed(7)).uniforms(rows * cols).reshape(rows, cols)
@@ -118,7 +118,7 @@ report = stability_report(
     CostMatrix(entries=half, c_min=0.0, c_max=1.0),
     DiscreteDistribution.uniform(rows),
     DiscreteDistribution.uniform(cols),
-    1.0,
+    SolverConfig(epsilon=1.0),
 )
 print(report.cost_frobenius_gap.hex())
 """

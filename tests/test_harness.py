@@ -767,6 +767,19 @@ def test_cli_run_writes_tables(tmp_path, capsys):
     assert "results.csv" in capsys.readouterr().out
 
 
+def test_cli_run_records_an_infinite_plan_kl_ceiling_as_holding(tmp_path, capsys):
+    # At this epsilon the estimated plan has underflowed entries, so KL(P | P_hat)
+    # is inf, and the plan_kl ceiling overflows to inf as well.
+    path = write_config(tmp_path, {"experiment": "stability_suite", "grid": [4], "seeds": [1], "epsilon": 0.001})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    lines = (out / "results.csv").read_text(encoding="utf-8").splitlines()
+    assert any(line.endswith(",kl_plans,inf") for line in lines)
+    assert any(line.endswith(",slack_plan_kl,inf") for line in lines)
+    assert any(line.endswith(",all_bounds_hold,1") for line in lines)
+
+
 def test_cli_seed_environment_override(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, stability_config_dict())
     monkeypatch.setenv("LATENT_OT_SEED", "99")

@@ -18,10 +18,10 @@ from scipy.special import logsumexp
 from latent_ot.errors import InvalidParameterError, UnboundedDualError
 from latent_ot.ot_core import (
     BOUND_SLACK_TOLERANCE,
+    BoundCheck,
     CostMatrix,
     DiscreteDistribution,
     DualPotentials,
-    GibbsKernel,
     OtResult,
     SolverConfig,
     TransportPlan,
@@ -29,7 +29,6 @@ from latent_ot.ot_core import (
     dual_ascent_boxed,
     dual_value,
     exact_ot_assignment,
-    gibbs_kernel,
     kl_plans,
     min_box_radius,
     primal_value,
@@ -164,27 +163,6 @@ def test_transport_plan_mass_check():
     TransportPlan(np.array([[0.25, 0.25], [0.25, 0.25]]))
 
 
-def test_gibbs_kernel_examples():
-    k = gibbs_kernel(CostMatrix(np.array([[0.0]]), 0.0, 0.0), 1.0)
-    assert k.entries[0, 0] == 1.0
-    c = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, 1.0)
-    k = gibbs_kernel(c, 1.0)
-    assert k.entries[0, 1] == pytest.approx(0.3678794412, abs=1e-10)
-    assert k.delta_min == pytest.approx(math.exp(-1.0))
-    # a cost shift scales the kernel by a constant factor
-    shifted = gibbs_kernel(CostMatrix(c.entries + 2.0, 2.0, 3.0), 1.0)
-    assert np.allclose(shifted.entries, k.entries * math.exp(-2.0), rtol=1e-12)
-    with pytest.raises(InvalidParameterError):
-        gibbs_kernel(c, 0.0)
-
-
-def test_gibbs_kernel_bound_consistency():
-    with pytest.raises(InvalidParameterError):
-        GibbsKernel(np.array([[0.5]]), 0.6, 0.9, 1.0)
-    with pytest.raises(InvalidParameterError):
-        GibbsKernel(np.array([[0.5]]), 0.0, 1.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Sinkhorn
 # ---------------------------------------------------------------------------
@@ -237,7 +215,7 @@ def test_primal_and_dual_agree_when_converged():
     res = sinkhorn(cost, uniform(4), uniform(3), SolverConfig(epsilon=0.5))
     assert res.converged
     primal = primal_value(res.plan, cost, uniform(4), uniform(3), 0.5)
-    dual = dual_value(gibbs_kernel(cost, 0.5), uniform(4), uniform(3), res.potentials)
+    dual = dual_value(res.potentials, cost, uniform(4), uniform(3), 0.5)
     assert primal == pytest.approx(res.value, rel=1e-6)
     assert dual == pytest.approx(res.value, rel=1e-6)
 
@@ -377,19 +355,19 @@ def test_assignment_matches_permutation_enumeration():
 
 
 def test_dual_value_zero_for_flat_potentials_on_ones_kernel():
-    k = GibbsKernel(np.ones((3, 2)), 1.0, 1.0, 1.0)
+    zero_cost = CostMatrix(np.zeros((3, 2)), 0.0, 0.0)
     pot = DualPotentials(np.zeros(3), np.zeros(2))
     alpha = DiscreteDistribution(np.array([0.2, 0.3, 0.5]))
     beta = DiscreteDistribution(np.array([0.6, 0.4]))
-    assert dual_value(k, alpha, beta, pot) == pytest.approx(0.0, abs=1e-14)
+    assert dual_value(pot, zero_cost, alpha, beta, 1.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_dual_value_saturated_single_cell():
     eps = 0.7
     c = 2.0
-    k = gibbs_kernel(CostMatrix(np.array([[c]]), c, c), eps)
+    cost = CostMatrix(np.array([[c]]), c, c)
     pot = DualPotentials(np.array([1.5]), np.array([c - 1.5]))
-    assert dual_value(k, uniform(1), uniform(1), pot) == pytest.approx(c, abs=1e-12)
+    assert dual_value(pot, cost, uniform(1), uniform(1), eps) == pytest.approx(c, abs=1e-12)
 
 
 def test_center_potentials_balances_and_preserves_value():
@@ -398,14 +376,13 @@ def test_center_potentials_balances_and_preserves_value():
     assert np.allclose(centered.f, 0.0) and np.allclose(centered.g, 0.0)
     rng = Xoshiro256StarStar(RngSeed(17))
     cost = random_cost(rng, 3, 4)
-    k = gibbs_kernel(cost, 0.5)
     alpha = uniform(3)
     beta = uniform(4)
     raw = DualPotentials(rng.uniforms(3), rng.uniforms(4))
     moved = center_potentials(raw, alpha, beta)
     assert float(alpha.weights @ moved.f) == pytest.approx(float(beta.weights @ moved.g), abs=1e-12)
-    assert dual_value(k, alpha, beta, raw) == pytest.approx(
-        dual_value(k, alpha, beta, moved), abs=1e-12
+    assert dual_value(raw, cost, alpha, beta, 0.5) == pytest.approx(
+        dual_value(moved, cost, alpha, beta, 0.5), abs=1e-12
     )
 
 
@@ -441,14 +418,13 @@ def test_quadratic_growth_of_the_dual_gap():
     eps = 0.6
     alpha, beta = uniform(n), uniform(m)
     res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps))
-    k = gibbs_kernel(cost, eps)
-    star = dual_value(k, alpha, beta, res.potentials)
-    weights = k.entries * np.outer(alpha.weights, beta.weights)
+    star = dual_value(res.potentials, cost, alpha, beta, eps)
+    weights = np.exp(-cost.entries / eps) * np.outer(alpha.weights, beta.weights)
     c_bar = cost.c_max
     for _ in range(100):
         f = c_bar * (2.0 * rng.uniforms(n) - 1.0)
         g = c_bar * (2.0 * rng.uniforms(m) - 1.0)
-        drop = star - dual_value(k, alpha, beta, DualPotentials(f, g))
+        drop = star - dual_value(DualPotentials(f, g), cost, alpha, beta, eps)
         spread = (
             f[:, None] + g[None, :] - res.potentials.f[:, None] - res.potentials.g[None, :]
         )
@@ -462,7 +438,7 @@ def test_quadratic_growth_of_the_dual_gap():
 
 
 def test_boxed_allones_kernel_is_zero():
-    k = GibbsKernel(np.ones((2, 3)), 1.0, 1.0, 1.0)
+    k = np.ones((2, 3))
     res = dual_ascent_boxed(k, uniform(2), uniform(3), SolverConfig(epsilon=1.0, eta=5.0))
     value, pot = res.value, res.potentials
     assert value == pytest.approx(0.0, abs=1e-12)
@@ -473,12 +449,12 @@ def test_boxed_collapsed_box_forces_zero_potentials():
     rng = Xoshiro256StarStar(RngSeed(41))
     cost = random_cost(rng, 3, 3)
     eps = 0.8
-    k = gibbs_kernel(cost, eps)
+    k = np.exp(-cost.entries / eps)
     alpha = DiscreteDistribution(np.array([0.2, 0.5, 0.3]))
     beta = uniform(3)
     res = dual_ascent_boxed(k, alpha, beta, SolverConfig(epsilon=eps, eta=1.0))
     value, pot = res.value, res.potentials
-    coupling = float(alpha.weights @ k.entries @ beta.weights)
+    coupling = float(alpha.weights @ k @ beta.weights)
     assert value == pytest.approx(eps * (1.0 - coupling), abs=1e-12)
     assert np.all(pot.f == 0.0) and np.all(pot.g == 0.0)
 
@@ -491,7 +467,7 @@ def test_boxed_matches_sinkhorn_with_sufficient_box():
         eta = math.exp((cost.c_max - cost.c_min / 2.0) / eps)
         full = sinkhorn(cost, uniform(5), uniform(4), SolverConfig(epsilon=eps))
         value = dual_ascent_boxed(
-            gibbs_kernel(cost, eps), uniform(5), uniform(4), SolverConfig(epsilon=eps, eta=eta)
+            np.exp(-cost.entries / eps), uniform(5), uniform(4), SolverConfig(epsilon=eps, eta=eta)
         ).value
         assert value == pytest.approx(full.value, rel=1e-6)
 
@@ -516,7 +492,7 @@ def test_boxed_budget_exhaustion_reports_unconverged():
     rng = Xoshiro256StarStar(RngSeed(79))
     cost = random_cost(rng, 4, 3)
     cfg = SolverConfig(epsilon=0.5, eta=10.0, max_iterations=1)
-    res = dual_ascent_boxed(gibbs_kernel(cost, 0.5), uniform(4), uniform(3), cfg)
+    res = dual_ascent_boxed(np.exp(-cost.entries / 0.5), uniform(4), uniform(3), cfg)
     assert not res.converged
     assert res.iterations == 1
     assert math.isfinite(res.value)
@@ -544,13 +520,6 @@ def test_boxed_requires_eta():
         dual_ascent_boxed(k, uniform(2), uniform(2), SolverConfig(epsilon=1.0))
     with pytest.raises(InvalidParameterError):
         SolverConfig(epsilon=1.0, eta=0.5)
-
-
-def test_boxed_rejects_mismatched_kernel_epsilon():
-    cost = CostMatrix(np.array([[0.5]]), 0.5, 0.5)
-    k = gibbs_kernel(cost, 1.0)
-    with pytest.raises(InvalidParameterError):
-        dual_ascent_boxed(k, uniform(1), uniform(1), SolverConfig(epsilon=0.5, eta=2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +552,7 @@ def test_primal_value_infinite_off_product_support():
 def test_identical_costs_give_zero_gaps():
     rng = Xoshiro256StarStar(RngSeed(47))
     cost = random_cost(rng, 3, 3)
-    rep = stability_report(cost, cost, uniform(3), uniform(3), 0.5)
+    rep = stability_report(cost, cost, uniform(3), uniform(3), SolverConfig(epsilon=0.5))
     assert rep.value_gap <= 1e-12
     assert rep.plan_divergence <= 1e-12
     assert rep.cost_sup_gap == 0.0
@@ -595,7 +564,7 @@ def test_cost_shift_saturates_the_sup_bound():
     rng = Xoshiro256StarStar(RngSeed(53))
     base = random_cost(rng, 4, 4)
     shifted = CostMatrix(base.entries + 0.5, base.c_min + 0.5, base.c_max + 0.5)
-    rep = stability_report(base, shifted, uniform(4), uniform(4), 0.5)
+    rep = stability_report(base, shifted, uniform(4), uniform(4), SolverConfig(epsilon=0.5))
     assert rep.value_gap == pytest.approx(0.5, abs=1e-9)
     assert rep.check("sup_norm").rhs == pytest.approx(0.5, abs=1e-12)
     assert rep.check("sup_norm").passed
@@ -611,7 +580,7 @@ def test_all_bounds_hold_on_random_instances():
         a = random_cost(rng, n, m)
         b = random_cost(rng, n, m)
         eps = (0.1, 0.5, 1.0)[trial % 3]
-        rep = stability_report(a, b, uniform(n), uniform(m), eps)
+        rep = stability_report(a, b, uniform(n), uniform(m), SolverConfig(epsilon=eps))
         for check in rep.checks:
             assert check.slack >= -BOUND_SLACK_TOLERANCE, (check.name, check.slack)
         assert {c.name for c in rep.checks} == {
@@ -626,14 +595,35 @@ def test_report_shape_and_epsilon_validation():
     cost = CostMatrix(np.array([[0.5]]), 0.5, 0.5)
     other = CostMatrix(np.array([[0.5, 0.5]]), 0.5, 0.5)
     with pytest.raises(InvalidParameterError):
-        stability_report(cost, other, uniform(1), uniform(1), 0.5)
+        stability_report(cost, other, uniform(1), uniform(1), SolverConfig(epsilon=0.5))
     with pytest.raises(InvalidParameterError):
-        stability_report(cost, cost, uniform(1), uniform(1), 0.0)
+        stability_report(cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.0))
+
+
+def test_report_solves_under_the_whole_config():
+    # The iteration budget and tolerances reach both solves, not just epsilon.
+    rng = Xoshiro256StarStar(RngSeed(61))
+    cost_true, cost_est = random_cost(rng, 4, 5), random_cost(rng, 4, 5)
+    alpha, beta = uniform(4), uniform(5)
+    cfg = SolverConfig(epsilon=0.5, max_iterations=3)
+    rep = stability_report(cost_true, cost_est, alpha, beta, cfg)
+    assert rep.value_true == sinkhorn(cost_true, alpha, beta, cfg).value
+    assert rep.value_est == sinkhorn(cost_est, alpha, beta, cfg).value
+    assert rep.value_true != sinkhorn(cost_true, alpha, beta, SolverConfig(epsilon=0.5)).value
+
+
+def test_an_infinite_ceiling_holds_with_infinite_slack():
+    check = BoundCheck("x", math.inf, math.inf)
+    assert check.slack == math.inf
+    assert check.passed
+    assert BoundCheck("x", 1.0, math.inf).slack == math.inf
+    assert BoundCheck("x", math.inf, 1.0).slack == -math.inf
+    assert not BoundCheck("x", math.inf, 1.0).passed
 
 
 def test_report_lookup_by_name():
     cost = CostMatrix(np.array([[0.5]]), 0.5, 0.5)
-    rep = stability_report(cost, cost, uniform(1), uniform(1), 0.5)
+    rep = stability_report(cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.5))
     assert rep.check("plan_kl").name == "plan_kl"
     with pytest.raises(KeyError):
         rep.check("nonexistent")
