@@ -298,17 +298,24 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
 def fast_kernel_block(adjacency: Graph | np.ndarray, rho: float, n: int, m: int) -> np.ndarray:
     """Cross-group adjacency block divided by rho.
 
-    The result has entries in {0, 1/rho} and estimates the kernel block
-    w(x_i, y_j) without eigendecomposition; only cross-group edges are read.
+    ``adjacency`` is the whole (n + m) x (n + m) adjacency, as a Graph or
+    an array, or an array holding only its n x m cross block.  The result
+    has entries in {0, 1/rho} and estimates the kernel block w(x_i, y_j)
+    without eigendecomposition; only cross-group edges are read.
     """
     if not 0.0 < rho <= 1.0:
         raise InvalidParameterError(f"rho must lie in (0, 1]: {rho}")
     if n < 1 or m < 1:
         raise InvalidParameterError(f"block sizes must be positive: n={n}, m={m}")
-    matrix = adjacency.adjacency if isinstance(adjacency, Graph) else np.asarray(adjacency, dtype=np.float64)
+    if isinstance(adjacency, Graph):
+        matrix = adjacency.adjacency
+    else:
+        matrix = np.asarray(adjacency, dtype=np.float64)
+        if matrix.shape == (n, m):
+            return matrix / rho
     if matrix.ndim != 2 or matrix.shape != (n + m, n + m):
         raise InvalidParameterError(
-            f"adjacency must be ({n + m}, {n + m}) for n={n}, m={m}: got {matrix.shape}"
+            f"adjacency must be ({n + m}, {n + m}) or its ({n}, {m}) cross block: got {matrix.shape}"
         )
     block = matrix[:n, n : n + m]
     return (block.toarray() if isinstance(adjacency, Graph) else block) / rho

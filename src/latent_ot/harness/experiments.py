@@ -1,10 +1,12 @@
 """Experiment cells: one (N, seed) pair per cell, merged into result tables.
 
-A graph cell runs one pipeline: :func:`sample_cell` draws the latents and
-the observed graph, then the experiment's route (shortest_path, usvt,
-fast_adjacency) estimates a cost or kernel block from them, solves, and
-reports.  The perturbation_pair route draws random cost pairs instead and
-shares the stability-report rows.
+A graph cell runs one pipeline: :func:`sample_cell_latents` draws the
+latents, then the experiment's route estimates a cost or kernel block,
+solves, and reports.  The shortest_path and usvt routes read the whole
+observed graph from :func:`sample_cell`; the fast_adjacency route draws only
+the cross-group pairs it reads, with the same per-pair draws as that graph.
+The perturbation_pair route draws random cost pairs instead and shares the
+stability-report rows.
 
 Every random draw inside a cell comes from a stream derived from the cell's
 seed and N alone, so a cell's rows do not depend on which other cells run,
@@ -37,6 +39,7 @@ from ..latent_models import (
     Graph,
     LatentConfiguration,
     NonlocalKernel,
+    bernoulli_pairs,
     eps_graph,
     sample_kernel_graph,
     sample_latents,
@@ -131,25 +134,34 @@ def _cost_block_rows(cell: _Cell, label: str, cost_true: CostMatrix, cost_est: C
     return rows
 
 
+def sample_cell_latents(config: ExperimentConfig, total: int, seed: int) -> LatentConfiguration:
+    """The latent points of one (N, seed) cell, from a stream derived from
+    the seed and N."""
+    assert config.manifold is not None
+    n, m = config.sizes_at(total)
+    stream = RngSeed(seed).derive("latents", total)
+    return sample_latents(config.manifold, config.density, n, m, total, stream, config.placement)
+
+
+def _graph_seed(seed: int, total: int) -> RngSeed:
+    """The Bernoulli graph's stream, separate from the latents'."""
+    return RngSeed(seed).derive("graph", total)
+
+
 def sample_cell(config: ExperimentConfig, total: int, seed: int) -> tuple[LatentConfiguration, Graph]:
     """The latent points and the observed graph of one (N, seed) cell.
 
-    The latents and the Bernoulli graph draw from separate streams derived
-    from the seed and N; a local kernel gives the epsilon-graph at the
-    scheduled radius instead.
+    A nonlocal kernel gives the Bernoulli graph; a local kernel gives the
+    epsilon-graph at the scheduled radius instead.
     """
     assert config.manifold is not None and config.kernel is not None
-    n, m = config.sizes_at(total)
-    base = RngSeed(seed)
-    latents = sample_latents(
-        config.manifold, config.density, n, m, total, base.derive("latents", total), config.placement
-    )
+    latents = sample_cell_latents(config, total, seed)
     if config.kernel.kind == "local":
         graph = eps_graph(latents, config.kernel.radius_at(total, config.manifold.intrinsic_dim))
     else:
         assert config.kernel.form is not None
         model = NonlocalKernel(rho=config.kernel.rho_at(total), form=config.kernel.form)
-        graph = sample_kernel_graph(latents, model, base.derive("graph", total))
+        graph = sample_kernel_graph(latents, model, _graph_seed(seed, total))
     return latents, graph
 
 
@@ -215,21 +227,27 @@ def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[
     return rows
 
 
-def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[ResultRow]:
+def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[ResultRow]:
+    """The boxed dual on the raw cross-group adjacency block.  Only the n x m
+    cross pairs (i, n + j) are drawn, from the kernel block the discrepancy
+    reads too; they are the edges :func:`sample_cell`'s graph has there."""
     config = cell.config
     assert config.manifold is not None and config.kernel is not None and config.kernel.form is not None
     form = config.kernel.form
     rho = config.kernel.rho_at(cell.total)
     powers = form.distance_power(latents.xs, latents.ys)
+    weights = form.of_powers(powers)
     c_max = config.manifold.euclidean_diameter**form.p
     alpha = DiscreteDistribution.uniform(cell.n)
     beta = DiscreteDistribution.uniform(cell.m)
     cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=c_max)
     value_true = sinkhorn(cost_true, alpha, beta, config.solver).value
 
-    k_block = fast_kernel_block(graph, rho, cell.n, cell.m)
+    xs_index, ys_index = np.arange(cell.n)[:, None], np.arange(cell.n, cell.n + cell.m)[None, :]
+    cross_edges = bernoulli_pairs(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
+    k_block = fast_kernel_block(cross_edges, rho, cell.n, cell.m)
     value_est = dual_ascent_boxed(k_block, alpha, beta, config.solver).value
-    kernel_disc = diagnostics.discrepancy(np.exp(-powers / form.sigma), k_block)
+    kernel_disc = diagnostics.discrepancy(weights, k_block)
 
     label = ESTIMATOR_LABELS["fast_nonlocal"]
     return [
@@ -274,7 +292,6 @@ _GRAPH_ROUTES = {
     "local_geodesic": _shortest_path_rows,
     "usvt_nonlocal": _usvt_rows,
     "gamma_sweep": _usvt_rows,
-    "fast_nonlocal": _fast_adjacency_rows,
 }
 
 
@@ -284,6 +301,8 @@ def _run_cell(args: tuple[ExperimentConfig, int, int]) -> tuple[list[ResultRow],
     start = time.perf_counter()
     if config.experiment == "stability_suite":
         rows = _perturbation_pair_rows(cell)
+    elif config.experiment == "fast_nonlocal":
+        rows = _fast_adjacency_rows(cell, sample_cell_latents(config, total, seed))
     else:
         rows = _GRAPH_ROUTES[config.experiment](cell, *sample_cell(config, total, seed))
     elapsed = time.perf_counter() - start

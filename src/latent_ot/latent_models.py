@@ -23,8 +23,9 @@ from .errors import DensityMisconfiguredError, InvalidParameterError
 from .rng import RngSeed, Xoshiro256StarStar, pair_uniforms
 
 _REJECTION_ATTEMPT_CAP = 1_000_000
-# Pairs per row block of the Bernoulli graph sampler.
-_GRAPH_BLOCK_PAIRS = 1 << 20
+# Pairs per row block of the Bernoulli graph sampler: few enough that a
+# block's 1 MB arrays stay in cache through the pair hash's passes.
+_GRAPH_BLOCK_PAIRS = 1 << 17
 _ON_MANIFOLD_TOLERANCE = 1e-12
 
 
@@ -434,7 +435,12 @@ class GaussianPowerKernel:
         return np.sqrt(np.maximum(squared, 0.0)) ** self.p
 
     def evaluate(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.exp(-self.distance_power(xs, ys) / self.sigma)
+        return self.of_powers(self.distance_power(xs, ys))
+
+    def of_powers(self, powers: np.ndarray) -> np.ndarray:
+        """The kernel from distance powers already computed by
+        :meth:`distance_power`."""
+        return np.exp(-powers / self.sigma)
 
     def bounds(self, manifold: Manifold) -> tuple[float, float]:
         """(w_min, w_max) over pairs of points of the manifold."""
@@ -543,32 +549,47 @@ def eps_graph(latents: LatentConfiguration, h: float) -> Graph:
     return Graph.from_edges(points.shape[0], pairs)
 
 
+def bernoulli_pairs(seed: RngSeed, rows: np.ndarray, cols: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
+    """Edge indicators of the index pairs (rows, cols), broadcast as in
+    :func:`~latent_ot.rng.pair_uniforms`: pair (i, j) is an edge iff its
+    counter-based uniform of (seed, i, j) is below its probability.
+
+    Every Bernoulli graph draw goes through here, so a caller that reads only
+    some pairs gets the same edges as the whole graph has there.
+    """
+    if probabilities.size and float(probabilities.max()) > 1.0 + 1e-12:
+        raise InvalidParameterError("edge probability rho * w exceeds 1")
+    return pair_uniforms(seed, rows, cols) < probabilities
+
+
 def sample_kernel_graph(
     latents: LatentConfiguration, kernel: NonlocalKernel, seed: RngSeed
 ) -> Graph:
     """Draw each unordered pair as an independent Bernoulli edge.
 
     Pair (i, j) with i < j is an edge with probability rho * w(z_i, z_j),
-    decided by the counter-based uniform :func:`~latent_ot.rng.pair_uniforms`
-    of (seed, i, j).  Each pair's draw depends only on the seed and the pair,
-    so the rows are walked in blocks of about ``_GRAPH_BLOCK_PAIRS`` pairs
-    and memory does not grow as N x N.
+    decided by :func:`bernoulli_pairs` at (seed, i, j).  The rows are walked
+    in blocks of about ``_GRAPH_BLOCK_PAIRS // N`` rows; a block of rows
+    [start, stop) is evaluated and hashed only against the points after
+    ``start``, and the pairs with j <= i are dropped from the block's leading
+    corner alone.  Memory does not grow as N x N.
     """
     points = latents.all_points()
     count = points.shape[0]
     block_rows = max(1, _GRAPH_BLOCK_PAIRS // count)
-    columns = np.arange(count)
     picked_rows, picked_cols = [], []
-    for start in range(0, count, block_rows):
-        stop = min(start + block_rows, count)
-        probabilities = kernel.rho * kernel.form.evaluate(points[start:stop], points)
-        if float(probabilities.max()) > 1.0 + 1e-12:
-            raise InvalidParameterError("edge probability rho * w exceeds 1")
-        local, cols = np.nonzero(columns[None, :] > np.arange(start, stop)[:, None])
-        rows = local + start
-        hit = pair_uniforms(seed, rows, cols) < probabilities[local, cols]
-        picked_rows.append(rows[hit])
-        picked_cols.append(cols[hit])
+    # The last row has no partner j > i.
+    for start in range(0, count - 1, block_rows):
+        stop = min(start + block_rows, count - 1)
+        rows, cols = np.arange(start, stop)[:, None], np.arange(start + 1, count)[None, :]
+        probabilities = kernel.rho * kernel.form.evaluate(points[start:stop], points[start + 1 :])
+        hit = bernoulli_pairs(seed, rows, cols, probabilities)
+        # Local column c is point start + 1 + c, after local row r iff c >= r.
+        corner = hit[:, : stop - start]
+        corner[...] = np.triu(corner)
+        local_rows, local_cols = np.nonzero(hit)
+        picked_rows.append(local_rows + start)
+        picked_cols.append(local_cols + (start + 1))
     edges = np.column_stack([np.concatenate(picked_rows), np.concatenate(picked_cols)])
     return Graph.from_edges(count, edges)
 

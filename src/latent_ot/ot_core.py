@@ -648,6 +648,13 @@ def dual_value(
 # ---------------------------------------------------------------------------
 
 
+def _ceiling(prefactor: float, gap: float) -> float:
+    """``prefactor * gap``, or +inf when the prefactor overflowed: the bound
+    is then vacuous, even where the gap underflowed to 0 and the product
+    would be inf * 0 = NaN."""
+    return math.inf if prefactor == math.inf else float(prefactor * gap)
+
+
 def stability_report(
     cost_true: CostMatrix,
     cost_est: CostMatrix,
@@ -691,15 +698,11 @@ def stability_report(
     norm_a = alpha.euclidean_norm
     norm_b = beta.euclidean_norm
     with np.errstate(over="ignore"):
-        spectral_rhs = float(
-            eps * np.exp((2.0 * c_max - c_min) / eps) * norm_a * norm_b * kernel_gap
-        )
-        plan_rhs = float(
-            np.exp(2.0 * (c_max - c_min) / eps) / eps * norm_a * norm_b * frobenius_gap
-            + np.exp((4.0 * c_max - 3.5 * c_min) / eps)
-            * math.sqrt(norm_a * norm_b * kernel_gap)
-        )
-        frobenius_rhs = float(np.exp(-c_min / eps) / eps * frobenius_gap)
+        spectral_rhs = _ceiling(eps * np.exp((2.0 * c_max - c_min) / eps) * norm_a * norm_b, kernel_gap)
+        plan_rhs = _ceiling(
+            np.exp(2.0 * (c_max - c_min) / eps) / eps * norm_a * norm_b, frobenius_gap
+        ) + _ceiling(np.exp((4.0 * c_max - 3.5 * c_min) / eps), math.sqrt(norm_a * norm_b * kernel_gap))
+        frobenius_rhs = _ceiling(np.exp(-c_min / eps) / eps, frobenius_gap)
 
     checks = (
         BoundCheck("sup_norm", value_gap, sup_gap),

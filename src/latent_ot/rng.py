@@ -10,7 +10,8 @@ bit-reproducible across platforms and numpy versions:
   SplitMix64 output at counter ``(i << 32) | j``, computed over numpy
   ``uint64`` (the counter-based design of Salmon et al., "Parallel random
   numbers: as easy as 1, 2, 3", SC'11).  A pair's draw depends only on
-  (seed, i, j), so Bernoulli graphs can be drawn in any order and in blocks.
+  (seed, i, j), so Bernoulli graphs can be drawn in any order, in blocks,
+  or only over the pairs a caller reads.
 
 Every randomized routine in the package takes an :class:`RngSeed`;
 independent sub-streams are derived by hashing labels into the seed with
@@ -86,26 +87,35 @@ _PAIR_INDEX_LIMIT = 1 << 32
 
 
 def pair_uniforms(seed: RngSeed, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """One uniform in [0, 1) per index pair (rows[k], cols[k]).
+    """One uniform in [0, 1) per index pair of ``rows`` and ``cols`` broadcast
+    together, so ``rows[:, None]`` and ``cols[None, :]`` give a whole
+    rectangle of pairs from two index vectors.
 
     Pair (i, j) gets ``(_splitmix64((seed + c * gamma) mod 2^64)[1] >> 11) * 2^-53``
     with ``c = (i << 32) | j``: SplitMix64's output at counter c.  Indices
     must lie in [0, 2^32) so that distinct pairs get distinct counters.
+    The hash runs in place on the one uint64 array of counters.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     for name, index in (("rows", rows), ("cols", cols)):
         if index.size and (index.min() < 0 or index.max() >= _PAIR_INDEX_LIMIT):
             raise InvalidParameterError(f"pair {name} must lie in [0, 2^32)")
-    counters = (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64)
+    z = (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64)
+    shifted = np.empty_like(z)
     # uint64 array arithmetic wraps modulo 2^64, as the scalar step masks.
-    z = (counters + np.uint64(1)) * np.uint64(_SPLITMIX_GAMMA) + np.uint64(seed.value)
-    z ^= z >> np.uint64(30)
+    z += np.uint64(1)
+    z *= np.uint64(_SPLITMIX_GAMMA)
+    z += np.uint64(seed.value)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(_SPLITMIX_MUL1)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(_SPLITMIX_MUL2)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * _U53
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    uniforms = z.astype(np.float64)
+    uniforms *= _U53
+    return uniforms
 
 
 class Xoshiro256StarStar:

@@ -422,6 +422,9 @@ def test_fast_kernel_block_values_and_support():
     expected = np.array([[2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
     assert np.array_equal(block, expected)
     assert set(np.unique(block)) <= {0.0, 1.0 / 0.5}
+    # the cross block alone gives the same estimate
+    cross = g.adjacency.toarray()[:2, 2:]
+    assert np.array_equal(fast_kernel_block(cross, rho=0.5, n=2, m=3), expected)
 
 
 def test_fast_kernel_block_ignores_within_group_edges():
@@ -442,3 +445,5 @@ def test_fast_kernel_block_validation():
         fast_kernel_block(g, rho=1.0, n=3, m=3)
     with pytest.raises(InvalidParameterError):
         fast_kernel_block(g, rho=1.0, n=0, m=4)
+    with pytest.raises(InvalidParameterError):
+        fast_kernel_block(np.zeros((3, 2)), rho=1.0, n=2, m=2)

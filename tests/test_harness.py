@@ -18,14 +18,17 @@ import pytest
 
 import latent_ot
 import latent_ot.harness.cli as cli
+from latent_ot.cost_estimators import fast_kernel_block
 from latent_ot.errors import ConfigError, InvalidParameterError, NumericFailureError
+from latent_ot.harness import experiments
 from latent_ot.harness.config import (
     ExperimentConfig,
+    KernelSettings,
     apply_seed_override,
     config_from_dict,
     load_config,
 )
-from latent_ot.harness.experiments import run_experiment
+from latent_ot.harness.experiments import run_experiment, sample_cell
 from latent_ot.harness.plots import emit_plot
 from latent_ot.harness.properties import (
     CHECK_NAMES,
@@ -675,6 +678,42 @@ def test_fast_cell_produces_the_expected_metrics():
     assert rows["ot_value_true"].eps == 0.5
 
 
+def test_fast_route_draws_the_cross_block_of_the_cell_graph(monkeypatch):
+    boxed_kernels = []
+    solve = experiments.dual_ascent_boxed
+
+    def recording_solve(kernel, *args):
+        boxed_kernels.append(kernel)
+        return solve(kernel, *args)
+
+    monkeypatch.setattr(experiments, "dual_ascent_boxed", recording_solve)
+    for rho, m_ratio in ((1.0, 2.0), (0.7, 0.5)):
+        data = fast_config_dict()
+        data.update(grid=[30], seeds=[3], m_ratio=m_ratio)
+        data["kernel"]["rho"] = rho
+        config = config_from_dict(data)
+        boxed_kernels.clear()
+        run_experiment(config)
+        _, graph = sample_cell(config, 30, 3)
+        n, m = config.sizes_at(30)
+        expected = fast_kernel_block(graph, rho, n, m)
+        assert expected.shape == (n, m) and n != m
+        assert 0 < np.count_nonzero(expected) < n * m
+        assert len(boxed_kernels) == 1 and np.array_equal(boxed_kernels[0], expected)
+
+
+def test_fast_route_rejects_edge_probabilities_above_one_and_rho_zero(monkeypatch):
+    wide = fast_config_dict()
+    wide["kernel"]["form"]["sigma"] = 100.0
+    # every cross pair has w > 0.96 at this width
+    monkeypatch.setattr(KernelSettings, "rho_at", lambda self, total: 1.5)
+    with pytest.raises(InvalidParameterError, match="exceeds 1"):
+        run_experiment(config_from_dict(wide))
+    monkeypatch.setattr(KernelSettings, "rho_at", lambda self, total: 0.0)
+    with pytest.raises(InvalidParameterError, match=r"rho must lie in \(0, 1\]"):
+        run_experiment(config_from_dict(fast_config_dict()))
+
+
 def test_stability_cells_hold_their_bounds():
     data = stability_config_dict()
     data["grid"] = [3, 4]
@@ -778,6 +817,21 @@ def test_cli_run_records_an_infinite_plan_kl_ceiling_as_holding(tmp_path, capsys
     assert any(line.endswith(",kl_plans,inf") for line in lines)
     assert any(line.endswith(",slack_plan_kl,inf") for line in lines)
     assert any(line.endswith(",all_bounds_hold,1") for line in lines)
+
+
+def test_cli_run_records_overflowed_kernel_ceilings_as_infinite(tmp_path, capsys):
+    # At this epsilon both Gibbs kernels underflow to 0, so the kernel gap is
+    # 0, while the kernel_spectral and plan_kl prefactors overflow to inf.
+    path = write_config(tmp_path, {"experiment": "stability_suite", "grid": [4], "seeds": [0], "epsilon": 0.0002})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    text = (out / "results.csv").read_text(encoding="utf-8")
+    assert "nan" not in text.lower()
+    lines = text.splitlines()
+    assert any(line.endswith(",kernel_operator_gap,0") for line in lines)
+    assert any(line.endswith(",slack_kernel_spectral,inf") for line in lines)
+    assert any(line.endswith(",bound_plan_kl_rhs,inf") for line in lines)
 
 
 def test_cli_seed_environment_override(tmp_path, monkeypatch, capsys):

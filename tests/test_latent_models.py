@@ -371,8 +371,10 @@ def test_sample_kernel_graph_replays_the_documented_stream(monkeypatch):
     assert g == Graph.from_edges(14, expected_edges)
     assert g == sample_kernel_graph(config, kernel, seed)
     assert g != sample_kernel_graph(config, kernel, RngSeed(42))
-    # row blocks of one, two and three rows draw the same graph
-    for block_pairs in (1, 28, 42):
+    # Rows 0-12 have partners.  Blocks of one, two, three, six and eleven
+    # rows (a last block of one row, or of the two-row corner 11-12), and
+    # one block of more than N^2 pairs, draw the same graph.
+    for block_pairs in (1, 28, 42, 84, 154, 1000):
         monkeypatch.setattr(latent_models, "_GRAPH_BLOCK_PAIRS", block_pairs)
         assert sample_kernel_graph(config, kernel, seed) == g
 

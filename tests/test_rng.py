@@ -153,6 +153,13 @@ def test_pair_uniforms_are_splitmix64_outputs_at_the_pair_counter():
             _, (reference,) = ref_splitmix64_stream(state, 1)
             assert scalar == reference
             assert ours[k] == (scalar >> 11) * 2.0**-53, (seed, i, j)
+        # rows[:, None] against cols[None, :] hashes every (i, j) combination
+        grid = pair_uniforms(RngSeed(seed), rows[:, None], cols[None, :])
+        assert grid.shape == (len(pairs), len(pairs))
+        for a, i in enumerate(rows.tolist()):
+            for b, j in enumerate(cols.tolist()):
+                _, scalar = _splitmix64((seed + ((i << 32) | j) * 0x9E3779B97F4A7C15) & MASK)
+                assert grid[a, b] == (scalar >> 11) * 2.0**-53, (seed, i, j)
 
 
 def test_pair_uniforms_along_row_zero_replay_the_splitmix64_stream():
