@@ -71,7 +71,13 @@ def _cmd_run(args) -> int:
     emit_csv(tables.timings, timings_path)
     cells = len(config.grid) * len(config.seeds)
     total_seconds = sum(row.value for row in tables.timings.rows)
-    print(f"wrote {results_path} ({len(tables.results)} rows) and {timings_path} ({cells} cells, {total_seconds:.1f}s)")
+    unconverged = sum(
+        1 for row in tables.results.rows if row.metric.startswith("solver_converged_") and row.value == 0.0
+    )
+    print(
+        f"wrote {results_path} ({len(tables.results)} rows) and {timings_path} "
+        f"({cells} cells, {total_seconds:.1f}s, {unconverged} unconverged solves)"
+    )
     return EXIT_OK
 
 

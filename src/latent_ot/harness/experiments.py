@@ -47,6 +47,7 @@ from ..latent_models import (
 from ..ot_core import (
     CostMatrix,
     DiscreteDistribution,
+    SolveStatus,
     StabilityReport,
     dual_ascent_boxed,
     sinkhorn,
@@ -103,8 +104,18 @@ def _normalized_gap(value_true: float, value_est: float) -> float:
     return abs(1.0 - value_est / value_true)
 
 
+def _solve_rows(cell: _Cell, label: str, side: str, solve: SolveStatus) -> list[ResultRow]:
+    """How the solve on the ``side`` ("true" or "est") cost ended."""
+    return [
+        cell.row(label, f"solver_iterations_{side}", float(solve.iterations)),
+        cell.row(label, f"solver_converged_{side}", 1.0 if solve.converged else 0.0),
+        cell.row(label, f"solver_marginal_residual_{side}", solve.marginal_residual),
+    ]
+
+
 def _report_rows(cell: _Cell, label: str, report: StabilityReport) -> list[ResultRow]:
-    """Transport values, cost gaps, and every bound's ceiling and slack."""
+    """Transport values, cost gaps, every bound's ceiling and slack, and how
+    both solves ended."""
     rows = [
         cell.row(label, "cost_sup_err", report.cost_sup_gap),
         cell.row(label, "cost_frobenius_err", report.cost_frobenius_gap),
@@ -119,7 +130,8 @@ def _report_rows(cell: _Cell, label: str, report: StabilityReport) -> list[Resul
         rows.append(cell.row(label, f"slack_{check.name}", check.slack))
     rows.append(cell.row(label, "slack_min", min(check.slack for check in report.checks)))
     rows.append(cell.row(label, "all_bounds_hold", 1.0 if report.all_passed else 0.0))
-    return rows
+    rows += _solve_rows(cell, label, "true", report.solve_true)
+    return rows + _solve_rows(cell, label, "est", report.solve_est)
 
 
 def _cost_block_rows(cell: _Cell, label: str, cost_true: CostMatrix, cost_est: CostMatrix) -> list[ResultRow]:
@@ -241,12 +253,13 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
     alpha = DiscreteDistribution.uniform(cell.n)
     beta = DiscreteDistribution.uniform(cell.m)
     cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=c_max)
-    value_true = sinkhorn(cost_true, alpha, beta, config.solver).value
+    solve_true = sinkhorn(cost_true, alpha, beta, config.solver)
 
     xs_index, ys_index = np.arange(cell.n)[:, None], np.arange(cell.n, cell.n + cell.m)[None, :]
     cross_edges = bernoulli_pairs(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
     k_block = fast_kernel_block(cross_edges, rho, cell.n, cell.m)
-    value_est = dual_ascent_boxed(k_block, alpha, beta, config.solver).value
+    solve_est = dual_ascent_boxed(k_block, alpha, beta, config.solver)
+    value_true, value_est = solve_true.value, solve_est.value
     kernel_disc = diagnostics.discrepancy(weights, k_block)
 
     label = ESTIMATOR_LABELS["fast_nonlocal"]
@@ -259,6 +272,9 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
         cell.row(label, "kernel_frobenius_normalized", kernel_disc.frobenius_normalized),
         cell.row(label, "eta_used", config.solver.eta),
         cell.row(label, "rho_used", rho),
+        *_solve_rows(cell, label, "true", solve_true.status),
+        *_solve_rows(cell, label, "est", solve_est.status),
+        cell.row(label, "solver_pinned_fraction_est", solve_est.pinned_fraction),
     ]
 
 

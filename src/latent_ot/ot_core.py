@@ -9,9 +9,10 @@ box-constrained :func:`dual_ascent_boxed`, which stays finite when an
 estimated kernel has zero entries and reports how it ended in a
 :class:`BoxedResult`, share one stabilised scaling loop: each sweep is two
 matrix-vector products with a kernel into which the potentials are absorbed
-whenever a scaling drifts out of range.  The boxed ascent takes its kernel as
-a plain nonnegative array, since an estimated kernel need not be exp(-C/eps)
-of any cost.  An exact assignment solver is the unregularized reference for
+whenever a scaling drifts out of range, over-relaxed by a factor derived
+from the contraction the sweeps measure as they go.  The boxed ascent takes
+its kernel as a plain nonnegative array, since an estimated kernel need not
+be exp(-C/eps) of any cost.  An exact assignment solver is the unregularized reference for
 uniform marginals, and :func:`stability_report` evaluates how far the value
 and plan can move when the cost matrix is replaced by an estimate.  Cost
 matrices carry explicit entry bounds ``c_min <= C_ij <= c_max`` because the
@@ -37,8 +38,19 @@ BOUND_SLACK_TOLERANCE = 1e-9
 _WEIGHT_SUM_TOLERANCE = 1e-12
 _PLAN_MASS_TOLERANCE = 1e-9
 
-# Both solvers extrapolate their slowest mode once per this many sweeps.
-_AITKEN_BLOCK = 32
+# Sinkhorn's plateau stop compares the marginal gap and the value this many
+# sweeps apart.
+_PLATEAU_BLOCK = 32
+
+# Over-relaxation starts once two successive displacement ratios differ by at
+# most _RATIO_SETTLED and show a contraction of at least _SLOW_CONTRACTION:
+# faster plain sweeps end within a few sweeps, before relaxing could pay for
+# the plain sweep that has to confirm its stop.  A drift (ratio 1, such as
+# potentials moving towards a box face) reads as _CONTRACTION_CAP, which keeps
+# omega at most 1.87, away from 2 where the sweeps stop contracting.
+_RATIO_SETTLED = 0.01
+_SLOW_CONTRACTION = 0.5
+_CONTRACTION_CAP = 0.995
 
 # A scaling leaving this range is absorbed and the stabilised kernel rebuilt.
 _SCALING_RANGE = (math.exp(-50.0), math.exp(50.0))
@@ -206,6 +218,16 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class SolveStatus:
+    """How one solve ended: its sweeps, whether it stopped before its budget ran
+    out, and its final L1 marginal residual."""
+
+    iterations: int
+    converged: bool
+    marginal_residual: float
+
+
+@dataclass(frozen=True)
 class OtResult:
     """Converged (or budget-exhausted) output of the Sinkhorn solver.
 
@@ -220,16 +242,30 @@ class OtResult:
     converged: bool
     marginal_residual: float
 
+    @property
+    def status(self) -> SolveStatus:
+        return SolveStatus(self.iterations, self.converged, self.marginal_residual)
+
 
 @dataclass(frozen=True)
 class BoxedResult:
-    """Boxed ascent output; ``pinned_fraction`` is the share of all potentials on the box face."""
+    """Boxed ascent output; ``pinned_fraction`` is the share of all potentials on the box face.
+
+    ``marginal_residual`` is the final L1 row plus column marginal violation
+    of the supported atoms; a potential pinned on the box face keeps its
+    marginal off.
+    """
 
     value: float
     potentials: DualPotentials
     iterations: int
     converged: bool
     pinned_fraction: float
+    marginal_residual: float
+
+    @property
+    def status(self) -> SolveStatus:
+        return SolveStatus(self.iterations, self.converged, self.marginal_residual)
 
 
 @dataclass(frozen=True)
@@ -259,7 +295,8 @@ class StabilityReport:
     The four checks cover, in order: the sup-norm ceiling on the value gap,
     the spectral ceiling on the value gap, the ceiling on the KL divergence
     between the two optimal plans, and the Frobenius domination of the
-    kernel operator gap.
+    kernel operator gap.  ``solve_true`` and ``solve_est`` say how the two
+    Sinkhorn solves ended.
     """
 
     value_true: float
@@ -268,6 +305,8 @@ class StabilityReport:
     cost_sup_gap: float
     cost_frobenius_gap: float
     kernel_operator_gap: float
+    solve_true: SolveStatus
+    solve_est: SolveStatus
     checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
 
     @property
@@ -367,15 +406,15 @@ def _in_range(scaling: np.ndarray) -> bool:
 
 
 class _ScalingAscent:
-    """Alternating exact block maximisation of the entropic dual, in scaling form.
+    """Alternating block ascent of the entropic dual, in scaling form.
 
     f = fbar + eps*log(u), g = gbar + eps*log(v); the absorbed offsets define
     kernel = exp(log_k + (fbar_i + gbar_j)/eps), so the plan is diag(a*u)
-    kernel diag(b*v) and a block update is one product: u = 1/(kernel (b*v)),
-    v = 1/(kernel^T (a*u)), each clipped to the box.  A scaling leaving
-    _SCALING_RANGE resets its offset to the other side's hard c-transform
-    (every kernel line then peaks at one) and rebuilds the kernel, the only
-    n x m exponential (Schmitzer 2019; Peyre & Cuturi 2019, section 4.4).
+    kernel diag(b*v) and an exact block update is one product:
+    u = 1/(kernel (b*v)), v = 1/(kernel^T (a*u)), each clipped to the box;
+    :meth:`run` over-relaxes them.  A scaling leaving _SCALING_RANGE resets
+    its offset to the other side's hard c-transform (every kernel line then
+    peaks at one) and rebuilds the kernel, the only n x m exponential (Schmitzer 2019; Peyre & Cuturi 2019, section 4.4).
     einsum keeps products off BLAS, whose gemv may order sums by thread count.
     """
 
@@ -396,46 +435,69 @@ class _ScalingAscent:
     def run(self, max_iterations: int, stop) -> tuple[int, bool]:
         """Sweep until ``stop(iteration, previous_value, self)``; return (sweeps, stopped).
 
-        Small eps and sparse kernels have a slow mode that makes the sweep
-        contraction nearly unit.  Every _AITKEN_BLOCK sweeps the displacement
-        ratio of the last two blocks estimates it and its geometric series is
-        added; the clipped candidate is kept only if it raises the objective.
+        Sweeps start plain (omega = 1).  Once the ratio mu of successive
+        displacements settles, it gives the contraction of the slowest mode of
+        plain sweeps, q = (mu + omega - 1)^2 / (omega^2 mu) (Young's relation;
+        q = mu at omega = 1), and updates are over-relaxed to
+        u^(1 - omega) * (1/(kernel (b*v)))^omega with the optimal
+        omega = 2/(1 + sqrt(1 - q)), whose rate is omega - 1 (Thibault,
+        Chizat, Dossal & Papadakis 2021; Lehmann et al. 2022).  A relaxed
+        ratio settled above omega - 1 shows a slower mode than omega was set
+        for, such as the drift of the potentials towards a box face, and
+        raises omega again.  A relaxed sweep that lowers the dual value
+        returns to plain sweeps, which measure q afresh.  Only a plain sweep
+        ends a solve: a relaxed sweep that meets ``stop`` is followed by a
+        plain one that must meet it too, and the budget's last sweep is
+        plain, so every exit leaves exact column marginals and plan mass.
         """
-        snapshot, previous_norm = None, -1.0
+        omega, confirm = 1.0, False
+        potentials, step, ratio, last_used = (self.f, self.g), 0.0, math.nan, 1.0
         for iteration in range(1, max_iterations + 1):
+            used = omega if not confirm and iteration < max_iterations else 1.0
             previous = self.value
-            self._sweep()
+            self._sweep(used)
             if math.isnan(self.value):
                 raise NumericFailureError("dual objective became NaN")
-            if stop(iteration, previous, self):
-                return iteration, True
-            if iteration % _AITKEN_BLOCK or iteration == max_iterations:
-                continue
+            if used > 1.0 and self.value < previous:
+                omega = 1.0
+            elif stop(iteration, previous, self):
+                if used == 1.0:
+                    return iteration, True
+                confirm = True
+            else:
+                confirm = False
+            # Displacement ratios compare consecutive sweeps of one omega.
             f, g = self.f, self.g
-            if snapshot is not None:
-                delta_f, delta_g = f - snapshot[0], g - snapshot[1]
-                norm = float(delta_f @ delta_f + delta_g @ delta_g)
-                if 0.0 < norm and 0.0 < previous_norm:
-                    ratio = math.sqrt(norm / previous_norm)
-                    if 0.05 < ratio < 1.0:
-                        scale = ratio / (1.0 - ratio)
-                        trial_f = np.clip(f + scale * delta_f, -self.radius, self.radius)
-                        trial_g = np.clip(g + scale * delta_g, -self.radius, self.radius)
-                        if self._jump(trial_f, trial_g):
-                            f, g = trial_f, trial_g
-                            norm = -1.0  # the jump invalidated the direction
-                previous_norm = norm
-            snapshot = (f, g)
+            delta_f, delta_g = f - potentials[0], g - potentials[1]
+            last_step = step if used == last_used else 0.0
+            potentials, step, last_used = (f, g), float(delta_f @ delta_f + delta_g @ delta_g), used
+            if not (step > 0.0 and last_step > 0.0):
+                ratio = math.nan
+                continue
+            last_ratio, ratio = ratio, math.sqrt(step / last_step)
+            if ratio < 0.5 * (used - 1.0):
+                # Far below the relaxed rate: the mode omega was set for has
+                # gone, say a drift reached the box face.
+                omega = 1.0
+            elif used == omega and used - 1.0 < ratio and abs(ratio - last_ratio) <= _RATIO_SETTLED:
+                slow = min((ratio + used - 1.0) ** 2 / (used * used * ratio), _CONTRACTION_CAP)
+                better = 2.0 / (1.0 + math.sqrt(1.0 - slow))
+                if slow >= _SLOW_CONTRACTION and better > omega:
+                    omega, ratio = better, math.nan
         return max_iterations, False
 
-    def _sweep(self) -> None:
-        """Update f exactly, then g; refresh the value and marginal gaps."""
-        self.u = self._scaling(self.row_sums, self.u_box)
+    def _sweep(self, omega: float) -> None:
+        """Update f, then g, relaxed by ``omega``; refresh the value and marginal gaps.
+
+        At omega = 1 each update is the exact block maximiser.  An update
+        whose scaling leaves the range is redone plain after absorbing.
+        """
+        self.u = self._scaling(self.row_sums, self.u_box, self.u, omega)
         if not _in_range(self.u):
             self._absorb(self._c_transform(self.g, axis=1), self.g)
             self.u = self._scaling(self.row_sums, self.u_box)
         col_sums = np.einsum("ij,i->j", self.kernel, self.a * self.u)
-        self.v = self._scaling(col_sums, self.v_box)
+        self.v = self._scaling(col_sums, self.v_box, self.v, omega)
         if not _in_range(self.v):
             self._absorb(self.f, self._c_transform(self.f, axis=0))
             col_sums = np.einsum("ij,i->j", self.kernel, self.a)
@@ -447,28 +509,19 @@ class _ScalingAscent:
         self.col_gap = float(np.abs(col_mass - self.b).sum())
         self.value = self._value(self.f, self.g, float(col_mass.sum()))
 
-    def _jump(self, f: np.ndarray, g: np.ndarray) -> bool:
-        """Move to (f, g) if that raises the dual objective; report whether it did."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            u, v = np.exp((f - self.fbar) / self.eps), np.exp((g - self.gbar) / self.eps)
-            row_sums = np.einsum("ij,j->i", self.kernel, self.b * v)
-            value = self._value(f, g, float((self.a * u) @ row_sums))
-        if not value > self.value:  # also rejects an overflowed trial
-            return False
-        if _in_range(u) and _in_range(v):
-            self.u, self.v, self.row_sums = u, v, row_sums
-        else:
-            self._absorb(f, g)
-        self.value = value
-        return True
-
     def _value(self, f: np.ndarray, g: np.ndarray, coupling: float) -> float:
         return float(self.a @ f + self.b @ g - self.eps * coupling + self.eps)
 
     @staticmethod
-    def _scaling(sums: np.ndarray, box: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        with np.errstate(divide="ignore"):  # the box pins a zero kernel line
-            return np.clip(1.0 / sums, *box)
+    def _scaling(
+        sums: np.ndarray, box: tuple[np.ndarray, np.ndarray], old: np.ndarray | None = None, omega: float = 1.0
+    ) -> np.ndarray:
+        """clip(old^(1 - omega) * (1/sums)^omega, box); a zero kernel line goes to the box face."""
+        with np.errstate(divide="ignore", over="ignore"):
+            target = 1.0 / sums
+            if omega != 1.0:
+                target = old * (target / old) ** omega
+            return np.clip(target, *box)
 
     def _absorb(self, f: np.ndarray, g: np.ndarray) -> None:
         eps, radius = self.eps, self.radius
@@ -489,10 +542,13 @@ class _ScalingAscent:
 
 
 def _support(alpha: DiscreteDistribution, beta: DiscreteDistribution, matrix: np.ndarray):
-    """Indices and weights of the atoms with positive mass, and that block of ``matrix``."""
+    """Indices and weights of the atoms with positive mass, and that block of
+    ``matrix``: the matrix itself, not a copy, when every atom has mass."""
     rows = np.flatnonzero(alpha.weights > 0)
     cols = np.flatnonzero(beta.weights > 0)
-    return rows, cols, alpha.weights[rows], beta.weights[cols], matrix[np.ix_(rows, cols)]
+    if rows.size < alpha.size or cols.size < beta.size:
+        matrix = matrix[np.ix_(rows, cols)]
+    return rows, cols, alpha.weights[rows], beta.weights[cols], matrix
 
 
 def _scatter(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
@@ -510,33 +566,39 @@ def sinkhorn(
 ) -> OtResult:
     """Solve the entropic transport problem with stabilised Sinkhorn sweeps.
 
-    Each sweep updates f exactly, then g, so column marginals are exact after
-    every sweep.  Iteration stops (with ``converged`` set) when both L1
-    marginal residuals drop below ``marginal_tolerance``, or when their sum
-    stalled (improved by less than 10% across an extrapolation block) while
-    the dual value gained at most ``value_tolerance`` relative per sweep of
-    that block: small-eps residuals decay only harmonically although the
-    value settles long before.  The value is the dual objective at the final
+    Each sweep updates f, then g, over-relaxed once the plain sweeps'
+    contraction is known; the sweep that ends a solve, or its budget, is
+    plain, so the returned plan has exact column marginals and mass one.
+    Iteration stops (with ``converged`` set) when both L1 marginal residuals
+    drop below ``marginal_tolerance``, or when their sum stalled (improved by
+    less than 10% across a block of _PLATEAU_BLOCK sweeps) while the dual
+    value gained at most ``value_tolerance`` relative per sweep of that
+    block: small-eps residuals decay only harmonically although the value
+    settles long before.  The value is the dual objective at the final
     potentials.  Returns centered potentials and the plan
     P_ij = alpha_i beta_j exp((f_i + g_j - C_ij) / epsilon).
     """
     n, m = cost.shape
     _check_dims(n, m, alpha, beta)
     rows, cols, a, b, log_k = _support(alpha, beta, cost.entries / -cfg.epsilon)
-    block_gap, block_value = math.inf, -math.inf
+    block_start, block_gap, block_value = 0, math.inf, -math.inf
 
     def stop(iteration: int, previous: float, state: _ScalingAscent) -> bool:
-        nonlocal block_gap, block_value
+        nonlocal block_start, block_gap, block_value
         if max(state.row_gap, state.col_gap) <= cfg.marginal_tolerance:
             return True
-        if iteration % _AITKEN_BLOCK:
+        if iteration - block_start < _PLATEAU_BLOCK:
             return False
         # Judged over a whole block so single flat sweeps inside an
-        # otherwise geometric decay cannot trigger a premature stop.
+        # otherwise geometric decay cannot trigger a premature stop.  A
+        # plateau keeps its block, so the plain sweep that must confirm a
+        # relaxed sweep's stop is judged against the same one.
         gap, value = state.row_gap + state.col_gap, state.value
-        stalled, gained = gap >= 0.9 * block_gap, value - block_value
-        block_gap, block_value = gap, value
-        return stalled and gained <= _AITKEN_BLOCK * cfg.value_tolerance * max(1.0, abs(value))
+        gain_floor = _PLATEAU_BLOCK * cfg.value_tolerance * max(1.0, abs(value))
+        if gap >= 0.9 * block_gap and value - block_value <= gain_floor:
+            return True
+        block_start, block_gap, block_value = iteration, gap, value
+        return False
 
     state = _ScalingAscent(log_k, a, b, cfg.epsilon, math.inf)
     iterations, converged = state.run(cfg.max_iterations, stop)
@@ -563,11 +625,12 @@ def dual_ascent_boxed(
 
     The box is ||f||_inf, ||g||_inf <= epsilon * log(eta).  Each block update
     is the unconstrained maximizer clipped into the box, the exact block
-    maximizer since the objective is concave and separable per coordinate.
+    maximizer since the objective is concave and separable per coordinate,
+    and is over-relaxed as in :func:`sinkhorn`.
     Kernel entries may be zero (estimated kernels); a zero row or column pins
     the matching potential at the box edge, and with eta = inf makes the dual
     unbounded, which raises :class:`UnboundedDualError`.  Iteration stops
-    (``converged``) once a sweep moves the dual value by at most
+    (``converged``) once a plain sweep moves the dual value by at most
     ``value_tolerance`` relative.  Potentials are uncentered, 0 on zero-mass atoms.
     """
     entries = np.asarray(kernel, dtype=np.float64)
@@ -584,7 +647,7 @@ def dual_ascent_boxed(
     if not math.isfinite(radius) and not (sub.sum(axis=1).all() and sub.sum(axis=0).all()):
         raise UnboundedDualError("kernel has an all-zero row or column and the box is infinite")
     with np.errstate(divide="ignore"):
-        log_k = np.log(sub, out=sub)
+        log_k = np.log(sub)
 
     def stop(iteration: int, previous: float, state: _ScalingAscent) -> bool:
         return abs(state.value - previous) <= cfg.value_tolerance * max(1.0, abs(state.value))
@@ -600,6 +663,7 @@ def dual_ascent_boxed(
         iterations=iterations,
         converged=converged,
         pinned_fraction=float(np.count_nonzero(face)) / (n + m),
+        marginal_residual=state.row_gap + state.col_gap,
     )
 
 
@@ -717,5 +781,7 @@ def stability_report(
         cost_sup_gap=sup_gap,
         cost_frobenius_gap=frobenius_gap,
         kernel_operator_gap=kernel_gap,
+        solve_true=result_true.status,
+        solve_est=result_est.status,
         checks=checks,
     )

@@ -562,12 +562,15 @@ def metrics_of(table, estimator=None):
 
 
 BOUND_NAMES = ("sup_norm", "kernel_spectral", "plan_kl", "kernel_frobenius")
+SOLVER_METRICS = {
+    f"solver_{name}_{side}" for name in ("iterations", "converged", "marginal_residual") for side in ("true", "est")
+}
 REPORT_METRICS = {
     "cost_sup_err", "cost_frobenius_err", "ot_value_true", "ot_value_est", "ot_error_abs",
     "kl_plans", "kernel_operator_gap", "slack_min", "all_bounds_hold",
     *(f"bound_{name}_rhs" for name in BOUND_NAMES),
     *(f"slack_{name}" for name in BOUND_NAMES),
-}
+} | SOLVER_METRICS
 COST_BLOCK_METRICS = REPORT_METRICS | {"cost_operator_err", "ot_error_normalized"}
 USVT_METRICS = COST_BLOCK_METRICS | {"kernel_frobenius_normalized", "rho_used", "usvt_rank"}
 
@@ -671,11 +674,31 @@ def test_fast_cell_produces_the_expected_metrics():
     tables = run_experiment(config_from_dict(fast_config_dict()))
     names = metrics_of(tables.results, "fast_adjacency")
     assert names == {"ot_value_true", "ot_value_est", "ot_error_abs", "ot_error_normalized",
-                     "kernel_operator_gap", "kernel_frobenius_normalized", "eta_used", "rho_used"}
+                     "kernel_operator_gap", "kernel_frobenius_normalized", "eta_used", "rho_used",
+                     "solver_pinned_fraction_est"} | SOLVER_METRICS
     rows = {r.metric: r for r in tables.results.rows}
     # default box size covers the largest cost at the imposed epsilon
     assert rows["eta_used"].value == pytest.approx(float(f"{math.exp(4.0 / 0.5):.12g}"))
     assert rows["ot_value_true"].eps == 0.5
+    assert rows["solver_converged_true"].value == rows["solver_converged_est"].value == 1.0
+    assert rows["solver_iterations_true"].value >= 1 and rows["solver_iterations_est"].value >= 1
+    assert rows["solver_marginal_residual_true"].value <= 1e-9
+    assert 0.0 <= rows["solver_pinned_fraction_est"].value <= 1.0
+
+
+@pytest.mark.parametrize("config_dict", [fast_config_dict, stability_config_dict], ids=["fast", "stability"])
+def test_a_one_sweep_budget_is_reported_as_unconverged(tmp_path, capsys, config_dict):
+    data = config_dict()
+    data["solver"] = {"max_iterations": 1}
+    path = write_config(tmp_path, data)
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    rows = parse_csv(tmp_path / "out" / "results.csv").rows
+    status = {(r.seed, r.total, r.metric): r.value for r in rows if r.metric.startswith("solver_")}
+    cells = {(r.seed, r.total) for r in rows}
+    for cell in cells:
+        assert status[(*cell, "solver_converged_true")] == status[(*cell, "solver_converged_est")] == 0.0
+        assert status[(*cell, "solver_iterations_true")] == status[(*cell, "solver_iterations_est")] == 1.0
+    assert f", {2 * len(cells)} unconverged solves)" in capsys.readouterr().out
 
 
 def test_fast_route_draws_the_cross_block_of_the_cell_graph(monkeypatch):

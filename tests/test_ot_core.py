@@ -2,8 +2,8 @@
 
 Derived values are checked against oracles implemented in this file:
 a one-parameter brute-force minimization for the symmetric 2x2 family,
-plain log-domain Sinkhorn and clipped log-domain ascent for the scaling
-solver, permutation enumeration for the assignment reference, a scan
+plain log-domain Sinkhorn (values and sweep counts) and clipped log-domain
+ascent for the scaling solver, permutation enumeration for the assignment reference, a scan
 oracle for the minimal potential box, and direct inequality evaluation
 for the perturbation bounds.
 """
@@ -35,6 +35,7 @@ from latent_ot.ot_core import (
     sinkhorn,
     stability_report,
 )
+from latent_ot.latent_models import Density, GaussianPowerKernel, Sphere, sample_latents
 from latent_ot.rng import RngSeed, Xoshiro256StarStar
 
 
@@ -78,17 +79,21 @@ def symmetric_2x2_oracle(off_cost, eps):
 
 
 def log_domain_sinkhorn(cost, a, b, eps, tolerance=1e-13, max_sweeps=200_000):
-    """Plain log-domain Sinkhorn: no extrapolation, no absorption."""
+    """Plain log-domain Sinkhorn: no relaxation, no absorption.
+
+    Returns the value, the plan and the sweeps taken to bring the L1 row
+    residual to ``tolerance`` (columns are exact after each sweep).
+    """
     with np.errstate(divide="ignore"):
         log_a, log_b = np.log(a), np.log(b)
     f, g = np.zeros(a.size), np.zeros(b.size)
-    for _ in range(max_sweeps):
+    for sweep in range(1, max_sweeps + 1):
         f = -eps * logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
         g = -eps * logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
         plan = np.exp((f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :])
         if np.abs(plan.sum(axis=1) - a).sum() <= tolerance:
             break
-    return float(a @ f + b @ g), plan
+    return float(a @ f + b @ g), plan, sweep
 
 
 def clipped_log_ascent(kernel, a, b, eps, radius, sweeps):
@@ -291,9 +296,62 @@ def test_matches_plain_log_domain_sinkhorn_with_zero_mass_atoms():
         alpha, beta = DiscreteDistribution(weights[0]), DiscreteDistribution(weights[1])
         eps = (1e-2, 0.15, 1.0)[trial % 3]
         res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps))
-        value, plan = log_domain_sinkhorn(cost.entries, alpha.weights, beta.weights, eps)
+        value, plan, _ = log_domain_sinkhorn(cost.entries, alpha.weights, beta.weights, eps)
         assert res.value == pytest.approx(value, rel=1e-8)
         assert np.allclose(res.plan.entries, plan, rtol=0.0, atol=1e-8)
+
+
+def perturbation_pair_true_cost(seed, side, low=0.1, high=1.0):
+    """The true cost and marginals the stability suite draws for one cell."""
+    rng = Xoshiro256StarStar(RngSeed(seed).derive("stability", side))
+    entries = low + (high - low) * rng.uniforms(side * side).reshape(side, side)
+    rng.uniforms(side * side)  # the estimated cost
+    marginals = []
+    for _ in range(2):
+        exponentials = -np.log(1.0 - rng.uniforms(side))
+        weights = exponentials / exponentials.sum()
+        marginals.append(DiscreteDistribution(weights / weights.sum()))
+    return CostMatrix(entries, low, high), *marginals
+
+
+def sphere_gaussian_cost(n, m, seed, sigma=0.15):
+    latents = sample_latents(Sphere(), Density(), n, m, n + m, RngSeed(seed))
+    return CostMatrix.from_entries(GaussianPowerKernel(p=2, sigma=sigma).distance_power(latents.xs, latents.ys))
+
+
+def test_small_epsilon_stability_cost_matches_plain_log_domain_sinkhorn():
+    # Seed 5 of the 4 x 4 stability suite at eps = 2e-4, the smallest eps
+    # CI runs: most of its sweeps are relaxed, at the largest omega.
+    cost, alpha, beta = perturbation_pair_true_cost(5, 4)
+    eps = 2e-4
+    res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps))
+    value, plan, _ = log_domain_sinkhorn(cost.entries, alpha.weights, beta.weights, eps, tolerance=1e-10)
+    assert res.converged
+    assert res.value == pytest.approx(value, rel=1e-8)
+    assert np.allclose(res.plan.entries, plan, rtol=0.0, atol=1e-8)
+
+
+def test_over_relaxation_at_least_halves_the_sweeps_of_plain_sinkhorn():
+    cost = sphere_gaussian_cost(60, 90, 3)
+    alpha, beta = uniform(60), uniform(90)
+    eps, tolerance = 0.15, 1e-9
+    res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps, marginal_tolerance=tolerance))
+    value, _, sweeps = log_domain_sinkhorn(cost.entries, alpha.weights, beta.weights, eps, tolerance=tolerance)
+    assert res.converged and res.marginal_residual <= 2 * tolerance
+    assert res.value == pytest.approx(value, rel=1e-10)
+    assert 2 * res.iterations <= sweeps
+
+
+def test_every_budget_ends_on_a_plain_sweep():
+    # Relaxation starts within the first ten sweeps here, so most budgets
+    # run out during relaxed sweeps; the last one must still be plain.
+    cost = sphere_gaussian_cost(60, 90, 3)
+    alpha, beta = uniform(60), uniform(90)
+    for budget in range(1, 61):
+        res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=0.15, max_iterations=budget))
+        assert res.plan.entries.sum() == pytest.approx(1.0, abs=1e-13)
+        assert np.abs(res.plan.entries.sum(axis=0) - beta.weights).max() <= 1e-15
+        assert res.iterations <= budget
 
 
 def test_row_whose_kernel_underflows_is_absorbed():
