@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import (
@@ -148,8 +148,38 @@ class HopMatrix:
         return None if hits.size == 0 else (int(hits[0, 0]), int(hits[0, 1]))
 
 
+def _bfs_hops(adjacency: csr_array, source: int, targets: list[int]) -> np.ndarray:
+    """Hop counts from ``source`` to ``targets``, ``UNREACHABLE`` where none.
+
+    Along a breadth-first order the positions of the nodes' parents never
+    decrease, so the level after the one ending at position ``end`` ends
+    after the last node whose parent sits before ``end``: one
+    ``searchsorted`` per level, and no Python loop over nodes.  A target's
+    hop count is then the number of levels that end at or before its
+    position.
+    """
+    # The adjacency is symmetric, so a directed search gives the undirected distances.
+    order, parents = breadth_first_order(adjacency, source, directed=True, return_predecessors=True)
+    # Unreached nodes sit after every level.
+    position = np.full(adjacency.shape[0], order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    parent_positions = position[parents[order[1:]]]
+    level_ends = [1]
+    while level_ends[-1] < order.size:
+        level_ends.append(1 + int(np.searchsorted(parent_positions, level_ends[-1])))
+    target_positions = position[targets]
+    hops = np.searchsorted(level_ends, target_positions, side="right")
+    hops[target_positions == order.size] = UNREACHABLE
+    return hops
+
+
 def hop_counts(graph: Graph, sources, targets) -> HopMatrix:
-    """Shortest-path edge counts from each source to each target."""
+    """Shortest-path edge counts from each source to each target.
+
+    Runs one breadth-first search per source (:func:`_bfs_hops`), so the
+    cost is O(N + E) per source and no distance matrix wider than the
+    targets is kept.
+    """
     sources = [int(s) for s in sources]
     targets = [int(t) for t in targets]
     if not sources or not targets:
@@ -161,10 +191,7 @@ def hop_counts(graph: Graph, sources, targets) -> HopMatrix:
         raise InvalidParameterError("sources and targets must be disjoint")
     if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
         raise InvalidParameterError("duplicate source or target index")
-    # The adjacency is symmetric, so a directed search gives the undirected distances.
-    dist = shortest_path(graph.adjacency, directed=True, unweighted=True, indices=sources)[:, targets]
-    entries = np.where(np.isinf(dist), UNREACHABLE, dist).astype(np.int64)
-    return HopMatrix(entries)
+    return HopMatrix(np.stack([_bfs_hops(graph.adjacency, source, targets) for source in sources]))
 
 
 def geodesic_estimate(hops: HopMatrix, h: float) -> np.ndarray:

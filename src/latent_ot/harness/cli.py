@@ -18,7 +18,7 @@ from pathlib import Path
 from ..errors import ConfigError, InvalidParameterError, LatentOtError
 from ..latent_models import graph_to_edgelist
 from .config import apply_seed_override, load_config
-from .experiments import run_experiment, sample_cell
+from .experiments import ExperimentTables, run_experiment, sample_cell
 from .plots import emit_plot
 from .properties import run_property_suite
 from .results import emit_csv, parse_csv
@@ -70,7 +70,7 @@ def _cmd_run(args) -> int:
     emit_csv(tables.results, results_path)
     emit_csv(tables.timings, timings_path)
     cells = len(config.grid) * len(config.seeds)
-    total_seconds = sum(row.value for row in tables.timings.rows)
+    total_seconds = sum(row.value for row in tables.timings.rows if row.metric == "wall_seconds")
     unconverged = sum(
         1 for row in tables.results.rows if row.metric.startswith("solver_converged_") and row.value == 0.0
     )
@@ -78,7 +78,24 @@ def _cmd_run(args) -> int:
         f"wrote {results_path} ({len(tables.results)} rows) and {timings_path} "
         f"({cells} cells, {total_seconds:.1f}s, {unconverged} unconverged solves)"
     )
+    print(_run_summary(cells, unconverged, tables), file=sys.stderr)
     return EXIT_OK
+
+
+def _run_summary(cells: int, unconverged: int, tables: ExperimentTables) -> str:
+    """One line: cells, unconverged solves, disconnected cells and the stage
+    with the largest summed seconds."""
+    disconnected = sum(1 for row in tables.results.rows if row.metric == "failed_disconnected")
+    stage_seconds: dict[str, float] = {}
+    for row in tables.timings.rows:
+        if row.metric.startswith("stage_"):
+            stage = row.metric.removeprefix("stage_").removesuffix("_seconds")
+            stage_seconds[stage] = stage_seconds.get(stage, 0.0) + row.value
+    slowest = max(stage_seconds, key=stage_seconds.__getitem__)
+    return (
+        f"summary: {cells} cells, {unconverged} unconverged solves, {disconnected} failed_disconnected cells, "
+        f"slowest stage {slowest} ({stage_seconds[slowest]:.1f}s)"
+    )
 
 
 def _cmd_props(args) -> int:

@@ -11,7 +11,11 @@ stability-report rows.
 Every random draw inside a cell comes from a stream derived from the cell's
 seed and N alone, so a cell's rows do not depend on which other cells run,
 on their order, or on the worker count.  Wall-clock timings go to a second
-table so the results file stays byte-reproducible.
+table so the results file stays byte-reproducible: each cell's
+``wall_seconds`` and one ``stage_<name>_seconds`` row per stage it ran.  The
+stages are latents, graph, estimate, solve_true, solve_est and bounds.  The
+perturbation_pair route draws its cost pair in the estimate stage; the bounds
+stage holds the stability report's ceilings and every error diagnostic.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +80,8 @@ class ExperimentTables:
 
 
 class _Cell:
-    """One (N, seed) cell of a config, with the fields all its rows share."""
+    """One (N, seed) cell of a config, with the fields all its rows share and
+    the seconds spent in each stage so far."""
 
     def __init__(self, config: ExperimentConfig, total: int, seed: int):
         self.config = config
@@ -83,6 +89,19 @@ class _Cell:
         self.seed = seed
         self.n, self.m = config.sizes_at(total)
         self.eps = config.solver.epsilon
+        self.stage_seconds: dict[str, float] = {}
+
+    def add_seconds(self, stage: str, seconds: float) -> None:
+        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
+
+    @contextmanager
+    def stage(self, name: str):
+        """Charge the wall-clock time of the block to the named stage."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.add_seconds(name, time.perf_counter() - start)
 
     def row(self, estimator: str, metric: str, value: float) -> ResultRow:
         return ResultRow(
@@ -134,15 +153,29 @@ def _report_rows(cell: _Cell, label: str, report: StabilityReport) -> list[Resul
     return rows + _solve_rows(cell, label, "est", report.solve_est)
 
 
+def _timed_report(
+    cell: _Cell, cost_true: CostMatrix, cost_est: CostMatrix, alpha: DiscreteDistribution, beta: DiscreteDistribution
+) -> StabilityReport:
+    """The stability report, its two solves charged to their own stages and
+    the rest to the bounds stage."""
+    with cell.stage("bounds"):
+        report = stability_report(cost_true, cost_est, alpha, beta, cell.config.solver)
+    for side, solve in (("true", report.solve_true), ("est", report.solve_est)):
+        cell.add_seconds(f"solve_{side}", solve.seconds)
+        cell.add_seconds("bounds", -solve.seconds)
+    return report
+
+
 def _cost_block_rows(cell: _Cell, label: str, cost_true: CostMatrix, cost_est: CostMatrix) -> list[ResultRow]:
     """Solve on the true and on the estimated cost block and report the gaps."""
     alpha = DiscreteDistribution.uniform(cell.n)
     beta = DiscreteDistribution.uniform(cell.m)
-    report = stability_report(cost_true, cost_est, alpha, beta, cell.config.solver)
-    cost_operator_gap = diagnostics.operator_norm(cost_true.entries - cost_est.entries)
-    rows = _report_rows(cell, label, report)
-    rows.append(cell.row(label, "cost_operator_err", cost_operator_gap))
-    rows.append(cell.row(label, "ot_error_normalized", _normalized_gap(report.value_true, report.value_est)))
+    report = _timed_report(cell, cost_true, cost_est, alpha, beta)
+    with cell.stage("bounds"):
+        cost_operator_gap = diagnostics.operator_norm(cost_true.entries - cost_est.entries)
+        rows = _report_rows(cell, label, report)
+        rows.append(cell.row(label, "cost_operator_err", cost_operator_gap))
+        rows.append(cell.row(label, "ot_error_normalized", _normalized_gap(report.value_true, report.value_est)))
     return rows
 
 
@@ -160,21 +193,21 @@ def _graph_seed(seed: int, total: int) -> RngSeed:
     return RngSeed(seed).derive("graph", total)
 
 
-def sample_cell(config: ExperimentConfig, total: int, seed: int) -> tuple[LatentConfiguration, Graph]:
-    """The latent points and the observed graph of one (N, seed) cell.
-
-    A nonlocal kernel gives the Bernoulli graph; a local kernel gives the
-    epsilon-graph at the scheduled radius instead.
-    """
+def _cell_graph(config: ExperimentConfig, total: int, seed: int, latents: LatentConfiguration) -> Graph:
+    """The observed graph over a cell's latents: the Bernoulli graph for a
+    nonlocal kernel, the epsilon-graph at the scheduled radius for a local one."""
     assert config.manifold is not None and config.kernel is not None
-    latents = sample_cell_latents(config, total, seed)
     if config.kernel.kind == "local":
-        graph = eps_graph(latents, config.kernel.radius_at(total, config.manifold.intrinsic_dim))
-    else:
-        assert config.kernel.form is not None
-        model = NonlocalKernel(rho=config.kernel.rho_at(total), form=config.kernel.form)
-        graph = sample_kernel_graph(latents, model, _graph_seed(seed, total))
-    return latents, graph
+        return eps_graph(latents, config.kernel.radius_at(total, config.manifold.intrinsic_dim))
+    assert config.kernel.form is not None
+    model = NonlocalKernel(rho=config.kernel.rho_at(total), form=config.kernel.form)
+    return sample_kernel_graph(latents, model, _graph_seed(seed, total))
+
+
+def sample_cell(config: ExperimentConfig, total: int, seed: int) -> tuple[LatentConfiguration, Graph]:
+    """The latent points and the observed graph of one (N, seed) cell."""
+    latents = sample_cell_latents(config, total, seed)
+    return latents, _cell_graph(config, total, seed, latents)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +219,21 @@ def _shortest_path_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph)
     config = cell.config
     assert config.manifold is not None and config.kernel is not None and config.cost_map is not None
     label = ESTIMATOR_LABELS["local_geodesic"]
-    hops = hop_counts(graph, range(cell.n), range(cell.n, cell.n + cell.m))
-    if not hops.all_reachable:
-        return [cell.row(label, "failed_disconnected", 1.0)]
-    h = config.kernel.radius_at(cell.total, config.manifold.intrinsic_dim)
-    d_est = geodesic_estimate(hops, h)
-    d_true = config.manifold.geodesic_matrix(latents.xs, latents.ys)
-    rows = [
-        cell.row(label, "graph_h", h),
-        cell.row(label, "graph_edges", float(graph.edge_count)),
-        cell.row(label, "sp_sup_err", float(np.abs(d_est - d_true).max())),
-    ]
-    cost_true = cost_from_distances(d_true, config.cost_map)
-    cost_est = cost_from_distances(d_est, config.cost_map)
+    with cell.stage("estimate"):
+        hops = hop_counts(graph, range(cell.n), range(cell.n, cell.n + cell.m))
+        if not hops.all_reachable:
+            return [cell.row(label, "failed_disconnected", 1.0)]
+        h = config.kernel.radius_at(cell.total, config.manifold.intrinsic_dim)
+        d_est = geodesic_estimate(hops, h)
+        d_true = config.manifold.geodesic_matrix(latents.xs, latents.ys)
+        cost_true = cost_from_distances(d_true, config.cost_map)
+        cost_est = cost_from_distances(d_est, config.cost_map)
+    with cell.stage("bounds"):
+        rows = [
+            cell.row(label, "graph_h", h),
+            cell.row(label, "graph_edges", float(graph.edge_count)),
+            cell.row(label, "sp_sup_err", float(np.abs(d_est - d_true).max())),
+        ]
     return rows + _cost_block_rows(cell, label, cost_true, cost_est)
 
 
@@ -224,18 +259,22 @@ def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[
         gammas = {f"usvt@gamma={gamma:g}": gamma for gamma in config.gammas}
     else:
         gammas = {ESTIMATOR_LABELS["usvt_nonlocal"]: config.gamma}
-    # One decomposition at the lowest threshold serves every gamma.
-    spectrum = usvt(graph, UsvtParams(min(gammas.values()), rho, form.bounds(config.manifold)))
-    cost_true = cost_from_distances(form.evaluate(latents.xs, latents.ys), config.cost_map)
+    with cell.stage("estimate"):
+        # One decomposition at the lowest threshold serves every gamma.
+        spectrum = usvt(graph, UsvtParams(min(gammas.values()), rho, form.bounds(config.manifold)))
+        cost_true = cost_from_distances(form.evaluate(latents.xs, latents.ys), config.cost_map)
     rows: list[ResultRow] = []
     for label, gamma in gammas.items():
-        estimate = spectrum.at_gamma(gamma)
-        cost_est = cost_from_distances(estimate.block(slice(0, cell.n), slice(cell.n, cell.total)), config.cost_map)
+        with cell.stage("estimate"):
+            estimate = spectrum.at_gamma(gamma)
+            block = estimate.block(slice(0, cell.n), slice(cell.n, cell.total))
+            cost_est = cost_from_distances(block, config.cost_map)
         rows.extend(_cost_block_rows(cell, label, cost_true, cost_est))
-        frobenius = _kernel_frobenius_normalized(latents.all_points(), form, estimate)
-        rows.append(cell.row(label, "kernel_frobenius_normalized", frobenius))
-        rows.append(cell.row(label, "rho_used", rho))
-        rows.append(cell.row(label, "usvt_rank", float(estimate.rank)))
+        with cell.stage("bounds"):
+            frobenius = _kernel_frobenius_normalized(latents.all_points(), form, estimate)
+            rows.append(cell.row(label, "kernel_frobenius_normalized", frobenius))
+            rows.append(cell.row(label, "rho_used", rho))
+            rows.append(cell.row(label, "usvt_rank", float(estimate.rank)))
     return rows
 
 
@@ -247,20 +286,26 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
     assert config.manifold is not None and config.kernel is not None and config.kernel.form is not None
     form = config.kernel.form
     rho = config.kernel.rho_at(cell.total)
-    powers = form.distance_power(latents.xs, latents.ys)
-    weights = form.of_powers(powers)
-    c_max = config.manifold.euclidean_diameter**form.p
     alpha = DiscreteDistribution.uniform(cell.n)
     beta = DiscreteDistribution.uniform(cell.m)
-    cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=c_max)
-    solve_true = sinkhorn(cost_true, alpha, beta, config.solver)
-
-    xs_index, ys_index = np.arange(cell.n)[:, None], np.arange(cell.n, cell.n + cell.m)[None, :]
-    cross_edges = bernoulli_pairs(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
-    k_block = fast_kernel_block(cross_edges, rho, cell.n, cell.m)
-    solve_est = dual_ascent_boxed(k_block, alpha, beta, config.solver)
+    with cell.stage("graph"):
+        powers = form.distance_power(latents.xs, latents.ys)
+        weights = form.of_powers(powers)
+    # The true solve runs before the cross block is drawn, so its n x m
+    # temporaries are freed before the block's are made.
+    with cell.stage("solve_true"):
+        cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=config.manifold.euclidean_diameter**form.p)
+        solve_true = sinkhorn(cost_true, alpha, beta, config.solver)
+    with cell.stage("graph"):
+        xs_index, ys_index = np.arange(cell.n)[:, None], np.arange(cell.n, cell.n + cell.m)[None, :]
+        cross_edges = bernoulli_pairs(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
+    with cell.stage("estimate"):
+        k_block = fast_kernel_block(cross_edges, rho, cell.n, cell.m)
+    with cell.stage("solve_est"):
+        solve_est = dual_ascent_boxed(k_block, alpha, beta, config.solver)
+    with cell.stage("bounds"):
+        kernel_disc = diagnostics.discrepancy(weights, k_block)
     value_true, value_est = solve_true.value, solve_est.value
-    kernel_disc = diagnostics.discrepancy(weights, k_block)
 
     label = ESTIMATOR_LABELS["fast_nonlocal"]
     return [
@@ -287,21 +332,19 @@ def _simplex_point(rng: Xoshiro256StarStar, size: int) -> DiscreteDistribution:
 def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
     """Random cost pairs and marginals; this route samples no latents or graph."""
     config = cell.config
-    rng = Xoshiro256StarStar(RngSeed(cell.seed).derive("stability", cell.total))
     lo, hi = config.cost_low, config.cost_high
     side = cell.total
-    entries_true = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
-    entries_est = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
-    alpha = _simplex_point(rng, side)
-    beta = _simplex_point(rng, side)
-    report = stability_report(
-        CostMatrix(entries=entries_true, c_min=lo, c_max=hi),
-        CostMatrix(entries=entries_est, c_min=lo, c_max=hi),
-        alpha,
-        beta,
-        config.solver,
-    )
-    return _report_rows(cell, ESTIMATOR_LABELS["stability_suite"], report)
+    with cell.stage("estimate"):
+        rng = Xoshiro256StarStar(RngSeed(cell.seed).derive("stability", cell.total))
+        entries_true = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
+        entries_est = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
+        alpha = _simplex_point(rng, side)
+        beta = _simplex_point(rng, side)
+        cost_true = CostMatrix(entries=entries_true, c_min=lo, c_max=hi)
+        cost_est = CostMatrix(entries=entries_est, c_min=lo, c_max=hi)
+    report = _timed_report(cell, cost_true, cost_est, alpha, beta)
+    with cell.stage("bounds"):
+        return _report_rows(cell, ESTIMATOR_LABELS["stability_suite"], report)
 
 
 _GRAPH_ROUTES = {
@@ -311,18 +354,28 @@ _GRAPH_ROUTES = {
 }
 
 
-def _run_cell(args: tuple[ExperimentConfig, int, int]) -> tuple[list[ResultRow], ResultRow]:
+def _run_cell(args: tuple[ExperimentConfig, int, int]) -> tuple[list[ResultRow], list[ResultRow]]:
+    """One cell's result rows and its timing rows: ``wall_seconds`` and the
+    seconds of each stage it ran."""
     config, total, seed = args
     cell = _Cell(config, total, seed)
     start = time.perf_counter()
     if config.experiment == "stability_suite":
         rows = _perturbation_pair_rows(cell)
-    elif config.experiment == "fast_nonlocal":
-        rows = _fast_adjacency_rows(cell, sample_cell_latents(config, total, seed))
     else:
-        rows = _GRAPH_ROUTES[config.experiment](cell, *sample_cell(config, total, seed))
+        with cell.stage("latents"):
+            latents = sample_cell_latents(config, total, seed)
+        if config.experiment == "fast_nonlocal":
+            rows = _fast_adjacency_rows(cell, latents)
+        else:
+            with cell.stage("graph"):
+                graph = _cell_graph(config, total, seed, latents)
+            rows = _GRAPH_ROUTES[config.experiment](cell, latents, graph)
     elapsed = time.perf_counter() - start
-    return rows, cell.row(ESTIMATOR_LABELS[config.experiment], "wall_seconds", elapsed)
+    label = ESTIMATOR_LABELS[config.experiment]
+    timings = [cell.row(label, "wall_seconds", elapsed)]
+    timings += [cell.row(label, f"stage_{name}_seconds", seconds) for name, seconds in cell.stage_seconds.items()]
+    return rows, timings
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentTables:
@@ -342,9 +395,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentTabl
             outcomes = list(pool.map(_run_cell, cells))
     result_rows: list[ResultRow] = []
     timing_rows: list[ResultRow] = []
-    for rows, timing in outcomes:
+    for rows, timings in outcomes:
         result_rows.extend(rows)
-        timing_rows.append(timing)
+        timing_rows.extend(timings)
     return ExperimentTables(
         results=ResultTable(rows=tuple(result_rows)),
         timings=ResultTable(rows=tuple(timing_rows)),

@@ -481,27 +481,45 @@ def sparse_log_rho(c: float, total: int) -> float:
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph stored as its adjacency matrix: a symmetric
-    CSR array with sorted indices, unit entries and an empty diagonal."""
+    CSR array in canonical format (sorted, duplicate-free indices), with unit
+    entries, an empty diagonal and int32 index arrays, which
+    ``scipy.sparse.csgraph`` reads without converting them."""
 
     adjacency: csr_array
 
     @classmethod
     def from_edges(cls, node_count: int, edges) -> "Graph":
         """Build from an (E, 2) array-like of index pairs; direction and
-        duplicates are ignored."""
+        duplicates are ignored.
+
+        Both directions of every pair become a key i * N + j.  One sort of
+        the 2E keys puts them in CSR order (row-major, columns ascending);
+        equal neighbours are the duplicates, the key's remainder mod N is
+        the column, and each row's slice starts where its first key would.
+        """
         if node_count < 1:
             raise InvalidParameterError(f"node_count must be positive: {node_count}")
         pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         loops = np.flatnonzero(pairs[:, 0] == pairs[:, 1])
         if loops.size:
             raise InvalidParameterError(f"self-loop at node {pairs[loops[0], 0]}")
-        outside = np.flatnonzero(np.any((pairs < 0) | (pairs >= node_count), axis=1))
-        if outside.size:
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= node_count):
+            outside = np.flatnonzero(np.any((pairs < 0) | (pairs >= node_count), axis=1))
             raise InvalidParameterError(f"edge {tuple(pairs[outside[0]].tolist())} outside node range")
-        rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
-        adjacency = csr_array((np.ones(rows.size), (rows, cols)), shape=(node_count, node_count))
-        adjacency.sum_duplicates()
-        adjacency.data[:] = 1.0
+        first, second = pairs.T
+        keys = np.concatenate([first * node_count + second, second * node_count + first])
+        keys.sort()
+        if keys.size:
+            fresh = np.empty(keys.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            keys = keys[fresh]
+        index_dtype = np.int32 if max(node_count, keys.size) <= np.iinfo(np.int32).max else np.int64
+        indices = (keys % node_count).astype(index_dtype)
+        row_starts = np.arange(node_count + 1, dtype=np.int64) * node_count
+        indptr = np.searchsorted(keys, row_starts).astype(index_dtype)
+        adjacency = csr_array((np.ones(keys.size), indices, indptr), shape=(node_count, node_count))
+        adjacency.has_canonical_format = True
         return cls(adjacency)
 
     @property
@@ -540,7 +558,9 @@ class Graph:
 def eps_graph(latents: LatentConfiguration, h: float) -> Graph:
     """Connectivity graph with an edge iff ambient distance <= h (closed ball).
 
-    Pairs come from a k-d tree, so no N x N distance matrix is formed.
+    Pairs come from a k-d tree, so no N x N distance matrix is formed, and
+    :meth:`Graph.from_edges` sorts them straight into the CSR adjacency, so
+    no COO copy of the E pairs is formed either.
     """
     if h <= 0:
         raise InvalidParameterError(f"connectivity radius must be positive: {h}")

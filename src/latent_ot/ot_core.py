@@ -24,6 +24,7 @@ from their :class:`SolverConfig` alone; only the standalone objectives
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,11 +221,13 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveStatus:
     """How one solve ended: its sweeps, whether it stopped before its budget ran
-    out, and its final L1 marginal residual."""
+    out, its final L1 marginal residual, and the wall-clock seconds it took
+    (which no comparison reads)."""
 
     iterations: int
     converged: bool
     marginal_residual: float
+    seconds: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -241,10 +244,11 @@ class OtResult:
     iterations: int
     converged: bool
     marginal_residual: float
+    seconds: float = field(compare=False)
 
     @property
     def status(self) -> SolveStatus:
-        return SolveStatus(self.iterations, self.converged, self.marginal_residual)
+        return SolveStatus(self.iterations, self.converged, self.marginal_residual, self.seconds)
 
 
 @dataclass(frozen=True)
@@ -262,10 +266,11 @@ class BoxedResult:
     converged: bool
     pinned_fraction: float
     marginal_residual: float
+    seconds: float = field(compare=False)
 
     @property
     def status(self) -> SolveStatus:
-        return SolveStatus(self.iterations, self.converged, self.marginal_residual)
+        return SolveStatus(self.iterations, self.converged, self.marginal_residual, self.seconds)
 
 
 @dataclass(frozen=True)
@@ -578,6 +583,7 @@ def sinkhorn(
     potentials.  Returns centered potentials and the plan
     P_ij = alpha_i beta_j exp((f_i + g_j - C_ij) / epsilon).
     """
+    start = time.perf_counter()
     n, m = cost.shape
     _check_dims(n, m, alpha, beta)
     rows, cols, a, b, log_k = _support(alpha, beta, cost.entries / -cfg.epsilon)
@@ -612,6 +618,7 @@ def sinkhorn(
         iterations=iterations,
         converged=converged,
         marginal_residual=state.row_gap + state.col_gap,
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -633,6 +640,7 @@ def dual_ascent_boxed(
     (``converged``) once a plain sweep moves the dual value by at most
     ``value_tolerance`` relative.  Potentials are uncentered, 0 on zero-mass atoms.
     """
+    start = time.perf_counter()
     entries = np.asarray(kernel, dtype=np.float64)
     if entries.ndim != 2 or entries.size == 0:
         raise InvalidParameterError("kernel entries must form a nonempty matrix")
@@ -664,6 +672,7 @@ def dual_ascent_boxed(
         converged=converged,
         pinned_fraction=float(np.count_nonzero(face)) / (n + m),
         marginal_residual=state.row_gap + state.col_gap,
+        seconds=time.perf_counter() - start,
     )
 
 

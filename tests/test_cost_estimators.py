@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import latent_ot
@@ -39,6 +40,7 @@ from latent_ot.latent_models import (
     LatentConfiguration,
     Sphere,
     eps_graph,
+    h_schedule,
     sample_latents,
 )
 from latent_ot.rng import RngSeed, Xoshiro256StarStar
@@ -155,21 +157,47 @@ def _two_jittered_arcs(seed: RngSeed) -> LatentConfiguration:
     )
 
 
+def _paths_and_an_isolated_node() -> Graph:
+    """Three paths, listed out of order, over nodes 0..11; node 8 has no neighbours."""
+    edges = []
+    for path in ([0, 5, 9, 2], [1, 7, 3, 11, 4], [6, 10]):
+        edges += zip(path[:-1], path[1:])
+    return Graph.from_edges(12, edges[::-1])
+
+
 def test_hop_counts_matches_queue_bfs_on_random_graphs():
-    sources = list(range(8))
-    targets = list(range(8, 16))
-    graphs = (
-        eps_graph(sample_latents(Sphere(), Density(), 8, 8, 40, RngSeed(100)), h=0.8),
-        eps_graph(_two_jittered_arcs(RngSeed(101)), h=0.07),
+    cases = (
+        (eps_graph(sample_latents(Sphere(), Density(), 8, 8, 40, RngSeed(100)), h=0.8), range(8), range(8, 16)),
+        (eps_graph(_two_jittered_arcs(RngSeed(101)), h=0.07), range(8), range(8, 16)),
+        (_paths_and_an_isolated_node(), [8, 0, 1, 6], [2, 3, 4, 5, 7, 9, 10, 11]),
+        # n != m
+        (eps_graph(sample_latents(Sphere(), Density(), 3, 11, 60, RngSeed(102)), h=0.6), range(3), range(3, 14)),
     )
-    for case, g in enumerate(graphs):
+    matrices = []
+    for case, (g, sources, targets) in enumerate(cases):
         hops = hop_counts(g, sources, targets)
+        assert hops.entries.shape == (len(sources), len(targets))
         for row, s in enumerate(sources):
             reference = bfs_oracle(g, s)
             for col, t in enumerate(targets):
                 assert hops.entries[row, col] == reference[t], (case, s, t)
+        matrices.append(hops.entries)
     # the second graph leaves some pairs unreachable and joins others by long paths
-    assert 0 < np.count_nonzero(hops.entries == UNREACHABLE) < hops.entries.size
+    assert 0 < np.count_nonzero(matrices[1] == UNREACHABLE) < matrices[1].size
+    assert matrices[1].max() > 5
+    # the isolated source reaches nothing; the others reach their own path
+    assert np.all(matrices[2][0] == UNREACHABLE)
+    assert matrices[2][1].tolist() == [3, -1, -1, 1, -1, 2, -1, -1]
+
+
+def test_hop_counts_matches_scipy_shortest_paths_on_a_large_sphere_graph():
+    total = 2000
+    g = eps_graph(sample_latents(Sphere(), Density(), 8, 8, total, RngSeed(103)), h_schedule(total, 2, 2.0))
+    sources, targets = range(8), range(8, total)
+    hops = hop_counts(g, sources, targets)
+    reference = shortest_path(g.adjacency, unweighted=True, indices=list(sources))[:, targets]
+    assert np.all(np.isfinite(reference))
+    assert np.array_equal(hops.entries, reference)
     assert hops.entries.max() > 5
 
 

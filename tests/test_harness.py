@@ -6,6 +6,7 @@ checked end to end through ``main``.
 """
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -573,6 +574,7 @@ REPORT_METRICS = {
 } | SOLVER_METRICS
 COST_BLOCK_METRICS = REPORT_METRICS | {"cost_operator_err", "ot_error_normalized"}
 USVT_METRICS = COST_BLOCK_METRICS | {"kernel_frobenius_normalized", "rho_used", "usvt_rank"}
+STAGES = ("latents", "graph", "estimate", "solve_true", "solve_est", "bounds")
 
 
 def test_local_cell_produces_the_expected_metrics():
@@ -583,8 +585,25 @@ def test_local_cell_produces_the_expected_metrics():
     for r in tables.results.rows:
         if r.metric == "all_bounds_hold":
             assert r.value == 1.0
-    assert metrics_of(tables.timings) == {"wall_seconds"}
-    assert len(tables.timings) == 1
+    stages = {f"stage_{name}_seconds" for name in STAGES}
+    assert metrics_of(tables.timings) == {"wall_seconds"} | stages
+    assert len(tables.timings) == 1 + len(stages)
+
+
+@pytest.mark.parametrize("build", ALL_CONFIG_DICTS, ids=lambda build: build.__name__)
+def test_stage_rows_split_each_cell_wall_time(build):
+    tables = run_experiment(config_from_dict(build()))
+    cells = {}
+    for r in tables.timings.rows:
+        cells.setdefault((r.seed, r.total), {})[r.metric] = r.value
+    # The perturbation pair draws no latents and no graph.
+    ran = STAGES[2:] if build is stability_config_dict else STAGES
+    for timings in cells.values():
+        assert set(timings) == {"wall_seconds"} | {f"stage_{name}_seconds" for name in ran}
+        stage_seconds = [value for metric, value in timings.items() if metric.startswith("stage_")]
+        assert min(stage_seconds) >= 0.0
+        # The stages are disjoint spans inside the cell's span.
+        assert sum(stage_seconds) <= timings["wall_seconds"] + 1e-9
 
 
 def test_local_cell_reports_disconnection():
@@ -827,6 +846,32 @@ def test_cli_run_writes_tables(tmp_path, capsys):
     assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
     assert (out_a / "timings.csv").exists()
     assert "results.csv" in capsys.readouterr().out
+
+
+def test_cli_run_totals_wall_seconds_and_summarizes_on_stderr(tmp_path, capsys, monkeypatch):
+    data = local_config_dict()
+    data["seeds"] = [0, 1]
+    data["kernel"] = {"kind": "local", "h": 0.01}
+    seconds = {"wall_seconds": 2.0, "stage_latents_seconds": 0.25, "stage_graph_seconds": 1.5}
+
+    def fixed_timings(config, workers=1):
+        tables = run_experiment(config, workers)
+        rows = [
+            dataclasses.replace(row, metric=metric, value=value)
+            for row in tables.timings.rows
+            if row.metric == "wall_seconds"
+            for metric, value in seconds.items()
+        ]
+        return experiments.ExperimentTables(tables.results, ResultTable(rows=tuple(rows)))
+
+    monkeypatch.setattr(cli, "run_experiment", fixed_timings)
+    path = write_config(tmp_path, data)
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    captured = capsys.readouterr()
+    assert "(2 cells, 4.0s, 0 unconverged solves)" in captured.out
+    assert captured.err == (
+        "summary: 2 cells, 0 unconverged solves, 2 failed_disconnected cells, slowest stage graph (3.0s)\n"
+    )
 
 
 def test_cli_run_records_an_infinite_plan_kl_ceiling_as_holding(tmp_path, capsys):

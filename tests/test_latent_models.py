@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
 
 from latent_ot import latent_models
 from latent_ot.errors import DensityMisconfiguredError, InvalidParameterError
@@ -300,6 +301,39 @@ def test_graph_from_edges_ignores_direction_and_duplicates():
     assert empty.node_count == 3 and empty.edge_count == 0
     assert empty.edges().shape == (0, 2)
     assert np.array_equal(empty.adjacency.toarray(), np.zeros((3, 3)))
+
+
+def _coo_reference(node_count, pairs):
+    """The symmetric adjacency through scipy's COO to CSR conversion, which
+    sums duplicates; every stored entry then counts a pair at least once."""
+    rows, cols = np.concatenate([pairs, pairs[:, ::-1]]).T
+    reference = coo_array((np.ones(rows.size), (rows, cols)), shape=(node_count, node_count)).tocsr()
+    reference.sum_duplicates()
+    return reference
+
+
+def test_graph_from_edges_matches_a_coo_reference():
+    rng = np.random.default_rng(7)
+    cases = [(1, np.empty((0, 2), dtype=np.int64)), (5, np.empty((0, 2), dtype=np.int64))]
+    for node_count in (2, 3, 10, 50, 400):
+        # Draws from the first half only, so the second half is isolated.
+        pairs = rng.integers(0, max(2, node_count // 2), size=(3 * node_count, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # Every pair again, half of them reversed: duplicates in both directions.
+        again = pairs.copy()
+        again[::2] = again[::2, ::-1]
+        cases.append((node_count, rng.permutation(np.concatenate([pairs, again]))))
+    for node_count, pairs in cases:
+        adjacency = Graph.from_edges(node_count, pairs).adjacency
+        reference = _coo_reference(node_count, pairs)
+        assert np.array_equal(adjacency.indptr, reference.indptr), node_count
+        assert np.array_equal(adjacency.indices, reference.indices), node_count
+        assert np.all(reference.data >= 1.0)
+        assert np.array_equal(adjacency.data, np.ones(reference.nnz)), node_count
+        assert adjacency.indptr.dtype == adjacency.indices.dtype == np.int32
+        assert adjacency.has_canonical_format
+    # The random lists did hold duplicates.
+    assert _coo_reference(*cases[-1]).data.max() > 1.0
 
 
 def test_graph_validation():
