@@ -58,7 +58,7 @@ from ..ot_core import (
     sinkhorn,
     stability_report,
 )
-from ..rng import RngSeed, Xoshiro256StarStar
+from ..rng import CounterStream, RngSeed
 from .config import ExperimentConfig
 from .results import ResultRow, ResultTable
 
@@ -323,7 +323,7 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
     ]
 
 
-def _simplex_point(rng: Xoshiro256StarStar, size: int) -> DiscreteDistribution:
+def _simplex_point(rng: CounterStream, size: int) -> DiscreteDistribution:
     exponentials = -np.log(1.0 - rng.uniforms(size))
     weights = exponentials / exponentials.sum()
     return DiscreteDistribution(weights=weights / weights.sum())
@@ -335,7 +335,7 @@ def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
     lo, hi = config.cost_low, config.cost_high
     side = cell.total
     with cell.stage("estimate"):
-        rng = Xoshiro256StarStar(RngSeed(cell.seed).derive("stability", cell.total))
+        rng = CounterStream(RngSeed(cell.seed).derive("stability", cell.total))
         entries_true = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
         entries_est = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
         alpha = _simplex_point(rng, side)

@@ -50,25 +50,25 @@ from ..ot_core import (
     sinkhorn,
     stability_report,
 )
-from ..rng import RngSeed, Xoshiro256StarStar
+from ..rng import CounterStream, RngSeed
 
 _EPS_CHOICES = (0.1, 0.5, 1.0)
 
 
-def _pick(rng: Xoshiro256StarStar, options) -> float:
+def _pick(rng: CounterStream, options) -> float:
     return options[min(int(rng.uniform() * len(options)), len(options) - 1)]
 
 
-def _random_dim(rng: Xoshiro256StarStar, low: int = 2, high: int = 6) -> int:
+def _random_dim(rng: CounterStream, low: int = 2, high: int = 6) -> int:
     return low + min(int(rng.uniform() * (high - low + 1)), high - low)
 
 
-def _random_cost(rng: Xoshiro256StarStar, n: int, m: int, lo: float = 0.1, hi: float = 1.0) -> CostMatrix:
+def _random_cost(rng: CounterStream, n: int, m: int, lo: float = 0.1, hi: float = 1.0) -> CostMatrix:
     entries = lo + (hi - lo) * rng.uniforms(n * m).reshape(n, m)
     return CostMatrix(entries=entries, c_min=lo, c_max=hi)
 
 
-def _random_weights(rng: Xoshiro256StarStar, size: int) -> DiscreteDistribution:
+def _random_weights(rng: CounterStream, size: int) -> DiscreteDistribution:
     if rng.uniform() < 0.5:
         return DiscreteDistribution.uniform(size)
     exponentials = -np.log(1.0 - rng.uniforms(size))
@@ -84,7 +84,7 @@ def _solve(cost, alpha, beta, eps):
 # Every check returns a slack; the trial passes iff slack >= 0.
 
 
-def _check_plan_marginals(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_plan_marginals(rng: CounterStream, scale: float) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     cost = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
@@ -98,7 +98,7 @@ def _check_plan_marginals(rng: Xoshiro256StarStar, scale: float) -> float:
     return 2e-9 * scale - gap
 
 
-def _check_plan_factorization(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_plan_factorization(rng: CounterStream, scale: float) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     cost = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
@@ -114,7 +114,7 @@ def _check_plan_factorization(rng: Xoshiro256StarStar, scale: float) -> float:
     return 1e-10 * scale - gap
 
 
-def _check_strong_duality(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_strong_duality(rng: CounterStream, scale: float) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     cost = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
@@ -126,7 +126,7 @@ def _check_strong_duality(rng: Xoshiro256StarStar, scale: float) -> float:
     return 1e-8 * max(1.0, abs(primal)) * scale - gap
 
 
-def _check_value_matches_primal(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_value_matches_primal(rng: CounterStream, scale: float) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     cost = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
@@ -136,7 +136,7 @@ def _check_value_matches_primal(rng: Xoshiro256StarStar, scale: float) -> float:
     return 1e-8 * max(1.0, abs(primal)) * scale - abs(result.value - primal)
 
 
-def _check_transpose_symmetry(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_transpose_symmetry(rng: CounterStream, scale: float) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     cost = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
@@ -147,7 +147,7 @@ def _check_transpose_symmetry(rng: Xoshiro256StarStar, scale: float) -> float:
     return 1e-8 * scale - abs(forward.value - backward.value)
 
 
-def _check_shift_tightness(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_shift_tightness(rng: CounterStream, scale: float) -> float:
     """W(C + t) - W(C) equals t exactly, so the sup-norm ceiling is tight."""
     n, m = _random_dim(rng), _random_dim(rng)
     cost = _random_cost(rng, n, m)
@@ -161,7 +161,7 @@ def _check_shift_tightness(rng: Xoshiro256StarStar, scale: float) -> float:
     return shift * scale + 1e-8 - gap
 
 
-def _check_entropic_bias(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_entropic_bias(rng: CounterStream, scale: float) -> float:
     n = _random_dim(rng)
     cost = _random_cost(rng, n, n)
     uniform = DiscreteDistribution.uniform(n)
@@ -172,7 +172,7 @@ def _check_entropic_bias(rng: Xoshiro256StarStar, scale: float) -> float:
     return (eps * math.log(n) + 1e-6) * scale - gap
 
 
-def _check_potential_box(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_potential_box(rng: CounterStream, scale: float) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     cost = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
@@ -183,7 +183,7 @@ def _check_potential_box(rng: Xoshiro256StarStar, scale: float) -> float:
     return ceiling * scale + 1e-6 - radius
 
 
-def _check_quadratic_growth(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_quadratic_growth(rng: CounterStream, scale: float) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     span = 0.9
     entries = span * rng.uniforms(n * m).reshape(n, m)
@@ -207,7 +207,7 @@ def _check_quadratic_growth(rng: Xoshiro256StarStar, scale: float) -> float:
     return worst
 
 
-def _check_stability_bound(rng: Xoshiro256StarStar, scale: float, name: str) -> float:
+def _check_stability_bound(rng: CounterStream, scale: float, name: str) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     cost_true = _random_cost(rng, n, m)
     cost_est = _random_cost(rng, n, m)
@@ -234,7 +234,7 @@ def _check_frobenius_domination(rng, scale):
     return _check_stability_bound(rng, scale, "kernel_frobenius")
 
 
-def _check_boxed_matches_sinkhorn(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_boxed_matches_sinkhorn(rng: CounterStream, scale: float) -> float:
     n, m = _random_dim(rng), _random_dim(rng)
     cost = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
@@ -247,9 +247,9 @@ def _check_boxed_matches_sinkhorn(rng: Xoshiro256StarStar, scale: float) -> floa
     return 1e-6 * scale - gap
 
 
-def _check_hop_distance_dominates(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_hop_distance_dominates(rng: CounterStream, scale: float) -> float:
     sphere = Sphere()
-    seed = RngSeed(rng.next_uint64())
+    seed = RngSeed(rng.word())
     latents = sample_latents(sphere, Density(kind="uniform"), 6, 6, 80, seed)
     h = 0.9
     graph = eps_graph(latents, h)
@@ -263,9 +263,9 @@ def _check_hop_distance_dominates(rng: Xoshiro256StarStar, scale: float) -> floa
     return gap + 1e-12
 
 
-def _check_hop_transpose(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_hop_transpose(rng: CounterStream, scale: float) -> float:
     sphere = Sphere()
-    seed = RngSeed(rng.next_uint64())
+    seed = RngSeed(rng.word())
     latents = sample_latents(sphere, Density(kind="uniform"), 5, 7, 40, seed)
     graph = eps_graph(latents, 1.1)
     forward = hop_counts(graph, range(5), range(5, 12))
@@ -274,7 +274,7 @@ def _check_hop_transpose(rng: Xoshiro256StarStar, scale: float) -> float:
     return 0.5 * scale - gap
 
 
-def _check_usvt_output_range(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_usvt_output_range(rng: CounterStream, scale: float) -> float:
     size = 24
     mask = rng.uniforms(size * size).reshape(size, size) < 0.4
     mask = np.triu(mask, k=1)
@@ -286,7 +286,7 @@ def _check_usvt_output_range(rng: Xoshiro256StarStar, scale: float) -> float:
     return 1e-10 * scale - max(range_gap, symmetry_gap, 0.0)
 
 
-def _check_usvt_idempotent(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_usvt_idempotent(rng: CounterStream, scale: float) -> float:
     size = 150
     profile = 0.3 + 0.6 * rng.uniforms(size)
     exact = np.outer(profile, profile)
@@ -296,9 +296,9 @@ def _check_usvt_idempotent(rng: Xoshiro256StarStar, scale: float) -> float:
     return 1e-8 * scale - gap
 
 
-def _check_fast_block_binary(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_fast_block_binary(rng: CounterStream, scale: float) -> float:
     sphere = Sphere()
-    seed = RngSeed(rng.next_uint64())
+    seed = RngSeed(rng.word())
     latents = sample_latents(sphere, Density(kind="uniform"), 8, 8, 16, seed)
     rho = 0.25 + 0.7 * rng.uniform()
     model = NonlocalKernel(rho=rho, form=GaussianPowerKernel(p=2.0, sigma=1.0))
@@ -308,9 +308,9 @@ def _check_fast_block_binary(rng: Xoshiro256StarStar, scale: float) -> float:
     return 1e-12 * scale - float(distance.max())
 
 
-def _check_local_pipeline_sup_bound(rng: Xoshiro256StarStar, scale: float) -> float:
+def _check_local_pipeline_sup_bound(rng: CounterStream, scale: float) -> float:
     sphere = Sphere()
-    seed = RngSeed(rng.next_uint64())
+    seed = RngSeed(rng.word())
     latents = sample_latents(sphere, Density(kind="uniform"), 8, 8, 220, seed)
     h = 0.55
     graph = eps_graph(latents, h)
@@ -416,7 +416,7 @@ def run_property_suite(trials: int, seed: int, rhs_scale: float = 1.0) -> Proper
     outcomes = []
     for check in _CHECKS:
         count = max(1, trials // 10) if check.expensive else trials
-        rng = Xoshiro256StarStar(base.derive("props", check.name))
+        rng = CounterStream(base.derive("props", check.name))
         failures = 0
         min_slack = math.inf
         for _ in range(count):

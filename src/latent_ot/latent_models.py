@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import DensityMisconfiguredError, InvalidParameterError
-from .rng import RngSeed, Xoshiro256StarStar, pair_uniforms
+from .rng import CounterStream, RngSeed, pair_uniforms
 
 _REJECTION_ATTEMPT_CAP = 1_000_000
 # Pairs per row block of the Bernoulli graph sampler: few enough that a
@@ -58,7 +58,7 @@ class Manifold(abc.ABC):
         """Largest ambient (chordal) distance between two points."""
 
     @abc.abstractmethod
-    def sample_uniform(self, rng: Xoshiro256StarStar, count: int) -> np.ndarray: ...
+    def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray: ...
 
     @abc.abstractmethod
     def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray: ...
@@ -121,7 +121,7 @@ class Sphere(_RoundManifold):
     def intrinsic_dim(self) -> int:
         return 2
 
-    def sample_uniform(self, rng: Xoshiro256StarStar, count: int) -> np.ndarray:
+    def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
         points = np.empty((count, 3))
         filled = 0
         while filled < count:
@@ -162,7 +162,7 @@ class UnitSquare(Manifold):
     def euclidean_diameter(self) -> float:
         return math.sqrt(2.0)
 
-    def sample_uniform(self, rng: Xoshiro256StarStar, count: int) -> np.ndarray:
+    def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
         return rng.uniforms(2 * count).reshape(count, 2)
 
     def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -193,7 +193,7 @@ class Circle(_RoundManifold):
     def intrinsic_dim(self) -> int:
         return 1
 
-    def sample_uniform(self, rng: Xoshiro256StarStar, count: int) -> np.ndarray:
+    def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
         angles = 2.0 * math.pi * rng.uniforms(count)
         return self.radius * np.column_stack([np.cos(angles), np.sin(angles)])
 
@@ -340,7 +340,7 @@ def _sample_from_density(
     manifold: Manifold,
     density: Density,
     count: int,
-    rng: Xoshiro256StarStar,
+    rng: CounterStream,
     region: tuple[np.ndarray, float] | None = None,
 ) -> np.ndarray:
     """Rejection sampling from the density, optionally restricted to a
@@ -392,7 +392,7 @@ def sample_latents(
         raise InvalidParameterError(f"both target groups must be nonempty: n={n}, m={m}")
     if n + m > total:
         raise InvalidParameterError(f"n + m = {n + m} exceeds total point count {total}")
-    rng = Xoshiro256StarStar(seed)
+    rng = CounterStream(seed)
     if placement.mode == "two_regions":
         radius = placement.region_radius or manifold.diameter / 4.0
         anchor_a, anchor_b = manifold.region_anchors()
@@ -514,11 +514,16 @@ class Graph:
             fresh[0] = True
             np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
             keys = keys[fresh]
+            del fresh
         index_dtype = np.int32 if max(node_count, keys.size) <= np.iinfo(np.int32).max else np.int64
-        indices = (keys % node_count).astype(index_dtype)
         row_starts = np.arange(node_count + 1, dtype=np.int64) * node_count
         indptr = np.searchsorted(keys, row_starts).astype(index_dtype)
-        adjacency = csr_array((np.ones(keys.size), indices, indptr), shape=(node_count, node_count))
+        keys %= node_count
+        indices = keys.astype(index_dtype, copy=False)
+        # Drop the keys before the float64 data is allocated, so the call's
+        # peak stays at the deduplication: sorted keys, mask and kept keys.
+        del keys
+        adjacency = csr_array((np.ones(indices.size), indices, indptr), shape=(node_count, node_count))
         adjacency.has_canonical_format = True
         return cls(adjacency)
 

@@ -1,17 +1,20 @@
 """Deterministic pseudo-random streams for reproducible experiments.
 
-Two generators are implemented here directly, so that draws are
-bit-reproducible across platforms and numpy versions:
+One generator family is implemented here directly, so that draws are
+bit-reproducible across platforms and numpy versions: the SplitMix64 output
+at a 64-bit counter, hashed over numpy ``uint64`` arrays (the counter-based
+design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11; SplitMix64 from Steele, Lea & Flood, OOPSLA'14).  It is read through
+two kinds of counter:
 
-* :class:`Xoshiro256StarStar`, the sequential xoshiro256** generator
-  (Blackman & Vigna) seeded through SplitMix64.  Latent points, the
-  stability route and the property suite draw from it.
-* :func:`pair_uniforms`, a counter-based uniform per index pair (i, j): the
-  SplitMix64 output at counter ``(i << 32) | j``, computed over numpy
-  ``uint64`` (the counter-based design of Salmon et al., "Parallel random
-  numbers: as easy as 1, 2, 3", SC'11).  A pair's draw depends only on
-  (seed, i, j), so Bernoulli graphs can be drawn in any order, in blocks,
-  or only over the pairs a caller reads.
+* pair counters ``(i << 32) | j`` in :func:`pair_uniforms`, one uniform per
+  index pair (i, j).  A pair's draw depends only on (seed, i, j), so
+  Bernoulli graphs can be drawn in any order, in blocks, or only over the
+  pairs a caller reads.
+* sequential counters 0, 1, 2, ... in :class:`CounterStream`, which draws
+  latent points, the stability route's costs and the property suite's
+  inputs.  Counter c is the pair (c >> 32, c & 0xFFFFFFFF), so a stream is
+  row 0 of :func:`pair_uniforms` and runs on past 2^32 without wrapping.
 
 Every randomized routine in the package takes an :class:`RngSeed`;
 independent sub-streams are derived by hashing labels into the seed with
@@ -37,13 +40,25 @@ _FNV_PRIME = 0x100000001B3
 _U53 = 2.0 ** -53
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    """One SplitMix64 step: returns (next_state, output)."""
-    state = (state + _SPLITMIX_GAMMA) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _SPLITMIX_MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SPLITMIX_MUL2) & _MASK64
-    return state, z ^ (z >> 31)
+def _splitmix64_words(seed: int, counters: np.ndarray) -> np.ndarray:
+    """SplitMix64's 64-bit output at each ``uint64`` counter c: the mix of
+    state ``(seed + (c + 1) * gamma) mod 2^64``, the (c + 1)-th step of the
+    sequential generator seeded with ``seed``.
+
+    The hash runs in place on ``counters`` and returns it.
+    """
+    z = counters
+    shifted = np.empty_like(z)
+    # uint64 array arithmetic wraps modulo 2^64.
+    z += np.uint64(1)
+    z *= np.uint64(_SPLITMIX_GAMMA)
+    z += np.uint64(seed)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= np.uint64(_SPLITMIX_MUL1)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= np.uint64(_SPLITMIX_MUL2)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def _fnv1a64(text: str) -> int:
@@ -67,7 +82,7 @@ class RngSeed:
         """Derive a sub-seed by folding labels into this seed.
 
         Integer parts are masked to 64 bits, string parts are hashed with
-        FNV-1a; each part is mixed in through one SplitMix64 step so
+        FNV-1a; each part is mixed in as SplitMix64's output at counter 0 so
         ``seed.derive("graph", N)`` and ``seed.derive("latents", N)`` give
         unrelated streams.
         """
@@ -79,11 +94,20 @@ class RngSeed:
                 folded = int(part) & _MASK64
             else:
                 raise InvalidParameterError(f"derive parts must be int or str: {part!r}")
-            _, state = _splitmix64(state ^ folded)
+            state = int(_splitmix64_words(state ^ folded, np.zeros(1, dtype=np.uint64))[0])
         return RngSeed(state)
 
 
 _PAIR_INDEX_LIMIT = 1 << 32
+
+
+def _counter_uniforms(seed: RngSeed, counters: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each counter's SplitMix64 output, scaled into [0, 1)."""
+    z = _splitmix64_words(seed.value, counters)
+    z >>= np.uint64(11)
+    uniforms = z.astype(np.float64)
+    uniforms *= _U53
+    return uniforms
 
 
 def pair_uniforms(seed: RngSeed, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -91,90 +115,51 @@ def pair_uniforms(seed: RngSeed, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     together, so ``rows[:, None]`` and ``cols[None, :]`` give a whole
     rectangle of pairs from two index vectors.
 
-    Pair (i, j) gets ``(_splitmix64((seed + c * gamma) mod 2^64)[1] >> 11) * 2^-53``
-    with ``c = (i << 32) | j``: SplitMix64's output at counter c.  Indices
-    must lie in [0, 2^32) so that distinct pairs get distinct counters.
-    The hash runs in place on the one uint64 array of counters.
+    Pair (i, j) gets the top 53 bits of SplitMix64's output at counter
+    ``c = (i << 32) | j``, scaled by 2^-53.  Indices must lie in [0, 2^32)
+    so that distinct pairs get distinct counters.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     for name, index in (("rows", rows), ("cols", cols)):
         if index.size and (index.min() < 0 or index.max() >= _PAIR_INDEX_LIMIT):
             raise InvalidParameterError(f"pair {name} must lie in [0, 2^32)")
-    z = (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64)
-    shifted = np.empty_like(z)
-    # uint64 array arithmetic wraps modulo 2^64, as the scalar step masks.
-    z += np.uint64(1)
-    z *= np.uint64(_SPLITMIX_GAMMA)
-    z += np.uint64(seed.value)
-    z ^= np.right_shift(z, np.uint64(30), out=shifted)
-    z *= np.uint64(_SPLITMIX_MUL1)
-    z ^= np.right_shift(z, np.uint64(27), out=shifted)
-    z *= np.uint64(_SPLITMIX_MUL2)
-    z ^= np.right_shift(z, np.uint64(31), out=shifted)
-    z >>= np.uint64(11)
-    uniforms = z.astype(np.float64)
-    uniforms *= _U53
-    return uniforms
+    return _counter_uniforms(seed, (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64))
 
 
-class Xoshiro256StarStar:
-    """xoshiro256** stream with SplitMix64 state initialization."""
+class CounterStream:
+    """A sequential stream: the SplitMix64 outputs at counters ``offset``,
+    ``offset + 1``, ... under one seed.
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+    Each draw reads the next counters and advances ``offset`` past them, so
+    ``uniforms(3)`` then ``uniforms(5)`` equals ``uniforms(8)``.
+    """
 
-    def __init__(self, seed: RngSeed | int):
-        if isinstance(seed, RngSeed):
-            state = seed.value
-        else:
-            state = int(seed)
-            if not 0 <= state <= _MASK64:
-                raise InvalidParameterError(f"seed must lie in [0, 2^64): {seed!r}")
-        words = []
-        for _ in range(4):
-            state, out = _splitmix64(state)
-            words.append(out)
-        if not any(words):  # all-zero state is the one forbidden fixed point
-            words[0] = _SPLITMIX_GAMMA
-        self._s0, self._s1, self._s2, self._s3 = words
+    __slots__ = ("seed", "offset")
 
-    def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        r = (s1 * 5) & _MASK64
-        r = (((r << 7) | (r >> 57)) & _MASK64) * 9 & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return r
+    def __init__(self, seed: RngSeed):
+        self.seed = seed
+        self.offset = 0
+
+    def _counters(self, count: int) -> np.ndarray:
+        if count < 0:
+            raise InvalidParameterError(f"count must be nonnegative: {count}")
+        counters = np.arange(count, dtype=np.uint64)
+        counters += np.uint64(self.offset)
+        self.offset += count
+        return counters
+
+    def word(self) -> int:
+        """The raw 64-bit output at the next counter, e.g. as a child seed."""
+        return int(_splitmix64_words(self.seed.value, self._counters(1))[0])
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random mantissa bits."""
-        return (self.next_uint64() >> 11) * _U53
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, count: int) -> np.ndarray:
         """A vector of ``count`` uniforms in [0, 1)."""
-        if count < 0:
-            raise InvalidParameterError(f"count must be nonnegative: {count}")
-        out = np.empty(count, dtype=np.float64)
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        for idx in range(count):
-            r = (s1 * 5) & _MASK64
-            r = (((r << 7) | (r >> 57)) & _MASK64) * 9 & _MASK64
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            out[idx] = (r >> 11) * _U53
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return out
+        return _counter_uniforms(self.seed, self._counters(count))
 
     def normals(self, count: int) -> np.ndarray:
         """A vector of ``count`` standard normals via Box-Muller pairs."""
@@ -191,3 +176,8 @@ class Xoshiro256StarStar:
         out[0::2] = radius * np.cos(angle)
         out[1::2] = radius * np.sin(angle)
         return out[:count]
+
+
+# perfbench/spans.py and its tests still wrap ``uniforms`` under the old
+# generator's name; this alias goes once they name CounterStream.
+Xoshiro256StarStar = CounterStream

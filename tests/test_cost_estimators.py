@@ -43,7 +43,7 @@ from latent_ot.latent_models import (
     h_schedule,
     sample_latents,
 )
-from latent_ot.rng import RngSeed, Xoshiro256StarStar
+from latent_ot.rng import CounterStream, RngSeed
 
 
 def bfs_oracle(graph, source):
@@ -141,7 +141,7 @@ def _two_jittered_arcs(seed: RngSeed) -> LatentConfiguration:
     neighbours, so each arc is a path.  The sources are drawn from the first
     20 points of the long arc; four targets end that arc, at least 17 hops
     away, and four lie on the short arc, out of reach."""
-    rng = Xoshiro256StarStar(seed)
+    rng = CounterStream(seed)
     long_arc = 0.05 * np.arange(40) + 0.005 * (2.0 * rng.uniforms(40) - 1.0)
     short_arc = math.pi + 0.05 * np.arange(20) + 0.005 * (2.0 * rng.uniforms(20) - 1.0)
     order = np.argsort(rng.uniforms(20), kind="stable")
@@ -318,7 +318,7 @@ def _dense_usvt_oracle(matrix: np.ndarray, params: UsvtParams) -> tuple[int, np.
 
 @pytest.mark.parametrize("size", [2, 3, 6, 40, 300])
 def test_usvt_matches_a_dense_eigh_oracle(size):
-    rng = Xoshiro256StarStar(RngSeed(size))
+    rng = CounterStream(RngSeed(size))
     raw = rng.uniforms(size * size).reshape(size, size)
     kernel = 0.5 * (raw + raw.T)
     # A positive spectrum, so that some threshold keeps every eigenpair.

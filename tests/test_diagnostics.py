@@ -20,7 +20,7 @@ import latent_ot
 import latent_ot.diagnostics as diagnostics
 from latent_ot.diagnostics import discrepancy, fit_rate, operator_norm
 from latent_ot.errors import InvalidParameterError, NumericFailureError
-from latent_ot.rng import RngSeed, Xoshiro256StarStar
+from latent_ot.rng import CounterStream, RngSeed
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +41,7 @@ def test_operator_norm_rank_one():
 
 
 def test_operator_norm_matches_svd_on_random_matrices():
-    rng = Xoshiro256StarStar(RngSeed(14))
+    rng = CounterStream(RngSeed(14))
     for _ in range(10):
         mat = rng.uniforms(24).reshape(6, 4) - 0.5
         expected = float(np.linalg.svd(mat, compute_uv=False)[0])
@@ -65,7 +65,7 @@ def test_operator_norm_zero_and_nullspace_start():
 
 
 def test_operator_norm_of_tiny_and_huge_matrices():
-    rng = Xoshiro256StarStar(RngSeed(17))
+    rng = CounterStream(RngSeed(17))
     mat = rng.uniforms(12).reshape(4, 3) - 0.5
     for scale in (1e-300, 1e300):
         expected = float(np.linalg.svd(scale * mat, compute_uv=False)[0])
@@ -74,7 +74,7 @@ def test_operator_norm_of_tiny_and_huge_matrices():
 
 
 def test_operator_norm_transpose_invariance():
-    rng = Xoshiro256StarStar(RngSeed(15))
+    rng = CounterStream(RngSeed(15))
     mat = rng.uniforms(15).reshape(3, 5)
     assert operator_norm(mat) == pytest.approx(operator_norm(mat.T), rel=1e-8)
 
@@ -104,9 +104,9 @@ _THREADED_NORM_SCRIPT = """
 import numpy as np
 from latent_ot.diagnostics import discrepancy, operator_norm
 from latent_ot.ot_core import CostMatrix, DiscreteDistribution, SolverConfig, stability_report
-from latent_ot.rng import RngSeed, Xoshiro256StarStar, pair_uniforms
+from latent_ot.rng import CounterStream, RngSeed, pair_uniforms
 rows, cols = 533, 1067
-w = Xoshiro256StarStar(RngSeed(7)).uniforms(rows * cols).reshape(rows, cols)
+w = CounterStream(RngSeed(7)).uniforms(rows * cols).reshape(rows, cols)
 i, j = np.indices((rows, cols))
 for seed in (7, 8, 9):
     edges = pair_uniforms(RngSeed(seed), i.ravel(), j.ravel()).reshape(rows, cols) < w
@@ -166,7 +166,7 @@ def test_discrepancy_single_entry_difference():
 
 
 def test_discrepancy_symmetry_and_norm_ordering():
-    rng = Xoshiro256StarStar(RngSeed(16))
+    rng = CounterStream(RngSeed(16))
     a = rng.uniforms(20).reshape(4, 5)
     b = rng.uniforms(20).reshape(4, 5)
     rep = discrepancy(a, b)
@@ -212,7 +212,7 @@ def test_fit_rate_scale_invariance_of_slope():
 
 
 def test_fit_rate_on_noisy_data():
-    rng = Xoshiro256StarStar(RngSeed(18))
+    rng = CounterStream(RngSeed(18))
     grid = (100, 200, 400, 800, 1600)
     points = [(n, n**-0.5 * math.exp(0.05 * (rng.uniform() - 0.5))) for n in grid]
     fit = fit_rate(points)

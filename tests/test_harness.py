@@ -888,9 +888,11 @@ def test_cli_run_records_an_infinite_plan_kl_ceiling_as_holding(tmp_path, capsys
 
 
 def test_cli_run_records_overflowed_kernel_ceilings_as_infinite(tmp_path, capsys):
-    # At this epsilon both Gibbs kernels underflow to 0, so the kernel gap is
-    # 0, while the kernel_spectral and plan_kl prefactors overflow to inf.
-    path = write_config(tmp_path, {"experiment": "stability_suite", "grid": [4], "seeds": [0], "epsilon": 0.0002})
+    # With every cost at least 0.2, exp(-c/eps) < exp(-1000) underflows to 0
+    # for every entry whatever the draws, so the kernel gap is 0, while the
+    # kernel_spectral and plan_kl prefactors overflow to inf.
+    config = {"experiment": "stability_suite", "grid": [4], "seeds": [0], "epsilon": 0.0002, "cost_low": 0.2}
+    path = write_config(tmp_path, config)
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
     capsys.readouterr()

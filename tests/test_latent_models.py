@@ -6,6 +6,7 @@ against an in-test replay of its documented per-pair draws.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from latent_ot.latent_models import (
     sparse_log_rho,
     true_geodesic,
 )
-from latent_ot.rng import RngSeed, Xoshiro256StarStar, _splitmix64
+from latent_ot.rng import CounterStream, RngSeed
 
 
 # ---------------------------------------------------------------------------
@@ -91,21 +92,21 @@ def test_make_manifold_dispatch():
 
 def test_uniform_samples_lie_on_manifold_and_are_deterministic():
     for manifold in (Sphere(), Circle(), UnitSquare(), Sphere(radius=0.5)):
-        pts_a = manifold.sample_uniform(Xoshiro256StarStar(RngSeed(5)), 40)
-        pts_b = manifold.sample_uniform(Xoshiro256StarStar(RngSeed(5)), 40)
+        pts_a = manifold.sample_uniform(CounterStream(RngSeed(5)), 40)
+        pts_b = manifold.sample_uniform(CounterStream(RngSeed(5)), 40)
         assert manifold.on_manifold(pts_a)
         assert np.array_equal(pts_a, pts_b)
-        pts_c = manifold.sample_uniform(Xoshiro256StarStar(RngSeed(6)), 40)
+        pts_c = manifold.sample_uniform(CounterStream(RngSeed(6)), 40)
         assert not np.array_equal(pts_a, pts_c)
 
 
 def test_sphere_samples_are_roughly_centered():
-    pts = Sphere().sample_uniform(Xoshiro256StarStar(RngSeed(11)), 2000)
+    pts = Sphere().sample_uniform(CounterStream(RngSeed(11)), 2000)
     assert np.all(np.abs(pts.mean(axis=0)) < 0.05)
 
 
 def test_pairwise_squared_distances_matches_brute_force():
-    rng = Xoshiro256StarStar(RngSeed(2))
+    rng = CounterStream(RngSeed(2))
     xs = rng.uniforms(15).reshape(5, 3)
     ys = rng.uniforms(12).reshape(4, 3)
     expected = np.array([[np.sum((x - y) ** 2) for y in ys] for x in xs])
@@ -336,6 +337,24 @@ def test_graph_from_edges_matches_a_coo_reference():
     assert _coo_reference(*cases[-1]).data.max() > 1.0
 
 
+def test_graph_from_edges_peaks_near_its_sorted_keys():
+    rng = np.random.default_rng(3)
+    node_count = 50_000
+    pairs = rng.integers(0, node_count, size=(1_000_000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    key_bytes = 2 * pairs.shape[0] * np.dtype(np.int64).itemsize
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        graph = Graph.from_edges(node_count, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert graph.edge_count > 0.99 * pairs.shape[0]
+    assert peak - start <= 2.2 * key_bytes
+
+
 def test_graph_validation():
     with pytest.raises(InvalidParameterError, match="self-loop"):
         Graph.from_edges(3, [(1, 1)])
@@ -384,9 +403,12 @@ def test_eps_graph_matches_brute_force():
 
 
 def _scalar_pair_uniform(seed: RngSeed, i: int, j: int) -> float:
+    """SplitMix64's output at counter (i << 32) | j, written out in Python ints."""
     counter = (i << 32) | j
-    _, out = _splitmix64((seed.value + counter * 0x9E3779B97F4A7C15) % 2**64)
-    return (out >> 11) * 2.0**-53
+    z = (seed.value + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
 def test_sample_kernel_graph_replays_the_documented_stream(monkeypatch):

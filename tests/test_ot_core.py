@@ -36,7 +36,7 @@ from latent_ot.ot_core import (
     stability_report,
 )
 from latent_ot.latent_models import Density, GaussianPowerKernel, Sphere, sample_latents
-from latent_ot.rng import RngSeed, Xoshiro256StarStar
+from latent_ot.rng import CounterStream, RngSeed
 
 
 def uniform(size):
@@ -195,7 +195,7 @@ def test_value_matches_symmetric_2x2_oracle():
 
 
 def test_marginals_and_factorization_on_random_instances():
-    rng = Xoshiro256StarStar(RngSeed(21))
+    rng = CounterStream(RngSeed(21))
     for _ in range(20):
         n = 2 + int(rng.uniform() * 5)
         m = 2 + int(rng.uniform() * 5)
@@ -215,7 +215,7 @@ def test_marginals_and_factorization_on_random_instances():
 
 
 def test_primal_and_dual_agree_when_converged():
-    rng = Xoshiro256StarStar(RngSeed(33))
+    rng = CounterStream(RngSeed(33))
     cost = random_cost(rng, 4, 3)
     res = sinkhorn(cost, uniform(4), uniform(3), SolverConfig(epsilon=0.5))
     assert res.converged
@@ -226,7 +226,7 @@ def test_primal_and_dual_agree_when_converged():
 
 
 def test_transpose_symmetry():
-    rng = Xoshiro256StarStar(RngSeed(8))
+    rng = CounterStream(RngSeed(8))
     cost = random_cost(rng, 5, 3)
     cfg = SolverConfig(epsilon=0.4)
     forward = sinkhorn(cost, uniform(5), uniform(3), cfg)
@@ -238,7 +238,7 @@ def test_transpose_symmetry():
 
 
 def test_shift_equivariance():
-    rng = Xoshiro256StarStar(RngSeed(13))
+    rng = CounterStream(RngSeed(13))
     cost = random_cost(rng, 4, 4)
     shift = 0.7
     shifted = CostMatrix(cost.entries + shift, cost.c_min + shift, cost.c_max + shift)
@@ -271,7 +271,7 @@ def test_budget_exhaustion_reports_unconverged():
 
 
 def test_marginal_residual_is_the_plan_residual():
-    rng = Xoshiro256StarStar(RngSeed(61))
+    rng = CounterStream(RngSeed(61))
     cost = random_cost(rng, 5, 5)
     alpha, beta = uniform(5), uniform(5)
     res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=1e-3, max_iterations=500_000))
@@ -283,7 +283,7 @@ def test_marginal_residual_is_the_plan_residual():
 
 
 def test_matches_plain_log_domain_sinkhorn_with_zero_mass_atoms():
-    rng = Xoshiro256StarStar(RngSeed(67))
+    rng = CounterStream(RngSeed(67))
     for trial in range(12):
         n = 2 + int(rng.uniform() * 6)
         m = 2 + int(rng.uniform() * 6)
@@ -303,7 +303,7 @@ def test_matches_plain_log_domain_sinkhorn_with_zero_mass_atoms():
 
 def perturbation_pair_true_cost(seed, side, low=0.1, high=1.0):
     """The true cost and marginals the stability suite draws for one cell."""
-    rng = Xoshiro256StarStar(RngSeed(seed).derive("stability", side))
+    rng = CounterStream(RngSeed(seed).derive("stability", side))
     entries = low + (high - low) * rng.uniforms(side * side).reshape(side, side)
     rng.uniforms(side * side)  # the estimated cost
     marginals = []
@@ -358,7 +358,7 @@ def test_row_whose_kernel_underflows_is_absorbed():
     # exp(-C/eps) is exactly zero along row 2, and column 4 underflows even
     # relative to the row minima, so both offsets have to be reset.
     eps = 1e-3
-    rng = Xoshiro256StarStar(RngSeed(71))
+    rng = CounterStream(RngSeed(71))
     entries = 0.1 * rng.uniforms(36).reshape(6, 6)
     entries[2] = 0.8 + 0.05 * rng.uniforms(6)
     entries[:, 4] = 0.9 + 0.1 * rng.uniforms(6)
@@ -377,7 +377,7 @@ def test_dimension_mismatch_rejected():
 
 
 def test_small_epsilon_value_stays_within_entropic_bias():
-    rng = Xoshiro256StarStar(RngSeed(55))
+    rng = CounterStream(RngSeed(55))
     eps = 1e-3
     for _ in range(5):
         n = 3 + int(rng.uniform() * 4)
@@ -401,7 +401,7 @@ def test_assignment_examples():
 
 
 def test_assignment_matches_permutation_enumeration():
-    rng = Xoshiro256StarStar(RngSeed(3))
+    rng = CounterStream(RngSeed(3))
     for n in (2, 3, 4, 5, 8):
         cost = random_cost(rng, n, n, low=0.0, high=1.0)
         assert exact_ot_assignment(cost) == pytest.approx(assignment_oracle(cost.entries), abs=1e-12)
@@ -432,7 +432,7 @@ def test_center_potentials_balances_and_preserves_value():
     pot = DualPotentials(np.array([1.0, 1.0]), np.array([-1.0, -1.0]))
     centered = center_potentials(pot, uniform(2), uniform(2))
     assert np.allclose(centered.f, 0.0) and np.allclose(centered.g, 0.0)
-    rng = Xoshiro256StarStar(RngSeed(17))
+    rng = CounterStream(RngSeed(17))
     cost = random_cost(rng, 3, 4)
     alpha = uniform(3)
     beta = uniform(4)
@@ -445,7 +445,7 @@ def test_center_potentials_balances_and_preserves_value():
 
 
 def test_min_box_radius_matches_scan_oracle():
-    rng = Xoshiro256StarStar(RngSeed(29))
+    rng = CounterStream(RngSeed(29))
     for _ in range(10):
         f = 4.0 * rng.uniforms(5) - 2.0
         g = 4.0 * rng.uniforms(3) - 2.0
@@ -455,7 +455,7 @@ def test_min_box_radius_matches_scan_oracle():
 
 def test_potentials_fit_in_the_kernel_ratio_box():
     # converged potentials admit a shift into the radius c_max - c_min / 2
-    rng = Xoshiro256StarStar(RngSeed(31))
+    rng = CounterStream(RngSeed(31))
     for _ in range(20):
         n = 2 + int(rng.uniform() * 5)
         m = 2 + int(rng.uniform() * 5)
@@ -469,7 +469,7 @@ def test_potentials_fit_in_the_kernel_ratio_box():
 def test_quadratic_growth_of_the_dual_gap():
     # feasible potentials a bounded distance from optimum: the kernel-weighted
     # square spread is controlled by the dual drop
-    rng = Xoshiro256StarStar(RngSeed(37))
+    rng = CounterStream(RngSeed(37))
     n, m = 4, 5
     entries = 0.9 * rng.uniforms(n * m).reshape(n, m)
     cost = CostMatrix(entries, 0.0, 0.9)
@@ -504,7 +504,7 @@ def test_boxed_allones_kernel_is_zero():
 
 
 def test_boxed_collapsed_box_forces_zero_potentials():
-    rng = Xoshiro256StarStar(RngSeed(41))
+    rng = CounterStream(RngSeed(41))
     cost = random_cost(rng, 3, 3)
     eps = 0.8
     k = np.exp(-cost.entries / eps)
@@ -518,7 +518,7 @@ def test_boxed_collapsed_box_forces_zero_potentials():
 
 
 def test_boxed_matches_sinkhorn_with_sufficient_box():
-    rng = Xoshiro256StarStar(RngSeed(43))
+    rng = CounterStream(RngSeed(43))
     for _ in range(10):
         cost = random_cost(rng, 5, 4)
         eps = 0.2 + 0.8 * rng.uniform()
@@ -531,7 +531,7 @@ def test_boxed_matches_sinkhorn_with_sufficient_box():
 
 
 def test_boxed_matches_clipped_log_ascent_on_a_zero_one_kernel():
-    rng = Xoshiro256StarStar(RngSeed(73))
+    rng = CounterStream(RngSeed(73))
     kernel = (rng.uniforms(7 * 9).reshape(7, 9) < 0.5).astype(float)
     kernel[3] = 0.0
     alpha = DiscreteDistribution(np.full(7, 1.0 / 7))
@@ -547,7 +547,7 @@ def test_boxed_matches_clipped_log_ascent_on_a_zero_one_kernel():
 
 
 def test_boxed_budget_exhaustion_reports_unconverged():
-    rng = Xoshiro256StarStar(RngSeed(79))
+    rng = CounterStream(RngSeed(79))
     cost = random_cost(rng, 4, 3)
     cfg = SolverConfig(epsilon=0.5, eta=10.0, max_iterations=1)
     res = dual_ascent_boxed(np.exp(-cost.entries / 0.5), uniform(4), uniform(3), cfg)
@@ -608,7 +608,7 @@ def test_primal_value_infinite_off_product_support():
 
 
 def test_identical_costs_give_zero_gaps():
-    rng = Xoshiro256StarStar(RngSeed(47))
+    rng = CounterStream(RngSeed(47))
     cost = random_cost(rng, 3, 3)
     rep = stability_report(cost, cost, uniform(3), uniform(3), SolverConfig(epsilon=0.5))
     assert rep.value_gap <= 1e-12
@@ -619,7 +619,7 @@ def test_identical_costs_give_zero_gaps():
 
 
 def test_cost_shift_saturates_the_sup_bound():
-    rng = Xoshiro256StarStar(RngSeed(53))
+    rng = CounterStream(RngSeed(53))
     base = random_cost(rng, 4, 4)
     shifted = CostMatrix(base.entries + 0.5, base.c_min + 0.5, base.c_max + 0.5)
     rep = stability_report(base, shifted, uniform(4), uniform(4), SolverConfig(epsilon=0.5))
@@ -631,7 +631,7 @@ def test_cost_shift_saturates_the_sup_bound():
 
 
 def test_all_bounds_hold_on_random_instances():
-    rng = Xoshiro256StarStar(RngSeed(59))
+    rng = CounterStream(RngSeed(59))
     for trial in range(60):
         n = 2 + int(rng.uniform() * 5)
         m = 2 + int(rng.uniform() * 5)
@@ -660,7 +660,7 @@ def test_report_shape_and_epsilon_validation():
 
 def test_report_solves_under_the_whole_config():
     # The iteration budget and tolerances reach both solves, not just epsilon.
-    rng = Xoshiro256StarStar(RngSeed(61))
+    rng = CounterStream(RngSeed(61))
     cost_true, cost_est = random_cost(rng, 4, 5), random_cost(rng, 4, 5)
     alpha, beta = uniform(4), uniform(5)
     cfg = SolverConfig(epsilon=0.5, max_iterations=3)

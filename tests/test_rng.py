@@ -1,9 +1,8 @@
 """Bit-level checks of the seeded generators against a reference written here.
 
-The reference SplitMix64 and xoshiro256** steps below are implemented
-independently of the package (straight from the published recurrences) so a
-transcription slip in either copy shows up as a mismatch.  The vectorised
-pair hash is also checked against the package's scalar SplitMix64 step.
+The reference SplitMix64 stream below is implemented independently of the
+package (straight from the published recurrence) so a transcription slip in
+either copy shows up as a mismatch.
 """
 
 import math
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from latent_ot.errors import InvalidParameterError
-from latent_ot.rng import RngSeed, Xoshiro256StarStar, _splitmix64, pair_uniforms
+from latent_ot.rng import CounterStream, RngSeed, pair_uniforms
 
 MASK = (1 << 64) - 1
 
@@ -28,56 +27,46 @@ def ref_splitmix64_stream(state, count):
     return state, outs
 
 
-def ref_rotl(x, k):
-    return ((x << k) | (x >> (64 - k))) & MASK
+def ref_uniform(word):
+    return (word >> 11) * 2.0**-53
 
 
-class RefXoshiro:
-    def __init__(self, seed_value):
-        _, words = ref_splitmix64_stream(seed_value, 4)
-        if not any(words):
-            words[0] = 0x9E3779B97F4A7C15
-        self.s = words
-
-    def next(self):
-        s = self.s
-        result = (ref_rotl((s[1] * 5) & MASK, 7) * 9) & MASK
-        t = (s[1] << 17) & MASK
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = ref_rotl(s[3], 45)
-        return result
-
-
-def test_uint64_stream_matches_reference():
+def test_stream_matches_the_splitmix64_reference_from_offset_zero():
     for seed in (0, 1, 42, 2**64 - 1, 0xDEADBEEF):
-        ours = Xoshiro256StarStar(RngSeed(seed))
-        ref = RefXoshiro(seed)
-        for _ in range(200):
-            assert ours.next_uint64() == ref.next()
+        _, outs = ref_splitmix64_stream(seed, 201)
+        stream = CounterStream(RngSeed(seed))
+        assert stream.uniforms(200).tolist() == [ref_uniform(out) for out in outs[:200]]
+        # the raw word is the same hash at the next counter
+        assert stream.word() == outs[200]
+        assert stream.offset == 201
 
 
-def test_uniform_is_53_bit_mantissa_of_reference():
-    ours = Xoshiro256StarStar(RngSeed(7))
-    ref = RefXoshiro(7)
-    for _ in range(50):
-        expected = (ref.next() >> 11) * 2.0**-53
-        assert ours.uniform() == expected
+def test_stream_runs_on_across_the_32_bit_counter_carry():
+    start = 2**32 - 3
+    for seed in (0, 7, 2**64 - 2):
+        state = (seed + start * 0x9E3779B97F4A7C15) & MASK
+        _, outs = ref_splitmix64_stream(state, 7)
+        stream = CounterStream(RngSeed(seed))
+        stream.offset = start
+        assert stream.uniforms(7).tolist() == [ref_uniform(out) for out in outs], seed
+
+
+def test_split_draws_continue_the_stream():
+    whole = CounterStream(RngSeed(19)).uniforms(8)
+    split = CounterStream(RngSeed(19))
+    assert np.concatenate([split.uniforms(3), split.uniforms(5)]).tolist() == whole.tolist()
 
 
 def test_uniforms_vector_equals_scalar_draws():
-    a = Xoshiro256StarStar(RngSeed(123))
-    b = Xoshiro256StarStar(RngSeed(123))
+    a = CounterStream(RngSeed(123))
+    b = CounterStream(RngSeed(123))
     vec = a.uniforms(64)
     scalars = [b.uniform() for _ in range(64)]
     assert vec.tolist() == scalars
 
 
 def test_uniforms_in_half_open_unit_interval():
-    draws = Xoshiro256StarStar(RngSeed(5)).uniforms(10_000)
+    draws = CounterStream(RngSeed(5)).uniforms(10_000)
     assert draws.min() >= 0.0
     assert draws.max() < 1.0
     # crude moment sanity: mean of U[0,1) over 10k draws
@@ -85,8 +74,8 @@ def test_uniforms_in_half_open_unit_interval():
 
 
 def test_normals_match_box_muller_of_uniform_stream():
-    gen = Xoshiro256StarStar(RngSeed(9))
-    raw = Xoshiro256StarStar(RngSeed(9)).uniforms(8)
+    gen = CounterStream(RngSeed(9))
+    raw = CounterStream(RngSeed(9)).uniforms(8)
     out = gen.normals(8)
     for k in range(4):
         u1, u2 = 1.0 - raw[2 * k], raw[2 * k + 1]
@@ -96,7 +85,7 @@ def test_normals_match_box_muller_of_uniform_stream():
 
 
 def test_normals_odd_count_and_moments():
-    out = Xoshiro256StarStar(RngSeed(11)).normals(10_001)
+    out = CounterStream(RngSeed(11)).normals(10_001)
     assert out.shape == (10_001,)
     assert abs(out.mean()) < 0.05
     assert abs(out.std() - 1.0) < 0.05
@@ -109,6 +98,9 @@ def test_derive_is_order_sensitive_and_label_sensitive():
     assert base.derive("graph", 100) == base.derive("graph", 100)
     # folding one part at a time equals passing the parts together
     assert base.derive("a").derive("b") == base.derive("a", "b")
+    # an integer part is folded in as SplitMix64's first output from seed ^ part
+    _, (first,) = ref_splitmix64_stream(400 ^ 100, 1)
+    assert base.derive(100) == RngSeed(first)
 
 
 def test_derive_streams_do_not_collide_in_practice():
@@ -127,7 +119,7 @@ def test_seed_validation():
     with pytest.raises(InvalidParameterError):
         RngSeed(3).derive(2.5)
     with pytest.raises(InvalidParameterError):
-        Xoshiro256StarStar(RngSeed(0)).uniforms(-1)
+        CounterStream(RngSeed(0)).uniforms(-1)
 
 
 def test_numpy_integer_parts_accepted():
@@ -136,8 +128,8 @@ def test_numpy_integer_parts_accepted():
 
 
 def test_same_seed_same_stream_fresh_instances():
-    a = Xoshiro256StarStar(RngSeed(77)).uniforms(32)
-    b = Xoshiro256StarStar(RngSeed(77)).uniforms(32)
+    a = CounterStream(RngSeed(77)).uniforms(32)
+    b = CounterStream(RngSeed(77)).uniforms(32)
     assert np.array_equal(a, b)
 
 
@@ -149,17 +141,15 @@ def test_pair_uniforms_are_splitmix64_outputs_at_the_pair_counter():
         ours = pair_uniforms(RngSeed(seed), rows, cols)
         for k, (i, j) in enumerate(pairs):
             state = (seed + ((i << 32) | j) * 0x9E3779B97F4A7C15) & MASK
-            _, scalar = _splitmix64(state)
             _, (reference,) = ref_splitmix64_stream(state, 1)
-            assert scalar == reference
-            assert ours[k] == (scalar >> 11) * 2.0**-53, (seed, i, j)
+            assert ours[k] == ref_uniform(reference), (seed, i, j)
         # rows[:, None] against cols[None, :] hashes every (i, j) combination
         grid = pair_uniforms(RngSeed(seed), rows[:, None], cols[None, :])
         assert grid.shape == (len(pairs), len(pairs))
         for a, i in enumerate(rows.tolist()):
             for b, j in enumerate(cols.tolist()):
-                _, scalar = _splitmix64((seed + ((i << 32) | j) * 0x9E3779B97F4A7C15) & MASK)
-                assert grid[a, b] == (scalar >> 11) * 2.0**-53, (seed, i, j)
+                _, (reference,) = ref_splitmix64_stream((seed + ((i << 32) | j) * 0x9E3779B97F4A7C15) & MASK, 1)
+                assert grid[a, b] == ref_uniform(reference), (seed, i, j)
 
 
 def test_pair_uniforms_along_row_zero_replay_the_splitmix64_stream():
