@@ -4,9 +4,12 @@ Unknown keys are rejected at every nesting level so a typo cannot silently
 fall back to a default.  Each experiment kind declares which top-level keys
 it accepts; irrelevant keys are treated as errors rather than ignored.
 
-This module checks keys, types and the rules that tie keys together.  The
-domain types own their value checks: the parser builds each manifold,
-density, placement, kernel form and the solver settings through
+This module checks keys, types and the rules that tie keys together.  Two
+readers own every type check: :func:`_get` reads one number, integer,
+string or object, and :func:`_get_list` reads a nonempty list of them.  A
+boolean is never a number, and a number must be finite.  The domain types
+own their value checks: the parser builds each manifold, density,
+placement, kernel form, cost map and the solver settings through
 :func:`_build`, which reports their errors as a :class:`ConfigError` at the
 key path.  The solver settings are resolved once, at load, into the one
 :class:`~latent_ot.ot_core.SolverConfig` every solve of the run uses.
@@ -36,96 +39,76 @@ from ..ot_core import SolverConfig
 
 SEED_LIMIT = 2**64
 
-EXPERIMENT_KINDS = (
-    "local_geodesic",
-    "usvt_nonlocal",
-    "fast_nonlocal",
-    "gamma_sweep",
-    "stability_suite",
-)
+_COMMON_KEYS = frozenset({"experiment", "grid", "seeds", "solver", "output", "epsilon"})
+_PIPELINE_KEYS = _COMMON_KEYS | {"manifold", "density", "placement", "kernel", "n", "m"}
 
-_COMMON_KEYS = frozenset({"experiment", "grid", "seeds", "solver", "output"})
-
-# Top-level keys each experiment accepts beyond the common set.
+# Top-level keys each experiment accepts.
 _EXPERIMENT_KEYS: dict[str, frozenset[str]] = {
-    "local_geodesic": frozenset(
-        {"manifold", "density", "placement", "kernel", "cost_map", "n", "m", "epsilon"}
-    ),
-    "usvt_nonlocal": frozenset(
-        {"manifold", "density", "placement", "kernel", "cost_map", "n", "m", "m_ratio", "epsilon", "gamma"}
-    ),
-    "fast_nonlocal": frozenset(
-        {"manifold", "density", "placement", "kernel", "n", "m", "m_ratio", "epsilon", "eta"}
-    ),
-    "gamma_sweep": frozenset(
-        {"manifold", "density", "placement", "kernel", "cost_map", "n", "m", "m_ratio", "epsilon", "gammas"}
-    ),
-    "stability_suite": frozenset({"epsilon", "cost_low", "cost_high"}),
+    "local_geodesic": _PIPELINE_KEYS | {"cost_map"},
+    "usvt_nonlocal": _PIPELINE_KEYS | {"cost_map", "m_ratio", "gamma"},
+    "fast_nonlocal": _PIPELINE_KEYS | {"m_ratio", "eta"},
+    "gamma_sweep": _PIPELINE_KEYS | {"cost_map", "m_ratio", "gammas"},
+    "stability_suite": _COMMON_KEYS | {"cost_low", "cost_high"},
+}
+
+EXPERIMENT_KINDS = tuple(_EXPERIMENT_KEYS)
+
+# The JSON type each value kind accepts, and how errors name it.
+_KINDS = {
+    "number": ((int, float), "a number"),
+    "integer": (int, "an integer"),
+    "string": (str, "a string"),
+    "object": (dict, "an object"),
+    "list": (list, "a list"),
 }
 
 
-def _expect_mapping(value: object, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{context}: expected an object, got {type(value).__name__}")
+def _typed(value: object, kind: str, where: str):
+    """``value`` checked as a ``kind`` from :data:`_KINDS`; a number comes
+    back as a finite float.  ``where`` opens every error message."""
+    types, noun = _KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{where} must be {noun}, got {value!r}")
+    if kind == "number":
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value}")
     return value
+
+
+def _get(data: dict, key: str, context: str, kind: str, *, default=None, required: bool = False):
+    """``data[key]`` as a ``kind``, or ``default`` when the key is absent."""
+    if key not in data:
+        if required:
+            raise ConfigError(f"{context}: missing required key '{key}'")
+        return default
+    return _typed(data[key], kind, f"{context}: '{key}'")
+
+
+def _get_list(data: dict, key: str, context: str, kind: str, *, unique: bool = False) -> tuple:
+    """The required nonempty list ``data[key]`` as a tuple of ``kind`` entries."""
+    entries = _get(data, key, context, "list", required=True)
+    if not entries:
+        raise ConfigError(f"{context}: '{key}' must not be empty")
+    values = tuple(_typed(entry, kind, f"{context}: {key}[{i}]") for i, entry in enumerate(entries))
+    if unique and len(set(values)) != len(values):
+        raise ConfigError(f"{context}: '{key}' must not contain duplicates")
+    return values
+
+
+def _section(data: dict, key: str, context: str, parse, *args, default=None, required: bool = False):
+    """Parse the object ``data[key]`` as ``parse(object, key_path, *args)``,
+    or return ``default`` when the key is absent."""
+    section = _get(data, key, context, "object", required=required)
+    if section is None:
+        return default
+    return parse(section, f"{context}.{key}", *args)
 
 
 def _reject_unknown(data: dict, allowed: frozenset[str] | set[str], context: str) -> None:
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {', '.join(repr(k) for k in unknown)}")
-
-
-def _get_number(
-    data: dict,
-    key: str,
-    context: str,
-    *,
-    default: float | None = None,
-    required: bool = False,
-) -> float | None:
-    if key not in data:
-        if required:
-            raise ConfigError(f"{context}: missing required key '{key}'")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}: '{key}' must be a number, got {type(value).__name__}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ConfigError(f"{context}: '{key}' must be finite, got {out}")
-    return out
-
-
-def _get_int(
-    data: dict,
-    key: str,
-    context: str,
-    *,
-    default: int | None = None,
-    required: bool = False,
-) -> int | None:
-    if key not in data:
-        if required:
-            raise ConfigError(f"{context}: missing required key '{key}'")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context}: '{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _get_string(
-    data: dict, key: str, context: str, *, default: str | None = None, required: bool = False
-) -> str | None:
-    if key not in data:
-        if required:
-            raise ConfigError(f"{context}: missing required key '{key}'")
-        return default
-    value = data[key]
-    if not isinstance(value, str):
-        raise ConfigError(f"{context}: '{key}' must be a string, got {type(value).__name__}")
-    return value
 
 
 def _build(context: str, constructor, *args, **kwargs):
@@ -135,6 +118,11 @@ def _build(context: str, constructor, *args, **kwargs):
         return constructor(*args, **kwargs)
     except (InvalidParameterError, DensityMisconfiguredError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _ratio_split(total: int, m_ratio: float) -> int:
+    """The first group's size n at N = ``total`` nodes when m is ``m_ratio`` n."""
+    return int(round(total / (1.0 + m_ratio)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +147,8 @@ class KernelSettings:
             raise ConfigError("radius_at is only defined for local kernels")
         if self.fixed_h is not None:
             return self.fixed_h
-        return h_schedule(total, intrinsic_dim, self.c0 if self.c0 is not None else 2.0)
+        assert self.c0 is not None
+        return h_schedule(total, intrinsic_dim, self.c0)
 
     def rho_at(self, total: int) -> float:
         if self.kind != "nonlocal":
@@ -172,20 +161,20 @@ class KernelSettings:
 
 def _parse_manifold(data: dict, context: str) -> Manifold:
     _reject_unknown(data, {"kind", "radius"}, context)
-    kind = _get_string(data, "kind", context, required=True)
+    kind = _get(data, "kind", context, "string", required=True)
     if kind == "unit_square" and "radius" in data:
         raise ConfigError(f"{context}: 'radius' does not apply to unit_square")
-    return _build(context, make_manifold, kind, radius=_get_number(data, "radius", context, default=1.0))
+    return _build(context, make_manifold, kind, radius=_get(data, "radius", context, "number", default=1.0))
 
 
 def _parse_density(data: dict, context: str, manifold: Manifold) -> Density:
     _reject_unknown(data, {"kind", "axis", "strength"}, context)
-    kind = _get_string(data, "kind", context, required=True)
+    kind = _get(data, "kind", context, "string", required=True)
     if kind != "tilted":
         _reject_unknown(data, {"kind"}, context)
         return _build(context, Density, kind=kind)
-    axis = _get_int(data, "axis", context, default=0)
-    strength = _get_number(data, "strength", context, default=0.5)
+    axis = _get(data, "axis", context, "integer", default=0)
+    strength = _get(data, "strength", context, "number", default=0.5)
     density = _build(context, Density, kind=kind, axis=axis, strength=strength)
     _build(context, density.weight_bounds, manifold)
     return density
@@ -193,59 +182,57 @@ def _parse_density(data: dict, context: str, manifold: Manifold) -> Density:
 
 def _parse_placement(data: dict, context: str) -> Placement:
     _reject_unknown(data, {"mode", "region_radius"}, context)
-    mode = _get_string(data, "mode", context, required=True)
+    mode = _get(data, "mode", context, "string", required=True)
     if mode != "two_regions":
         _reject_unknown(data, {"mode"}, context)
-    return _build(context, Placement, mode=mode, region_radius=_get_number(data, "region_radius", context))
+    return _build(context, Placement, mode=mode, region_radius=_get(data, "region_radius", context, "number"))
+
+
+def _parse_form(data: dict, context: str) -> GaussianPowerKernel:
+    _reject_unknown(data, {"kind", "p", "sigma"}, context)
+    kind = _get(data, "kind", context, "string", required=True)
+    if kind != "gaussian_power":
+        raise ConfigError(f"{context}: unknown form kind '{kind}'")
+    p = _get(data, "p", context, "number", default=2.0)
+    sigma = _get(data, "sigma", context, "number", required=True)
+    return _build(context, GaussianPowerKernel, p=p, sigma=sigma)
 
 
 def _parse_kernel(data: dict, context: str, expected_kind: str) -> KernelSettings:
-    kind = _get_string(data, "kind", context, required=True)
+    kind = _get(data, "kind", context, "string", required=True)
     if kind != expected_kind:
         raise ConfigError(f"{context}: this experiment requires a '{expected_kind}' kernel, got '{kind}'")
     if kind == "local":
         _reject_unknown(data, {"kind", "c0", "h"}, context)
         if "c0" in data and "h" in data:
             raise ConfigError(f"{context}: give either 'c0' or 'h', not both")
-        fixed_h = _get_number(data, "h", context)
-        c0 = _get_number(data, "c0", context)
-        if fixed_h is not None and fixed_h <= 0.0:
-            raise ConfigError(f"{context}: 'h' must be positive, got {fixed_h}")
-        if c0 is not None and c0 <= 0.0:
-            raise ConfigError(f"{context}: 'c0' must be positive, got {c0}")
+        fixed_h = _get(data, "h", context, "number")
+        c0 = _get(data, "c0", context, "number", default=2.0 if fixed_h is None else None)
+        for key, value in (("h", fixed_h), ("c0", c0)):
+            if value is not None and value <= 0.0:
+                raise ConfigError(f"{context}: '{key}' must be positive, got {value}")
         return KernelSettings(kind="local", c0=c0, fixed_h=fixed_h)
     _reject_unknown(data, {"kind", "rho", "rho_log_coefficient", "form"}, context)
     if "rho" in data and "rho_log_coefficient" in data:
         raise ConfigError(f"{context}: give either 'rho' or 'rho_log_coefficient', not both")
-    rho = _get_number(data, "rho", context)
-    rho_log = _get_number(data, "rho_log_coefficient", context)
+    rho = _get(data, "rho", context, "number")
+    rho_log = _get(data, "rho_log_coefficient", context, "number")
     if rho is None and rho_log is None:
         raise ConfigError(f"{context}: a nonlocal kernel needs 'rho' or 'rho_log_coefficient'")
     if rho is not None and not 0.0 < rho <= 1.0:
         raise ConfigError(f"{context}: 'rho' must lie in (0, 1], got {rho}")
     if rho_log is not None and rho_log <= 0.0:
         raise ConfigError(f"{context}: 'rho_log_coefficient' must be positive, got {rho_log}")
-    if "form" not in data:
-        raise ConfigError(f"{context}: a nonlocal kernel needs a 'form' object")
-    form_context = f"{context}.form"
-    form_data = _expect_mapping(data["form"], form_context)
-    _reject_unknown(form_data, {"kind", "p", "sigma"}, form_context)
-    form_kind = _get_string(form_data, "kind", form_context)
-    if form_kind != "gaussian_power":
-        raise ConfigError(f"{form_context}: unknown form kind '{form_kind}'")
-    p = _get_number(form_data, "p", form_context, default=2.0)
-    sigma = _get_number(form_data, "sigma", form_context, required=True)
-    form = _build(form_context, GaussianPowerKernel, p=p, sigma=sigma)
+    form = _section(data, "form", context, _parse_form, required=True)
     return KernelSettings(kind="nonlocal", rho=rho, rho_log_coefficient=rho_log, form=form)
 
 
-def _parse_cost_map(data: dict, context: str, experiment: str, manifold: Manifold | None) -> CostMap:
-    kind = _get_string(data, "kind", context, required=True)
+def _parse_cost_map(data: dict, context: str, experiment: str, manifold: Manifold) -> CostMap:
+    kind = _get(data, "kind", context, "string", required=True)
     if kind == "identity":
         _reject_unknown(data, {"kind"}, context)
         if experiment != "local_geodesic":
             raise ConfigError(f"{context}: 'identity' maps distances; it needs the local pipeline")
-        assert manifold is not None
         return CostMap.identity(manifold.diameter)
     if kind == "one_minus":
         _reject_unknown(data, {"kind"}, context)
@@ -254,28 +241,19 @@ def _parse_cost_map(data: dict, context: str, experiment: str, manifold: Manifol
         return CostMap.one_minus()
     if kind == "piecewise":
         _reject_unknown(data, {"kind", "breakpoints", "values"}, context)
-        for key in ("breakpoints", "values"):
-            if key not in data:
-                raise ConfigError(f"{context}: missing required key '{key}'")
-            if not isinstance(data[key], list):
-                raise ConfigError(f"{context}: '{key}' must be a list")
-        try:
-            return CostMap.piecewise(
-                [float(t) for t in data["breakpoints"]],
-                [float(v) for v in data["values"]],
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{context}: invalid piecewise map: {exc}") from exc
+        breakpoints = _get_list(data, "breakpoints", context, "number")
+        values = _get_list(data, "values", context, "number")
+        return _build(context, CostMap.piecewise, breakpoints, values)
     raise ConfigError(f"{context}: unknown cost map kind '{kind}'")
 
 
-def _parse_solver(data: dict, context: str) -> dict[str, float]:
+_SOLVER_KINDS = {"max_iterations": "integer", "marginal_tolerance": "number", "value_tolerance": "number"}
+
+
+def _parse_solver(data: dict, context: str) -> dict:
     """The solver keys the file gives; :class:`SolverConfig` holds the defaults."""
-    _reject_unknown(data, {"max_iterations", "marginal_tolerance", "value_tolerance"}, context)
-    given = {key: _get_number(data, key, context) for key in ("marginal_tolerance", "value_tolerance") if key in data}
-    if "max_iterations" in data:
-        given["max_iterations"] = _get_int(data, "max_iterations", context)
-    return given
+    _reject_unknown(data, set(_SOLVER_KINDS), context)
+    return {key: _get(data, key, context, _SOLVER_KINDS[key]) for key in data}
 
 
 @dataclass(frozen=True)
@@ -288,15 +266,13 @@ class OutputSettings:
 
 def _parse_output(data: dict, context: str) -> OutputSettings:
     _reject_unknown(data, {"results", "timings"}, context)
-    results = _get_string(data, "results", context, default="results.csv")
-    timings = _get_string(data, "timings", context, default="timings.csv")
-    assert results is not None and timings is not None
-    for name in (results, timings):
+    output = OutputSettings(**{key: _get(data, key, context, "string") for key in data})
+    for name in (output.results, output.timings):
         if not name or Path(name).is_absolute() or ".." in Path(name).parts:
             raise ConfigError(f"{context}: output name {name!r} must be a plain relative path")
-    if results == timings:
+    if output.results == output.timings:
         raise ConfigError(f"{context}: results and timings must be distinct files")
-    return OutputSettings(results=results, timings=timings)
+    return output
 
 
 @dataclass(frozen=True)
@@ -309,7 +285,9 @@ class ExperimentConfig:
     through the ``*_at`` helpers so workers need only the config itself.
     ``solver`` is the one solver configuration every solve of the run
     uses: its epsilon is sigma on the adjacency route, and its eta is set
-    on that route only.
+    on that route only.  ``gammas`` holds the USVT threshold scales: the
+    one ``gamma`` of ``usvt_nonlocal`` (default 1.0), the ``gammas`` list
+    of ``gamma_sweep``, and nothing for the other experiments.
     """
 
     experiment: str
@@ -324,7 +302,6 @@ class ExperimentConfig:
     n: int | None = None
     m: int | None = None
     m_ratio: float = 2.0
-    gamma: float = 1.0
     gammas: tuple[float, ...] = ()
     cost_low: float = 0.1
     cost_high: float = 1.0
@@ -337,95 +314,20 @@ class ExperimentConfig:
         if self.n is not None:
             assert self.m is not None
             return self.n, self.m
-        n = int(round(total / (1.0 + self.m_ratio)))
-        n = max(1, min(total - 1, n))
+        n = _ratio_split(total, self.m_ratio)
         return n, total - n
 
 
-def config_from_dict(raw: object) -> ExperimentConfig:
-    data = _expect_mapping(raw, "config")
-    experiment = _get_string(data, "experiment", "config")
-    if experiment is None:
-        raise ConfigError("config: missing required key 'experiment'")
-    if experiment not in EXPERIMENT_KINDS:
-        known = ", ".join(EXPERIMENT_KINDS)
-        raise ConfigError(f"config: unknown experiment '{experiment}' (known: {known})")
-    _reject_unknown(data, _COMMON_KEYS | _EXPERIMENT_KEYS[experiment], f"config[{experiment}]")
-
-    if "grid" not in data or not isinstance(data["grid"], list) or not data["grid"]:
-        raise ConfigError("config: 'grid' must be a nonempty list of integers")
-    grid_values = []
-    for i, entry in enumerate(data["grid"]):
-        if isinstance(entry, bool) or not isinstance(entry, int):
-            raise ConfigError(f"config: grid[{i}] must be an integer, got {entry!r}")
-        if entry < 2:
-            raise ConfigError(f"config: grid[{i}] must be at least 2, got {entry}")
-        grid_values.append(entry)
-    if any(b <= a for a, b in zip(grid_values, grid_values[1:])):
-        raise ConfigError("config: 'grid' must be strictly increasing")
-    grid = tuple(grid_values)
-
-    if "seeds" not in data or not isinstance(data["seeds"], list) or not data["seeds"]:
-        raise ConfigError("config: 'seeds' must be a nonempty list of integers")
-    seed_values = []
-    for i, entry in enumerate(data["seeds"]):
-        if isinstance(entry, bool) or not isinstance(entry, int):
-            raise ConfigError(f"config: seeds[{i}] must be an integer, got {entry!r}")
-        if not 0 <= entry < SEED_LIMIT:
-            raise ConfigError(f"config: seeds[{i}] must lie in [0, 2^64), got {entry}")
-        seed_values.append(entry)
-    if len(set(seed_values)) != len(seed_values):
-        raise ConfigError("config: 'seeds' must not contain duplicates")
-    seeds = tuple(seed_values)
-
-    solver_keys = _parse_solver(_expect_mapping(data["solver"], "config.solver"), "config.solver") if "solver" in data else {}
-    output = _parse_output(_expect_mapping(data["output"], "config.output"), "config.output") if "output" in data else OutputSettings()
-
-    if experiment == "stability_suite":
-        epsilon = _get_number(data, "epsilon", "config", required=True)
-        cost_low = _get_number(data, "cost_low", "config", default=0.1)
-        cost_high = _get_number(data, "cost_high", "config", default=1.0)
-        assert cost_low is not None and cost_high is not None
-        if cost_low < 0.0 or cost_high <= cost_low:
-            raise ConfigError(f"config: need 0 <= cost_low < cost_high, got [{cost_low}, {cost_high}]")
-        return ExperimentConfig(
-            experiment=experiment,
-            grid=grid,
-            seeds=seeds,
-            solver=_build("config", SolverConfig, epsilon=epsilon, **solver_keys),
-            cost_low=cost_low,
-            cost_high=cost_high,
-            output=output,
-        )
-
-    if "manifold" not in data:
-        raise ConfigError("config: missing required key 'manifold'")
-    manifold = _parse_manifold(_expect_mapping(data["manifold"], "config.manifold"), "config.manifold")
-    density = _parse_density(_expect_mapping(data["density"], "config.density"), "config.density", manifold) if "density" in data else Density(kind="uniform")
-    placement = _parse_placement(_expect_mapping(data["placement"], "config.placement"), "config.placement") if "placement" in data else Placement(mode="iid")
-
-    if "kernel" not in data:
-        raise ConfigError("config: missing required key 'kernel'")
-    expected_kind = "local" if experiment == "local_geodesic" else "nonlocal"
-    kernel = _parse_kernel(_expect_mapping(data["kernel"], "config.kernel"), "config.kernel", expected_kind)
-
-    cost_map: CostMap | None = None
-    if experiment != "fast_nonlocal":
-        if "cost_map" in data:
-            cost_map = _parse_cost_map(_expect_mapping(data["cost_map"], "config.cost_map"), "config.cost_map", experiment, manifold)
-        elif experiment == "local_geodesic":
-            cost_map = CostMap.identity(manifold.diameter)
-        else:
-            cost_map = CostMap.one_minus()
-
-    n = _get_int(data, "n", "config")
-    m = _get_int(data, "m", "config")
+def _parse_sizes(data: dict, experiment: str, grid: tuple[int, ...]) -> dict:
+    """The group-size keys ``n``, ``m`` and ``m_ratio``, checked against every
+    grid entry."""
+    n = _get(data, "n", "config", "integer")
+    m = _get(data, "m", "config", "integer")
     if m is not None and n is None:
         raise ConfigError("config: 'm' requires 'n'")
     if "m_ratio" in data and n is not None:
         raise ConfigError("config: give either explicit sizes or 'm_ratio', not both")
-    m_ratio = _get_number(data, "m_ratio", "config", default=2.0)
-    assert m_ratio is not None
+    m_ratio = _get(data, "m_ratio", "config", "number", default=2.0)
     if m_ratio <= 0.0:
         raise ConfigError(f"config: 'm_ratio' must be positive, got {m_ratio}")
     if n is not None:
@@ -435,90 +337,103 @@ def config_from_dict(raw: object) -> ExperimentConfig:
             m = 2 * n
         if m < 1:
             raise ConfigError(f"config: 'm' must be at least 1, got {m}")
-
     if experiment == "local_geodesic":
         if n is None:
             raise ConfigError("config: the local pipeline needs an explicit 'n'")
-        assert m is not None
-        if n + m > min(grid):
-            raise ConfigError(
-                f"config: n + m = {n + m} exceeds the smallest total node count {min(grid)}"
-            )
+        if n + m > grid[0]:
+            raise ConfigError(f"config: n + m = {n + m} exceeds the smallest total node count {grid[0]}")
+    elif n is not None:
+        bad = [total for total in grid if n + m != total]
+        if bad:
+            raise ConfigError(f"config: explicit sizes need n + m == N for every grid entry; fails at N={bad[0]}")
     else:
-        if n is not None:
-            assert m is not None
-            bad = [total for total in grid if n + m != total]
-            if bad:
-                raise ConfigError(
-                    f"config: explicit sizes need n + m == N for every grid entry; fails at N={bad[0]}"
-                )
-        else:
-            for total in grid:
-                split = int(round(total / (1.0 + m_ratio)))
-                if not 1 <= split <= total - 1:
-                    raise ConfigError(f"config: 'm_ratio' {m_ratio} leaves an empty group at N={total}")
+        for total in grid:
+            if not 1 <= _ratio_split(total, m_ratio) <= total - 1:
+                raise ConfigError(f"config: 'm_ratio' {m_ratio} leaves an empty group at N={total}")
+    return {"n": n, "m": m, "m_ratio": m_ratio}
 
-    epsilon = _get_number(data, "epsilon", "config", required=experiment != "fast_nonlocal")
+
+def _default_eta(manifold: Manifold, form: GaussianPowerKernel) -> float:
+    """The adjacency route's dual box exp(c_max / sigma), c_max = diam^p the
+    largest cost."""
+    c_max = manifold.euclidean_diameter**form.p
+    try:
+        return math.exp(c_max / form.sigma)
+    except OverflowError:
+        raise ConfigError(
+            f"config: the default 'eta' = exp(diam^p / sigma) = exp({c_max / form.sigma:g}) "
+            f"overflows a float; give 'eta'"
+        ) from None
+
+
+def config_from_dict(raw: object) -> ExperimentConfig:
+    data = _typed(raw, "object", "config")
+    experiment = _get(data, "experiment", "config", "string", required=True)
+    if experiment not in _EXPERIMENT_KEYS:
+        known = ", ".join(EXPERIMENT_KINDS)
+        raise ConfigError(f"config: unknown experiment '{experiment}' (known: {known})")
+    _reject_unknown(data, _EXPERIMENT_KEYS[experiment], f"config[{experiment}]")
+
+    grid = _get_list(data, "grid", "config", "integer")
+    if grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"config: 'grid' must be strictly increasing from at least 2, got {list(grid)}")
+    seeds = _get_list(data, "seeds", "config", "integer", unique=True)
+    for seed in seeds:
+        if not 0 <= seed < SEED_LIMIT:
+            raise ConfigError(f"config: seeds must lie in [0, 2^64), got {seed}")
+    solver_keys = _section(data, "solver", "config", _parse_solver, default={})
+    epsilon = _get(data, "epsilon", "config", "number", required=experiment != "fast_nonlocal")
     eta = None
-    if experiment == "fast_nonlocal":
-        assert kernel.form is not None
-        sigma = kernel.form.sigma
-        if epsilon is not None and abs(epsilon - sigma) > 1e-12:
-            raise ConfigError(
-                f"config: the adjacency pipeline solves at epsilon = sigma = {sigma}; "
-                f"drop 'epsilon' or set it to that value"
-            )
-        epsilon = sigma
-        eta = _get_number(data, "eta", "config")
-        if eta is None:
-            # The dual box exp(c_max / sigma), c_max the largest cost diam^p.
-            c_max = manifold.euclidean_diameter**kernel.form.p
-            try:
-                eta = math.exp(c_max / sigma)
-            except OverflowError:
+
+    if experiment == "stability_suite":
+        cost_low = _get(data, "cost_low", "config", "number", default=0.1)
+        cost_high = _get(data, "cost_high", "config", "number", default=1.0)
+        if cost_low < 0.0 or cost_high <= cost_low:
+            raise ConfigError(f"config: need 0 <= cost_low < cost_high, got [{cost_low}, {cost_high}]")
+        fields = {"cost_low": cost_low, "cost_high": cost_high}
+    else:
+        manifold = _section(data, "manifold", "config", _parse_manifold, required=True)
+        expected_kind = "local" if experiment == "local_geodesic" else "nonlocal"
+        kernel = _section(data, "kernel", "config", _parse_kernel, expected_kind, required=True)
+        if experiment == "local_geodesic":
+            default_map = CostMap.identity(manifold.diameter)
+        else:
+            default_map = None if experiment == "fast_nonlocal" else CostMap.one_minus()
+        gammas: tuple[float, ...] = ()
+        if experiment == "usvt_nonlocal":
+            gammas = (_get(data, "gamma", "config", "number", default=1.0),)
+        elif experiment == "gamma_sweep":
+            gammas = _get_list(data, "gammas", "config", "number", unique=True)
+        if gammas and min(gammas) <= 0.0:
+            raise ConfigError(f"config: gamma must be positive, got {min(gammas)}")
+        fields = {
+            "manifold": manifold,
+            "density": _section(data, "density", "config", _parse_density, manifold, default=Density(kind="uniform")),
+            "placement": _section(data, "placement", "config", _parse_placement, default=Placement(mode="iid")),
+            "kernel": kernel,
+            "cost_map": _section(data, "cost_map", "config", _parse_cost_map, experiment, manifold, default=default_map),
+            "gammas": gammas,
+            **_parse_sizes(data, experiment, grid),
+        }
+        if experiment == "fast_nonlocal":
+            sigma = kernel.form.sigma
+            if epsilon is not None and abs(epsilon - sigma) > 1e-12:
                 raise ConfigError(
-                    f"config: the default 'eta' = exp(diam^p / sigma) = exp({c_max / sigma:g}) "
-                    f"overflows a float; give 'eta'"
-                ) from None
-    solver = _build("config", SolverConfig, epsilon=epsilon, eta=eta, **solver_keys)
-
-    gamma = _get_number(data, "gamma", "config", default=1.0)
-    assert gamma is not None
-    if gamma <= 0.0:
-        raise ConfigError(f"config: 'gamma' must be positive, got {gamma}")
-
-    gammas: tuple[float, ...] = ()
-    if experiment == "gamma_sweep":
-        if "gammas" not in data or not isinstance(data["gammas"], list) or not data["gammas"]:
-            raise ConfigError("config: 'gammas' must be a nonempty list of positive numbers")
-        values = []
-        for i, entry in enumerate(data["gammas"]):
-            if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-                raise ConfigError(f"config: gammas[{i}] must be a number, got {entry!r}")
-            value = float(entry)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ConfigError(f"config: gammas[{i}] must be positive and finite, got {value}")
-            values.append(value)
-        if len(set(values)) != len(values):
-            raise ConfigError("config: 'gammas' must not contain duplicates")
-        gammas = tuple(values)
+                    f"config: the adjacency pipeline solves at epsilon = sigma = {sigma}; "
+                    f"drop 'epsilon' or set it to that value"
+                )
+            epsilon = sigma
+            eta = _get(data, "eta", "config", "number")
+            if eta is None:
+                eta = _default_eta(manifold, kernel.form)
 
     return ExperimentConfig(
         experiment=experiment,
         grid=grid,
         seeds=seeds,
-        manifold=manifold,
-        density=density,
-        placement=placement,
-        kernel=kernel,
-        cost_map=cost_map,
-        n=n,
-        m=m,
-        m_ratio=m_ratio,
-        gamma=gamma,
-        gammas=gammas,
-        solver=solver,
-        output=output,
+        solver=_build("config", SolverConfig, epsilon=epsilon, eta=eta, **solver_keys),
+        output=_section(data, "output", "config", _parse_output, default=OutputSettings()),
+        **fields,
     )
 
 

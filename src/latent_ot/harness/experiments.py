@@ -258,7 +258,7 @@ def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[
     if config.experiment == "gamma_sweep":
         gammas = {f"usvt@gamma={gamma:g}": gamma for gamma in config.gammas}
     else:
-        gammas = {ESTIMATOR_LABELS["usvt_nonlocal"]: config.gamma}
+        gammas = {ESTIMATOR_LABELS["usvt_nonlocal"]: config.gammas[0]}
     with cell.stage("estimate"):
         # One decomposition at the lowest threshold serves every gamma.
         spectrum = usvt(graph, UsvtParams(min(gammas.values()), rho, form.bounds(config.manifold)))

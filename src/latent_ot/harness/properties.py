@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from ..ot_core import (
     stability_report,
 )
 from ..rng import CounterStream, RngSeed
+from .experiments import _simplex_point
 
 _EPS_CHOICES = (0.1, 0.5, 1.0)
 
@@ -71,9 +73,16 @@ def _random_cost(rng: CounterStream, n: int, m: int, lo: float = 0.1, hi: float 
 def _random_weights(rng: CounterStream, size: int) -> DiscreteDistribution:
     if rng.uniform() < 0.5:
         return DiscreteDistribution.uniform(size)
-    exponentials = -np.log(1.0 - rng.uniforms(size))
-    weights = exponentials / exponentials.sum()
-    return DiscreteDistribution(weights=weights / weights.sum())
+    return _simplex_point(rng, size)
+
+
+def _random_problem(rng: CounterStream) -> tuple[CostMatrix, DiscreteDistribution, DiscreteDistribution, float]:
+    """A random transport problem: sizes, cost, marginals and epsilon, drawn
+    in that order."""
+    n, m = _random_dim(rng), _random_dim(rng)
+    cost = _random_cost(rng, n, m)
+    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
+    return cost, alpha, beta, _pick(rng, _EPS_CHOICES)
 
 
 def _solve(cost, alpha, beta, eps):
@@ -85,10 +94,7 @@ def _solve(cost, alpha, beta, eps):
 
 
 def _check_plan_marginals(rng: CounterStream, scale: float) -> float:
-    n, m = _random_dim(rng), _random_dim(rng)
-    cost = _random_cost(rng, n, m)
-    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
-    eps = _pick(rng, _EPS_CHOICES)
+    cost, alpha, beta, eps = _random_problem(rng)
     result = _solve(cost, alpha, beta, eps)
     plan = result.plan.entries
     gap = max(
@@ -99,10 +105,7 @@ def _check_plan_marginals(rng: CounterStream, scale: float) -> float:
 
 
 def _check_plan_factorization(rng: CounterStream, scale: float) -> float:
-    n, m = _random_dim(rng), _random_dim(rng)
-    cost = _random_cost(rng, n, m)
-    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
-    eps = _pick(rng, _EPS_CHOICES)
+    cost, alpha, beta, eps = _random_problem(rng)
     result = _solve(cost, alpha, beta, eps)
     f, g = result.potentials.f, result.potentials.g
     rebuilt = (
@@ -115,10 +118,7 @@ def _check_plan_factorization(rng: CounterStream, scale: float) -> float:
 
 
 def _check_strong_duality(rng: CounterStream, scale: float) -> float:
-    n, m = _random_dim(rng), _random_dim(rng)
-    cost = _random_cost(rng, n, m)
-    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
-    eps = _pick(rng, _EPS_CHOICES)
+    cost, alpha, beta, eps = _random_problem(rng)
     result = _solve(cost, alpha, beta, eps)
     dual = dual_value(result.potentials, cost, alpha, beta, eps)
     primal = primal_value(result.plan, cost, alpha, beta, eps)
@@ -127,20 +127,14 @@ def _check_strong_duality(rng: CounterStream, scale: float) -> float:
 
 
 def _check_value_matches_primal(rng: CounterStream, scale: float) -> float:
-    n, m = _random_dim(rng), _random_dim(rng)
-    cost = _random_cost(rng, n, m)
-    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
-    eps = _pick(rng, _EPS_CHOICES)
+    cost, alpha, beta, eps = _random_problem(rng)
     result = _solve(cost, alpha, beta, eps)
     primal = primal_value(result.plan, cost, alpha, beta, eps)
     return 1e-8 * max(1.0, abs(primal)) * scale - abs(result.value - primal)
 
 
 def _check_transpose_symmetry(rng: CounterStream, scale: float) -> float:
-    n, m = _random_dim(rng), _random_dim(rng)
-    cost = _random_cost(rng, n, m)
-    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
-    eps = _pick(rng, _EPS_CHOICES)
+    cost, alpha, beta, eps = _random_problem(rng)
     forward = _solve(cost, alpha, beta, eps)
     transposed = CostMatrix(entries=cost.entries.T, c_min=cost.c_min, c_max=cost.c_max)
     backward = _solve(transposed, beta, alpha, eps)
@@ -149,10 +143,7 @@ def _check_transpose_symmetry(rng: CounterStream, scale: float) -> float:
 
 def _check_shift_tightness(rng: CounterStream, scale: float) -> float:
     """W(C + t) - W(C) equals t exactly, so the sup-norm ceiling is tight."""
-    n, m = _random_dim(rng), _random_dim(rng)
-    cost = _random_cost(rng, n, m)
-    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
-    eps = _pick(rng, _EPS_CHOICES)
+    cost, alpha, beta, eps = _random_problem(rng)
     shift = 0.2 + 0.3 * rng.uniform()
     shifted = CostMatrix(entries=cost.entries + shift, c_min=cost.c_min + shift, c_max=cost.c_max + shift)
     base = _solve(cost, alpha, beta, eps)
@@ -173,10 +164,7 @@ def _check_entropic_bias(rng: CounterStream, scale: float) -> float:
 
 
 def _check_potential_box(rng: CounterStream, scale: float) -> float:
-    n, m = _random_dim(rng), _random_dim(rng)
-    cost = _random_cost(rng, n, m)
-    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
-    eps = _pick(rng, _EPS_CHOICES)
+    cost, alpha, beta, eps = _random_problem(rng)
     result = _solve(cost, alpha, beta, eps)
     radius = min_box_radius(result.potentials)
     ceiling = cost.c_max - cost.c_min / 2.0
@@ -218,27 +206,8 @@ def _check_stability_bound(rng: CounterStream, scale: float, name: str) -> float
     return check.rhs * scale + 1e-9 - check.lhs
 
 
-def _check_sup_bound(rng, scale):
-    return _check_stability_bound(rng, scale, "sup_norm")
-
-
-def _check_spectral_bound(rng, scale):
-    return _check_stability_bound(rng, scale, "kernel_spectral")
-
-
-def _check_plan_kl_bound(rng, scale):
-    return _check_stability_bound(rng, scale, "plan_kl")
-
-
-def _check_frobenius_domination(rng, scale):
-    return _check_stability_bound(rng, scale, "kernel_frobenius")
-
-
 def _check_boxed_matches_sinkhorn(rng: CounterStream, scale: float) -> float:
-    n, m = _random_dim(rng), _random_dim(rng)
-    cost = _random_cost(rng, n, m)
-    alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
-    eps = _pick(rng, _EPS_CHOICES)
+    cost, alpha, beta, eps = _random_problem(rng)
     reference = _solve(cost, alpha, beta, eps)
     eta = math.exp((cost.c_max - cost.c_min / 2.0) / eps)
     kernel = np.exp(-cost.entries / eps)
@@ -348,10 +317,10 @@ _CHECKS: tuple[_Check, ...] = (
     _Check("entropic_bias", _check_entropic_bias),
     _Check("potential_box", _check_potential_box),
     _Check("quadratic_growth", _check_quadratic_growth),
-    _Check("sup_bound", _check_sup_bound),
-    _Check("spectral_bound", _check_spectral_bound),
-    _Check("plan_kl_bound", _check_plan_kl_bound),
-    _Check("frobenius_domination", _check_frobenius_domination),
+    _Check("sup_bound", partial(_check_stability_bound, name="sup_norm")),
+    _Check("spectral_bound", partial(_check_stability_bound, name="kernel_spectral")),
+    _Check("plan_kl_bound", partial(_check_stability_bound, name="plan_kl")),
+    _Check("frobenius_domination", partial(_check_stability_bound, name="kernel_frobenius")),
     _Check("boxed_matches_sinkhorn", _check_boxed_matches_sinkhorn),
     _Check("hop_distance_dominates", _check_hop_distance_dominates),
     _Check("hop_transpose", _check_hop_transpose),

@@ -230,6 +230,36 @@ def test_cost_map_pipeline_compatibility():
     assert spectral.cost_map is not None and spectral.cost_map.kind == "one_minus"
 
 
+def test_piecewise_cost_map_takes_numbers_only():
+    data = usvt_config_dict()
+    data["cost_map"] = {"kind": "piecewise", "breakpoints": [0, 0.5, 1], "values": [1, 0.3, 0]}
+    cost_map = config_from_dict(data).cost_map
+    assert cost_map is not None and cost_map.kind == "piecewise"
+    assert cost_map.breakpoints.tolist() == [0.0, 0.5, 1.0]
+    assert cost_map.values.tolist() == [1.0, 0.3, 0.0]
+    for key, bad in (("values", [1, "0.5"]), ("breakpoints", [0, True]), ("breakpoints", [1, 0])):
+        data = usvt_config_dict()
+        data["cost_map"] = {"kind": "piecewise", "breakpoints": [0, 1], "values": [1, 0]}
+        data["cost_map"][key] = bad
+        with pytest.raises(ConfigError, match=r"^config\.cost_map: "):
+            config_from_dict(data)
+
+
+def test_kernel_form_without_kind_names_the_missing_key():
+    data = usvt_config_dict()
+    del data["kernel"]["form"]["kind"]
+    with pytest.raises(ConfigError, match=r"^config\.kernel\.form: missing required key 'kind'$"):
+        config_from_dict(data)
+
+
+def test_every_shipped_config_loads():
+    paths = sorted((REPO_ROOT / "configs").glob("*.json"))
+    assert paths
+    configs = {path.stem: load_config(path) for path in paths}
+    assert configs["usvt_sphere"].gammas == (1.0,)
+    assert configs["gamma_sweep"].gammas == (0.5, 1.0, 2.0)
+
+
 def test_size_rules():
     data = local_config_dict()
     del data["n"]
