@@ -14,8 +14,9 @@ on their order, or on the worker count.  Wall-clock timings go to a second
 table so the results file stays byte-reproducible: each cell's
 ``wall_seconds`` and one ``stage_<name>_seconds`` row per stage it ran.  The
 stages are latents, graph, estimate, solve_true, solve_est and bounds.  The
-perturbation_pair route draws its cost pair in the estimate stage; the bounds
-stage holds the stability report's ceilings and every error diagnostic.
+perturbation_pair route draws its cost pair in the estimate stage; each solve
+runs in its own stage, and the bounds stage holds the stability report of the
+two finished solves and every error diagnostic.
 """
 
 from __future__ import annotations
@@ -50,13 +51,13 @@ from ..latent_models import (
     sample_latents,
 )
 from ..ot_core import (
+    BoxedResult,
     CostMatrix,
     DiscreteDistribution,
-    SolveStatus,
-    StabilityReport,
+    OtResult,
     dual_ascent_boxed,
+    report_from_solves,
     sinkhorn,
-    stability_report,
 )
 from ..rng import CounterStream, RngSeed
 from .config import ExperimentConfig
@@ -91,9 +92,6 @@ class _Cell:
         self.eps = config.solver.epsilon
         self.stage_seconds: dict[str, float] = {}
 
-    def add_seconds(self, stage: str, seconds: float) -> None:
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
-
     @contextmanager
     def stage(self, name: str):
         """Charge the wall-clock time of the block to the named stage."""
@@ -101,7 +99,7 @@ class _Cell:
         try:
             yield
         finally:
-            self.add_seconds(name, time.perf_counter() - start)
+            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + time.perf_counter() - start
 
     def row(self, estimator: str, metric: str, value: float) -> ResultRow:
         return ResultRow(
@@ -123,24 +121,41 @@ def _normalized_gap(value_true: float, value_est: float) -> float:
     return abs(1.0 - value_est / value_true)
 
 
-def _solve_rows(cell: _Cell, label: str, side: str, solve: SolveStatus) -> list[ResultRow]:
-    """How the solve on the ``side`` ("true" or "est") cost ended."""
-    return [
-        cell.row(label, f"solver_iterations_{side}", float(solve.iterations)),
-        cell.row(label, f"solver_converged_{side}", 1.0 if solve.converged else 0.0),
-        cell.row(label, f"solver_marginal_residual_{side}", solve.marginal_residual),
-    ]
+def _uniform_marginals(cell: _Cell) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    return DiscreteDistribution.uniform(cell.n), DiscreteDistribution.uniform(cell.m)
 
 
-def _report_rows(cell: _Cell, label: str, report: StabilityReport) -> list[ResultRow]:
-    """Transport values, cost gaps, every bound's ceiling and slack, and how
-    both solves ended."""
+def _value_rows(cell: _Cell, label: str, true: OtResult, est: OtResult | BoxedResult) -> list[ResultRow]:
+    """The transport values of the solves on the true and the estimated side,
+    their gap, and how each solve ended."""
     rows = [
+        cell.row(label, "ot_value_true", true.value),
+        cell.row(label, "ot_value_est", est.value),
+        cell.row(label, "ot_error_abs", abs(true.value - est.value)),
+    ]
+    for side, solve in (("true", true), ("est", est)):
+        rows.append(cell.row(label, f"solver_iterations_{side}", float(solve.iterations)))
+        rows.append(cell.row(label, f"solver_converged_{side}", 1.0 if solve.converged else 0.0))
+        rows.append(cell.row(label, f"solver_marginal_residual_{side}", solve.marginal_residual))
+    return rows
+
+
+def _report_rows(
+    cell: _Cell,
+    label: str,
+    true: OtResult,
+    est: OtResult,
+    cost_true: CostMatrix,
+    cost_est: CostMatrix,
+    alpha: DiscreteDistribution,
+    beta: DiscreteDistribution,
+) -> list[ResultRow]:
+    """The value rows of two finished solves, then their stability report:
+    cost gaps and every bound's ceiling and slack."""
+    report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, cell.config.solver)
+    rows = _value_rows(cell, label, true, est) + [
         cell.row(label, "cost_sup_err", report.cost_sup_gap),
         cell.row(label, "cost_frobenius_err", report.cost_frobenius_gap),
-        cell.row(label, "ot_value_true", report.value_true),
-        cell.row(label, "ot_value_est", report.value_est),
-        cell.row(label, "ot_error_abs", report.value_gap),
         cell.row(label, "kl_plans", report.plan_divergence),
         cell.row(label, "kernel_operator_gap", report.kernel_operator_gap),
     ]
@@ -149,33 +164,22 @@ def _report_rows(cell: _Cell, label: str, report: StabilityReport) -> list[Resul
         rows.append(cell.row(label, f"slack_{check.name}", check.slack))
     rows.append(cell.row(label, "slack_min", min(check.slack for check in report.checks)))
     rows.append(cell.row(label, "all_bounds_hold", 1.0 if report.all_passed else 0.0))
-    rows += _solve_rows(cell, label, "true", report.solve_true)
-    return rows + _solve_rows(cell, label, "est", report.solve_est)
+    return rows
 
 
-def _timed_report(
-    cell: _Cell, cost_true: CostMatrix, cost_est: CostMatrix, alpha: DiscreteDistribution, beta: DiscreteDistribution
-) -> StabilityReport:
-    """The stability report, its two solves charged to their own stages and
-    the rest to the bounds stage."""
+def _cost_block_rows(
+    cell: _Cell, label: str, true: OtResult, cost_true: CostMatrix, cost_est: CostMatrix
+) -> list[ResultRow]:
+    """Solve on the estimated cost block and report it against the finished
+    solve on the true block, both under uniform marginals."""
+    alpha, beta = _uniform_marginals(cell)
+    with cell.stage("solve_est"):
+        est = sinkhorn(cost_est, alpha, beta, cell.config.solver)
     with cell.stage("bounds"):
-        report = stability_report(cost_true, cost_est, alpha, beta, cell.config.solver)
-    for side, solve in (("true", report.solve_true), ("est", report.solve_est)):
-        cell.add_seconds(f"solve_{side}", solve.seconds)
-        cell.add_seconds("bounds", -solve.seconds)
-    return report
-
-
-def _cost_block_rows(cell: _Cell, label: str, cost_true: CostMatrix, cost_est: CostMatrix) -> list[ResultRow]:
-    """Solve on the true and on the estimated cost block and report the gaps."""
-    alpha = DiscreteDistribution.uniform(cell.n)
-    beta = DiscreteDistribution.uniform(cell.m)
-    report = _timed_report(cell, cost_true, cost_est, alpha, beta)
-    with cell.stage("bounds"):
+        rows = _report_rows(cell, label, true, est, cost_true, cost_est, alpha, beta)
         cost_operator_gap = diagnostics.operator_norm(cost_true.entries - cost_est.entries)
-        rows = _report_rows(cell, label, report)
         rows.append(cell.row(label, "cost_operator_err", cost_operator_gap))
-        rows.append(cell.row(label, "ot_error_normalized", _normalized_gap(report.value_true, report.value_est)))
+        rows.append(cell.row(label, "ot_error_normalized", _normalized_gap(true.value, est.value)))
     return rows
 
 
@@ -228,13 +232,15 @@ def _shortest_path_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph)
         d_true = config.manifold.geodesic_matrix(latents.xs, latents.ys)
         cost_true = cost_from_distances(d_true, config.cost_map)
         cost_est = cost_from_distances(d_est, config.cost_map)
+    with cell.stage("solve_true"):
+        true = sinkhorn(cost_true, *_uniform_marginals(cell), config.solver)
     with cell.stage("bounds"):
         rows = [
             cell.row(label, "graph_h", h),
             cell.row(label, "graph_edges", float(graph.edge_count)),
             cell.row(label, "sp_sup_err", float(np.abs(d_est - d_true).max())),
         ]
-    return rows + _cost_block_rows(cell, label, cost_true, cost_est)
+    return rows + _cost_block_rows(cell, label, true, cost_true, cost_est)
 
 
 def _kernel_frobenius_normalized(points: np.ndarray, form: GaussianPowerKernel, estimate: UsvtEstimate) -> float:
@@ -262,19 +268,26 @@ def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[
     with cell.stage("estimate"):
         # One decomposition at the lowest threshold serves every gamma.
         spectrum = usvt(graph, UsvtParams(min(gammas.values()), rho, form.bounds(config.manifold)))
-        cost_true = cost_from_distances(form.evaluate(latents.xs, latents.ys), config.cost_map)
+        estimates = {label: spectrum.at_gamma(gamma) for label, gamma in gammas.items()}
     rows: list[ResultRow] = []
-    for label, gamma in gammas.items():
-        with cell.stage("estimate"):
-            estimate = spectrum.at_gamma(gamma)
-            block = estimate.block(slice(0, cell.n), slice(cell.n, cell.total))
-            cost_est = cost_from_distances(block, config.cost_map)
-        rows.extend(_cost_block_rows(cell, label, cost_true, cost_est))
-        with cell.stage("bounds"):
-            frobenius = _kernel_frobenius_normalized(latents.all_points(), form, estimate)
+    # The kernel errors run before the true cost is formed, so that their row
+    # blocks are never held at the same time as that cost and its plan.
+    with cell.stage("bounds"):
+        points = latents.all_points()
+        for label, estimate in estimates.items():
+            frobenius = _kernel_frobenius_normalized(points, form, estimate)
             rows.append(cell.row(label, "kernel_frobenius_normalized", frobenius))
             rows.append(cell.row(label, "rho_used", rho))
             rows.append(cell.row(label, "usvt_rank", float(estimate.rank)))
+    with cell.stage("estimate"):
+        cost_true = cost_from_distances(form.evaluate(latents.xs, latents.ys), config.cost_map)
+    # One solve on the true cost serves every gamma too.
+    with cell.stage("solve_true"):
+        true = sinkhorn(cost_true, *_uniform_marginals(cell), config.solver)
+    for label, estimate in estimates.items():
+        with cell.stage("estimate"):
+            cost_est = cost_from_distances(estimate.block(slice(0, cell.n), slice(cell.n, cell.total)), config.cost_map)
+        rows.extend(_cost_block_rows(cell, label, true, cost_true, cost_est))
     return rows
 
 
@@ -286,8 +299,7 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
     assert config.manifold is not None and config.kernel is not None and config.kernel.form is not None
     form = config.kernel.form
     rho = config.kernel.rho_at(cell.total)
-    alpha = DiscreteDistribution.uniform(cell.n)
-    beta = DiscreteDistribution.uniform(cell.m)
+    alpha, beta = _uniform_marginals(cell)
     with cell.stage("graph"):
         powers = form.distance_power(latents.xs, latents.ys)
         weights = form.of_powers(powers)
@@ -295,31 +307,25 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
     # temporaries are freed before the block's are made.
     with cell.stage("solve_true"):
         cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=config.manifold.euclidean_diameter**form.p)
-        solve_true = sinkhorn(cost_true, alpha, beta, config.solver)
+        true = sinkhorn(cost_true, alpha, beta, config.solver)
     with cell.stage("graph"):
         xs_index, ys_index = np.arange(cell.n)[:, None], np.arange(cell.n, cell.n + cell.m)[None, :]
         cross_edges = bernoulli_pairs(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
     with cell.stage("estimate"):
         k_block = fast_kernel_block(cross_edges, rho, cell.n, cell.m)
     with cell.stage("solve_est"):
-        solve_est = dual_ascent_boxed(k_block, alpha, beta, config.solver)
+        est = dual_ascent_boxed(k_block, alpha, beta, config.solver)
     with cell.stage("bounds"):
         kernel_disc = diagnostics.discrepancy(weights, k_block)
-    value_true, value_est = solve_true.value, solve_est.value
 
     label = ESTIMATOR_LABELS["fast_nonlocal"]
-    return [
-        cell.row(label, "ot_value_true", value_true),
-        cell.row(label, "ot_value_est", value_est),
-        cell.row(label, "ot_error_abs", abs(value_true - value_est)),
-        cell.row(label, "ot_error_normalized", _normalized_gap(value_true, value_est)),
+    return _value_rows(cell, label, true, est) + [
+        cell.row(label, "ot_error_normalized", _normalized_gap(true.value, est.value)),
         cell.row(label, "kernel_operator_gap", kernel_disc.operator),
         cell.row(label, "kernel_frobenius_normalized", kernel_disc.frobenius_normalized),
         cell.row(label, "eta_used", config.solver.eta),
         cell.row(label, "rho_used", rho),
-        *_solve_rows(cell, label, "true", solve_true.status),
-        *_solve_rows(cell, label, "est", solve_est.status),
-        cell.row(label, "solver_pinned_fraction_est", solve_est.pinned_fraction),
+        cell.row(label, "solver_pinned_fraction_est", est.pinned_fraction),
     ]
 
 
@@ -342,9 +348,12 @@ def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
         beta = _simplex_point(rng, side)
         cost_true = CostMatrix(entries=entries_true, c_min=lo, c_max=hi)
         cost_est = CostMatrix(entries=entries_est, c_min=lo, c_max=hi)
-    report = _timed_report(cell, cost_true, cost_est, alpha, beta)
+    with cell.stage("solve_true"):
+        true = sinkhorn(cost_true, alpha, beta, config.solver)
+    with cell.stage("solve_est"):
+        est = sinkhorn(cost_est, alpha, beta, config.solver)
     with cell.stage("bounds"):
-        return _report_rows(cell, ESTIMATOR_LABELS["stability_suite"], report)
+        return _report_rows(cell, ESTIMATOR_LABELS["stability_suite"], true, est, cost_true, cost_est, alpha, beta)
 
 
 _GRAPH_ROUTES = {

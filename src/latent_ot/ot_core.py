@@ -13,10 +13,13 @@ whenever a scaling drifts out of range, over-relaxed by a factor derived
 from the contraction the sweeps measure as they go.  The boxed ascent takes
 its kernel as a plain nonnegative array, since an estimated kernel need not
 be exp(-C/eps) of any cost.  An exact assignment solver is the unregularized reference for
-uniform marginals, and :func:`stability_report` evaluates how far the value
-and plan can move when the cost matrix is replaced by an estimate.  Cost
-matrices carry explicit entry bounds ``c_min <= C_ij <= c_max`` because the
-perturbation bounds depend on them.  The solvers and the report read epsilon
+uniform marginals.  :func:`report_from_solves` takes two finished solves, one
+on a true cost and one on its estimate, and evaluates how far the value and
+plan moved against the ceilings the perturbation bounds give;
+:func:`stability_report` runs both solves and then that report.  The module
+keeps no clock: a caller times the solves and the report where it runs them.
+Cost matrices carry explicit entry bounds ``c_min <= C_ij <= c_max`` because
+the perturbation bounds depend on them.  The solvers and the report read epsilon
 from their :class:`SolverConfig` alone; only the standalone objectives
 :func:`primal_value` and :func:`dual_value` take it as an argument.
 """
@@ -24,7 +27,6 @@ from their :class:`SolverConfig` alone; only the standalone objectives
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,18 +221,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class SolveStatus:
-    """How one solve ended: its sweeps, whether it stopped before its budget ran
-    out, its final L1 marginal residual, and the wall-clock seconds it took
-    (which no comparison reads)."""
-
-    iterations: int
-    converged: bool
-    marginal_residual: float
-    seconds: float = field(compare=False)
-
-
-@dataclass(frozen=True)
 class OtResult:
     """Converged (or budget-exhausted) output of the Sinkhorn solver.
 
@@ -244,11 +234,6 @@ class OtResult:
     iterations: int
     converged: bool
     marginal_residual: float
-    seconds: float = field(compare=False)
-
-    @property
-    def status(self) -> SolveStatus:
-        return SolveStatus(self.iterations, self.converged, self.marginal_residual, self.seconds)
 
 
 @dataclass(frozen=True)
@@ -266,11 +251,6 @@ class BoxedResult:
     converged: bool
     pinned_fraction: float
     marginal_residual: float
-    seconds: float = field(compare=False)
-
-    @property
-    def status(self) -> SolveStatus:
-        return SolveStatus(self.iterations, self.converged, self.marginal_residual, self.seconds)
 
 
 @dataclass(frozen=True)
@@ -300,8 +280,7 @@ class StabilityReport:
     The four checks cover, in order: the sup-norm ceiling on the value gap,
     the spectral ceiling on the value gap, the ceiling on the KL divergence
     between the two optimal plans, and the Frobenius domination of the
-    kernel operator gap.  ``solve_true`` and ``solve_est`` say how the two
-    Sinkhorn solves ended.
+    kernel operator gap.
     """
 
     value_true: float
@@ -310,8 +289,6 @@ class StabilityReport:
     cost_sup_gap: float
     cost_frobenius_gap: float
     kernel_operator_gap: float
-    solve_true: SolveStatus
-    solve_est: SolveStatus
     checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
 
     @property
@@ -583,7 +560,6 @@ def sinkhorn(
     potentials.  Returns centered potentials and the plan
     P_ij = alpha_i beta_j exp((f_i + g_j - C_ij) / epsilon).
     """
-    start = time.perf_counter()
     n, m = cost.shape
     _check_dims(n, m, alpha, beta)
     rows, cols, a, b, log_k = _support(alpha, beta, cost.entries / -cfg.epsilon)
@@ -618,7 +594,6 @@ def sinkhorn(
         iterations=iterations,
         converged=converged,
         marginal_residual=state.row_gap + state.col_gap,
-        seconds=time.perf_counter() - start,
     )
 
 
@@ -640,7 +615,6 @@ def dual_ascent_boxed(
     (``converged``) once a plain sweep moves the dual value by at most
     ``value_tolerance`` relative.  Potentials are uncentered, 0 on zero-mass atoms.
     """
-    start = time.perf_counter()
     entries = np.asarray(kernel, dtype=np.float64)
     if entries.ndim != 2 or entries.size == 0:
         raise InvalidParameterError("kernel entries must form a nonempty matrix")
@@ -672,7 +646,6 @@ def dual_ascent_boxed(
         converged=converged,
         pinned_fraction=float(np.count_nonzero(face)) / (n + m),
         marginal_residual=state.row_gap + state.col_gap,
-        seconds=time.perf_counter() - start,
     )
 
 
@@ -728,18 +701,20 @@ def _ceiling(prefactor: float, gap: float) -> float:
     return math.inf if prefactor == math.inf else float(prefactor * gap)
 
 
-def stability_report(
+def report_from_solves(
+    true: OtResult,
+    est: OtResult,
     cost_true: CostMatrix,
     cost_est: CostMatrix,
     alpha: DiscreteDistribution,
     beta: DiscreteDistribution,
     cfg: SolverConfig,
 ) -> StabilityReport:
-    """Solve both problems under ``cfg`` and compare the gaps to their ceilings.
+    """Compare the finished solves on ``cost_true`` and ``cost_est`` to their ceilings.
 
-    The shared cost bounds are the union of the two matrices' bounds.  The
-    four recorded inequalities, with eps = ``cfg.epsilon``, dC = C - C_hat
-    and dK = exp(-C/eps) - exp(-C_hat/eps):
+    Runs no solve.  The shared cost bounds are the union of the two matrices'
+    bounds.  The four recorded inequalities, with eps = ``cfg.epsilon``,
+    dC = C - C_hat and dK = exp(-C/eps) - exp(-C_hat/eps):
 
     * ``sup_norm``:  |value gap| <= sup|dC|
     * ``kernel_spectral``:  |value gap| <=
@@ -749,18 +724,16 @@ def stability_report(
       + e^{(4 c_max - 3.5 c_min)/eps} * sqrt(||alpha|| ||beta|| ||dK||_op)
     * ``kernel_frobenius``:  ||dK||_op <= e^{-c_min/eps}/eps * ||dC||_F
     """
-    if cost_true.shape != cost_est.shape:
-        raise InvalidParameterError(
-            f"cost shapes differ: {cost_true.shape} vs {cost_est.shape}"
-        )
+    shapes = (cost_true.shape, cost_est.shape, true.plan.entries.shape, est.plan.entries.shape)
+    if len(set(shapes)) > 1:
+        raise InvalidParameterError(f"cost and plan shapes differ: {shapes}")
+    _check_dims(*cost_true.shape, alpha, beta)
     eps = cfg.epsilon
     c_min = min(cost_true.c_min, cost_est.c_min)
     c_max = max(cost_true.c_max, cost_est.c_max)
 
-    result_true = sinkhorn(cost_true, alpha, beta, cfg)
-    result_est = sinkhorn(cost_est, alpha, beta, cfg)
-    value_gap = abs(result_true.value - result_est.value)
-    divergence = kl_plans(result_true.plan, result_est.plan)
+    value_gap = abs(true.value - est.value)
+    divergence = kl_plans(true.plan, est.plan)
 
     diff = cost_true.entries - cost_est.entries
     sup_gap = float(np.abs(diff).max())
@@ -784,13 +757,25 @@ def stability_report(
         BoundCheck("kernel_frobenius", kernel_gap, frobenius_rhs),
     )
     return StabilityReport(
-        value_true=result_true.value,
-        value_est=result_est.value,
+        value_true=true.value,
+        value_est=est.value,
         plan_divergence=divergence,
         cost_sup_gap=sup_gap,
         cost_frobenius_gap=frobenius_gap,
         kernel_operator_gap=kernel_gap,
-        solve_true=result_true.status,
-        solve_est=result_est.status,
         checks=checks,
     )
+
+
+def stability_report(
+    cost_true: CostMatrix,
+    cost_est: CostMatrix,
+    alpha: DiscreteDistribution,
+    beta: DiscreteDistribution,
+    cfg: SolverConfig,
+) -> StabilityReport:
+    """Solve both problems with :func:`sinkhorn` under ``cfg`` and compare the
+    solves with :func:`report_from_solves`."""
+    true = sinkhorn(cost_true, alpha, beta, cfg)
+    est = sinkhorn(cost_est, alpha, beta, cfg)
+    return report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)

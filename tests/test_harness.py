@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 
 import latent_ot
 import latent_ot.harness.cli as cli
+from latent_ot import ot_core
 from latent_ot.cost_estimators import fast_kernel_block
 from latent_ot.errors import ConfigError, InvalidParameterError, NumericFailureError
 from latent_ot.harness import experiments
@@ -636,6 +638,32 @@ def test_stage_rows_split_each_cell_wall_time(build):
         assert sum(stage_seconds) <= timings["wall_seconds"] + 1e-9
 
 
+def _wrap_sinkhorn(monkeypatch, before):
+    """Patch one wrapper, which calls ``before`` and then solves, over
+    sinkhorn under both names a cell can reach it by."""
+    solve = ot_core.sinkhorn
+
+    def wrapped(*args, **kwargs):
+        before()
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ot_core, "sinkhorn", wrapped)
+    monkeypatch.setattr(experiments, "sinkhorn", wrapped)
+
+
+def test_solve_time_is_charged_to_the_solve_stages(monkeypatch):
+    _wrap_sinkhorn(monkeypatch, lambda: time.sleep(0.05))
+    tables = run_experiment(config_from_dict(stability_config_dict()))
+    cells = {}
+    for r in tables.timings.rows:
+        cells.setdefault((r.seed, r.total), {})[r.metric] = r.value
+    assert cells
+    for timings in cells.values():
+        assert timings["stage_solve_true_seconds"] >= 0.05
+        assert timings["stage_solve_est_seconds"] >= 0.05
+        assert timings["stage_bounds_seconds"] < 0.05
+
+
 def test_local_cell_reports_disconnection():
     data = local_config_dict()
     data["kernel"] = {"kind": "local", "h": 0.01}
@@ -717,6 +745,16 @@ def test_gamma_sweep_labels_each_threshold():
     assert estimators == {"usvt@gamma=0.5", "usvt@gamma=1"}
     for estimator in estimators:
         assert metrics_of(tables.results, estimator) == USVT_METRICS
+
+
+def test_a_gamma_sweep_cell_solves_the_true_cost_once(monkeypatch):
+    calls = []
+    _wrap_sinkhorn(monkeypatch, lambda: calls.append(None))
+    data = sweep_config_dict()
+    data["gammas"] = [0.5, 1.0, 2.0]
+    tables = run_experiment(config_from_dict(data))
+    assert {r.estimator for r in tables.results.rows} == {"usvt@gamma=0.5", "usvt@gamma=1", "usvt@gamma=2"}
+    assert len(calls) == 1 + 3
 
 
 def test_fast_cell_produces_the_expected_metrics():

@@ -32,6 +32,7 @@ from latent_ot.ot_core import (
     kl_plans,
     min_box_radius,
     primal_value,
+    report_from_solves,
     sinkhorn,
     stability_report,
 )
@@ -656,6 +657,10 @@ def test_report_shape_and_epsilon_validation():
         stability_report(cost, other, uniform(1), uniform(1), SolverConfig(epsilon=0.5))
     with pytest.raises(InvalidParameterError):
         stability_report(cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.0))
+    # Costs of one shape, plans of another.
+    wide = sinkhorn(other, uniform(1), uniform(2), SolverConfig(epsilon=0.5))
+    with pytest.raises(InvalidParameterError):
+        report_from_solves(wide, wide, cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.5))
 
 
 def test_report_solves_under_the_whole_config():
@@ -665,9 +670,12 @@ def test_report_solves_under_the_whole_config():
     alpha, beta = uniform(4), uniform(5)
     cfg = SolverConfig(epsilon=0.5, max_iterations=3)
     rep = stability_report(cost_true, cost_est, alpha, beta, cfg)
-    assert rep.value_true == sinkhorn(cost_true, alpha, beta, cfg).value
-    assert rep.value_est == sinkhorn(cost_est, alpha, beta, cfg).value
+    true, est = sinkhorn(cost_true, alpha, beta, cfg), sinkhorn(cost_est, alpha, beta, cfg)
+    assert rep.value_true == true.value
+    assert rep.value_est == est.value
     assert rep.value_true != sinkhorn(cost_true, alpha, beta, SolverConfig(epsilon=0.5)).value
+    # The report is the two solves and report_from_solves, nothing more.
+    assert rep == report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)
 
 
 def test_an_infinite_ceiling_holds_with_infinite_slack():
