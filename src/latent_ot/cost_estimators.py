@@ -325,24 +325,20 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
 def fast_kernel_block(adjacency: Graph | np.ndarray, rho: float, n: int, m: int) -> np.ndarray:
     """Cross-group adjacency block divided by rho.
 
-    ``adjacency`` is the whole (n + m) x (n + m) adjacency, as a Graph or
-    an array, or an array holding only its n x m cross block.  The result
-    has entries in {0, 1/rho} and estimates the kernel block w(x_i, y_j)
-    without eigendecomposition; only cross-group edges are read.
+    ``adjacency`` is a Graph whose groups are nodes [0, n) and [n, n + m)
+    (any further nodes are auxiliary and never read), or an array holding
+    only the n x m cross block.  The result has entries in {0, 1/rho} and
+    estimates the kernel block w(x_i, y_j) without eigendecomposition.
     """
     if not 0.0 < rho <= 1.0:
         raise InvalidParameterError(f"rho must lie in (0, 1]: {rho}")
     if n < 1 or m < 1:
         raise InvalidParameterError(f"block sizes must be positive: n={n}, m={m}")
     if isinstance(adjacency, Graph):
-        matrix = adjacency.adjacency
-    else:
-        matrix = np.asarray(adjacency, dtype=np.float64)
-        if matrix.shape == (n, m):
-            return matrix / rho
-    if matrix.ndim != 2 or matrix.shape != (n + m, n + m):
-        raise InvalidParameterError(
-            f"adjacency must be ({n + m}, {n + m}) or its ({n}, {m}) cross block: got {matrix.shape}"
-        )
-    block = matrix[:n, n : n + m]
-    return (block.toarray() if isinstance(adjacency, Graph) else block) / rho
+        if n + m > adjacency.node_count:
+            raise InvalidParameterError(f"n + m = {n + m} exceeds the graph's {adjacency.node_count} nodes")
+        return adjacency.adjacency[:n, n : n + m].toarray() / rho
+    block = np.asarray(adjacency, dtype=np.float64)
+    if block.shape != (n, m):
+        raise InvalidParameterError(f"adjacency block must be ({n}, {m}): got {block.shape}")
+    return block / rho

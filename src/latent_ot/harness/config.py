@@ -320,7 +320,9 @@ class ExperimentConfig:
 
 def _parse_sizes(data: dict, experiment: str, grid: tuple[int, ...]) -> dict:
     """The group-size keys ``n``, ``m`` and ``m_ratio``, checked against every
-    grid entry."""
+    grid entry.  On every route the groups are nodes [0, n) and [n, n + m)
+    of the N-node graph, so explicit sizes need n + m <= N; ``m_ratio``
+    splits all N nodes between the two groups."""
     n = _get(data, "n", "config", "integer")
     m = _get(data, "m", "config", "integer")
     if m is not None and n is None:
@@ -330,26 +332,21 @@ def _parse_sizes(data: dict, experiment: str, grid: tuple[int, ...]) -> dict:
     m_ratio = _get(data, "m_ratio", "config", "number", default=2.0)
     if m_ratio <= 0.0:
         raise ConfigError(f"config: 'm_ratio' must be positive, got {m_ratio}")
-    if n is not None:
+    if n is None:
+        if experiment == "local_geodesic":
+            raise ConfigError("config: the local pipeline needs an explicit 'n'")
+        for total in grid:
+            if not 1 <= _ratio_split(total, m_ratio) <= total - 1:
+                raise ConfigError(f"config: 'm_ratio' {m_ratio} leaves an empty group at N={total}")
+    else:
         if n < 1:
             raise ConfigError(f"config: 'n' must be at least 1, got {n}")
         if m is None:
             m = 2 * n
         if m < 1:
             raise ConfigError(f"config: 'm' must be at least 1, got {m}")
-    if experiment == "local_geodesic":
-        if n is None:
-            raise ConfigError("config: the local pipeline needs an explicit 'n'")
         if n + m > grid[0]:
             raise ConfigError(f"config: n + m = {n + m} exceeds the smallest total node count {grid[0]}")
-    elif n is not None:
-        bad = [total for total in grid if n + m != total]
-        if bad:
-            raise ConfigError(f"config: explicit sizes need n + m == N for every grid entry; fails at N={bad[0]}")
-    else:
-        for total in grid:
-            if not 1 <= _ratio_split(total, m_ratio) <= total - 1:
-                raise ConfigError(f"config: 'm_ratio' {m_ratio} leaves an empty group at N={total}")
     return {"n": n, "m": m, "m_ratio": m_ratio}
 
 

@@ -2,10 +2,12 @@
 
 A graph cell runs one pipeline: :func:`sample_cell_latents` draws the
 latents, then the experiment's route estimates a cost or kernel block,
-solves, and reports.  The shortest_path and usvt routes read the whole
-observed graph from :func:`sample_cell`; the fast_adjacency route draws only
-the cross-group pairs it reads, with the same per-pair draws as that graph.
-The perturbation_pair route draws random cost pairs instead and shares the
+solves, and reports.  On every route the two groups are nodes [0, n) and
+[n, n + m) of the N-node graph; the other N - n - m nodes are auxiliary.
+The shortest_path and usvt routes read the whole observed graph from
+:func:`sample_cell`; the fast_adjacency route draws only the cross-group
+pairs it reads, with the same per-pair draws as that graph.  The
+perturbation_pair route draws random cost pairs instead and shares the
 stability-report rows.
 
 Every random draw inside a cell comes from a stream derived from the cell's
@@ -284,9 +286,10 @@ def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[
     # One solve on the true cost serves every gamma too.
     with cell.stage("solve_true"):
         true = sinkhorn(cost_true, *_uniform_marginals(cell), config.solver)
+    xs, ys = slice(0, cell.n), slice(cell.n, cell.n + cell.m)
     for label, estimate in estimates.items():
         with cell.stage("estimate"):
-            cost_est = cost_from_distances(estimate.block(slice(0, cell.n), slice(cell.n, cell.total)), config.cost_map)
+            cost_est = cost_from_distances(estimate.block(xs, ys), config.cost_map)
         rows.extend(_cost_block_rows(cell, label, true, cost_true, cost_est))
     return rows
 

@@ -463,6 +463,15 @@ def test_fast_kernel_block_ignores_within_group_edges():
     )
 
 
+def test_fast_kernel_block_ignores_auxiliary_nodes():
+    # nodes 4-6 belong to neither group; their edges, to the groups and
+    # among themselves, never show up
+    base = Graph.from_edges(4, [(0, 2), (1, 3)])
+    auxiliary = Graph.from_edges(7, [(0, 2), (1, 3), (0, 4), (3, 5), (1, 6), (4, 6)])
+    assert np.array_equal(fast_kernel_block(auxiliary, 0.5, 2, 2), fast_kernel_block(base, 0.5, 2, 2))
+    assert np.array_equal(fast_kernel_block(auxiliary, 0.5, 2, 2), [[2.0, 0.0], [0.0, 2.0]])
+
+
 def test_fast_kernel_block_validation():
     g = Graph.from_edges(4, [(0, 2)])
     with pytest.raises(InvalidParameterError):
@@ -475,3 +484,6 @@ def test_fast_kernel_block_validation():
         fast_kernel_block(g, rho=1.0, n=0, m=4)
     with pytest.raises(InvalidParameterError):
         fast_kernel_block(np.zeros((3, 2)), rho=1.0, n=2, m=2)
+    # an array must be the cross block itself, not a whole adjacency
+    with pytest.raises(InvalidParameterError):
+        fast_kernel_block(np.zeros((4, 4)), rho=1.0, n=2, m=2)

@@ -273,10 +273,15 @@ def test_size_rules():
     data["m"] = 20
     with pytest.raises(ConfigError, match="exceeds"):
         config_from_dict(data)
+    # the groups are nodes [0, n) and [n, n + m) of the N-node graph on
+    # every route, so explicit nonlocal sizes may leave auxiliary nodes
     data = usvt_config_dict()
     data["n"] = 4
     data["m"] = 4
-    with pytest.raises(ConfigError, match="n \\+ m == N"):
+    assert config_from_dict(data).sizes_at(24) == (4, 4)
+    data = fast_config_dict()
+    data.update(grid=[20, 40], n=10, m=11)
+    with pytest.raises(ConfigError, match="exceeds the smallest total node count 20"):
         config_from_dict(data)
     data = usvt_config_dict()
     data["n"] = 8
@@ -673,13 +678,18 @@ def test_local_cell_reports_disconnection():
 
 
 _PEAK_RSS_SCRIPT = """
-import json, resource, sys
+import json, resource, sys, time
 from latent_ot.harness.config import config_from_dict
 from latent_ot.harness.experiments import run_experiment
-tables = run_experiment(config_from_dict(json.loads(sys.argv[1])))
+config = config_from_dict(json.loads(sys.argv[1]))
+imported_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+start = time.perf_counter()
+tables = run_experiment(config)
 print(json.dumps({
+    "seconds": time.perf_counter() - start,
     "metrics": {r.metric: r.value for r in tables.results.rows},
     "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "imported_kb": imported_kb,
 }))
 """
 
@@ -737,6 +747,43 @@ def test_usvt_cell_produces_the_expected_metrics():
     rows = {r.metric: r for r in tables.results.rows}
     assert rows["rho_used"].value == 1.0
     assert rows["ot_value_true"].n == 8 and rows["ot_value_true"].m == 16
+
+
+def test_a_fixed_group_usvt_cell_matches_a_dense_eigh_oracle():
+    data = usvt_config_dict()
+    data.update(grid=[240], n=30, m=30, gamma=1.0)
+    config = config_from_dict(data)
+    rows = {r.metric: r for r in run_experiment(config).results.rows}
+    assert (rows["ot_value_est"].n, rows["ot_value_est"].m) == (30, 30)
+    # The oracle: a dense eigh of the whole 240-node graph, the eigenpairs at
+    # or above gamma sqrt(rho N), and the block of the two groups.
+    _, graph = sample_cell(config, 240, 0)
+    values, vectors = np.linalg.eigh(graph.adjacency.toarray())
+    keep = values >= math.sqrt(240.0)
+    estimate = (vectors[:, keep] * values[keep]) @ vectors[:, keep].T
+    np.clip(estimate, math.exp(-(2.0**2) / 0.5), 1.0, out=estimate)
+    cost = ot_core.CostMatrix(entries=1.0 - estimate[:30, 30:60], c_min=0.0, c_max=1.0)
+    uniform = ot_core.DiscreteDistribution.uniform(30)
+    expected = ot_core.sinkhorn(cost, uniform, uniform, SolverConfig(epsilon=0.5)).value
+    assert rows["usvt_rank"].value == np.count_nonzero(keep) > 0
+    assert abs(rows["ot_value_est"].value - expected) <= 1e-9 * abs(expected)
+
+
+def test_a_fixed_group_usvt_cell_at_eight_thousand_nodes_stays_small():
+    # One (N/3) x (2N/3) float64 array, the cross block of two groups that
+    # split all N nodes, alone would take 114 MB at this size.
+    data = usvt_config_dict()
+    data.update(grid=[8000], n=50, m=50, gamma=1.25)
+    data["kernel"] = {
+        "kind": "nonlocal",
+        "rho_log_coefficient": 2.0,
+        "form": {"kind": "gaussian_power", "p": 2, "sigma": 1.0},
+    }
+    report = _run_json_script(_PEAK_RSS_SCRIPT, json.dumps(data))
+    assert report["metrics"]["usvt_rank"] >= 1
+    assert report["metrics"]["solver_converged_est"] == 1.0
+    assert report["seconds"] < 5.0
+    assert report["maxrss_kb"] - report["imported_kb"] <= 80 * 1024
 
 
 def test_gamma_sweep_labels_each_threshold():
@@ -797,9 +844,10 @@ def test_fast_route_draws_the_cross_block_of_the_cell_graph(monkeypatch):
         return solve(kernel, *args)
 
     monkeypatch.setattr(experiments, "dual_ascent_boxed", recording_solve)
-    for rho, m_ratio in ((1.0, 2.0), (0.7, 0.5)):
+    # the last case leaves 18 auxiliary nodes outside the two groups
+    for rho, sizes in ((1.0, {"m_ratio": 2.0}), (0.7, {"m_ratio": 0.5}), (0.7, {"n": 5, "m": 7})):
         data = fast_config_dict()
-        data.update(grid=[30], seeds=[3], m_ratio=m_ratio)
+        data.update(grid=[30], seeds=[3], **sizes)
         data["kernel"]["rho"] = rho
         config = config_from_dict(data)
         boxed_kernels.clear()
