@@ -99,10 +99,6 @@ class CostMap:
         return cls("piecewise", np.asarray(breakpoints), np.asarray(values))
 
     @property
-    def domain(self) -> tuple[float, float]:
-        return (float(self.breakpoints[0]), float(self.breakpoints[-1]))
-
-    @property
     def cost_range(self) -> tuple[float, float]:
         return (float(self.values.min()), float(self.values.max()))
 
@@ -112,10 +108,8 @@ class CostMap:
         return float(slopes.max())
 
     def apply(self, inputs: np.ndarray) -> np.ndarray:
-        """Clamp inputs to the domain and interpolate the table."""
-        arr = np.asarray(inputs, dtype=np.float64)
-        clamped = np.clip(arr, self.breakpoints[0], self.breakpoints[-1])
-        return np.interp(clamped, self.breakpoints, self.values)
+        """Interpolate the table; inputs outside the breakpoints take the end values."""
+        return np.interp(np.asarray(inputs, dtype=np.float64), self.breakpoints, self.values)
 
 
 # ---------------------------------------------------------------------------

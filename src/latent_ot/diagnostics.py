@@ -1,4 +1,4 @@
-"""Matrix discrepancy norms and log-log rate fitting.
+"""Matrix norms of perturbations and log-log rate fitting.
 
 Operator norms come from ARPACK on einsum products, which keeps them exact
 and independent of the BLAS thread count; a dense SVD is the test oracle.
@@ -14,27 +14,6 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
 
 from .errors import InvalidParameterError, NumericFailureError
-
-
-@dataclass(frozen=True)
-class DiscrepancyReport:
-    """Norms of the difference between a matrix and its estimate.
-
-    Attributes:
-        sup_norm: Largest absolute entry of the difference.
-        frobenius: Frobenius norm of the difference.
-        frobenius_normalized: Frobenius norm divided by sqrt(rows * cols);
-            for a square N x N difference this equals the norm divided by N.
-        operator: Largest singular value of the difference.
-        rows, cols: Shape of the compared matrices.
-    """
-
-    sup_norm: float
-    frobenius: float
-    frobenius_normalized: float
-    operator: float
-    rows: int
-    cols: int
 
 
 @dataclass(frozen=True)
@@ -92,26 +71,11 @@ def operator_norm(matrix: np.ndarray) -> float:
         raise NumericFailureError("ARPACK did not converge on the operator norm") from exc
 
 
-def discrepancy(matrix: np.ndarray, estimate: np.ndarray) -> DiscrepancyReport:
-    """All four norms of the difference between two equal-shape matrices."""
-    a = np.asarray(matrix, dtype=np.float64)
-    b = np.asarray(estimate, dtype=np.float64)
-    if a.shape != b.shape:
-        raise InvalidParameterError(f"shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim != 2 or a.size == 0:
-        raise InvalidParameterError("discrepancy needs nonempty matrices")
-    diff = a - b
-    frobenius = math.sqrt(float(np.einsum("ij,ij->", diff, diff)))
-    operator = operator_norm(diff)
-    rows, cols = diff.shape
-    return DiscrepancyReport(
-        sup_norm=float(np.abs(diff).max()),
-        frobenius=frobenius,
-        frobenius_normalized=frobenius / math.sqrt(rows * cols),
-        operator=operator,
-        rows=rows,
-        cols=cols,
-    )
+def frobenius_norm(matrix: np.ndarray) -> float:
+    """Square root of the einsum sum of squares; ``np.linalg.norm`` reduces
+    through BLAS, whose last bits change with the thread count."""
+    mat = np.asarray(matrix, dtype=np.float64)
+    return math.sqrt(float(np.einsum("ij,ij->", mat, mat)))
 
 
 def fit_rate(points: list[tuple[float, float]]) -> RateFit:

@@ -24,10 +24,6 @@ class NumericFailureError(LatentOtError):
     """An iterative numeric routine failed to converge or broke down."""
 
 
-class UnboundedDualError(LatentOtError):
-    """The dual problem has no finite maximizer (unbounded ascent direction)."""
-
-
 class DensityMisconfiguredError(LatentOtError):
     """Rejection sampling cannot make progress with the given density."""
 

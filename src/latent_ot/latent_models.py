@@ -64,7 +64,7 @@ class Manifold(abc.ABC):
     def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray: ...
 
     @abc.abstractmethod
-    def on_manifold(self, points: np.ndarray, tol: float = _ON_MANIFOLD_TOLERANCE) -> bool: ...
+    def on_manifold(self, points: np.ndarray) -> bool: ...
 
     @abc.abstractmethod
     def coordinate_range(self, axis: int) -> tuple[float, float]:
@@ -99,9 +99,9 @@ class _RoundManifold(Manifold):
         cosines = (xs @ ys.T) / (self.radius * self.radius)
         return self.radius * np.arccos(np.clip(cosines, -1.0, 1.0))
 
-    def on_manifold(self, points: np.ndarray, tol: float = _ON_MANIFOLD_TOLERANCE) -> bool:
+    def on_manifold(self, points: np.ndarray) -> bool:
         norms = np.linalg.norm(np.atleast_2d(points), axis=1)
-        return bool(np.all(np.abs(norms - self.radius) <= tol * max(1.0, self.radius)))
+        return bool(np.all(np.abs(norms - self.radius) <= _ON_MANIFOLD_TOLERANCE * max(1.0, self.radius)))
 
     def coordinate_range(self, axis: int) -> tuple[float, float]:
         return (-self.radius, self.radius)
@@ -168,9 +168,9 @@ class UnitSquare(Manifold):
     def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return np.sqrt(pairwise_squared_distances(xs, ys))
 
-    def on_manifold(self, points: np.ndarray, tol: float = _ON_MANIFOLD_TOLERANCE) -> bool:
+    def on_manifold(self, points: np.ndarray) -> bool:
         pts = np.atleast_2d(points)
-        return bool(np.all(pts >= -tol) and np.all(pts <= 1.0 + tol))
+        return bool(np.all(pts >= -_ON_MANIFOLD_TOLERANCE) and np.all(pts <= 1.0 + _ON_MANIFOLD_TOLERANCE))
 
     def coordinate_range(self, axis: int) -> tuple[float, float]:
         return (0.0, 1.0)
@@ -216,15 +216,6 @@ def pairwise_squared_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between two point sets, from ``cdist``;
     exactly symmetric when both sets are the same."""
     return cdist(np.atleast_2d(xs), np.atleast_2d(ys), "sqeuclidean")
-
-
-def true_geodesic(manifold: Manifold, x: np.ndarray, y: np.ndarray) -> float:
-    """Geodesic distance between two points of the manifold."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if not (manifold.on_manifold(x, tol=1e-8) and manifold.on_manifold(y, tol=1e-8)):
-        raise InvalidParameterError("points must lie on the manifold")
-    return float(manifold.geodesic_matrix(x[None, :], y[None, :])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -534,17 +525,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return self.adjacency.nnz // 2
-
-    def neighbors(self, node: int) -> np.ndarray:
-        """Sorted neighbor indices of one node."""
-        indptr = self.adjacency.indptr
-        return self.adjacency.indices[indptr[node] : indptr[node + 1]]
-
-    def degree(self, node: int) -> int:
-        return int(self.neighbors(node).size)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adjacency[i, j])
 
     def edges(self) -> np.ndarray:
         """Edges (i, j) with i < j as an (E, 2) array in ascending

@@ -33,7 +33,7 @@ import numpy as np
 from scipy import optimize, special
 
 from . import diagnostics
-from .errors import InvalidParameterError, NumericFailureError, UnboundedDualError
+from .errors import InvalidParameterError, NumericFailureError
 
 # Bound checks tolerate this much numerical slack on the wrong side.
 BOUND_SLACK_TOLERANCE = 1e-9
@@ -138,14 +138,6 @@ class CostMatrix:
             raise InvalidParameterError("cost entries violate the declared bounds")
         object.__setattr__(self, "entries", _readonly(entries))
 
-    @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "CostMatrix":
-        """Build with bounds taken from the realized min and max entry."""
-        arr = np.asarray(entries, dtype=np.float64)
-        if arr.size == 0:
-            raise InvalidParameterError("cost entries must form a nonempty matrix")
-        return cls(arr, float(arr.min()), float(arr.max()))
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape  # type: ignore[return-value]
@@ -195,8 +187,8 @@ class SolverConfig:
     Attributes:
         epsilon: Regularization strength, > 0.
         eta: Optional bound factor for the boxed dual; potentials are kept
-            inside [-epsilon * log(eta), epsilon * log(eta)].  Must be >= 1
-            when given; math.inf disables the box.
+            inside [-epsilon * log(eta), epsilon * log(eta)].  Must be finite
+            and >= 1 when given.
         max_iterations: Sweep budget for both solvers.
         marginal_tolerance: L1 marginal violation at which Sinkhorn stops.
         value_tolerance: Relative change of the dual value at which the
@@ -212,8 +204,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise InvalidParameterError(f"epsilon must be positive and finite: {self.epsilon}")
-        if self.eta is not None and not self.eta >= 1.0:
-            raise InvalidParameterError(f"eta must be >= 1 when present: {self.eta}")
+        if self.eta is not None and not 1.0 <= self.eta < math.inf:
+            raise InvalidParameterError(f"eta must be finite and >= 1 when present: {self.eta}")
         if self.max_iterations < 1:
             raise InvalidParameterError(f"max_iterations must be >= 1: {self.max_iterations}")
         if not (self.marginal_tolerance > 0 and self.value_tolerance > 0):
@@ -290,10 +282,6 @@ class StabilityReport:
     cost_frobenius_gap: float
     kernel_operator_gap: float
     checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def value_gap(self) -> float:
-        return abs(self.value_true - self.value_est)
 
     @property
     def all_passed(self) -> bool:
@@ -610,10 +598,9 @@ def dual_ascent_boxed(
     maximizer since the objective is concave and separable per coordinate,
     and is over-relaxed as in :func:`sinkhorn`.
     Kernel entries may be zero (estimated kernels); a zero row or column pins
-    the matching potential at the box edge, and with eta = inf makes the dual
-    unbounded, which raises :class:`UnboundedDualError`.  Iteration stops
-    (``converged``) once a plain sweep moves the dual value by at most
-    ``value_tolerance`` relative.  Potentials are uncentered, 0 on zero-mass atoms.
+    the matching potential at the box edge.  Iteration stops (``converged``)
+    once a plain sweep moves the dual value by at most ``value_tolerance``
+    relative.  Potentials are uncentered, 0 on zero-mass atoms.
     """
     entries = np.asarray(kernel, dtype=np.float64)
     if entries.ndim != 2 or entries.size == 0:
@@ -624,10 +611,8 @@ def dual_ascent_boxed(
         raise InvalidParameterError("boxed ascent needs cfg.eta")
     n, m = entries.shape
     _check_dims(n, m, alpha, beta)
-    radius = cfg.epsilon * math.log(cfg.eta) if math.isfinite(cfg.eta) else math.inf
+    radius = cfg.epsilon * math.log(cfg.eta)
     rows, cols, a, b, sub = _support(alpha, beta, entries)
-    if not math.isfinite(radius) and not (sub.sum(axis=1).all() and sub.sum(axis=0).all()):
-        raise UnboundedDualError("kernel has an all-zero row or column and the box is infinite")
     with np.errstate(divide="ignore"):
         log_k = np.log(sub)
 
@@ -737,7 +722,7 @@ def report_from_solves(
 
     diff = cost_true.entries - cost_est.entries
     sup_gap = float(np.abs(diff).max())
-    frobenius_gap = math.sqrt(float(np.einsum("ij,ij->", diff, diff)))
+    frobenius_gap = diagnostics.frobenius_norm(diff)
     kernel_diff = np.exp(-cost_true.entries / eps) - np.exp(-cost_est.entries / eps)
     kernel_gap = diagnostics.operator_norm(kernel_diff)
 

@@ -50,10 +50,11 @@ def bfs_oracle(graph, source):
     """Plain queue BFS, independent of the library's frontier version."""
     dist = [UNREACHABLE] * graph.node_count
     dist[source] = 0
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
     queue = collections.deque([source])
     while queue:
         v = queue.popleft()
-        for w in graph.neighbors(v):
+        for w in indices[indptr[v] : indptr[v + 1]]:
             w = int(w)
             if dist[w] == UNREACHABLE:
                 dist[w] = dist[v] + 1
@@ -68,7 +69,7 @@ def bfs_oracle(graph, source):
 
 def test_identity_map():
     cm = CostMap.identity(2.0)
-    assert cm.domain == (0.0, 2.0)
+    assert tuple(cm.breakpoints) == (0.0, 2.0)
     assert cm.cost_range == (0.0, 2.0)
     assert cm.lipschitz_constant == 1.0
     inputs = np.array([-1.0, 0.5, 3.0])

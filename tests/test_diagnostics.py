@@ -2,7 +2,7 @@
 
 The ARPACK operator norm is checked against numpy's dense SVD to 1e-12
 relative, and against itself at one and two BLAS threads, as are the
-Frobenius norms of the discrepancy and stability reports; the rate fitter
+einsum Frobenius norm and the stability report's; the rate fitter
 is checked against synthetic power laws with known exponents.
 """
 
@@ -18,7 +18,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import latent_ot
 import latent_ot.diagnostics as diagnostics
-from latent_ot.diagnostics import discrepancy, fit_rate, operator_norm
+from latent_ot.diagnostics import fit_rate, frobenius_norm, operator_norm
 from latent_ot.errors import InvalidParameterError, NumericFailureError
 from latent_ot.rng import CounterStream, RngSeed
 
@@ -98,11 +98,10 @@ def test_operator_norm_reports_arpack_non_convergence(monkeypatch):
 
 
 # The operator norms of three matrices w - Bernoulli(w), then the two
-# Frobenius norms of w - 1/2: the discrepancy report's and the stability
-# report's.
+# Frobenius norms of w - 1/2: the einsum norm's and the stability report's.
 _THREADED_NORM_SCRIPT = """
 import numpy as np
-from latent_ot.diagnostics import discrepancy, operator_norm
+from latent_ot.diagnostics import frobenius_norm, operator_norm
 from latent_ot.ot_core import CostMatrix, DiscreteDistribution, SolverConfig, stability_report
 from latent_ot.rng import CounterStream, RngSeed, pair_uniforms
 rows, cols = 533, 1067
@@ -112,7 +111,7 @@ for seed in (7, 8, 9):
     edges = pair_uniforms(RngSeed(seed), i.ravel(), j.ravel()).reshape(rows, cols) < w
     print(operator_norm(w - edges).hex())
 half = np.full((rows, cols), 0.5)
-print(discrepancy(w, half).frobenius.hex())
+print(frobenius_norm(w - half).hex())
 report = stability_report(
     CostMatrix(entries=w, c_min=0.0, c_max=1.0),
     CostMatrix(entries=half, c_min=0.0, c_max=1.0),
@@ -141,48 +140,40 @@ def test_operator_norm_does_not_depend_on_the_blas_thread_count():
 
 
 # ---------------------------------------------------------------------------
-# Discrepancy report
+# Norms of a discrepancy: the difference of a matrix and its estimate
 # ---------------------------------------------------------------------------
 
 
 def test_discrepancy_identical_matrices():
     mat = np.arange(6.0).reshape(2, 3)
-    rep = discrepancy(mat, mat)
-    assert rep.sup_norm == 0.0
-    assert rep.frobenius == 0.0
-    assert rep.frobenius_normalized == 0.0
-    assert rep.operator == 0.0
-    assert (rep.rows, rep.cols) == (2, 3)
+    assert frobenius_norm(mat - mat) == 0.0
+    assert operator_norm(mat - mat) == 0.0
 
 
 def test_discrepancy_single_entry_difference():
-    a = np.array([[1.0, 0.0], [0.0, 0.0]])
-    b = np.zeros((2, 2))
-    rep = discrepancy(a, b)
-    assert rep.sup_norm == 1.0
-    assert rep.frobenius == 1.0
-    assert rep.frobenius_normalized == 0.5
-    assert rep.operator == pytest.approx(1.0, rel=1e-8)
+    diff = np.array([[1.0, 0.0], [0.0, 0.0]]) - np.zeros((2, 2))
+    assert frobenius_norm(diff) == 1.0
+    assert operator_norm(diff) == pytest.approx(1.0, rel=1e-8)
 
 
 def test_discrepancy_symmetry_and_norm_ordering():
     rng = CounterStream(RngSeed(16))
     a = rng.uniforms(20).reshape(4, 5)
     b = rng.uniforms(20).reshape(4, 5)
-    rep = discrepancy(a, b)
-    rev = discrepancy(b, a)
-    assert rep.sup_norm == rev.sup_norm
-    assert rep.frobenius == rev.frobenius
-    assert rep.operator == pytest.approx(rev.operator, rel=1e-8)
-    assert rep.operator <= rep.frobenius + 1e-12
-    assert rep.sup_norm <= rep.operator + 1e-8
+    frobenius, operator = frobenius_norm(a - b), operator_norm(a - b)
+    assert frobenius == frobenius_norm(b - a)
+    assert frobenius == pytest.approx(float(np.linalg.norm(a - b)), rel=1e-15)
+    assert operator == pytest.approx(operator_norm(b - a), rel=1e-8)
+    assert operator <= frobenius + 1e-12
+    assert float(np.abs(a - b).max()) <= operator + 1e-8
 
 
 def test_discrepancy_validation():
+    # The "ij" subscripts accept a matrix only, not a vector's norm.
+    with pytest.raises(ValueError):
+        frobenius_norm(np.array([1.0, 2.0]))
     with pytest.raises(InvalidParameterError):
-        discrepancy(np.ones((2, 2)), np.ones((2, 3)))
-    with pytest.raises(InvalidParameterError):
-        discrepancy(np.array([1.0]), np.array([1.0]))
+        operator_norm(np.ones((2, 2)) - np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------

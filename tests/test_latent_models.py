@@ -33,7 +33,6 @@ from latent_ot.latent_models import (
     sample_kernel_graph,
     sample_latents,
     sparse_log_rho,
-    true_geodesic,
 )
 from latent_ot.rng import CounterStream, RngSeed
 
@@ -48,9 +47,10 @@ def test_sphere_geodesics_hand_values():
     north = np.array([0.0, 0.0, 2.0])
     south = np.array([0.0, 0.0, -2.0])
     equator = np.array([2.0, 0.0, 0.0])
-    assert true_geodesic(s, north, south) == pytest.approx(2.0 * math.pi, abs=1e-12)
-    assert true_geodesic(s, north, equator) == pytest.approx(math.pi, abs=1e-12)
-    assert true_geodesic(s, north, north) == 0.0
+    to_south, to_equator, to_north = s.geodesic_matrix(north[None, :], np.array([south, equator, north]))[0]
+    assert to_south == pytest.approx(2.0 * math.pi, abs=1e-12)
+    assert to_equator == pytest.approx(math.pi, abs=1e-12)
+    assert to_north == 0.0
     assert s.diameter == pytest.approx(2.0 * math.pi)
     assert s.euclidean_diameter == 4.0
     assert s.ambient_dim == 3 and s.intrinsic_dim == 2
@@ -61,8 +61,9 @@ def test_circle_geodesics_hand_values():
     east = np.array([1.0, 0.0])
     north = np.array([0.0, 1.0])
     west = np.array([-1.0, 0.0])
-    assert true_geodesic(c, east, north) == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert true_geodesic(c, east, west) == pytest.approx(math.pi, abs=1e-12)
+    to_north, to_west = c.geodesic_matrix(east[None, :], np.array([north, west]))[0]
+    assert to_north == pytest.approx(math.pi / 2.0, abs=1e-12)
+    assert to_west == pytest.approx(math.pi, abs=1e-12)
     assert c.intrinsic_dim == 1 and c.ambient_dim == 2
 
 
@@ -70,13 +71,8 @@ def test_unit_square_geodesics_are_euclidean():
     sq = UnitSquare()
     a = np.array([0.0, 0.0])
     b = np.array([1.0, 1.0])
-    assert true_geodesic(sq, a, b) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert sq.geodesic_matrix(a[None, :], b[None, :])[0, 0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert sq.diameter == pytest.approx(math.sqrt(2.0))
-
-
-def test_true_geodesic_rejects_off_manifold_points():
-    with pytest.raises(InvalidParameterError):
-        true_geodesic(Sphere(), np.array([2.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 def test_make_manifold_dispatch():
@@ -165,10 +161,8 @@ def test_two_regions_placement_respects_the_balls():
         placement=Placement(mode="two_regions", region_radius=radius),
     )
     anchor_a, anchor_b = manifold.region_anchors()
-    for x in config.xs:
-        assert true_geodesic(manifold, x, anchor_a) <= radius + 1e-9
-    for y in config.ys:
-        assert true_geodesic(manifold, y, anchor_b) <= radius + 1e-9
+    assert manifold.geodesic_matrix(config.xs, anchor_a[None, :]).max() <= radius + 1e-9
+    assert manifold.geodesic_matrix(config.ys, anchor_b[None, :]).max() <= radius + 1e-9
 
 
 def test_rejection_sampling_gives_up_after_the_attempt_cap(monkeypatch):
@@ -279,11 +273,6 @@ def test_sparsity_presets():
 def test_graph_from_edges_ignores_direction_and_duplicates():
     g = Graph.from_edges(4, [(1, 0), (0, 1), (2, 3), (2, 3), (1, 2)])
     assert g.edge_count == 3
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert g.has_edge(2, 3)
-    assert not g.has_edge(0, 2)
-    assert g.degree(0) == 1 and g.degree(1) == 2
-    assert g.neighbors(1).tolist() == [0, 2]
     assert g.edges().tolist() == [[0, 1], [1, 2], [2, 3]]
     expected = np.array(
         [
@@ -397,9 +386,11 @@ def test_eps_graph_matches_brute_force():
         config = sample_latents(manifold, Density(), 10, 10, total, RngSeed(7))
         g = eps_graph(config, h)
         points = config.all_points()
+        indptr, indices = g.adjacency.indptr, g.adjacency.indices
         for i in range(total):
             within = np.flatnonzero(np.linalg.norm(points - points[i], axis=1) <= h).tolist()
-            assert g.neighbors(i).tolist() == [j for j in within if j != i], (manifold.kind, total, i)
+            neighbors = indices[indptr[i] : indptr[i + 1]].tolist()
+            assert neighbors == [j for j in within if j != i], (manifold.kind, total, i)
 
 
 def _scalar_pair_uniform(seed: RngSeed, i: int, j: int) -> float:
@@ -449,7 +440,7 @@ def test_sample_kernel_graph_edge_frequency():
     for t in range(trials):
         g = sample_kernel_graph(config, kernel, base.derive("trial", t))
         for k, (i, j) in enumerate(pairs):
-            counts[k] += g.has_edge(i, j)
+            counts[k] += g.adjacency[i, j]
     for k, (i, j) in enumerate(pairs):
         p = probs[i, j]
         se = math.sqrt(p * (1 - p) / trials)
