@@ -268,9 +268,9 @@ class UsvtEstimate:
         return UsvtEstimate(self.values[keep], self.vectors[:, keep], params)
 
     def block(self, rows, cols) -> np.ndarray:
-        """Entries (rows, cols) of V diag(values / rho) V^T, clamped into the kernel range."""
-        # einsum, not gemm: a BLAS product changes its last bits with the thread count.
-        raw = np.einsum("ik,jk->ij", self.vectors[rows] * (self.values / self.params.rho), self.vectors[cols])
+        """Entries (rows, cols) of V diag(values / rho) V^T, clamped into the
+        kernel range: one BLAS gemm, on the one thread the package pins."""
+        raw = (self.vectors[rows] * (self.values / self.params.rho)) @ self.vectors[cols].T
         return np.clip(raw, *self.params.clamp_range, out=raw)
 
 

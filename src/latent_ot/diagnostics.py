@@ -1,8 +1,9 @@
 """Matrix norms of perturbations and log-log rate fitting.
 
-Operator norms come from ARPACK on einsum products, which keeps them exact
-and independent of the BLAS thread count; a dense SVD is the test oracle.
-Frobenius norms are einsum sums of squares for the same reason.
+Operator norms come from ARPACK on the Gram matrix of the smaller side, one
+BLAS product, which the package runs on one BLAS thread so the bits do not
+depend on a thread count; a dense SVD is the test oracle.  Frobenius norms
+are einsum sums of squares.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, svds
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import InvalidParameterError, NumericFailureError
 
@@ -35,14 +36,14 @@ class RateFit:
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, from ARPACK's Lanczos solver (``svds``, k = 1).
+    """Largest singular value: the square root of the top eigenvalue of the
+    Gram matrix of the smaller side, from ARPACK (``eigsh``, k = 1).
 
-    The matrix is scaled to a largest entry of 1, so the Gram products
-    neither underflow nor overflow.  The start vector is fixed and the
-    products are ``np.einsum`` calls, not BLAS gemv, so the bits do not
-    depend on the BLAS thread count.  One row or one column gives the
-    Euclidean norm (``svds`` needs k < min(shape)).  Raises
-    :class:`NumericFailureError` if ARPACK does not converge.
+    The matrix is scaled to a largest entry of 1, so the Gram matrix neither
+    underflows nor overflows; it is one BLAS product (syrk) of min(n, m)^2
+    entries, and the start vector is fixed.  One row or one column gives the
+    Euclidean norm.  Raises :class:`NumericFailureError` if ARPACK does not
+    converge.
     """
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
@@ -56,24 +57,18 @@ def operator_norm(matrix: np.ndarray) -> float:
     if min(mat.shape) == 1:
         return scale * float(np.linalg.norm(unit))
 
-    # einsum, not gemv: svds on the ndarray changes its last bit with the BLAS thread count.
-    op = LinearOperator(
-        mat.shape,
-        matvec=lambda vec: np.einsum("ij,j->i", unit, vec.ravel()),
-        rmatvec=lambda vec: np.einsum("ij,i->j", unit, vec.ravel()),
-        dtype=np.float64,
-    )
+    gram = unit @ unit.T if mat.shape[0] <= mat.shape[1] else unit.T @ unit
     # Not linspace or all-ones: a small-integer matrix can annihilate a rational start.
-    start = np.cos(np.arange(min(mat.shape), dtype=np.float64))
+    start = np.cos(np.arange(gram.shape[0], dtype=np.float64))
     try:
-        return scale * float(svds(op, k=1, v0=start, return_singular_vectors=False)[0])
+        top = float(eigsh(gram, k=1, which="LA", v0=start, return_eigenvectors=False)[0])
     except ArpackNoConvergence as exc:
         raise NumericFailureError("ARPACK did not converge on the operator norm") from exc
+    return scale * math.sqrt(top)
 
 
 def frobenius_norm(matrix: np.ndarray) -> float:
-    """Square root of the einsum sum of squares; ``np.linalg.norm`` reduces
-    through BLAS, whose last bits change with the thread count."""
+    """Square root of the einsum sum of squares."""
     mat = np.asarray(matrix, dtype=np.float64)
     return math.sqrt(float(np.einsum("ij,ij->", mat, mat)))
 

@@ -246,15 +246,21 @@ def _shortest_path_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph)
 
 
 def _kernel_frobenius_normalized(points: np.ndarray, form: GaussianPowerKernel, estimate: UsvtEstimate) -> float:
-    """||W - W_est||_F / N, summed over row blocks of about 2^20 entries so
-    that neither N x N matrix is formed."""
+    """||W - W_est||_F / N over the upper triangle, since both matrices are
+    symmetric: the diagonal once, the pairs j > i twice.  Summed over row
+    blocks [start, stop) x [start, N) of about 2^20 entries, so that neither
+    N x N matrix is formed."""
     count = points.shape[0]
     step = max(1, (1 << 20) // count)
     squared = 0.0
     for start in range(0, count, step):
-        rows = slice(start, start + step)
-        gap = form.evaluate(points[rows], points) - estimate.block(rows, slice(None))
-        squared += float(np.einsum("ij,ij->", gap, gap))
+        rows, cols = slice(start, start + step), slice(start, None)
+        gap = form.evaluate(points[rows], points[cols]) - estimate.block(rows, cols)
+        corner = gap[:, : gap.shape[0]]
+        diagonal = np.diagonal(corner)
+        squared += float(np.einsum("i,i->", diagonal, diagonal))
+        corner[np.tri(corner.shape[0], dtype=bool)] = 0.0
+        squared += 2.0 * float(np.einsum("ij,ij->", gap, gap))
     return math.sqrt(squared) / count
 
 
@@ -401,7 +407,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentTabl
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be at least 1: {workers}")
-    cells = [(config, total, seed) for total in config.grid for seed in config.seeds]
+    # Largest N first, so no worker is left with a large cell at the end.
+    cells = [(config, total, seed) for total in sorted(config.grid, reverse=True) for seed in config.seeds]
     if workers == 1 or len(cells) == 1:
         outcomes = [_run_cell(cell) for cell in cells]
     else:

@@ -431,7 +431,9 @@ class GaussianPowerKernel:
     def of_powers(self, powers: np.ndarray) -> np.ndarray:
         """The kernel from distance powers already computed by
         :meth:`distance_power`."""
-        return np.exp(-powers / self.sigma)
+        out = np.negative(powers)
+        out /= self.sigma
+        return np.exp(out, out=out)
 
     def bounds(self, manifold: Manifold) -> tuple[float, float]:
         """(w_min, w_max) over pairs of points of the manifold."""

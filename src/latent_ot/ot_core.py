@@ -344,10 +344,14 @@ def kl_plans(plan: TransportPlan, reference: TransportPlan) -> float:
     if p.shape != q.shape:
         raise InvalidParameterError(f"plan shapes differ: {p.shape} vs {q.shape}")
     support = p > 0
-    if np.any(q[support] == 0):
+    if not support.all():
+        p, q = p[support], q[support]
+    if np.any(q == 0):
         return math.inf
-    pm = p[support]
-    return float(np.sum(pm * (np.log(pm) - np.log(q[support]))))
+    log_ratio = np.log(p)
+    log_ratio -= np.log(q)
+    log_ratio *= p
+    return float(np.sum(log_ratio))
 
 
 def primal_value(
@@ -385,7 +389,7 @@ class _ScalingAscent:
     :meth:`run` over-relaxes them.  A scaling leaving _SCALING_RANGE resets
     its offset to the other side's hard c-transform (every kernel line then
     peaks at one) and rebuilds the kernel, the only n x m exponential (Schmitzer 2019; Peyre & Cuturi 2019, section 4.4).
-    einsum keeps products off BLAS, whose gemv may order sums by thread count.
+    The products are BLAS gemv, on the one thread the package pins.
     """
 
     def __init__(self, log_k: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float, radius: float):
@@ -466,14 +470,14 @@ class _ScalingAscent:
         if not _in_range(self.u):
             self._absorb(self._c_transform(self.g, axis=1), self.g)
             self.u = self._scaling(self.row_sums, self.u_box)
-        col_sums = np.einsum("ij,i->j", self.kernel, self.a * self.u)
+        col_sums = (self.a * self.u) @ self.kernel
         self.v = self._scaling(col_sums, self.v_box, self.v, omega)
         if not _in_range(self.v):
             self._absorb(self.f, self._c_transform(self.f, axis=0))
-            col_sums = np.einsum("ij,i->j", self.kernel, self.a)
+            col_sums = self.a @ self.kernel
             self.v = self._scaling(col_sums, self.v_box)
         # The next sweep's first product is also this sweep's row marginal.
-        self.row_sums = np.einsum("ij,j->i", self.kernel, self.b * self.v)
+        self.row_sums = self.kernel @ (self.b * self.v)
         col_mass = self.b * self.v * col_sums
         self.row_gap = float(np.abs(self.a * self.u * self.row_sums - self.a).sum())
         self.col_gap = float(np.abs(col_mass - self.b).sum())
@@ -500,7 +504,7 @@ class _ScalingAscent:
         exponent = self.log_k + (f / eps)[:, None]
         exponent += (g / eps)[None, :]
         self.kernel = np.exp(exponent, out=exponent)
-        self.row_sums = np.einsum("ij,j->i", self.kernel, self.b)
+        self.row_sums = self.kernel @ self.b
         with np.errstate(over="ignore"):
             self.u_box = (np.exp((-radius - f) / eps), np.exp((radius - f) / eps))
             self.v_box = (np.exp((-radius - g) / eps), np.exp((radius - g) / eps))
@@ -521,7 +525,7 @@ def _support(alpha: DiscreteDistribution, beta: DiscreteDistribution, matrix: np
     return rows, cols, alpha.weights[rows], beta.weights[cols], matrix
 
 
-def _scatter(values: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+def _scatter(values: np.ndarray, index, size) -> np.ndarray:
     """Values on the supported atoms, zero on the zero-mass ones."""
     full = np.zeros(size)
     full[index] = values
@@ -572,8 +576,12 @@ def sinkhorn(
 
     state = _ScalingAscent(log_k, a, b, cfg.epsilon, math.inf)
     iterations, converged = state.run(cfg.max_iterations, stop)
-    plan = np.zeros((n, m))
-    plan[np.ix_(rows, cols)] = (a * state.u)[:, None] * state.kernel * (b * state.v)[None, :]
+    # The plan diag(a*u) kernel diag(b*v), built in the kernel's buffer.
+    plan = state.kernel
+    plan *= (a * state.u)[:, None]
+    plan *= (b * state.v)[None, :]
+    if rows.size < n or cols.size < m:
+        plan = _scatter(plan, np.ix_(rows, cols), (n, m))
     potentials = DualPotentials(_scatter(state.f, rows, n), _scatter(state.g, cols, m))
     return OtResult(
         value=state.value,

@@ -431,8 +431,8 @@ print(json.dumps({
 
 
 def test_usvt_does_not_depend_on_the_blas_thread_count():
-    # A BLAS gemm block product differs in its last bits between 1 and 2
-    # threads on this graph; the eigenpairs and einsum blocks must not.
+    # An unpinned BLAS gemm block product differs in its last bits between 1
+    # and 2 threads on this graph; the pinned eigenpairs and blocks must not.
     one, two = (_run_json_script(_THREADED_USVT_SCRIPT, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
     assert one["rank"] > 0
     assert one == two

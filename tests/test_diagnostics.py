@@ -1,8 +1,8 @@
 """Norm and rate-fit tests.
 
-The ARPACK operator norm is checked against numpy's dense SVD to 1e-12
-relative, and against itself at one and two BLAS threads, as are the
-einsum Frobenius norm and the stability report's; the rate fitter
+The operator norm, ARPACK on a Gram matrix, is checked against numpy's
+dense SVD to 1e-12 relative, and against itself at one and two BLAS
+threads, as are the einsum Frobenius norm and the stability report's; the rate fitter
 is checked against synthetic power laws with known exponents.
 """
 
@@ -44,6 +44,16 @@ def test_operator_norm_matches_svd_on_random_matrices():
     rng = CounterStream(RngSeed(14))
     for _ in range(10):
         mat = rng.uniforms(24).reshape(6, 4) - 0.5
+        expected = float(np.linalg.svd(mat, compute_uv=False)[0])
+        assert operator_norm(mat) == pytest.approx(expected, rel=1e-12)
+
+
+def test_operator_norm_of_gram_shapes_matches_svd():
+    # Two rows, two columns, tall and wide: the Gram matrix is formed on
+    # either side, at 2 x 2 as well as at 60 x 60.
+    rng = CounterStream(RngSeed(18))
+    for rows, cols in ((2, 9), (9, 2), (2, 2), (150, 60), (60, 150)):
+        mat = rng.uniforms(rows * cols).reshape(rows, cols) - 0.5
         expected = float(np.linalg.svd(mat, compute_uv=False)[0])
         assert operator_norm(mat) == pytest.approx(expected, rel=1e-12)
 
@@ -92,7 +102,7 @@ def test_operator_norm_reports_arpack_non_convergence(monkeypatch):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0)))
 
-    monkeypatch.setattr(diagnostics, "svds", no_convergence)
+    monkeypatch.setattr(diagnostics, "eigsh", no_convergence)
     with pytest.raises(NumericFailureError):
         operator_norm(np.arange(9.0).reshape(3, 3))
 

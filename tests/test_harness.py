@@ -1166,3 +1166,45 @@ def test_cli_results_do_not_depend_on_the_blas_thread_count(tmp_path):
             )
             tables.append((out / "results.csv").read_bytes())
         assert tables[0] == tables[1], name
+
+
+# Each pool worker of run_experiment reports its OpenBLAS thread counts from
+# inside a cell, through a wrapped sample_cell_latents the forked worker
+# inherits; the parent reports its own after importing the package.
+_PINNED_THREADS_SCRIPT = """
+import ctypes, json, os, sys
+from latent_ot._blas import openblas_calls
+from latent_ot.harness import experiments
+from latent_ot.harness.config import config_from_dict
+
+def report(where):
+    # One write per line, so the workers' lines cannot interleave.
+    line = json.dumps([where, [call() for call in openblas_calls("get_num_threads", [], ctypes.c_int)]]) + "\\n"
+    os.write(sys.stdout.fileno(), line.encode())
+
+sample = experiments.sample_cell_latents
+def sample_and_report(*args):
+    report("worker")
+    return sample(*args)
+
+experiments.sample_cell_latents = sample_and_report
+report("parent")
+experiments.run_experiment(config_from_dict(json.loads(sys.argv[1])), workers=2)
+"""
+
+
+def test_importing_the_package_pins_every_openblas_to_one_thread():
+    data = fast_config_dict()
+    data["seeds"] = [0, 1]
+    src = str(Path(latent_ot.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _PINNED_THREADS_SCRIPT, json.dumps(data)],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    reports = [json.loads(line) for line in done.stdout.splitlines()]
+    assert sorted(where for where, _ in reports) == ["parent", "worker", "worker"]
+    for where, threads in reports:
+        # One entry per loaded OpenBLAS: numpy's and scipy's wheels bundle one each.
+        assert threads and set(threads) == {1}, (where, threads)
