@@ -9,127 +9,3 @@ Importing it pins numpy's and scipy's OpenBLAS to one thread (Linux).
 """
 
 from . import _blas  # noqa: F401  (first: every later product runs on one BLAS thread)
-from .cost_estimators import (
-    CostMap,
-    HopMatrix,
-    UsvtEstimate,
-    UsvtParams,
-    cost_from_distances,
-    fast_kernel_block,
-    geodesic_estimate,
-    hop_counts,
-    usvt,
-)
-from .diagnostics import RateFit, fit_rate, frobenius_norm, operator_norm
-from .errors import (
-    ConfigError,
-    DensityMisconfiguredError,
-    InvalidParameterError,
-    LatentOtError,
-    NumericFailureError,
-    TargetsDisconnectedError,
-)
-from .latent_models import (
-    Circle,
-    Density,
-    GaussianPowerKernel,
-    Graph,
-    LatentConfiguration,
-    Manifold,
-    NonlocalKernel,
-    Placement,
-    Sphere,
-    UnitSquare,
-    eps_graph,
-    h_schedule,
-    make_manifold,
-    sample_kernel_graph,
-    sample_latents,
-    sparse_log_rho,
-)
-from .ot_core import (
-    BOUND_SLACK_TOLERANCE,
-    BoundCheck,
-    BoxedResult,
-    CostMatrix,
-    DiscreteDistribution,
-    DualPotentials,
-    OtResult,
-    SolverConfig,
-    StabilityReport,
-    TransportPlan,
-    center_potentials,
-    dual_ascent_boxed,
-    dual_value,
-    exact_ot_assignment,
-    kl_plans,
-    min_box_radius,
-    primal_value,
-    report_from_solves,
-    sinkhorn,
-    stability_report,
-)
-from .rng import CounterStream, RngSeed
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "BOUND_SLACK_TOLERANCE",
-    "BoundCheck",
-    "BoxedResult",
-    "Circle",
-    "ConfigError",
-    "CostMap",
-    "CostMatrix",
-    "CounterStream",
-    "Density",
-    "DensityMisconfiguredError",
-    "DiscreteDistribution",
-    "DualPotentials",
-    "GaussianPowerKernel",
-    "Graph",
-    "HopMatrix",
-    "InvalidParameterError",
-    "LatentConfiguration",
-    "LatentOtError",
-    "Manifold",
-    "NonlocalKernel",
-    "NumericFailureError",
-    "OtResult",
-    "Placement",
-    "RateFit",
-    "RngSeed",
-    "SolverConfig",
-    "Sphere",
-    "StabilityReport",
-    "TargetsDisconnectedError",
-    "TransportPlan",
-    "UnitSquare",
-    "UsvtEstimate",
-    "UsvtParams",
-    "center_potentials",
-    "cost_from_distances",
-    "dual_ascent_boxed",
-    "dual_value",
-    "eps_graph",
-    "exact_ot_assignment",
-    "fast_kernel_block",
-    "fit_rate",
-    "frobenius_norm",
-    "geodesic_estimate",
-    "h_schedule",
-    "hop_counts",
-    "kl_plans",
-    "make_manifold",
-    "min_box_radius",
-    "operator_norm",
-    "primal_value",
-    "report_from_solves",
-    "sample_kernel_graph",
-    "sample_latents",
-    "sinkhorn",
-    "sparse_log_rho",
-    "stability_report",
-    "usvt",
-    "__version__",
-]

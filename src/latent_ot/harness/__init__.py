@@ -1,23 +1,1 @@
 """Experiment harness: configs, runners, result tables, plots, and the CLI."""
-
-from .config import ExperimentConfig, config_from_dict, load_config
-from .experiments import ExperimentTables, run_experiment
-from .plots import emit_plot
-from .properties import PropertyReport, run_property_suite
-from .results import ResultRow, ResultTable, emit_csv, parse_csv, table_to_csv_text
-
-__all__ = [
-    "ExperimentConfig",
-    "ExperimentTables",
-    "PropertyReport",
-    "ResultRow",
-    "ResultTable",
-    "config_from_dict",
-    "emit_csv",
-    "emit_plot",
-    "load_config",
-    "parse_csv",
-    "run_experiment",
-    "run_property_suite",
-    "table_to_csv_text",
-]

@@ -58,7 +58,9 @@ class Manifold(abc.ABC):
         """Largest ambient (chordal) distance between two points."""
 
     @abc.abstractmethod
-    def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray: ...
+    def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
+        """Up to ``count`` uniform points, one row each; a draw that cannot be
+        mapped onto the manifold is dropped, so fewer may come back."""
 
     @abc.abstractmethod
     def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray: ...
@@ -122,16 +124,10 @@ class Sphere(_RoundManifold):
         return 2
 
     def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
-        points = np.empty((count, 3))
-        filled = 0
-        while filled < count:
-            draws = rng.normals(3 * (count - filled)).reshape(-1, 3)
-            norms = np.linalg.norm(draws, axis=1)
-            good = norms > 1e-12
-            kept = draws[good] / norms[good, None] * self.radius
-            points[filled : filled + kept.shape[0]] = kept
-            filled += kept.shape[0]
-        return points
+        draws = rng.normals(3 * count).reshape(count, 3)
+        norms = np.linalg.norm(draws, axis=1)
+        good = norms > 1e-12
+        return draws[good] / norms[good, None] * self.radius
 
     def region_anchors(self) -> tuple[np.ndarray, np.ndarray]:
         return (

@@ -1193,6 +1193,18 @@ experiments.run_experiment(config_from_dict(json.loads(sys.argv[1])), workers=2)
 """
 
 
+# Imports one solver module and nothing else of the package, then reports
+# whether that import alone loaded _blas (importing it afterwards to read
+# the thread counts pins nothing new) and the counts.
+_SOLVER_ONLY_SCRIPT = """
+import ctypes, json, sys
+import latent_ot.ot_core
+loaded = "latent_ot._blas" in sys.modules
+from latent_ot._blas import openblas_calls
+print(json.dumps([loaded, [call() for call in openblas_calls("get_num_threads", [], ctypes.c_int)]]))
+"""
+
+
 def test_importing_the_package_pins_every_openblas_to_one_thread():
     data = fast_config_dict()
     data["seeds"] = [0, 1]
@@ -1205,6 +1217,13 @@ def test_importing_the_package_pins_every_openblas_to_one_thread():
     )
     reports = [json.loads(line) for line in done.stdout.splitlines()]
     assert sorted(where for where, _ in reports) == ["parent", "worker", "worker"]
+    solver_only = subprocess.run(
+        [sys.executable, "-c", _SOLVER_ONLY_SCRIPT],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    loaded, threads = json.loads(solver_only.stdout)
+    assert loaded
+    reports.append(["ot_core only", threads])
     for where, threads in reports:
         # One entry per loaded OpenBLAS: numpy's and scipy's wheels bundle one each.
         assert threads and set(threads) == {1}, (where, threads)

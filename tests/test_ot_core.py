@@ -562,6 +562,51 @@ def test_boxed_zero_row_with_finite_box_stays_finite():
     assert np.all(np.abs(pot.g) <= radius + 1e-12)
 
 
+def test_boxed_zero_mass_atoms_match_the_problem_without_them():
+    # One zero-mass atom on each side, its kernel line zeroed on half the
+    # trials.  Odd trials zero one supported row and column too, which pin
+    # their potentials on the box face.  The dual leaves a shared shift of
+    # the potentials free, so they are compared centered.
+    rng = CounterStream(RngSeed(89))
+    radius = 3.0
+    for trial in range(12):
+        n = 3 + int(rng.uniform() * 5)
+        m = 3 + int(rng.uniform() * 5)
+        eps = (0.05, 0.15, 1.0)[trial % 3]
+        kernel = np.exp(-(0.1 + 0.9 * rng.uniforms(n * m).reshape(n, m)) / eps)
+        i, j = int(rng.uniform() * n), int(rng.uniform() * m)
+        if trial % 2:
+            kernel[(i + 1) % n] = 0.0
+            kernel[:, (j + 1) % m] = 0.0
+        if trial % 4 < 2:
+            kernel[i] = 0.0
+            kernel[:, j] = 0.0
+        weights = []
+        for size, zero in ((n, i), (m, j)):
+            raw = rng.uniforms(size) + 0.1
+            raw[zero] = 0.0
+            weights.append(raw / raw.sum())
+        rows, cols = np.arange(n) != i, np.arange(m) != j
+        sub_alpha = DiscreteDistribution(weights[0][rows])
+        sub_beta = DiscreteDistribution(weights[1][cols])
+        cfg = SolverConfig(epsilon=eps, eta=math.exp(radius / eps))
+        full = dual_ascent_boxed(kernel, DiscreteDistribution(weights[0]), DiscreteDistribution(weights[1]), cfg)
+        sub = dual_ascent_boxed(kernel[np.ix_(rows, cols)], sub_alpha, sub_beta, cfg)
+        assert full.value == pytest.approx(sub.value, abs=1e-10)
+        supported = DualPotentials(full.potentials.f[rows], full.potentials.g[cols])
+        pinned = [
+            np.count_nonzero(np.abs(np.r_[pot.f, pot.g]) >= radius * (1.0 - 1e-12))
+            for pot in (supported, sub.potentials)
+        ]
+        assert pinned[0] == pinned[1]
+        centered = center_potentials(supported, sub_alpha, sub_beta)
+        reference = center_potentials(sub.potentials, sub_alpha, sub_beta)
+        assert np.allclose(centered.f, reference.f, rtol=0.0, atol=1e-5)
+        assert np.allclose(centered.g, reference.g, rtol=0.0, atol=1e-5)
+        free = np.r_[full.potentials.f[i], full.potentials.g[j]]
+        assert np.all(np.isfinite(free)) and np.all(np.abs(free) <= radius)
+
+
 def test_boxed_requires_eta():
     k = np.ones((2, 2))
     with pytest.raises(InvalidParameterError):
