@@ -12,10 +12,7 @@ matrix-vector products with a kernel into which the potentials are absorbed
 whenever a scaling drifts out of range, over-relaxed by a factor derived
 from the contraction the sweeps measure as they go.  The boxed ascent takes
 its kernel as a plain nonnegative array, since an estimated kernel need not
-be exp(-C/eps) of any cost.  Both solvers iterate over every atom: a
-zero-mass atom's plan row or column is exactly 0 and the value ignores it,
-and its potential, which the dual leaves free, is the finite value the last
-sweep gives it.  An exact assignment solver is the unregularized reference for
+be exp(-C/eps) of any cost.  An exact assignment solver is the unregularized reference for
 uniform marginals.  :func:`report_from_solves` takes two finished solves, one
 on a true cost and one on its estimate, and evaluates how far the value and
 plan moved against the ceilings the perturbation bounds give;
@@ -79,8 +76,8 @@ class DiscreteDistribution:
 
     Attributes:
         weights: Nonnegative vector summing to one within 1e-12.  Zero-mass
-            atoms are allowed: their plan rows or columns are exactly 0,
-            and the value does not depend on their potentials.
+            atoms are allowed; solvers strip them before iterating and
+            scatter results back to the full index set.
     """
 
     weights: np.ndarray
@@ -233,12 +230,11 @@ class OtResult:
 
 @dataclass(frozen=True)
 class BoxedResult:
-    """Boxed ascent output; ``pinned_fraction`` is the share of the n + m potentials on the box face.
+    """Boxed ascent output; ``pinned_fraction`` is the share of all potentials on the box face.
 
-    ``marginal_residual`` is the final L1 row plus column marginal violation;
-    a potential pinned on the box face keeps its marginal off.  A zero-mass
-    atom adds no violation, and its potential is the finite value the last
-    sweep gives it, clipped to the box.
+    ``marginal_residual`` is the final L1 row plus column marginal violation
+    of the supported atoms; a potential pinned on the box face keeps its
+    marginal off.
     """
 
     value: float
@@ -519,6 +515,23 @@ class _ScalingAscent:
         return np.clip(-self.eps * peak, -self.radius, self.radius)
 
 
+def _support(alpha: DiscreteDistribution, beta: DiscreteDistribution, matrix: np.ndarray):
+    """Indices and weights of the atoms with positive mass, and that block of
+    ``matrix``: the matrix itself, not a copy, when every atom has mass."""
+    rows = np.flatnonzero(alpha.weights > 0)
+    cols = np.flatnonzero(beta.weights > 0)
+    if rows.size < alpha.size or cols.size < beta.size:
+        matrix = matrix[np.ix_(rows, cols)]
+    return rows, cols, alpha.weights[rows], beta.weights[cols], matrix
+
+
+def _scatter(values: np.ndarray, index, size) -> np.ndarray:
+    """Values on the supported atoms, zero on the zero-mass ones."""
+    full = np.zeros(size)
+    full[index] = values
+    return full
+
+
 def sinkhorn(
     cost: CostMatrix,
     alpha: DiscreteDistribution,
@@ -541,7 +554,7 @@ def sinkhorn(
     """
     n, m = cost.shape
     _check_dims(n, m, alpha, beta)
-    a, b = alpha.weights, beta.weights
+    rows, cols, a, b, log_k = _support(alpha, beta, cost.entries / -cfg.epsilon)
     block_start, block_gap, block_value = 0, math.inf, -math.inf
 
     def stop(iteration: int, previous: float, state: _ScalingAscent) -> bool:
@@ -561,16 +574,19 @@ def sinkhorn(
         block_start, block_gap, block_value = iteration, gap, value
         return False
 
-    state = _ScalingAscent(cost.entries / -cfg.epsilon, a, b, cfg.epsilon, math.inf)
+    state = _ScalingAscent(log_k, a, b, cfg.epsilon, math.inf)
     iterations, converged = state.run(cfg.max_iterations, stop)
     # The plan diag(a*u) kernel diag(b*v), built in the kernel's buffer.
     plan = state.kernel
     plan *= (a * state.u)[:, None]
     plan *= (b * state.v)[None, :]
+    if rows.size < n or cols.size < m:
+        plan = _scatter(plan, np.ix_(rows, cols), (n, m))
+    potentials = DualPotentials(_scatter(state.f, rows, n), _scatter(state.g, cols, m))
     return OtResult(
         value=state.value,
         plan=TransportPlan(plan),
-        potentials=center_potentials(DualPotentials(state.f, state.g), alpha, beta),
+        potentials=center_potentials(potentials, alpha, beta),
         iterations=iterations,
         converged=converged,
         marginal_residual=state.row_gap + state.col_gap,
@@ -592,9 +608,7 @@ def dual_ascent_boxed(
     Kernel entries may be zero (estimated kernels); a zero row or column pins
     the matching potential at the box edge.  Iteration stops (``converged``)
     once a plain sweep moves the dual value by at most ``value_tolerance``
-    relative.  Potentials are uncentered; a zero-mass atom's is the finite
-    value the last sweep gives it, clipped to the box, which the dual leaves
-    free.
+    relative.  Potentials are uncentered, 0 on zero-mass atoms.
     """
     entries = np.asarray(kernel, dtype=np.float64)
     if entries.ndim != 2 or entries.size == 0:
@@ -606,16 +620,17 @@ def dual_ascent_boxed(
     n, m = entries.shape
     _check_dims(n, m, alpha, beta)
     radius = cfg.epsilon * math.log(cfg.eta)
+    rows, cols, a, b, sub = _support(alpha, beta, entries)
     with np.errstate(divide="ignore"):
-        log_k = np.log(entries)
+        log_k = np.log(sub)
 
     def stop(iteration: int, previous: float, state: _ScalingAscent) -> bool:
         return abs(state.value - previous) <= cfg.value_tolerance * max(1.0, abs(state.value))
 
-    state = _ScalingAscent(log_k, alpha.weights, beta.weights, cfg.epsilon, radius)
+    state = _ScalingAscent(log_k, a, b, cfg.epsilon, radius)
     iterations, converged = state.run(cfg.max_iterations, stop)
-    f = np.clip(state.f, -radius, radius)
-    g = np.clip(state.g, -radius, radius)
+    f = _scatter(np.clip(state.f, -radius, radius), rows, n)
+    g = _scatter(np.clip(state.g, -radius, radius), cols, m)
     face = np.abs(np.concatenate([f, g])) >= radius * (1.0 - 1e-12)
     return BoxedResult(
         value=state.value,
