@@ -35,7 +35,6 @@ from .errors import (
 from .latent_models import Graph
 from .ot_core import CostMatrix
 
-UNREACHABLE = -1
 _FIRST_EIGENPAIRS = 6
 # scipy >= 1.16 draws ARPACK's restart vectors (few distinct eigenvalues) from ``rng``.
 _EIGSH_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
@@ -117,33 +116,8 @@ class CostMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HopMatrix:
-    """Cross-group shortest-path edge counts; -1 marks unreachable pairs."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int64)
-        if entries.ndim != 2 or entries.size == 0:
-            raise InvalidParameterError("hop entries must form a nonempty matrix")
-        if np.any(entries < UNREACHABLE):
-            raise InvalidParameterError("hop entries must be counts or the -1 marker")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def all_reachable(self) -> bool:
-        return not np.any(self.entries == UNREACHABLE)
-
-    def first_unreachable(self) -> tuple[int, int] | None:
-        hits = np.argwhere(self.entries == UNREACHABLE)
-        return None if hits.size == 0 else (int(hits[0, 0]), int(hits[0, 1]))
-
-
 def _bfs_hops(adjacency: csr_array, source: int, targets: list[int]) -> np.ndarray:
-    """Hop counts from ``source`` to ``targets``, ``UNREACHABLE`` where none.
+    """Hop counts from ``source`` to ``targets``, ``inf`` where none.
 
     Along a breadth-first order the positions of the nodes' parents never
     decrease, so the level after the one ending at position ``end`` ends
@@ -162,13 +136,13 @@ def _bfs_hops(adjacency: csr_array, source: int, targets: list[int]) -> np.ndarr
     while level_ends[-1] < order.size:
         level_ends.append(1 + int(np.searchsorted(parent_positions, level_ends[-1])))
     target_positions = position[targets]
-    hops = np.searchsorted(level_ends, target_positions, side="right")
-    hops[target_positions == order.size] = UNREACHABLE
+    hops = np.searchsorted(level_ends, target_positions, side="right").astype(np.float64)
+    hops[target_positions == order.size] = np.inf
     return hops
 
 
-def hop_counts(graph: Graph, sources, targets) -> HopMatrix:
-    """Shortest-path edge counts from each source to each target.
+def hop_counts(graph: Graph, sources, targets) -> np.ndarray:
+    """Shortest-path edge counts from each source to each target, ``inf`` where none.
 
     Runs one breadth-first search per source (:func:`_bfs_hops`), so the
     cost is O(N + E) per source and no distance matrix wider than the
@@ -185,10 +159,10 @@ def hop_counts(graph: Graph, sources, targets) -> HopMatrix:
         raise InvalidParameterError("sources and targets must be disjoint")
     if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
         raise InvalidParameterError("duplicate source or target index")
-    return HopMatrix(np.stack([_bfs_hops(graph.adjacency, source, targets) for source in sources]))
+    return np.stack([_bfs_hops(graph.adjacency, source, targets) for source in sources])
 
 
-def geodesic_estimate(hops: HopMatrix, h: float) -> np.ndarray:
+def geodesic_estimate(hops: np.ndarray, h: float) -> np.ndarray:
     """Distance estimate h * hop_count; every pair must be reachable.
 
     Each edge of the connectivity graph has length at most h, so h times
@@ -197,10 +171,10 @@ def geodesic_estimate(hops: HopMatrix, h: float) -> np.ndarray:
     """
     if h <= 0:
         raise InvalidParameterError(f"connectivity radius must be positive: {h}")
-    pair = hops.first_unreachable()
-    if pair is not None:
-        raise TargetsDisconnectedError(pair[0], pair[1])
-    return hops.entries.astype(np.float64) * h
+    unreachable = np.argwhere(np.isinf(hops))
+    if unreachable.size:
+        raise TargetsDisconnectedError(int(unreachable[0, 0]), int(unreachable[0, 1]))
+    return hops * h
 
 
 def cost_from_distances(dhat: np.ndarray, cost_map: CostMap) -> CostMatrix:

@@ -227,7 +227,7 @@ def _shortest_path_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph)
     label = ESTIMATOR_LABELS["local_geodesic"]
     with cell.stage("estimate"):
         hops = hop_counts(graph, range(cell.n), range(cell.n, cell.n + cell.m))
-        if not hops.all_reachable:
+        if np.isinf(hops).any():
             return [cell.row(label, "failed_disconnected", 1.0)]
         h = config.kernel.radius_at(cell.total, config.manifold.intrinsic_dim)
         d_est = geodesic_estimate(hops, h)

@@ -67,10 +67,6 @@ class ResultRow:
         object.__setattr__(self, "value", _normalize(self.value, allow_inf=True))
 
     @property
-    def key(self) -> tuple[str, int, int, str, str]:
-        return (self.experiment, self.seed, self.total, self.estimator, self.metric)
-
-    @property
     def sort_key(self) -> tuple[str, int, int, str, str]:
         return (self.experiment, self.total, self.seed, self.estimator, self.metric)
 
@@ -95,26 +91,21 @@ class ResultTable:
     """An immutable, canonically sorted collection of rows.
 
     Rows are sorted by (experiment, N, seed, estimator, metric) on
-    construction and the (experiment, seed, N, estimator, metric) key must
-    be unique, so equal tables serialize to equal bytes.
+    construction and that key must be unique, so equal tables serialize to
+    equal bytes.
     """
 
     rows: tuple[ResultRow, ...]
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.rows, key=lambda row: row.sort_key))
-        seen: set[tuple[str, int, int, str, str]] = set()
-        for row in ordered:
-            if row.key in seen:
-                raise InvalidParameterError(f"duplicate row key {row.key}")
-            seen.add(row.key)
+        for before, row in zip(ordered, ordered[1:]):
+            if before.sort_key == row.sort_key:
+                raise InvalidParameterError(f"duplicate row key {row.sort_key}")
         object.__setattr__(self, "rows", ordered)
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def metrics(self) -> tuple[str, ...]:
-        return tuple(sorted({row.metric for row in self.rows}))
 
     def estimators_for(self, metric: str) -> tuple[str, ...]:
         return tuple(sorted({row.estimator for row in self.rows if row.metric == metric}))

@@ -234,7 +234,10 @@ class BoxedResult:
 
     ``marginal_residual`` is the final L1 row plus column marginal violation
     of the supported atoms; a potential pinned on the box face keeps its
-    marginal off.
+    marginal off.  When the dual leaves a shared shift of (f, g) free, the
+    raw potentials and ``pinned_fraction`` depend on the sweep path: on 1200
+    random instances two sweep paths agreed on the value within 2.8e-11,
+    but 7 instances differed by one pinned potential.
     """
 
     value: float

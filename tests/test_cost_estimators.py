@@ -23,8 +23,6 @@ import latent_ot
 import latent_ot.cost_estimators as cost_estimators
 from latent_ot.cost_estimators import (
     CostMap,
-    HopMatrix,
-    UNREACHABLE,
     UsvtParams,
     cost_from_distances,
     fast_kernel_block,
@@ -48,7 +46,7 @@ from latent_ot.rng import CounterStream, RngSeed
 
 def bfs_oracle(graph, source):
     """Plain queue BFS, independent of the library's frontier version."""
-    dist = [UNREACHABLE] * graph.node_count
+    dist = [math.inf] * graph.node_count
     dist[source] = 0
     indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
     queue = collections.deque([source])
@@ -56,7 +54,7 @@ def bfs_oracle(graph, source):
         v = queue.popleft()
         for w in indices[indptr[v] : indptr[v + 1]]:
             w = int(w)
-            if dist[w] == UNREACHABLE:
+            if dist[w] == math.inf:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
@@ -123,17 +121,13 @@ def test_cost_map_validation():
 def test_hop_counts_on_a_path_graph():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     hops = hop_counts(g, sources=[0, 1], targets=[3, 4])
-    assert np.array_equal(hops.entries, np.array([[3, 4], [2, 3]]))
-    assert hops.all_reachable
-    assert hops.first_unreachable() is None
+    assert np.array_equal(hops, np.array([[3, 4], [2, 3]]))
 
 
 def test_hop_counts_marks_unreachable_pairs():
     g = Graph.from_edges(4, [(0, 1)])
     hops = hop_counts(g, sources=[0], targets=[2, 3])
-    assert np.array_equal(hops.entries, np.array([[UNREACHABLE, UNREACHABLE]]))
-    assert not hops.all_reachable
-    assert hops.first_unreachable() == (0, 0)
+    assert np.array_equal(hops, np.array([[math.inf, math.inf]]))
 
 
 def _two_jittered_arcs(seed: RngSeed) -> LatentConfiguration:
@@ -177,18 +171,26 @@ def test_hop_counts_matches_queue_bfs_on_random_graphs():
     matrices = []
     for case, (g, sources, targets) in enumerate(cases):
         hops = hop_counts(g, sources, targets)
-        assert hops.entries.shape == (len(sources), len(targets))
+        assert hops.shape == (len(sources), len(targets))
         for row, s in enumerate(sources):
             reference = bfs_oracle(g, s)
             for col, t in enumerate(targets):
-                assert hops.entries[row, col] == reference[t], (case, s, t)
-        matrices.append(hops.entries)
+                assert hops[row, col] == reference[t], (case, s, t)
+        matrices.append(hops)
     # the second graph leaves some pairs unreachable and joins others by long paths
-    assert 0 < np.count_nonzero(matrices[1] == UNREACHABLE) < matrices[1].size
-    assert matrices[1].max() > 5
+    assert 0 < np.count_nonzero(matrices[1] == math.inf) < matrices[1].size
+    assert matrices[1][np.isfinite(matrices[1])].max() > 5
     # the isolated source reaches nothing; the others reach their own path
-    assert np.all(matrices[2][0] == UNREACHABLE)
-    assert matrices[2][1].tolist() == [3, -1, -1, 1, -1, 2, -1, -1]
+    assert np.all(matrices[2][0] == math.inf)
+    assert matrices[2][1].tolist() == [3, math.inf, math.inf, 1, math.inf, 2, math.inf, math.inf]
+
+
+def test_hop_counts_are_symmetric_with_unreachable_pairs():
+    g = _paths_and_an_isolated_node()
+    sources, targets = [8, 0, 1, 6], [2, 3, 4, 5, 7, 9, 10, 11]
+    forward = hop_counts(g, sources, targets)
+    assert np.isinf(forward).any()
+    assert np.array_equal(forward, hop_counts(g, targets, sources).T)
 
 
 def test_hop_counts_matches_scipy_shortest_paths_on_a_large_sphere_graph():
@@ -198,8 +200,8 @@ def test_hop_counts_matches_scipy_shortest_paths_on_a_large_sphere_graph():
     hops = hop_counts(g, sources, targets)
     reference = shortest_path(g.adjacency, unweighted=True, indices=list(sources))[:, targets]
     assert np.all(np.isfinite(reference))
-    assert np.array_equal(hops.entries, reference)
-    assert hops.entries.max() > 5
+    assert np.array_equal(hops, reference)
+    assert hops.max() > 5
 
 
 def test_hop_counts_validation():
@@ -214,22 +216,15 @@ def test_hop_counts_validation():
         hop_counts(g, [0, 0], [1])
 
 
-def test_hop_matrix_validation():
-    with pytest.raises(InvalidParameterError):
-        HopMatrix(np.array([[-2]]))
-    with pytest.raises(InvalidParameterError):
-        HopMatrix(np.empty((0, 0), dtype=np.int64))
-
-
 def test_geodesic_estimate_scales_by_radius():
-    hops = HopMatrix(np.array([[2, 3], [1, 0]]))
+    hops = np.array([[2.0, 3.0], [1.0, 0.0]])
     assert np.allclose(geodesic_estimate(hops, 0.25), np.array([[0.5, 0.75], [0.25, 0.0]]))
     with pytest.raises(InvalidParameterError):
         geodesic_estimate(hops, 0.0)
 
 
 def test_geodesic_estimate_raises_on_disconnection():
-    hops = HopMatrix(np.array([[1, UNREACHABLE], [2, 2]]))
+    hops = np.array([[1.0, math.inf], [2.0, 2.0]])
     with pytest.raises(TargetsDisconnectedError) as info:
         geodesic_estimate(hops, 0.5)
     assert info.value.source_index == 0

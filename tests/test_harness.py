@@ -545,7 +545,6 @@ def test_median_series():
     table = ResultTable(rows=tuple(rows))
     assert table.median_series("err", "perturbation_pair") == [(10, 2.0), (20, 0.6)]
     assert table.values("err", "perturbation_pair", 10) == [1.0, 3.0, 2.0]
-    assert table.metrics() == ("err",)
     assert table.estimators_for("err") == ("perturbation_pair",)
 
 
