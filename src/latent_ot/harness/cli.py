@@ -19,8 +19,6 @@ from ..errors import ConfigError, InvalidParameterError, LatentOtError
 from ..latent_models import graph_to_edgelist
 from .config import apply_seed_override, load_config
 from .experiments import ExperimentTables, run_experiment, sample_cell
-from .plots import emit_plot
-from .properties import run_property_suite
 from .results import emit_csv, parse_csv
 
 EXIT_OK = 0
@@ -99,6 +97,8 @@ def _run_summary(cells: int, unconverged: int, tables: ExperimentTables) -> str:
 
 
 def _cmd_props(args) -> int:
+    from .properties import run_property_suite
+
     report = run_property_suite(trials=args.trials, seed=args.seed)
     for line in report.format_lines():
         print(line)
@@ -106,6 +106,8 @@ def _cmd_props(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .plots import emit_plot
+
     table = parse_csv(args.csv)
     emit_plot(table, args.metric, args.out)
     print(f"wrote {args.out}")

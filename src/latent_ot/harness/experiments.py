@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -409,6 +408,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentTabl
     if workers == 1 or len(cells) == 1:
         outcomes = [_run_cell(cell) for cell in cells]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     result_rows: list[ResultRow] = []

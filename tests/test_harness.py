@@ -1082,9 +1082,43 @@ def test_cli_props_pass_and_fail(monkeypatch, capsys):
         rhs_scale=1.0,
         outcomes=(CheckOutcome(name="broken", trials=1, failures=1, min_slack=-1.0),),
     )
-    monkeypatch.setattr(cli, "run_property_suite", lambda **kw: failing)
+    monkeypatch.setattr("latent_ot.harness.properties.run_property_suite", lambda **kw: failing)
     assert cli.main(["props", "--trials", "1", "--seed", "0"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+# Loads what the run path's scipy subpackages load, then runs the CLI and
+# reports which watched modules each step added.  Modules the baseline
+# already holds are left out, so a scipy that loads one itself cannot fail
+# the check for a reason outside the package.
+_RUN_IMPORTS_SCRIPT = """
+import contextlib, json, os, sys
+import numpy, scipy.linalg, scipy.sparse.linalg, scipy.sparse.csgraph, scipy.spatial
+WATCHED = ("scipy.optimize", "ssl", "xml.sax", "concurrent.futures.process",
+           "latent_ot.harness.properties", "latent_ot.harness.plots")
+def loaded():
+    return [name for name in WATCHED if name in sys.modules]
+baseline = loaded()
+from latent_ot.harness import cli
+codes = []
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+        codes.append(cli.main(["run", "--config", config, "--out-dir", out, "--workers", "1"]))
+    after_run = loaded()
+    codes.append(cli.main(["props", "--trials", "1", "--seed", "0"]))
+print(json.dumps({"baseline": baseline, "after_run": after_run, "after_props": loaded(), "codes": codes}))
+"""
+
+
+def test_cli_run_loads_only_what_its_cells_call(tmp_path):
+    local = write_config(tmp_path, local_config_dict(), name="local.json")
+    fast = write_config(tmp_path, fast_config_dict(), name="fast.json")
+    report = _run_json_script(
+        _RUN_IMPORTS_SCRIPT, str(local), str(tmp_path / "local"), str(fast), str(tmp_path / "fast")
+    )
+    assert report["codes"] == [0, 0, 0]
+    assert set(report["after_run"]) - set(report["baseline"]) == set()
+    assert "scipy.optimize" in report["after_props"]
 
 
 def test_cli_plot(tmp_path, capsys):
@@ -1194,13 +1228,20 @@ experiments.run_experiment(config_from_dict(json.loads(sys.argv[1])), workers=2)
 
 # Imports one solver module and nothing else of the package, then reports
 # whether that import alone loaded _blas (importing it afterwards to read
-# the thread counts pins nothing new) and the counts.
+# the thread counts pins nothing new) and the counts, before and after a
+# call to exact assignment, whose first call loads scipy.optimize after the
+# pin.
 _SOLVER_ONLY_SCRIPT = """
 import ctypes, json, sys
-import latent_ot.ot_core
+import numpy as np
+from latent_ot.ot_core import CostMatrix, exact_ot_assignment
 loaded = "latent_ot._blas" in sys.modules
 from latent_ot._blas import openblas_calls
-print(json.dumps([loaded, [call() for call in openblas_calls("get_num_threads", [], ctypes.c_int)]]))
+def threads():
+    return [call() for call in openblas_calls("get_num_threads", [], ctypes.c_int)]
+before = threads()
+exact_ot_assignment(CostMatrix(np.arange(9.0).reshape(3, 3) / 8, 0.0, 1.0))
+print(json.dumps([loaded, before, threads()]))
 """
 
 
@@ -1220,9 +1261,10 @@ def test_importing_the_package_pins_every_openblas_to_one_thread():
         [sys.executable, "-c", _SOLVER_ONLY_SCRIPT],
         env=env, check=True, capture_output=True, text=True, timeout=300,
     )
-    loaded, threads = json.loads(solver_only.stdout)
+    loaded, before, after = json.loads(solver_only.stdout)
     assert loaded
-    reports.append(["ot_core only", threads])
+    assert len(after) == len(before)
+    reports += [["ot_core only", before], ["after exact assignment", after]]
     for where, threads in reports:
         # One entry per loaded OpenBLAS: numpy's and scipy's wheels bundle one each.
         assert threads and set(threads) == {1}, (where, threads)
