@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ..errors import ConfigError, InvalidParameterError, LatentOtError
 from ..latent_models import graph_to_edgelist
-from .config import apply_seed_override, load_config
+from .config import load_config
 from .experiments import ExperimentTables, run_experiment, sample_cell
 from .results import emit_csv, parse_csv
 
@@ -59,7 +59,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    config = apply_seed_override(load_config(args.config))
+    config = load_config(args.config)
     tables = run_experiment(config, workers=args.workers)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,7 +115,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = apply_seed_override(load_config(args.config))
+    config = load_config(args.config)
     if config.experiment == "stability_suite":
         raise ConfigError("the stability suite has no graph to generate")
     _, graph = sample_cell(config, config.grid[0], config.seeds[0])

@@ -17,10 +17,8 @@ key path.  The solver settings are resolved once, at load, into the one
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,16 +37,17 @@ from ..ot_core import SolverConfig
 
 SEED_LIMIT = 2**64
 
-_COMMON_KEYS = frozenset({"experiment", "grid", "seeds", "solver", "output", "epsilon"})
+_COMMON_KEYS = frozenset({"experiment", "grid", "seeds", "solver", "output"})
 _PIPELINE_KEYS = _COMMON_KEYS | {"manifold", "density", "placement", "kernel", "n", "m"}
 
-# Top-level keys each experiment accepts.
+# Top-level keys each experiment accepts.  The adjacency route solves at
+# epsilon = sigma, so it takes no 'epsilon'.
 _EXPERIMENT_KEYS: dict[str, frozenset[str]] = {
-    "local_geodesic": _PIPELINE_KEYS | {"cost_map"},
-    "usvt_nonlocal": _PIPELINE_KEYS | {"cost_map", "m_ratio", "gamma"},
+    "local_geodesic": _PIPELINE_KEYS | {"epsilon", "cost_map"},
+    "usvt_nonlocal": _PIPELINE_KEYS | {"epsilon", "cost_map", "m_ratio", "gamma"},
     "fast_nonlocal": _PIPELINE_KEYS | {"m_ratio", "eta"},
-    "gamma_sweep": _PIPELINE_KEYS | {"cost_map", "m_ratio", "gammas"},
-    "stability_suite": _COMMON_KEYS | {"cost_low", "cost_high"},
+    "gamma_sweep": _PIPELINE_KEYS | {"epsilon", "cost_map", "m_ratio", "gammas"},
+    "stability_suite": _COMMON_KEYS | {"epsilon", "cost_low", "cost_high"},
 }
 
 EXPERIMENT_KINDS = tuple(_EXPERIMENT_KEYS)
@@ -353,7 +352,7 @@ def _parse_sizes(data: dict, experiment: str, grid: tuple[int, ...]) -> dict:
 def _default_eta(manifold: Manifold, form: GaussianPowerKernel) -> float:
     """The adjacency route's dual box exp(c_max / sigma), c_max = diam^p the
     largest cost."""
-    c_max = manifold.euclidean_diameter**form.p
+    c_max = form.max_distance_power(manifold)
     try:
         return math.exp(c_max / form.sigma)
     except OverflowError:
@@ -413,13 +412,7 @@ def config_from_dict(raw: object) -> ExperimentConfig:
             **_parse_sizes(data, experiment, grid),
         }
         if experiment == "fast_nonlocal":
-            sigma = kernel.form.sigma
-            if epsilon is not None and abs(epsilon - sigma) > 1e-12:
-                raise ConfigError(
-                    f"config: the adjacency pipeline solves at epsilon = sigma = {sigma}; "
-                    f"drop 'epsilon' or set it to that value"
-                )
-            epsilon = sigma
+            epsilon = kernel.form.sigma
             eta = _get(data, "eta", "config", "number")
             if eta is None:
                 eta = _default_eta(manifold, kernel.form)
@@ -445,17 +438,3 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
-
-
-def apply_seed_override(config: ExperimentConfig, environ: os._Environ | dict = os.environ) -> ExperimentConfig:
-    """Replace the seed list when LATENT_OT_SEED is set in the environment."""
-    raw = environ.get("LATENT_OT_SEED")
-    if raw is None:
-        return config
-    try:
-        seed = int(raw, 10)
-    except ValueError:
-        raise ConfigError(f"LATENT_OT_SEED must be an integer, got {raw!r}") from None
-    if not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"LATENT_OT_SEED must lie in [0, 2^64), got {seed}")
-    return dataclasses.replace(config, seeds=(seed,))

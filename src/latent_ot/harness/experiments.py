@@ -314,7 +314,7 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
         xs_index, ys_index = np.arange(cell.n)[:, None], np.arange(cell.n, cell.n + cell.m)[None, :]
         cross_edges = bernoulli_pairs(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
     with cell.stage("solve_true"):
-        cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=config.manifold.euclidean_diameter**form.p)
+        cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=form.max_distance_power(config.manifold))
         true = sinkhorn(cost_true, alpha, beta, config.solver)
     with cell.stage("estimate"):
         k_block = fast_kernel_block(cross_edges, rho, cell.n, cell.m)

@@ -306,18 +306,6 @@ class LatentConfiguration:
         if self.xs.shape[0] == 0 or self.ys.shape[0] == 0:
             raise InvalidParameterError("both target groups must be nonempty")
 
-    @property
-    def n(self) -> int:
-        return int(self.xs.shape[0])
-
-    @property
-    def m(self) -> int:
-        return int(self.ys.shape[0])
-
-    @property
-    def total(self) -> int:
-        return self.n + self.m + int(self.zs.shape[0])
-
     def all_points(self) -> np.ndarray:
         """All points stacked with targets first: xs, then ys, then zs."""
         return np.vstack([self.xs, self.ys, self.zs])
@@ -431,9 +419,14 @@ class GaussianPowerKernel:
         out /= self.sigma
         return np.exp(out, out=out)
 
+    def max_distance_power(self, manifold: Manifold) -> float:
+        """The largest ||x - y||^p over pairs of points of the manifold, diam^p:
+        the adjacency route's largest cost."""
+        return manifold.euclidean_diameter**self.p
+
     def bounds(self, manifold: Manifold) -> tuple[float, float]:
         """(w_min, w_max) over pairs of points of the manifold."""
-        w_min = math.exp(-manifold.euclidean_diameter**self.p / self.sigma)
+        w_min = math.exp(-self.max_distance_power(manifold) / self.sigma)
         return (w_min, 1.0)
 
 

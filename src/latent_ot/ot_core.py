@@ -15,8 +15,7 @@ its kernel as a plain nonnegative array, since an estimated kernel need not
 be exp(-C/eps) of any cost.  An exact assignment solver is the unregularized reference for
 uniform marginals.  :func:`report_from_solves` takes two finished solves, one
 on a true cost and one on its estimate, and evaluates how far the value and
-plan moved against the ceilings the perturbation bounds give;
-:func:`stability_report` runs both solves and then that report.  The module
+plan moved against the ceilings the perturbation bounds give.  The module
 keeps no clock: a caller times the solves and the report where it runs them.
 Cost matrices carry explicit entry bounds ``c_min <= C_ij <= c_max`` because
 the perturbation bounds depend on them.  The solvers and the report read epsilon
@@ -278,8 +277,6 @@ class StabilityReport:
     kernel operator gap.
     """
 
-    value_true: float
-    value_est: float
     plan_divergence: float
     cost_sup_gap: float
     cost_frobenius_gap: float
@@ -756,25 +753,9 @@ def report_from_solves(
         BoundCheck("kernel_frobenius", kernel_gap, frobenius_rhs),
     )
     return StabilityReport(
-        value_true=true.value,
-        value_est=est.value,
         plan_divergence=divergence,
         cost_sup_gap=sup_gap,
         cost_frobenius_gap=frobenius_gap,
         kernel_operator_gap=kernel_gap,
         checks=checks,
     )
-
-
-def stability_report(
-    cost_true: CostMatrix,
-    cost_est: CostMatrix,
-    alpha: DiscreteDistribution,
-    beta: DiscreteDistribution,
-    cfg: SolverConfig,
-) -> StabilityReport:
-    """Solve both problems with :func:`sinkhorn` under ``cfg`` and compare the
-    solves with :func:`report_from_solves`."""
-    true = sinkhorn(cost_true, alpha, beta, cfg)
-    est = sinkhorn(cost_est, alpha, beta, cfg)
-    return report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)

@@ -112,7 +112,7 @@ def test_operator_norm_reports_arpack_non_convergence(monkeypatch):
 _THREADED_NORM_SCRIPT = """
 import numpy as np
 from latent_ot.diagnostics import frobenius_norm, operator_norm
-from latent_ot.ot_core import CostMatrix, DiscreteDistribution, SolverConfig, stability_report
+from latent_ot.ot_core import CostMatrix, DiscreteDistribution, SolverConfig, report_from_solves, sinkhorn
 from latent_ot.rng import CounterStream, RngSeed, pair_uniforms
 rows, cols = 533, 1067
 w = CounterStream(RngSeed(7)).uniforms(rows * cols).reshape(rows, cols)
@@ -122,13 +122,12 @@ for seed in (7, 8, 9):
     print(operator_norm(w - edges).hex())
 half = np.full((rows, cols), 0.5)
 print(frobenius_norm(w - half).hex())
-report = stability_report(
-    CostMatrix(entries=w, c_min=0.0, c_max=1.0),
-    CostMatrix(entries=half, c_min=0.0, c_max=1.0),
-    DiscreteDistribution.uniform(rows),
-    DiscreteDistribution.uniform(cols),
-    SolverConfig(epsilon=1.0),
-)
+cost_true = CostMatrix(entries=w, c_min=0.0, c_max=1.0)
+cost_est = CostMatrix(entries=half, c_min=0.0, c_max=1.0)
+alpha, beta = DiscreteDistribution.uniform(rows), DiscreteDistribution.uniform(cols)
+cfg = SolverConfig(epsilon=1.0)
+true, est = sinkhorn(cost_true, alpha, beta, cfg), sinkhorn(cost_est, alpha, beta, cfg)
+report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)
 print(report.cost_frobenius_gap.hex())
 """
 

@@ -1,0 +1,49 @@
+"""Golden results: each shipped config, run in-process, against its committed table.
+
+The tables in ``tests/golden/`` were written by ``tests/golden/regenerate.py``.
+Row keys must match exactly, and so must the integer and flag rows; every
+other value must match to 1e-9 relative, so the check holds across the
+numpy and scipy versions ``pyproject.toml`` allows, where the last of the
+twelve printed digits may move.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+from latent_ot.harness.results import parse_csv
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+_spec = importlib.util.spec_from_file_location("golden_regenerate", _GOLDEN / "regenerate.py")
+regenerate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regenerate)
+
+_EXACT_PREFIXES = ("solver_iterations_", "solver_converged_")
+_EXACT_METRICS = {"usvt_rank", "graph_edges", "failed_disconnected", "all_bounds_hold"}
+_RELATIVE_TOLERANCE = 1e-9
+
+
+def _is_exact(metric: str) -> bool:
+    return metric in _EXACT_METRICS or metric.startswith(_EXACT_PREFIXES)
+
+
+def _key(row) -> tuple:
+    return (row.experiment, row.seed, row.total, row.n, row.m, row.eps, row.estimator, row.metric)
+
+
+@pytest.mark.parametrize("name", regenerate.config_names())
+def test_results_match_golden(name):
+    golden = parse_csv(_GOLDEN / f"{name}.csv").rows
+    fresh = regenerate.golden_results(name).rows
+    assert [_key(row) for row in fresh] == [_key(row) for row in golden]
+    moved = []
+    for row, want in zip(fresh, golden):
+        if _is_exact(row.metric):
+            same = row.value == want.value
+        else:
+            same = math.isclose(row.value, want.value, rel_tol=_RELATIVE_TOLERANCE, abs_tol=0.0)
+        if not same:
+            moved.append(f"{_key(row)}: {row.value!r} != golden {want.value!r}")
+    assert not moved, f"{len(moved)} rows moved:\n" + "\n".join(moved[:20])

@@ -27,7 +27,6 @@ from latent_ot.harness import experiments
 from latent_ot.harness.config import (
     ExperimentConfig,
     KernelSettings,
-    apply_seed_override,
     config_from_dict,
     load_config,
 )
@@ -314,12 +313,12 @@ def test_sizes_at_ratio_and_stability():
 def test_fast_pipeline_epsilon_is_pinned_to_sigma():
     config = config_from_dict(fast_config_dict())
     assert config.solver.epsilon == 0.5
-    data = fast_config_dict()
-    data["epsilon"] = 0.5
-    assert config_from_dict(data).solver.epsilon == 0.5
-    data["epsilon"] = 0.3
-    with pytest.raises(ConfigError, match="sigma"):
-        config_from_dict(data)
+    # The adjacency route takes no 'epsilon', not even sigma's own value.
+    for epsilon in (0.5, 0.3):
+        data = fast_config_dict()
+        data["epsilon"] = epsilon
+        with pytest.raises(ConfigError, match="unknown key.*epsilon"):
+            config_from_dict(data)
 
 
 def test_fast_pipeline_eta_is_resolved_at_load():
@@ -433,17 +432,6 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(bad)
-
-
-def test_seed_override():
-    config = config_from_dict(stability_config_dict())
-    assert apply_seed_override(config, {}) is config
-    replaced = apply_seed_override(config, {"LATENT_OT_SEED": "99"})
-    assert replaced.seeds == (99,)
-    with pytest.raises(ConfigError):
-        apply_seed_override(config, {"LATENT_OT_SEED": "pi"})
-    with pytest.raises(ConfigError):
-        apply_seed_override(config, {"LATENT_OT_SEED": str(2**64)})
 
 
 # ---------------------------------------------------------------------------
@@ -1020,13 +1008,15 @@ def test_cli_run_records_overflowed_kernel_ceilings_as_infinite(tmp_path, capsys
 
 
 def test_cli_seed_environment_override(tmp_path, monkeypatch, capsys):
-    path = write_config(tmp_path, stability_config_dict())
+    # The seeds come from the config alone; no environment variable replaces them.
+    data = stability_config_dict()
+    path = write_config(tmp_path, data)
     monkeypatch.setenv("LATENT_OT_SEED", "99")
     out = tmp_path / "seeded"
     assert cli.main(["run", "--config", str(path), "--out-dir", str(out)]) == 0
     capsys.readouterr()
     table = parse_csv(out / "results.csv")
-    assert {r.seed for r in table.rows} == {99}
+    assert {r.seed for r in table.rows} == set(data["seeds"])
 
 
 def test_cli_config_errors_exit_one(tmp_path, capsys):

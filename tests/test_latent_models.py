@@ -174,8 +174,7 @@ def test_rejection_sampling_gives_up_after_the_attempt_cap(monkeypatch):
 
 def test_sample_latents_shapes_and_determinism():
     config = sample_latents(Sphere(), Density(), 4, 6, 15, RngSeed(21))
-    assert config.n == 4 and config.m == 6 and config.total == 15
-    assert config.zs.shape == (5, 3)
+    assert config.xs.shape == (4, 3) and config.ys.shape == (6, 3) and config.zs.shape == (5, 3)
     again = sample_latents(Sphere(), Density(), 4, 6, 15, RngSeed(21))
     assert np.array_equal(config.all_points(), again.all_points())
     other = sample_latents(Sphere(), Density(), 4, 6, 15, RngSeed(22))

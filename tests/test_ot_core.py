@@ -34,7 +34,6 @@ from latent_ot.ot_core import (
     primal_value,
     report_from_solves,
     sinkhorn,
-    stability_report,
 )
 from latent_ot.latent_models import Density, GaussianPowerKernel, Sphere, sample_latents
 from latent_ot.rng import CounterStream, RngSeed
@@ -642,11 +641,17 @@ def test_primal_value_infinite_off_product_support():
 # ---------------------------------------------------------------------------
 
 
+def solve_and_report(cost_true, cost_est, alpha, beta, cfg):
+    """Both solves under ``cfg`` and the report on them, as every cell runs them."""
+    true, est = sinkhorn(cost_true, alpha, beta, cfg), sinkhorn(cost_est, alpha, beta, cfg)
+    return true, est, report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)
+
+
 def test_identical_costs_give_zero_gaps():
     rng = CounterStream(RngSeed(47))
     cost = random_cost(rng, 3, 3)
-    rep = stability_report(cost, cost, uniform(3), uniform(3), SolverConfig(epsilon=0.5))
-    assert abs(rep.value_true - rep.value_est) <= 1e-12
+    true, est, rep = solve_and_report(cost, cost, uniform(3), uniform(3), SolverConfig(epsilon=0.5))
+    assert abs(true.value - est.value) <= 1e-12
     assert rep.plan_divergence <= 1e-12
     assert rep.cost_sup_gap == 0.0
     assert rep.kernel_operator_gap == 0.0
@@ -657,8 +662,8 @@ def test_cost_shift_saturates_the_sup_bound():
     rng = CounterStream(RngSeed(53))
     base = random_cost(rng, 4, 4)
     shifted = CostMatrix(base.entries + 0.5, base.c_min + 0.5, base.c_max + 0.5)
-    rep = stability_report(base, shifted, uniform(4), uniform(4), SolverConfig(epsilon=0.5))
-    assert abs(rep.value_true - rep.value_est) == pytest.approx(0.5, abs=1e-9)
+    true, est, rep = solve_and_report(base, shifted, uniform(4), uniform(4), SolverConfig(epsilon=0.5))
+    assert abs(true.value - est.value) == pytest.approx(0.5, abs=1e-9)
     assert rep.check("sup_norm").rhs == pytest.approx(0.5, abs=1e-12)
     assert rep.check("sup_norm").passed
     # plans are insensitive to a cost shift
@@ -673,7 +678,7 @@ def test_all_bounds_hold_on_random_instances():
         a = random_cost(rng, n, m)
         b = random_cost(rng, n, m)
         eps = (0.1, 0.5, 1.0)[trial % 3]
-        rep = stability_report(a, b, uniform(n), uniform(m), SolverConfig(epsilon=eps))
+        _, _, rep = solve_and_report(a, b, uniform(n), uniform(m), SolverConfig(epsilon=eps))
         for check in rep.checks:
             assert check.slack >= -BOUND_SLACK_TOLERANCE, (check.name, check.slack)
         assert {c.name for c in rep.checks} == {
@@ -687,29 +692,30 @@ def test_all_bounds_hold_on_random_instances():
 def test_report_shape_and_epsilon_validation():
     cost = CostMatrix(np.array([[0.5]]), 0.5, 0.5)
     other = CostMatrix(np.array([[0.5, 0.5]]), 0.5, 0.5)
+    cfg = SolverConfig(epsilon=0.5)
+    single = sinkhorn(cost, uniform(1), uniform(1), cfg)
+    # Costs of two shapes.
     with pytest.raises(InvalidParameterError):
-        stability_report(cost, other, uniform(1), uniform(1), SolverConfig(epsilon=0.5))
+        report_from_solves(single, single, cost, other, uniform(1), uniform(1), cfg)
     with pytest.raises(InvalidParameterError):
-        stability_report(cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.0))
+        report_from_solves(single, single, cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.0))
     # Costs of one shape, plans of another.
-    wide = sinkhorn(other, uniform(1), uniform(2), SolverConfig(epsilon=0.5))
+    wide = sinkhorn(other, uniform(1), uniform(2), cfg)
     with pytest.raises(InvalidParameterError):
-        report_from_solves(wide, wide, cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.5))
+        report_from_solves(wide, wide, cost, cost, uniform(1), uniform(1), cfg)
 
 
-def test_report_solves_under_the_whole_config():
-    # The iteration budget and tolerances reach both solves, not just epsilon.
+def test_report_reads_the_solves_it_is_given():
+    # The report runs no solve: its plan divergence is that of the two
+    # plans passed in, here from budget-capped solves.
     rng = CounterStream(RngSeed(61))
     cost_true, cost_est = random_cost(rng, 4, 5), random_cost(rng, 4, 5)
     alpha, beta = uniform(4), uniform(5)
     cfg = SolverConfig(epsilon=0.5, max_iterations=3)
-    rep = stability_report(cost_true, cost_est, alpha, beta, cfg)
-    true, est = sinkhorn(cost_true, alpha, beta, cfg), sinkhorn(cost_est, alpha, beta, cfg)
-    assert rep.value_true == true.value
-    assert rep.value_est == est.value
-    assert rep.value_true != sinkhorn(cost_true, alpha, beta, SolverConfig(epsilon=0.5)).value
-    # The report is the two solves and report_from_solves, nothing more.
-    assert rep == report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)
+    true, est, rep = solve_and_report(cost_true, cost_est, alpha, beta, cfg)
+    assert rep.plan_divergence == kl_plans(true.plan, est.plan)
+    converged = sinkhorn(cost_est, alpha, beta, SolverConfig(epsilon=0.5))
+    assert rep.plan_divergence != kl_plans(true.plan, converged.plan)
 
 
 def test_an_infinite_ceiling_holds_with_infinite_slack():
@@ -723,7 +729,7 @@ def test_an_infinite_ceiling_holds_with_infinite_slack():
 
 def test_report_lookup_by_name():
     cost = CostMatrix(np.array([[0.5]]), 0.5, 0.5)
-    rep = stability_report(cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.5))
+    _, _, rep = solve_and_report(cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.5))
     assert rep.check("plan_kl").name == "plan_kl"
     with pytest.raises(KeyError):
         rep.check("nonexistent")
