@@ -8,8 +8,8 @@ Three routes produce an estimated cost block between the two target groups:
   Bernoulli adjacency matrix, and a cost map is applied to the
   cross-group block they give;
 * the raw cross-group adjacency block divided by the sparsity level is an
-  unbiased (if rough) kernel estimate consumed directly by the boxed dual
-  solver.
+  unbiased (if rough) kernel estimate, kept as a CSR array and consumed
+  directly by the boxed dual solver.
 
 Cost maps are monotone piecewise-linear functions with explicit Lipschitz
 constants so estimation error transfers linearly to cost error.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, sparray
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
@@ -290,13 +290,16 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
 # ---------------------------------------------------------------------------
 
 
-def fast_kernel_block(adjacency: Graph | np.ndarray, rho: float, n: int, m: int) -> np.ndarray:
-    """Cross-group adjacency block divided by rho.
+def fast_kernel_block(adjacency: Graph | np.ndarray | sparray, rho: float, n: int, m: int) -> csr_array:
+    """Cross-group adjacency block divided by rho, as a CSR array in
+    canonical format.
 
     ``adjacency`` is a Graph whose groups are nodes [0, n) and [n, n + m)
-    (any further nodes are auxiliary and never read), or an array holding
-    only the n x m cross block.  The result has entries in {0, 1/rho} and
-    estimates the kernel block w(x_i, y_j) without eigendecomposition.
+    (any further nodes are auxiliary and never read), or an array, dense or
+    sparse, holding only the n x m cross block.  The result stores 1/rho at
+    each cross edge and estimates the kernel block w(x_i, y_j) without
+    eigendecomposition; no n x m array is formed from a Graph or a sparse
+    block.
     """
     if not 0.0 < rho <= 1.0:
         raise InvalidParameterError(f"rho must lie in (0, 1]: {rho}")
@@ -305,8 +308,10 @@ def fast_kernel_block(adjacency: Graph | np.ndarray, rho: float, n: int, m: int)
     if isinstance(adjacency, Graph):
         if n + m > adjacency.node_count:
             raise InvalidParameterError(f"n + m = {n + m} exceeds the graph's {adjacency.node_count} nodes")
-        return adjacency.adjacency[:n, n : n + m].toarray() / rho
-    block = np.asarray(adjacency, dtype=np.float64)
-    if block.shape != (n, m):
-        raise InvalidParameterError(f"adjacency block must be ({n}, {m}): got {block.shape}")
-    return block / rho
+        block = adjacency.adjacency[:n, n : n + m]
+    else:
+        if np.shape(adjacency) != (n, m):
+            raise InvalidParameterError(f"adjacency block must be ({n}, {m}): got {np.shape(adjacency)}")
+        block = csr_array(adjacency, dtype=np.float64, copy=True)
+        block.sum_duplicates()
+    return csr_array((block.data / rho, block.indices, block.indptr), shape=(n, m))

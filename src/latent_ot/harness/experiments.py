@@ -46,7 +46,7 @@ from ..latent_models import (
     Graph,
     LatentConfiguration,
     NonlocalKernel,
-    bernoulli_pairs,
+    bernoulli_block,
     eps_graph,
     sample_kernel_graph,
     sample_latents,
@@ -302,7 +302,8 @@ def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[
 def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[ResultRow]:
     """The boxed dual on the raw cross-group adjacency block.  Only the n x m
     cross pairs (i, n + j) are drawn, from the kernel block the gap norms
-    read too; they are the edges :func:`sample_cell`'s graph has there."""
+    read too; they are the edges :func:`sample_cell`'s graph has there.  The
+    block stays sparse from the draw to the solve."""
     config = cell.config
     assert config.manifold is not None and config.kernel is not None and config.kernel.form is not None
     form = config.kernel.form
@@ -311,8 +312,8 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
     with cell.stage("graph"):
         powers = form.distance_power(latents.xs, latents.ys)
         weights = form.of_powers(powers)
-        xs_index, ys_index = np.arange(cell.n)[:, None], np.arange(cell.n, cell.n + cell.m)[None, :]
-        cross_edges = bernoulli_pairs(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
+        xs_index, ys_index = np.arange(cell.n), np.arange(cell.n, cell.n + cell.m)
+        cross_edges = bernoulli_block(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
     with cell.stage("solve_true"):
         cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=form.max_distance_power(config.manifold))
         true = sinkhorn(cost_true, alpha, beta, config.solver)

@@ -558,6 +558,31 @@ def bernoulli_pairs(seed: RngSeed, rows: np.ndarray, cols: np.ndarray, probabili
     return pair_uniforms(seed, rows, cols) < probabilities
 
 
+def bernoulli_block(seed: RngSeed, rows: np.ndarray, cols: np.ndarray, probabilities: np.ndarray) -> csr_array:
+    """The edges between the index vectors ``rows`` and ``cols`` as a CSR
+    block in canonical format: entry (r, c) is 1 iff :func:`bernoulli_pairs`
+    draws pair (rows[r], cols[c]) with probability ``probabilities[r, c]``.
+
+    The rows are walked in blocks of about ``_GRAPH_BLOCK_PAIRS`` pairs, as in
+    :func:`sample_kernel_graph`, so no len(rows) x len(cols) mask is formed.
+    """
+    count, width = probabilities.shape
+    block_rows = max(1, _GRAPH_BLOCK_PAIRS // width)
+    row_counts, picked_cols = [np.zeros(1, dtype=np.int64)], []
+    for start in range(0, count, block_rows):
+        stop = min(start + block_rows, count)
+        hit = bernoulli_pairs(seed, rows[start:stop, None], cols[None, :], probabilities[start:stop])
+        # np.nonzero walks the block row-major: CSR order.
+        picked_cols.append(np.nonzero(hit)[1])
+        row_counts.append(np.count_nonzero(hit, axis=1))
+    indices = np.concatenate(picked_cols)
+    block = csr_array(
+        (np.ones(indices.size), indices, np.cumsum(np.concatenate(row_counts))), shape=(count, width)
+    )
+    block.has_canonical_format = True
+    return block
+
+
 def sample_kernel_graph(
     latents: LatentConfiguration, kernel: NonlocalKernel, seed: RngSeed
 ) -> Graph:

@@ -10,9 +10,11 @@ estimated kernel has zero entries and reports how it ended in a
 :class:`BoxedResult`, share one stabilised scaling loop: each sweep is two
 matrix-vector products with a kernel into which the potentials are absorbed
 whenever a scaling drifts out of range, over-relaxed by a factor derived
-from the contraction the sweeps measure as they go.  The boxed ascent takes
-its kernel as a plain nonnegative array, since an estimated kernel need not
-be exp(-C/eps) of any cost.  An exact assignment solver is the unregularized reference for
+from the contraction the sweeps measure as they go.  Sinkhorn's kernel
+exp(-C/eps) has no zeros and stays a dense array.  The boxed ascent takes its
+kernel as a nonnegative array, dense or sparse, since an estimated kernel
+need not be exp(-C/eps) of any cost, and sweeps over the CSR of its nonzero
+entries.  An exact assignment solver is the unregularized reference for
 uniform marginals.  :func:`report_from_solves` takes two finished solves, one
 on a true cost and one on its estimate, and evaluates how far the value and
 plan moved against the ceilings the perturbation bounds give.  The module
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
+from scipy.sparse import csr_array, issparse, sparray
 
 from . import diagnostics
 from .errors import InvalidParameterError, NumericFailureError
@@ -388,8 +391,10 @@ class _ScalingAscent:
     u = 1/(kernel (b*v)), v = 1/(kernel^T (a*u)), each clipped to the box;
     :meth:`run` over-relaxes them.  A scaling leaving _SCALING_RANGE resets
     its offset to the other side's hard c-transform (every kernel line then
-    peaks at one) and rebuilds the kernel, the only n x m exponential (Schmitzer 2019; Peyre & Cuturi 2019, section 4.4).
-    The products are BLAS gemv, on the one thread the package pins.
+    peaks at one) and rebuilds the kernel, the only exponential over the
+    kernel's entries (Schmitzer 2019; Peyre & Cuturi 2019, section 4.4).
+    Here the kernel is a dense array and the products are BLAS gemv, on the
+    one thread the package pins; :class:`_SparseScalingAscent` holds it as CSR.
     """
 
     def __init__(self, log_k: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float, radius: float):
@@ -470,11 +475,11 @@ class _ScalingAscent:
         if not _in_range(self.u):
             self._absorb(self._c_transform(self.g, axis=1), self.g)
             self.u = self._scaling(self.row_sums, self.u_box)
-        col_sums = (self.a * self.u) @ self.kernel
+        col_sums = self._col_sums(self.a * self.u)
         self.v = self._scaling(col_sums, self.v_box, self.v, omega)
         if not _in_range(self.v):
             self._absorb(self.f, self._c_transform(self.f, axis=0))
-            col_sums = self.a @ self.kernel
+            col_sums = self._col_sums(self.a)
             self.v = self._scaling(col_sums, self.v_box)
         # The next sweep's first product is also this sweep's row marginal.
         self.row_sums = self.kernel @ (self.b * self.v)
@@ -501,9 +506,7 @@ class _ScalingAscent:
         eps, radius = self.eps, self.radius
         self.fbar, self.gbar = f, g
         self.u, self.v = np.ones(f.size), np.ones(g.size)
-        exponent = self.log_k + (f / eps)[:, None]
-        exponent += (g / eps)[None, :]
-        self.kernel = np.exp(exponent, out=exponent)
+        self.kernel = self._rebuild(f / eps, g / eps)
         self.row_sums = self.kernel @ self.b
         with np.errstate(over="ignore"):
             self.u_box = (np.exp((-radius - f) / eps), np.exp((radius - f) / eps))
@@ -511,13 +514,61 @@ class _ScalingAscent:
 
     def _c_transform(self, other: np.ndarray, axis: int) -> np.ndarray:
         """Min over ``axis`` of cost minus ``other``, clipped to the box."""
-        peak = np.max(self.log_k + np.expand_dims(other / self.eps, 1 - axis), axis=axis)
+        peak = self._peak(other / self.eps, axis)
         return np.clip(-self.eps * peak, -self.radius, self.radius)
 
+    def _rebuild(self, f_scaled: np.ndarray, g_scaled: np.ndarray) -> np.ndarray:
+        """The kernel exp(log_k_ij + f_scaled_i + g_scaled_j)."""
+        exponent = self.log_k + f_scaled[:, None]
+        exponent += g_scaled[None, :]
+        return np.exp(exponent, out=exponent)
 
-def _support(alpha: DiscreteDistribution, beta: DiscreteDistribution, matrix: np.ndarray):
+    def _col_sums(self, weighted_rows: np.ndarray) -> np.ndarray:
+        """kernel^T weighted_rows."""
+        return weighted_rows @ self.kernel
+
+    def _peak(self, scaled: np.ndarray, axis: int) -> np.ndarray:
+        """Max over ``axis`` of log_k plus ``scaled`` along it."""
+        return np.max(self.log_k + np.expand_dims(scaled, 1 - axis), axis=axis)
+
+
+class _SparseScalingAscent(_ScalingAscent):
+    """The same ascent on a kernel held as the CSR array ``log_k`` of the logs
+    of its stored entries, so that a sweep costs O(nnz) (Schmitzer 2019).
+
+    A rebuild exponentiates the stored entries alone; the products are CSR
+    matvecs, those with kernel^T through its CSC view, which shares the
+    kernel's buffers; a c-transform takes each line's maximum over its
+    stored entries, and an empty line reads -inf, which the box clips.
+    """
+
+    def __init__(self, log_k: csr_array, a: np.ndarray, b: np.ndarray, eps: float, radius: float):
+        # The row and the column of each stored entry.
+        self._lines = (np.repeat(np.arange(log_k.shape[0]), np.diff(log_k.indptr)), log_k.indices)
+        super().__init__(log_k, a, b, eps, radius)
+
+    def _rebuild(self, f_scaled: np.ndarray, g_scaled: np.ndarray) -> csr_array:
+        log_k, (rows, cols) = self.log_k, self._lines
+        exponent = log_k.data + f_scaled[rows]
+        exponent += g_scaled[cols]
+        kernel = csr_array((np.exp(exponent, out=exponent), log_k.indices, log_k.indptr), shape=log_k.shape)
+        # A transpose stored once per rebuild: ``x @ kernel`` would build one per product.
+        self._kernel_t = kernel.T
+        return kernel
+
+    def _col_sums(self, weighted_rows: np.ndarray) -> np.ndarray:
+        return self._kernel_t @ weighted_rows
+
+    def _peak(self, scaled: np.ndarray, axis: int) -> np.ndarray:
+        peak = np.full(self.log_k.shape[1 - axis], -np.inf)
+        np.maximum.at(peak, self._lines[1 - axis], self.log_k.data + scaled[self._lines[axis]])
+        return peak
+
+
+def _support(alpha: DiscreteDistribution, beta: DiscreteDistribution, matrix: np.ndarray | csr_array):
     """Indices and weights of the atoms with positive mass, and that block of
-    ``matrix``: the matrix itself, not a copy, when every atom has mass."""
+    ``matrix`` (dense or CSR): the matrix itself, not a copy, when every atom
+    has mass."""
     rows = np.flatnonzero(alpha.weights > 0)
     cols = np.flatnonzero(beta.weights > 0)
     if rows.size < alpha.size or cols.size < beta.size:
@@ -594,7 +645,7 @@ def sinkhorn(
 
 
 def dual_ascent_boxed(
-    kernel: np.ndarray,
+    kernel: np.ndarray | sparray,
     alpha: DiscreteDistribution,
     beta: DiscreteDistribution,
     cfg: SolverConfig,
@@ -605,29 +656,36 @@ def dual_ascent_boxed(
     is the unconstrained maximizer clipped into the box, the exact block
     maximizer since the objective is concave and separable per coordinate,
     and is over-relaxed as in :func:`sinkhorn`.
-    Kernel entries may be zero (estimated kernels); a zero row or column pins
-    the matching potential at the box edge.  Iteration stops (``converged``)
-    once a plain sweep moves the dual value by at most ``value_tolerance``
-    relative.  Potentials are uncentered, 0 on zero-mass atoms.
+    ``kernel`` is a nonnegative 2-D array, dense or ``scipy.sparse``, converted
+    once to CSR: the sweeps read its nonzero entries alone, so an estimated
+    kernel that is mostly zeros costs O(nnz) per sweep, and a sparse one is
+    never expanded to n x m.  A zero row or column pins the matching
+    potential at the box edge.  Iteration stops (``converged``) once a plain
+    sweep moves the dual value by at most ``value_tolerance`` relative.
+    Potentials are uncentered, 0 on zero-mass atoms.
     """
-    entries = np.asarray(kernel, dtype=np.float64)
-    if entries.ndim != 2 or entries.size == 0:
+    if not issparse(kernel):
+        kernel = np.asarray(kernel, dtype=np.float64)
+    if kernel.ndim != 2 or 0 in kernel.shape:
         raise InvalidParameterError("kernel entries must form a nonempty matrix")
-    if not np.all(np.isfinite(entries)) or np.any(entries < 0):
+    entries = csr_array(kernel, dtype=np.float64, copy=True)
+    entries.sum_duplicates()
+    if not np.all(np.isfinite(entries.data)) or np.any(entries.data < 0):
         raise InvalidParameterError("kernel entries must be finite and nonnegative")
     if cfg.eta is None:
         raise InvalidParameterError("boxed ascent needs cfg.eta")
     n, m = entries.shape
     _check_dims(n, m, alpha, beta)
     radius = cfg.epsilon * math.log(cfg.eta)
-    rows, cols, a, b, sub = _support(alpha, beta, entries)
+    rows, cols, a, b, log_k = _support(alpha, beta, entries)
+    # A stored zero logs to -inf and weighs nothing, like an absent one.
     with np.errstate(divide="ignore"):
-        log_k = np.log(sub)
+        np.log(log_k.data, out=log_k.data)
 
     def stop(iteration: int, previous: float, state: _ScalingAscent) -> bool:
         return abs(state.value - previous) <= cfg.value_tolerance * max(1.0, abs(state.value))
 
-    state = _ScalingAscent(log_k, a, b, cfg.epsilon, radius)
+    state = _SparseScalingAscent(log_k, a, b, cfg.epsilon, radius)
     iterations, converged = state.run(cfg.max_iterations, stop)
     f = _scatter(np.clip(state.f, -radius, radius), rows, n)
     g = _scatter(np.clip(state.g, -radius, radius), cols, m)

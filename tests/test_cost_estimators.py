@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -441,6 +442,8 @@ def test_usvt_does_not_depend_on_the_blas_thread_count():
 def test_fast_kernel_block_values_and_support():
     g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 4), (0, 1), (2, 3)])
     block = fast_kernel_block(g, rho=0.5, n=2, m=3)
+    assert isinstance(block, csr_array) and block.has_canonical_format
+    block = block.toarray()
     # cross edges are (0,2), (0,3), (1,4); within-group edges (0,1), (2,3)
     # never show up
     expected = np.array([[2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
@@ -448,14 +451,14 @@ def test_fast_kernel_block_values_and_support():
     assert set(np.unique(block)) <= {0.0, 1.0 / 0.5}
     # the cross block alone gives the same estimate
     cross = g.adjacency.toarray()[:2, 2:]
-    assert np.array_equal(fast_kernel_block(cross, rho=0.5, n=2, m=3), expected)
+    assert np.array_equal(fast_kernel_block(cross, rho=0.5, n=2, m=3).toarray(), expected)
 
 
 def test_fast_kernel_block_ignores_within_group_edges():
     base = Graph.from_edges(4, [(0, 2), (1, 3)])
     extra = Graph.from_edges(4, [(0, 2), (1, 3), (0, 1), (2, 3)])
     assert np.array_equal(
-        fast_kernel_block(base, 1.0, 2, 2), fast_kernel_block(extra, 1.0, 2, 2)
+        fast_kernel_block(base, 1.0, 2, 2).toarray(), fast_kernel_block(extra, 1.0, 2, 2).toarray()
     )
 
 
@@ -464,8 +467,9 @@ def test_fast_kernel_block_ignores_auxiliary_nodes():
     # among themselves, never show up
     base = Graph.from_edges(4, [(0, 2), (1, 3)])
     auxiliary = Graph.from_edges(7, [(0, 2), (1, 3), (0, 4), (3, 5), (1, 6), (4, 6)])
-    assert np.array_equal(fast_kernel_block(auxiliary, 0.5, 2, 2), fast_kernel_block(base, 0.5, 2, 2))
-    assert np.array_equal(fast_kernel_block(auxiliary, 0.5, 2, 2), [[2.0, 0.0], [0.0, 2.0]])
+    block = fast_kernel_block(auxiliary, 0.5, 2, 2).toarray()
+    assert np.array_equal(block, fast_kernel_block(base, 0.5, 2, 2).toarray())
+    assert np.array_equal(block, [[2.0, 0.0], [0.0, 2.0]])
 
 
 def test_fast_kernel_block_validation():

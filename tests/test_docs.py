@@ -37,4 +37,4 @@ def test_graph_quick_start_runs_every_route():
     n, m = namespace["n"], namespace["m"]
     assert namespace["cost"].shape == (n, m)
     assert namespace["kernel_block"].shape == (n, m)
-    assert set(namespace["kernel_block"].ravel()) <= {0.0, 1.0}
+    assert set(namespace["kernel_block"].toarray().ravel()) <= {0.0, 1.0}

@@ -10,9 +10,11 @@ for the perturbation bounds.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
 from latent_ot.errors import InvalidParameterError
@@ -538,16 +540,43 @@ def test_boxed_matches_clipped_log_ascent_on_a_zero_one_kernel():
     rng = CounterStream(RngSeed(73))
     kernel = (rng.uniforms(7 * 9).reshape(7, 9) < 0.5).astype(float)
     kernel[3] = 0.0
+    kernel[:, 5] = 0.0
     alpha = DiscreteDistribution(np.full(7, 1.0 / 7))
     beta = uniform(9)
     eps, eta = 0.5, 1e3
     radius = eps * math.log(eta)
-    res = dual_ascent_boxed(kernel, alpha, beta, SolverConfig(epsilon=eps, eta=eta))
     value, f, g = clipped_log_ascent(kernel, alpha.weights, beta.weights, eps, radius, 2_000)
-    assert res.converged
-    assert res.value == pytest.approx(value, rel=1e-8)
-    assert res.potentials.f[3] == pytest.approx(radius, abs=1e-12)
-    assert res.pinned_fraction == pytest.approx(np.mean(np.abs(np.r_[f, g]) >= radius - 1e-9))
+    results = []
+    for given in (kernel, csr_array(kernel)):
+        res = dual_ascent_boxed(given, alpha, beta, SolverConfig(epsilon=eps, eta=eta))
+        assert res.converged
+        assert res.value == pytest.approx(value, rel=1e-8)
+        assert res.potentials.f[3] == pytest.approx(radius, abs=1e-12)
+        assert res.potentials.g[5] == pytest.approx(radius, abs=1e-12)
+        assert res.pinned_fraction == pytest.approx(np.mean(np.abs(np.r_[f, g]) >= radius - 1e-9))
+        results.append(res)
+    dense, sparse = results
+    for name in ("value", "iterations", "converged", "pinned_fraction", "marginal_residual"):
+        assert getattr(dense, name) == getattr(sparse, name), name
+    assert np.array_equal(dense.potentials.f, sparse.potentials.f)
+    assert np.array_equal(dense.potentials.g, sparse.potentials.g)
+
+
+def test_boxed_memory_scales_with_the_stored_entries():
+    # 3000 x 3000 at 0.1% density: one dense float64 copy would be 72 MB.
+    size, stored = 3000, 9000
+    rng = CounterStream(RngSeed(83))
+    flat = np.unique((rng.uniforms(stored) * size * size).astype(np.int64))
+    kernel = csr_array((rng.uniforms(flat.size) + 0.5, (flat // size, flat % size)), shape=(size, size))
+    cfg = SolverConfig(epsilon=0.1, eta=1e4, max_iterations=200)
+    tracemalloc.start()
+    try:
+        res = dual_ascent_boxed(kernel, uniform(size), uniform(size), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.iterations >= 1 and math.isfinite(res.value)
+    assert peak < 8 * 2**20, f"traced peak {peak / 2**20:.1f} MB"
 
 
 def test_boxed_budget_exhaustion_reports_unconverged():
