@@ -62,7 +62,6 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     tables = run_experiment(config, workers=args.workers)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / config.output.results
     timings_path = out_dir / config.output.timings
     emit_csv(tables.results, results_path)

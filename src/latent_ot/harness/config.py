@@ -11,8 +11,10 @@ boolean is never a number, and a number must be finite.  The domain types
 own their value checks: the parser builds each manifold, density,
 placement, kernel form, cost map and the solver settings through
 :func:`_build`, which reports their errors as a :class:`ConfigError` at the
-key path.  The solver settings are resolved once, at load, into the one
-:class:`~latent_ot.ot_core.SolverConfig` every solve of the run uses.
+key path.  Every value a cell reads is resolved once, at load: the solver
+settings into the one :class:`~latent_ot.ot_core.SolverConfig` every solve
+of the run uses, and the N-dependent values into one :class:`GridPoint` per
+grid N, so a cell reads values and applies no rule.
 """
 
 from __future__ import annotations
@@ -125,37 +127,17 @@ def _ratio_split(total: int, m_ratio: float) -> int:
 
 
 @dataclass(frozen=True)
-class KernelSettings:
-    """Connectivity rule applied to the sampled latent points.
+class GridPoint:
+    """The values one grid N resolves to at load.
 
-    ``local`` builds a deterministic radius graph; the radius is either a
-    fixed ``h`` or follows the shrinking schedule driven by ``c0``.
-    ``nonlocal`` samples independent edges with probability ``rho * w``;
-    the density is a fixed value or the ``c * log(N) / N`` preset.
+    ``n`` and ``m`` are the group sizes.  ``graph_scale`` is the
+    epsilon-graph radius h on the local route and the edge density rho on
+    the nonlocal ones; the stability suite samples no graph and has none.
     """
 
-    kind: str
-    c0: float | None = None
-    fixed_h: float | None = None
-    rho: float | None = None
-    rho_log_coefficient: float | None = None
-    form: GaussianPowerKernel | None = None
-
-    def radius_at(self, total: int, intrinsic_dim: int) -> float:
-        if self.kind != "local":
-            raise ConfigError("radius_at is only defined for local kernels")
-        if self.fixed_h is not None:
-            return self.fixed_h
-        assert self.c0 is not None
-        return h_schedule(total, intrinsic_dim, self.c0)
-
-    def rho_at(self, total: int) -> float:
-        if self.kind != "nonlocal":
-            raise ConfigError("rho_at is only defined for nonlocal kernels")
-        if self.rho is not None:
-            return self.rho
-        assert self.rho_log_coefficient is not None
-        return sparse_log_rho(self.rho_log_coefficient, total)
+    n: int
+    m: int
+    graph_scale: float | None = None
 
 
 def _parse_manifold(data: dict, context: str) -> Manifold:
@@ -197,7 +179,14 @@ def _parse_form(data: dict, context: str) -> GaussianPowerKernel:
     return _build(context, GaussianPowerKernel, p=p, sigma=sigma)
 
 
-def _parse_kernel(data: dict, context: str, expected_kind: str) -> KernelSettings:
+def _parse_kernel(
+    data: dict, context: str, expected_kind: str, grid: tuple[int, ...], intrinsic_dim: int
+) -> tuple[GaussianPowerKernel | None, tuple[float, ...]]:
+    """The kernel's form (none for a local kernel) and its graph scale at each
+    grid N.  A ``local`` kernel builds a radius graph: a fixed ``h``, or the
+    shrinking :func:`h_schedule` radius driven by ``c0``.  A ``nonlocal``
+    kernel samples edges with probability ``rho * w``: a fixed ``rho``, or
+    the :func:`sparse_log_rho` density ``c * log(N) / N``."""
     kind = _get(data, "kind", context, "string", required=True)
     if kind != expected_kind:
         raise ConfigError(f"{context}: this experiment requires a '{expected_kind}' kernel, got '{kind}'")
@@ -205,25 +194,27 @@ def _parse_kernel(data: dict, context: str, expected_kind: str) -> KernelSetting
         _reject_unknown(data, {"kind", "c0", "h"}, context)
         if "c0" in data and "h" in data:
             raise ConfigError(f"{context}: give either 'c0' or 'h', not both")
-        fixed_h = _get(data, "h", context, "number")
-        c0 = _get(data, "c0", context, "number", default=2.0 if fixed_h is None else None)
-        for key, value in (("h", fixed_h), ("c0", c0)):
-            if value is not None and value <= 0.0:
-                raise ConfigError(f"{context}: '{key}' must be positive, got {value}")
-        return KernelSettings(kind="local", c0=c0, fixed_h=fixed_h)
+        h = _get(data, "h", context, "number")
+        if h is None:
+            c0 = _get(data, "c0", context, "number", default=2.0)
+            return None, tuple(_build(context, h_schedule, total, intrinsic_dim, c0) for total in grid)
+        if h <= 0.0:
+            raise ConfigError(f"{context}: 'h' must be positive, got {h}")
+        return None, (h,) * len(grid)
     _reject_unknown(data, {"kind", "rho", "rho_log_coefficient", "form"}, context)
     if "rho" in data and "rho_log_coefficient" in data:
         raise ConfigError(f"{context}: give either 'rho' or 'rho_log_coefficient', not both")
     rho = _get(data, "rho", context, "number")
     rho_log = _get(data, "rho_log_coefficient", context, "number")
-    if rho is None and rho_log is None:
+    if rho is not None:
+        if not 0.0 < rho <= 1.0:
+            raise ConfigError(f"{context}: 'rho' must lie in (0, 1], got {rho}")
+        scales = (rho,) * len(grid)
+    elif rho_log is not None:
+        scales = tuple(_build(context, sparse_log_rho, rho_log, total) for total in grid)
+    else:
         raise ConfigError(f"{context}: a nonlocal kernel needs 'rho' or 'rho_log_coefficient'")
-    if rho is not None and not 0.0 < rho <= 1.0:
-        raise ConfigError(f"{context}: 'rho' must lie in (0, 1], got {rho}")
-    if rho_log is not None and rho_log <= 0.0:
-        raise ConfigError(f"{context}: 'rho_log_coefficient' must be positive, got {rho_log}")
-    form = _section(data, "form", context, _parse_form, required=True)
-    return KernelSettings(kind="nonlocal", rho=rho, rho_log_coefficient=rho_log, form=form)
+    return _section(data, "form", context, _parse_form, required=True), scales
 
 
 def _parse_cost_map(data: dict, context: str, experiment: str, manifold: Manifold) -> CostMap:
@@ -279,49 +270,46 @@ class ExperimentConfig:
     """A fully validated experiment description.
 
     ``grid`` holds the total node counts N (matrix side lengths for the
-    stability suite).  One cell is run per (N, seed) pair; where a choice
-    depends on N (graph radius, edge density, group sizes) it is resolved
-    through the ``*_at`` helpers so workers need only the config itself.
-    ``solver`` is the one solver configuration every solve of the run
-    uses: its epsilon is sigma on the adjacency route, and its eta is set
-    on that route only.  ``gammas`` holds the USVT threshold scales: the
-    one ``gamma`` of ``usvt_nonlocal`` (default 1.0), the ``gammas`` list
-    of ``gamma_sweep``, and nothing for the other experiments.
+    stability suite).  One cell is run per (N, seed) pair; ``points`` maps
+    each grid N to its :class:`GridPoint`, the group sizes and graph scale
+    resolved at load, so workers need only the config itself.  ``form`` is
+    the nonlocal kernel's form; a local kernel has none.  ``solver`` is the
+    one solver configuration every solve of the run uses: its epsilon is
+    sigma on the adjacency route, and its eta is set on that route only.
+    ``gammas`` holds the USVT threshold scales: the one ``gamma`` of
+    ``usvt_nonlocal`` (default 1.0), the ``gammas`` list of
+    ``gamma_sweep``, and nothing for the other experiments.
     """
 
     experiment: str
     grid: tuple[int, ...]
     seeds: tuple[int, ...]
     solver: SolverConfig
+    points: dict[int, GridPoint]
     manifold: Manifold | None = None
     density: Density = Density(kind="uniform")
     placement: Placement = Placement(mode="iid")
-    kernel: KernelSettings | None = None
+    form: GaussianPowerKernel | None = None
     cost_map: CostMap | None = None
-    n: int | None = None
-    m: int | None = None
-    m_ratio: float = 2.0
     gammas: tuple[float, ...] = ()
     cost_low: float = 0.1
     cost_high: float = 1.0
     output: OutputSettings = OutputSettings()
 
     def sizes_at(self, total: int) -> tuple[int, int]:
-        """Group sizes (n, m) used for a cell with ``total`` nodes."""
-        if self.experiment == "stability_suite":
-            return total, total
-        if self.n is not None:
-            assert self.m is not None
-            return self.n, self.m
-        n = _ratio_split(total, self.m_ratio)
-        return n, total - n
+        """The group sizes (n, m) resolved for grid N = ``total``; the
+        benchmark worker reports them."""
+        point = self.points[total]
+        return point.n, point.m
 
 
-def _parse_sizes(data: dict, experiment: str, grid: tuple[int, ...]) -> dict:
-    """The group-size keys ``n``, ``m`` and ``m_ratio``, checked against every
-    grid entry.  On every route the groups are nodes [0, n) and [n, n + m)
-    of the N-node graph, so explicit sizes need n + m <= N; ``m_ratio``
-    splits all N nodes between the two groups."""
+def _grid_points(
+    data: dict, experiment: str, grid: tuple[int, ...], scales: tuple[float, ...]
+) -> dict[int, GridPoint]:
+    """Each grid N's :class:`GridPoint`, from its graph scale and the
+    group-size keys ``n``, ``m`` and ``m_ratio``.  On every route the groups
+    are nodes [0, n) and [n, n + m) of the N-node graph, so explicit sizes
+    need n + m <= N; ``m_ratio`` splits all N nodes between the two groups."""
     n = _get(data, "n", "config", "integer")
     m = _get(data, "m", "config", "integer")
     if m is not None and n is None:
@@ -334,19 +322,22 @@ def _parse_sizes(data: dict, experiment: str, grid: tuple[int, ...]) -> dict:
     if n is None:
         if experiment == "local_geodesic":
             raise ConfigError("config: the local pipeline needs an explicit 'n'")
-        for total in grid:
-            if not 1 <= _ratio_split(total, m_ratio) <= total - 1:
+        points = {}
+        for total, scale in zip(grid, scales):
+            n_at = _ratio_split(total, m_ratio)
+            if not 1 <= n_at <= total - 1:
                 raise ConfigError(f"config: 'm_ratio' {m_ratio} leaves an empty group at N={total}")
-    else:
-        if n < 1:
-            raise ConfigError(f"config: 'n' must be at least 1, got {n}")
-        if m is None:
-            m = 2 * n
-        if m < 1:
-            raise ConfigError(f"config: 'm' must be at least 1, got {m}")
-        if n + m > grid[0]:
-            raise ConfigError(f"config: n + m = {n + m} exceeds the smallest total node count {grid[0]}")
-    return {"n": n, "m": m, "m_ratio": m_ratio}
+            points[total] = GridPoint(n_at, total - n_at, scale)
+        return points
+    if n < 1:
+        raise ConfigError(f"config: 'n' must be at least 1, got {n}")
+    if m is None:
+        m = 2 * n
+    if m < 1:
+        raise ConfigError(f"config: 'm' must be at least 1, got {m}")
+    if n + m > grid[0]:
+        raise ConfigError(f"config: n + m = {n + m} exceeds the smallest total node count {grid[0]}")
+    return {total: GridPoint(n, m, scale) for total, scale in zip(grid, scales)}
 
 
 def _default_eta(manifold: Manifold, form: GaussianPowerKernel) -> float:
@@ -386,11 +377,14 @@ def config_from_dict(raw: object) -> ExperimentConfig:
         cost_high = _get(data, "cost_high", "config", "number", default=1.0)
         if cost_low < 0.0 or cost_high <= cost_low:
             raise ConfigError(f"config: need 0 <= cost_low < cost_high, got [{cost_low}, {cost_high}]")
-        fields = {"cost_low": cost_low, "cost_high": cost_high}
+        points = {total: GridPoint(total, total) for total in grid}
+        fields = {"cost_low": cost_low, "cost_high": cost_high, "points": points}
     else:
         manifold = _section(data, "manifold", "config", _parse_manifold, required=True)
         expected_kind = "local" if experiment == "local_geodesic" else "nonlocal"
-        kernel = _section(data, "kernel", "config", _parse_kernel, expected_kind, required=True)
+        form, scales = _section(
+            data, "kernel", "config", _parse_kernel, expected_kind, grid, manifold.intrinsic_dim, required=True
+        )
         if experiment == "local_geodesic":
             default_map = CostMap.identity(manifold.diameter)
         else:
@@ -406,16 +400,16 @@ def config_from_dict(raw: object) -> ExperimentConfig:
             "manifold": manifold,
             "density": _section(data, "density", "config", _parse_density, manifold, default=Density(kind="uniform")),
             "placement": _section(data, "placement", "config", _parse_placement, default=Placement(mode="iid")),
-            "kernel": kernel,
+            "form": form,
             "cost_map": _section(data, "cost_map", "config", _parse_cost_map, experiment, manifold, default=default_map),
             "gammas": gammas,
-            **_parse_sizes(data, experiment, grid),
+            "points": _grid_points(data, experiment, grid, scales),
         }
         if experiment == "fast_nonlocal":
-            epsilon = kernel.form.sigma
+            epsilon = form.sigma
             eta = _get(data, "eta", "config", "number")
             if eta is None:
-                eta = _default_eta(manifold, kernel.form)
+                eta = _default_eta(manifold, form)
 
     return ExperimentConfig(
         experiment=experiment,

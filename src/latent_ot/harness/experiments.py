@@ -1,14 +1,17 @@
 """Experiment cells: one (N, seed) pair per cell, merged into result tables.
 
-A graph cell runs one pipeline: :func:`sample_cell_latents` draws the
-latents, then the experiment's route estimates a cost or kernel block,
-solves, and reports.  On every route the two groups are nodes [0, n) and
-[n, n + m) of the N-node graph; the other N - n - m nodes are auxiliary.
-The shortest_path and usvt routes read the whole observed graph from
-:func:`sample_cell`; the fast_adjacency route draws only the cross-group
-pairs it reads, with the same per-pair draws as that graph.  The
-perturbation_pair route draws random cost pairs instead and shares the
-stability-report rows.
+One table maps each experiment to its estimator label and its route, the
+function that turns a cell into result rows.  A cell reads its group sizes
+and its graph scale (the radius h or the edge density rho) from the grid
+N's :class:`~latent_ot.harness.config.GridPoint`, resolved at load.  A graph
+route runs one pipeline: :func:`sample_cell_latents` draws the latents,
+then the route estimates a cost or kernel block, solves, and reports.  On
+every route the two groups are nodes [0, n) and [n, n + m) of the N-node
+graph; the other N - n - m nodes are auxiliary.  The shortest_path and
+usvt routes read the whole observed graph from :func:`sample_cell`; the
+fast_adjacency route draws only the cross-group pairs it reads, with the
+same per-pair draws as that graph.  The perturbation_pair route draws
+random cost pairs instead and shares the stability-report rows.
 
 Every random draw inside a cell comes from a stream derived from the cell's
 seed and N alone, so a cell's rows do not depend on which other cells run,
@@ -64,14 +67,6 @@ from ..rng import CounterStream, RngSeed
 from .config import ExperimentConfig
 from .results import ResultRow, ResultTable
 
-ESTIMATOR_LABELS = {
-    "local_geodesic": "shortest_path",
-    "usvt_nonlocal": "usvt",
-    "fast_nonlocal": "fast_adjacency",
-    "gamma_sweep": "gamma_sweep",
-    "stability_suite": "perturbation_pair",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentTables:
@@ -89,7 +84,8 @@ class _Cell:
         self.config = config
         self.total = total
         self.seed = seed
-        self.n, self.m = config.sizes_at(total)
+        point = config.points[total]
+        self.n, self.m, self.graph_scale = point.n, point.m, point.graph_scale
         self.eps = config.solver.epsilon
         self.stage_seconds: dict[str, float] = {}
 
@@ -187,10 +183,9 @@ def _cost_block_rows(
 def sample_cell_latents(config: ExperimentConfig, total: int, seed: int) -> LatentConfiguration:
     """The latent points of one (N, seed) cell, from a stream derived from
     the seed and N."""
-    assert config.manifold is not None
-    n, m = config.sizes_at(total)
+    point = config.points[total]
     stream = RngSeed(seed).derive("latents", total)
-    return sample_latents(config.manifold, config.density, n, m, total, stream, config.placement)
+    return sample_latents(config.manifold, config.density, point.n, point.m, total, stream, config.placement)
 
 
 def _graph_seed(seed: int, total: int) -> RngSeed:
@@ -199,14 +194,13 @@ def _graph_seed(seed: int, total: int) -> RngSeed:
 
 
 def _cell_graph(config: ExperimentConfig, total: int, seed: int, latents: LatentConfiguration) -> Graph:
-    """The observed graph over a cell's latents: the Bernoulli graph for a
-    nonlocal kernel, the epsilon-graph at the scheduled radius for a local one."""
-    assert config.manifold is not None and config.kernel is not None
-    if config.kernel.kind == "local":
-        return eps_graph(latents, config.kernel.radius_at(total, config.manifold.intrinsic_dim))
-    assert config.kernel.form is not None
-    model = NonlocalKernel(rho=config.kernel.rho_at(total), form=config.kernel.form)
-    return sample_kernel_graph(latents, model, _graph_seed(seed, total))
+    """The observed graph over a cell's latents at the grid N's resolved
+    scale: the epsilon-graph of radius h for a local kernel, which has no
+    form, and the Bernoulli graph of edge density rho for a nonlocal one."""
+    scale = config.points[total].graph_scale
+    if config.form is None:
+        return eps_graph(latents, scale)
+    return sample_kernel_graph(latents, NonlocalKernel(rho=scale, form=config.form), _graph_seed(seed, total))
 
 
 def sample_cell(config: ExperimentConfig, total: int, seed: int) -> tuple[LatentConfiguration, Graph]:
@@ -215,21 +209,32 @@ def sample_cell(config: ExperimentConfig, total: int, seed: int) -> tuple[Latent
     return latents, _cell_graph(config, total, seed, latents)
 
 
+def _timed_latents(cell: _Cell) -> LatentConfiguration:
+    """The cell's latents, drawn in the latents stage."""
+    with cell.stage("latents"):
+        return sample_cell_latents(cell.config, cell.total, cell.seed)
+
+
+def _timed_latents_and_graph(cell: _Cell) -> tuple[LatentConfiguration, Graph]:
+    """The cell's latents and observed graph, each drawn in its own stage."""
+    latents = _timed_latents(cell)
+    with cell.stage("graph"):
+        return latents, _cell_graph(cell.config, cell.total, cell.seed, latents)
+
+
 # ---------------------------------------------------------------------------
-# Routes: from a sampled cell to its result rows
+# Routes: from a cell to its result rows
 # ---------------------------------------------------------------------------
 
 
-def _shortest_path_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[ResultRow]:
+def _shortest_path_rows(cell: _Cell, label: str) -> list[ResultRow]:
     config = cell.config
-    assert config.manifold is not None and config.kernel is not None and config.cost_map is not None
-    label = ESTIMATOR_LABELS["local_geodesic"]
+    latents, graph = _timed_latents_and_graph(cell)
     with cell.stage("estimate"):
         hops = hop_counts(graph, range(cell.n), range(cell.n, cell.n + cell.m))
         if np.isinf(hops).any():
             return [cell.row(label, "failed_disconnected", 1.0)]
-        h = config.kernel.radius_at(cell.total, config.manifold.intrinsic_dim)
-        d_est = geodesic_estimate(hops, h)
+        d_est = geodesic_estimate(hops, cell.graph_scale)
         d_true = config.manifold.geodesic_matrix(latents.xs, latents.ys)
         cost_true = cost_from_distances(d_true, config.cost_map)
         cost_est = cost_from_distances(d_est, config.cost_map)
@@ -237,7 +242,7 @@ def _shortest_path_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph)
         true = sinkhorn(cost_true, *_uniform_marginals(cell), config.solver)
     with cell.stage("bounds"):
         rows = [
-            cell.row(label, "graph_h", h),
+            cell.row(label, "graph_h", cell.graph_scale),
             cell.row(label, "graph_edges", float(graph.edge_count)),
             cell.row(label, "sp_sup_err", float(np.abs(d_est - d_true).max())),
         ]
@@ -263,15 +268,12 @@ def _kernel_frobenius_normalized(points: np.ndarray, form: GaussianPowerKernel, 
     return math.sqrt(squared) / count
 
 
-def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[ResultRow]:
+def _usvt_rows(cell: _Cell, gammas: dict[str, float]) -> list[ResultRow]:
+    """One USVT estimate per entry of ``gammas``, which maps each estimate's
+    label to its threshold scale."""
     config = cell.config
-    assert config.manifold is not None and config.kernel is not None and config.cost_map is not None
-    assert config.kernel.form is not None
-    form, rho = config.kernel.form, config.kernel.rho_at(cell.total)
-    if config.experiment == "gamma_sweep":
-        gammas = {f"usvt@gamma={gamma:g}": gamma for gamma in config.gammas}
-    else:
-        gammas = {ESTIMATOR_LABELS["usvt_nonlocal"]: config.gammas[0]}
+    form, rho = config.form, cell.graph_scale
+    latents, graph = _timed_latents_and_graph(cell)
     with cell.stage("estimate"):
         # One decomposition at the lowest threshold serves every gamma.
         spectrum = usvt(graph, UsvtParams(min(gammas.values()), rho, form.bounds(config.manifold)))
@@ -299,15 +301,14 @@ def _usvt_rows(cell: _Cell, latents: LatentConfiguration, graph: Graph) -> list[
     return rows
 
 
-def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[ResultRow]:
+def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
     """The boxed dual on the raw cross-group adjacency block.  Only the n x m
     cross pairs (i, n + j) are drawn, from the kernel block the gap norms
     read too; they are the edges :func:`sample_cell`'s graph has there.  The
     block stays sparse from the draw to the solve."""
     config = cell.config
-    assert config.manifold is not None and config.kernel is not None and config.kernel.form is not None
-    form = config.kernel.form
-    rho = config.kernel.rho_at(cell.total)
+    form, rho = config.form, cell.graph_scale
+    latents = _timed_latents(cell)
     alpha, beta = _uniform_marginals(cell)
     with cell.stage("graph"):
         powers = form.distance_power(latents.xs, latents.ys)
@@ -326,7 +327,6 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
         operator_gap = diagnostics.operator_norm(kernel_gap)
         frobenius = diagnostics.frobenius_norm(kernel_gap) / math.sqrt(cell.n * cell.m)
 
-    label = ESTIMATOR_LABELS["fast_nonlocal"]
     return _value_rows(cell, label, true, est) + [
         cell.row(label, "ot_error_normalized", _normalized_gap(true.value, est.value)),
         cell.row(label, "kernel_operator_gap", operator_gap),
@@ -337,13 +337,7 @@ def _fast_adjacency_rows(cell: _Cell, latents: LatentConfiguration) -> list[Resu
     ]
 
 
-def _simplex_point(rng: CounterStream, size: int) -> DiscreteDistribution:
-    exponentials = -np.log(1.0 - rng.uniforms(size))
-    weights = exponentials / exponentials.sum()
-    return DiscreteDistribution(weights=weights / weights.sum())
-
-
-def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
+def _perturbation_pair_rows(cell: _Cell, label: str) -> list[ResultRow]:
     """Random cost pairs and marginals; this route samples no latents or graph."""
     config = cell.config
     lo, hi = config.cost_low, config.cost_high
@@ -352,8 +346,8 @@ def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
         rng = CounterStream(RngSeed(cell.seed).derive("stability", cell.total))
         entries_true = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
         entries_est = lo + (hi - lo) * rng.uniforms(side * side).reshape(side, side)
-        alpha = _simplex_point(rng, side)
-        beta = _simplex_point(rng, side)
+        alpha = DiscreteDistribution.dirichlet(rng, side)
+        beta = DiscreteDistribution.dirichlet(rng, side)
         cost_true = CostMatrix(entries=entries_true, c_min=lo, c_max=hi)
         cost_est = CostMatrix(entries=entries_est, c_min=lo, c_max=hi)
     with cell.stage("solve_true"):
@@ -361,13 +355,21 @@ def _perturbation_pair_rows(cell: _Cell) -> list[ResultRow]:
     with cell.stage("solve_est"):
         est = sinkhorn(cost_est, alpha, beta, config.solver)
     with cell.stage("bounds"):
-        return _report_rows(cell, ESTIMATOR_LABELS["stability_suite"], true, est, cost_true, cost_est, alpha, beta)
+        return _report_rows(cell, label, true, est, cost_true, cost_est, alpha, beta)
 
 
-_GRAPH_ROUTES = {
-    "local_geodesic": _shortest_path_rows,
-    "usvt_nonlocal": _usvt_rows,
-    "gamma_sweep": _usvt_rows,
+# Each experiment's estimator label, which names its timing rows, and its
+# route, which returns a cell's result rows given that label.  A gamma sweep
+# labels its result rows by threshold instead.
+_ROUTES = {
+    "local_geodesic": ("shortest_path", _shortest_path_rows),
+    "usvt_nonlocal": ("usvt", lambda cell, label: _usvt_rows(cell, {label: cell.config.gammas[0]})),
+    "fast_nonlocal": ("fast_adjacency", _fast_adjacency_rows),
+    "gamma_sweep": (
+        "gamma_sweep",
+        lambda cell, _: _usvt_rows(cell, {f"usvt@gamma={gamma:g}": gamma for gamma in cell.config.gammas}),
+    ),
+    "stability_suite": ("perturbation_pair", _perturbation_pair_rows),
 }
 
 
@@ -376,20 +378,10 @@ def _run_cell(args: tuple[ExperimentConfig, int, int]) -> tuple[list[ResultRow],
     seconds of each stage it ran."""
     config, total, seed = args
     cell = _Cell(config, total, seed)
+    label, route = _ROUTES[config.experiment]
     start = time.perf_counter()
-    if config.experiment == "stability_suite":
-        rows = _perturbation_pair_rows(cell)
-    else:
-        with cell.stage("latents"):
-            latents = sample_cell_latents(config, total, seed)
-        if config.experiment == "fast_nonlocal":
-            rows = _fast_adjacency_rows(cell, latents)
-        else:
-            with cell.stage("graph"):
-                graph = _cell_graph(config, total, seed, latents)
-            rows = _GRAPH_ROUTES[config.experiment](cell, latents, graph)
+    rows = route(cell, label)
     elapsed = time.perf_counter() - start
-    label = ESTIMATOR_LABELS[config.experiment]
     timings = [cell.row(label, "wall_seconds", elapsed)]
     timings += [cell.row(label, f"stage_{name}_seconds", seconds) for name, seconds in cell.stage_seconds.items()]
     return rows, timings

@@ -52,7 +52,6 @@ from ..ot_core import (
     sinkhorn,
 )
 from ..rng import CounterStream, RngSeed
-from .experiments import _simplex_point
 
 _EPS_CHOICES = (0.1, 0.5, 1.0)
 
@@ -73,7 +72,7 @@ def _random_cost(rng: CounterStream, n: int, m: int, lo: float = 0.1, hi: float 
 def _random_weights(rng: CounterStream, size: int) -> DiscreteDistribution:
     if rng.uniform() < 0.5:
         return DiscreteDistribution.uniform(size)
-    return _simplex_point(rng, size)
+    return DiscreteDistribution.dirichlet(rng, size)
 
 
 def _random_problem(rng: CounterStream) -> tuple[CostMatrix, DiscreteDistribution, DiscreteDistribution, float]:

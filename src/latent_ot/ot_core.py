@@ -36,6 +36,7 @@ from scipy.sparse import csr_array, issparse, sparray
 
 from . import diagnostics
 from .errors import InvalidParameterError, NumericFailureError
+from .rng import CounterStream
 
 # Bound checks tolerate this much numerical slack on the wrong side.
 BOUND_SLACK_TOLERANCE = 1e-9
@@ -101,6 +102,14 @@ class DiscreteDistribution:
         if size <= 0:
             raise InvalidParameterError(f"size must be positive: {size}")
         return cls(np.full(size, 1.0 / size))
+
+    @classmethod
+    def dirichlet(cls, stream: CounterStream, size: int) -> "DiscreteDistribution":
+        """A flat Dirichlet draw: ``size`` exponentials -log(1 - U) from
+        ``stream``, normalized."""
+        exponentials = -np.log(1.0 - stream.uniforms(size))
+        weights = exponentials / exponentials.sum()
+        return cls(weights / weights.sum())
 
     @property
     def size(self) -> int:

@@ -26,7 +26,8 @@ from latent_ot.errors import ConfigError, InvalidParameterError, NumericFailureE
 from latent_ot.harness import experiments
 from latent_ot.harness.config import (
     ExperimentConfig,
-    KernelSettings,
+    GridPoint,
+    _ratio_split,
     config_from_dict,
     load_config,
 )
@@ -46,7 +47,14 @@ from latent_ot.harness.results import (
     parse_csv,
     table_to_csv_text,
 )
-from latent_ot.latent_models import NonlocalKernel, graph_from_edgelist, sample_kernel_graph, sample_latents
+from latent_ot.latent_models import (
+    NonlocalKernel,
+    graph_from_edgelist,
+    h_schedule,
+    sample_kernel_graph,
+    sample_latents,
+    sparse_log_rho,
+)
 from latent_ot.ot_core import SolverConfig
 from latent_ot.rng import RngSeed
 
@@ -200,18 +208,87 @@ def test_kernel_validation():
 
 def test_scheduled_radius_and_rho():
     data = local_config_dict()
+    data["grid"] = [30, 100]
     data["kernel"] = {"kind": "local", "c0": 2.0}
     config = config_from_dict(data)
-    assert config.kernel is not None
-    assert config.kernel.radius_at(100, 2) == pytest.approx(
+    assert config.points[100].graph_scale == pytest.approx(
         (2.0 * math.log(100) ** 2 / 100) ** 0.5
     )
     data = usvt_config_dict()
+    data["grid"] = [24, 1000]
     data["kernel"]["rho_log_coefficient"] = 50.0
     del data["kernel"]["rho"]
     config = config_from_dict(data)
-    assert config.kernel is not None
-    assert config.kernel.rho_at(1000) == pytest.approx(50.0 * math.log(1000) / 1000)
+    assert config.points[1000].graph_scale == pytest.approx(50.0 * math.log(1000) / 1000)
+    # c log N / N is capped at 1
+    assert config.points[24].graph_scale == 1.0
+
+
+def test_nonpositive_kernel_scales_are_rejected_at_the_kernel():
+    cases = [
+        (local_config_dict, {"kind": "local", "c0": 0.0}, r"c0 must be positive"),
+        (local_config_dict, {"kind": "local", "c0": -1.0}, r"c0 must be positive"),
+        (local_config_dict, {"kind": "local", "h": 0.0}, r"'h' must be positive"),
+        (local_config_dict, {"kind": "local", "h": -0.5}, r"'h' must be positive"),
+        (usvt_config_dict, {"rho": 0.0}, r"'rho' must lie in \(0, 1\]"),
+        (usvt_config_dict, {"rho": 1.5}, r"'rho' must lie in \(0, 1\]"),
+        (usvt_config_dict, {"rho": -0.2}, r"'rho' must lie in \(0, 1\]"),
+        (usvt_config_dict, {"rho_log_coefficient": 0.0}, r"coefficient must be positive"),
+        (usvt_config_dict, {"rho_log_coefficient": -2.0}, r"coefficient must be positive"),
+    ]
+    for build, kernel, message in cases:
+        data = build()
+        if kernel.get("kind") == "local":
+            data["kernel"] = kernel
+        else:
+            del data["kernel"]["rho"]
+            data["kernel"].update(kernel)
+        with pytest.raises(ConfigError, match=r"^config\.kernel: .*" + message):
+            config_from_dict(data)
+
+
+def _ci_configs() -> dict[str, dict]:
+    """The extra configs the CI workflow runs, read from its echo lines."""
+    workflow = (REPO_ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    configs = {}
+    for line in workflow.splitlines():
+        line = line.strip()
+        if line.startswith("echo '{") and '"grid"' in line:
+            text, target = line.removeprefix("echo '").split("' > ")
+            configs[Path(target.strip('"')).stem] = json.loads(text)
+    return configs
+
+
+def test_each_grid_n_resolves_to_the_values_the_schedules_give():
+    paths = (REPO_ROOT / "configs").glob("*.json")
+    shipped = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in paths}
+    ci = _ci_configs()
+    # the CI configs reach the fixed h, c log N / N and m_ratio paths
+    assert {"h", "rho_log_coefficient"} <= {key for data in ci.values() for key in data.get("kernel", {})}
+    assert any("m_ratio" in data for data in ci.values())
+    for name, data in {**shipped, **ci}.items():
+        config = config_from_dict(data)
+        assert sorted(config.points) == list(config.grid), name
+        kernel = data.get("kernel", {})
+        for total in config.grid:
+            point = config.points[total]
+            if config.experiment == "stability_suite":
+                assert (point.n, point.m, point.graph_scale) == (total, total, None), name
+                continue
+            if "n" in data:
+                assert (point.n, point.m) == (data["n"], data.get("m", 2 * data["n"])), name
+            else:
+                n = _ratio_split(total, data.get("m_ratio", 2.0))
+                assert (point.n, point.m) == (n, total - n), name
+            if "h" in kernel:
+                scale = kernel["h"]
+            elif kernel["kind"] == "local":
+                scale = h_schedule(total, config.manifold.intrinsic_dim, kernel.get("c0", 2.0))
+            elif "rho" in kernel:
+                scale = kernel["rho"]
+            else:
+                scale = sparse_log_rho(kernel["rho_log_coefficient"], total)
+            assert point.graph_scale == scale, (name, total)
 
 
 def test_cost_map_pipeline_compatibility():
@@ -277,7 +354,7 @@ def test_size_rules():
     data = usvt_config_dict()
     data["n"] = 4
     data["m"] = 4
-    assert config_from_dict(data).sizes_at(24) == (4, 4)
+    assert config_from_dict(data).points[24] == GridPoint(4, 4, 1.0)
     data = fast_config_dict()
     data.update(grid=[20, 40], n=10, m=11)
     with pytest.raises(ConfigError, match="exceeds the smallest total node count 20"):
@@ -285,7 +362,7 @@ def test_size_rules():
     data = usvt_config_dict()
     data["n"] = 8
     data["m"] = 16
-    assert config_from_dict(data).sizes_at(24) == (8, 16)
+    assert config_from_dict(data).points[24] == GridPoint(8, 16, 1.0)
     data = usvt_config_dict()
     data["n"] = 8
     data["m_ratio"] = 1.0
@@ -303,7 +380,9 @@ def test_size_rules():
 
 
 def test_sizes_at_ratio_and_stability():
-    config = config_from_dict(usvt_config_dict())
+    data = usvt_config_dict()
+    data["grid"] = [24, 300]
+    config = config_from_dict(data)
     assert config.sizes_at(24) == (8, 16)
     assert config.sizes_at(300) == (100, 200)
     stability = config_from_dict(stability_config_dict())
@@ -840,23 +919,27 @@ def test_fast_route_draws_the_cross_block_of_the_cell_graph(monkeypatch):
         boxed_kernels.clear()
         run_experiment(config)
         _, graph = sample_cell(config, 30, 3)
-        n, m = config.sizes_at(30)
+        n, m = config.points[30].n, config.points[30].m
         expected = fast_kernel_block(graph, rho, n, m).toarray()
         assert expected.shape == (n, m) and n != m
         assert 0 < np.count_nonzero(expected) < n * m
         assert len(boxed_kernels) == 1 and np.array_equal(boxed_kernels[0].toarray(), expected)
 
 
-def test_fast_route_rejects_edge_probabilities_above_one_and_rho_zero(monkeypatch):
+def test_fast_route_rejects_edge_probabilities_above_one_and_rho_zero():
+    def with_rho(data, rho):
+        # a density no config can give, swapped in after load
+        config = config_from_dict(data)
+        points = {total: dataclasses.replace(point, graph_scale=rho) for total, point in config.points.items()}
+        return dataclasses.replace(config, points=points)
+
     wide = fast_config_dict()
     wide["kernel"]["form"]["sigma"] = 100.0
     # every cross pair has w > 0.96 at this width
-    monkeypatch.setattr(KernelSettings, "rho_at", lambda self, total: 1.5)
     with pytest.raises(InvalidParameterError, match="exceeds 1"):
-        run_experiment(config_from_dict(wide))
-    monkeypatch.setattr(KernelSettings, "rho_at", lambda self, total: 0.0)
+        run_experiment(with_rho(wide, 1.5))
     with pytest.raises(InvalidParameterError, match=r"rho must lie in \(0, 1\]"):
-        run_experiment(config_from_dict(fast_config_dict()))
+        run_experiment(with_rho(fast_config_dict(), 0.0))
 
 
 def test_stability_cells_hold_their_bounds():
@@ -1149,14 +1232,14 @@ def test_cli_gen_writes_the_graph_a_nonlocal_run_cell_sees(tmp_path, capsys):
 
     # the first cell's streams, derived as documented: latents then graph
     config = config_from_dict(data)
-    n, m = config.sizes_at(30)
+    n, m = config.points[30].n, config.points[30].m
     latents = sample_latents(config.manifold, config.density, n, m, 30, RngSeed(5).derive("latents", 30))
-    model = NonlocalKernel(rho=1.0, form=config.kernel.form)
+    model = NonlocalKernel(rho=1.0, form=config.form)
     assert graph == sample_kernel_graph(latents, model, RngSeed(5).derive("graph", 30))
 
     # and the run's kernel gaps at that cell are measured against this graph;
     # the dense SVD is independent of the ARPACK operator norm
-    gap = config.kernel.form.evaluate(latents.xs, latents.ys) - graph.adjacency.toarray()[:n, n:]
+    gap = config.form.evaluate(latents.xs, latents.ys) - graph.adjacency.toarray()[:n, n:]
     rows = {r.metric: r.value for r in run_experiment(config).results.rows if r.seed == 5}
     assert rows["kernel_frobenius_normalized"] == pytest.approx(np.linalg.norm(gap) / math.sqrt(n * m), rel=1e-10)
     assert rows["kernel_operator_gap"] == pytest.approx(np.linalg.svd(gap, compute_uv=False)[0], rel=1e-10)
