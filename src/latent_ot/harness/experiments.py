@@ -8,10 +8,11 @@ route runs one pipeline: :func:`sample_cell_latents` draws the latents,
 then the route estimates a cost or kernel block, solves, and reports.  On
 every route the two groups are nodes [0, n) and [n, n + m) of the N-node
 graph; the other N - n - m nodes are auxiliary.  The shortest_path and
-usvt routes read the whole observed graph from :func:`sample_cell`; the
-fast_adjacency route draws only the cross-group pairs it reads, with the
-same per-pair draws as that graph.  The perturbation_pair route draws
-random cost pairs instead and shares the stability-report rows.
+usvt routes read the whole observed graph from :func:`sample_cell`.  The
+fast_adjacency route runs the pair walker that draws that graph,
+:func:`~latent_ot.latent_models.bernoulli_block`, over the cross-group pairs
+alone, so it gets the graph's edges there.  The perturbation_pair route
+draws random cost pairs instead and shares the stability-report rows.
 
 Every random draw inside a cell comes from a stream derived from the cell's
 seed and N alone, so a cell's rows do not depend on which other cells run,
@@ -302,10 +303,12 @@ def _usvt_rows(cell: _Cell, gammas: dict[str, float]) -> list[ResultRow]:
 
 
 def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
-    """The boxed dual on the raw cross-group adjacency block.  Only the n x m
-    cross pairs (i, n + j) are drawn, from the kernel block the gap norms
-    read too; they are the edges :func:`sample_cell`'s graph has there.  The
-    block stays sparse from the draw to the solve."""
+    """The boxed dual on the raw cross-group adjacency block.  The walker
+    that draws :func:`sample_cell`'s graph walks only the n x m cross pairs
+    (i, n + j), so they get that graph's edges.  Each row block reads its
+    probabilities from the kernel block the gap norms read too, so no
+    n x m block of rho * w is formed, and the edges stay sparse from the draw
+    to the solve."""
     config = cell.config
     form, rho = config.form, cell.graph_scale
     latents = _timed_latents(cell)
@@ -314,7 +317,9 @@ def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
         powers = form.distance_power(latents.xs, latents.ys)
         weights = form.of_powers(powers)
         xs_index, ys_index = np.arange(cell.n), np.arange(cell.n, cell.n + cell.m)
-        cross_edges = bernoulli_block(_graph_seed(cell.seed, cell.total), xs_index, ys_index, rho * weights)
+        cross_edges = bernoulli_block(
+            _graph_seed(cell.seed, cell.total), xs_index, ys_index, lambda rows, cols: rho * weights[rows, cols]
+        )
     with cell.stage("solve_true"):
         cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=form.max_distance_power(config.manifold))
         true = sinkhorn(cost_true, alpha, beta, config.solver)

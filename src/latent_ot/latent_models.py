@@ -545,42 +545,40 @@ def eps_graph(latents: LatentConfiguration, h: float) -> Graph:
     return Graph.from_edges(points.shape[0], pairs)
 
 
-def bernoulli_pairs(seed: RngSeed, rows: np.ndarray, cols: np.ndarray, probabilities: np.ndarray) -> np.ndarray:
-    """Edge indicators of the index pairs (rows, cols), broadcast as in
-    :func:`~latent_ot.rng.pair_uniforms`: pair (i, j) is an edge iff its
-    counter-based uniform of (seed, i, j) is below its probability.
+def bernoulli_block(seed: RngSeed, rows: np.ndarray, cols: np.ndarray, probabilities) -> csr_array:
+    """The Bernoulli edges between the ascending index vectors ``rows`` and
+    ``cols`` as a CSR block in canonical format.  Entry (r, c) is 1 iff
+    rows[r] < cols[c] and the counter-based uniform
+    :func:`~latent_ot.rng.pair_uniforms` of (seed, rows[r], cols[c]) is below
+    the pair's probability; ``probabilities(row_slice, col_slice)`` returns
+    those of one block of positions into ``rows`` and ``cols``.
 
     Every Bernoulli graph draw goes through here, so a caller that reads only
-    some pairs gets the same edges as the whole graph has there.
+    some pairs gets the same edges as the whole graph has there.  The rows are
+    walked in blocks of about ``_GRAPH_BLOCK_PAIRS`` pairs.  A block hashes
+    only the columns after its first row and masks only its leading corner,
+    the columns up to its last row, so no len(rows) x len(cols) array is
+    formed.
     """
-    if probabilities.size and float(probabilities.max()) > 1.0 + 1e-12:
-        raise InvalidParameterError("edge probability rho * w exceeds 1")
-    return pair_uniforms(seed, rows, cols) < probabilities
-
-
-def bernoulli_block(seed: RngSeed, rows: np.ndarray, cols: np.ndarray, probabilities: np.ndarray) -> csr_array:
-    """The edges between the index vectors ``rows`` and ``cols`` as a CSR
-    block in canonical format: entry (r, c) is 1 iff :func:`bernoulli_pairs`
-    draws pair (rows[r], cols[c]) with probability ``probabilities[r, c]``.
-
-    The rows are walked in blocks of about ``_GRAPH_BLOCK_PAIRS`` pairs, as in
-    :func:`sample_kernel_graph`, so no len(rows) x len(cols) mask is formed.
-    """
-    count, width = probabilities.shape
+    count, width = rows.size, cols.size
     block_rows = max(1, _GRAPH_BLOCK_PAIRS // width)
     row_counts, picked_cols = [np.zeros(1, dtype=np.int64)], []
     for start in range(0, count, block_rows):
         stop = min(start + block_rows, count)
-        hit = bernoulli_pairs(seed, rows[start:stop, None], cols[None, :], probabilities[start:stop])
+        first, last = np.searchsorted(cols, rows[[start, stop - 1]], side="right")
+        block = probabilities(slice(start, stop), slice(first, width))
+        if block.size and float(block.max()) > 1.0 + 1e-12:
+            raise InvalidParameterError("edge probability rho * w exceeds 1")
+        hit = pair_uniforms(seed, rows[start:stop, None], cols[None, first:]) < block
+        hit[:, : last - first] &= rows[start:stop, None] < cols[None, first:last]
         # np.nonzero walks the block row-major: CSR order.
-        picked_cols.append(np.nonzero(hit)[1])
-        row_counts.append(np.count_nonzero(hit, axis=1))
+        local_rows, local_cols = np.nonzero(hit)
+        picked_cols.append(local_cols + first)
+        row_counts.append(np.bincount(local_rows, minlength=stop - start))
     indices = np.concatenate(picked_cols)
-    block = csr_array(
-        (np.ones(indices.size), indices, np.cumsum(np.concatenate(row_counts))), shape=(count, width)
-    )
-    block.has_canonical_format = True
-    return block
+    upper = csr_array((np.ones(indices.size), indices, np.cumsum(np.concatenate(row_counts))), shape=(count, width))
+    upper.has_canonical_format = True
+    return upper
 
 
 def sample_kernel_graph(
@@ -589,30 +587,16 @@ def sample_kernel_graph(
     """Draw each unordered pair as an independent Bernoulli edge.
 
     Pair (i, j) with i < j is an edge with probability rho * w(z_i, z_j),
-    decided by :func:`bernoulli_pairs` at (seed, i, j).  The rows are walked
-    in blocks of about ``_GRAPH_BLOCK_PAIRS // N`` rows; a block of rows
-    [start, stop) is evaluated and hashed only against the points after
-    ``start``, and the pairs with j <= i are dropped from the block's leading
-    corner alone.  Memory does not grow as N x N.
+    drawn by :func:`bernoulli_block` over all N points against all N, so
+    memory does not grow as N x N.
     """
     points = latents.all_points()
-    count = points.shape[0]
-    block_rows = max(1, _GRAPH_BLOCK_PAIRS // count)
-    picked_rows, picked_cols = [], []
-    # The last row has no partner j > i.
-    for start in range(0, count - 1, block_rows):
-        stop = min(start + block_rows, count - 1)
-        rows, cols = np.arange(start, stop)[:, None], np.arange(start + 1, count)[None, :]
-        probabilities = kernel.rho * kernel.form.evaluate(points[start:stop], points[start + 1 :])
-        hit = bernoulli_pairs(seed, rows, cols, probabilities)
-        # Local column c is point start + 1 + c, after local row r iff c >= r.
-        corner = hit[:, : stop - start]
-        corner[...] = np.triu(corner)
-        local_rows, local_cols = np.nonzero(hit)
-        picked_rows.append(local_rows + start)
-        picked_cols.append(local_cols + (start + 1))
-    edges = np.column_stack([np.concatenate(picked_rows), np.concatenate(picked_cols)])
-    return Graph.from_edges(count, edges)
+    index = np.arange(points.shape[0])
+    upper = bernoulli_block(
+        seed, index, index, lambda rows, cols: kernel.rho * kernel.form.evaluate(points[rows], points[cols])
+    )
+    edges = np.column_stack([np.repeat(index, np.diff(upper.indptr)), upper.indices])
+    return Graph.from_edges(index.size, edges)
 
 
 def h_schedule(total: int, k: int, c0: float) -> float:

@@ -5,6 +5,10 @@ Row keys must match exactly, and so must the integer and flag rows; every
 other value must match to 1e-9 relative, so the check holds across the
 numpy and scipy versions ``pyproject.toml`` allows, where the last of the
 twelve printed digits may move.
+
+The observed graphs must match their committed sha256 digests exactly: one
+graph per shipped config that builds one, and the CI workflow's
+``fast_groups`` graph, whose rho < 1.
 """
 
 import importlib.util
@@ -47,3 +51,14 @@ def test_results_match_golden(name):
         if not same:
             moved.append(f"{_key(row)}: {row.value!r} != golden {want.value!r}")
     assert not moved, f"{len(moved)} rows moved:\n" + "\n".join(moved[:20])
+
+
+_GRAPH_CELLS = regenerate.graph_cells()
+
+
+@pytest.mark.parametrize("cell", _GRAPH_CELLS, ids=[name for name, *_ in _GRAPH_CELLS])
+def test_graph_matches_golden_digest(cell):
+    name, config, total, seed = cell
+    lines = regenerate.GRAPH_DIGESTS.read_text(encoding="utf-8").splitlines()
+    golden = dict(line.rsplit(" ", 1) for line in lines)
+    assert regenerate.graph_digest(config, total, seed) == golden[f"{name} {total} {seed}"]

@@ -1,8 +1,9 @@
 """Manifold, density, and random-graph model tests.
 
 Geodesics are checked against hand-computed arc lengths, graph builders
-against brute-force O(N^2) reconstruction, and the Bernoulli sampler
-against an in-test replay of its documented per-pair draws.
+against brute-force O(N^2) reconstruction, and the Bernoulli pair walker
+and the graph sampler against an in-test scalar replay of their documented
+per-pair draws.
 """
 
 import math
@@ -10,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, csr_array
 
 from latent_ot import latent_models
 from latent_ot.errors import DensityMisconfiguredError, InvalidParameterError
@@ -24,6 +25,7 @@ from latent_ot.latent_models import (
     Placement,
     Sphere,
     UnitSquare,
+    bernoulli_block,
     eps_graph,
     graph_from_edgelist,
     graph_to_edgelist,
@@ -423,6 +425,52 @@ def test_sample_kernel_graph_replays_the_documented_stream(monkeypatch):
     for block_pairs in (1, 28, 42, 84, 154, 1000):
         monkeypatch.setattr(latent_models, "_GRAPH_BLOCK_PAIRS", block_pairs)
         assert sample_kernel_graph(config, kernel, seed) == g
+
+
+def test_bernoulli_block_replays_the_scalar_pair_hash(monkeypatch):
+    seed = RngSeed(61)
+    # Interleaved index vectors, where some pairs have rows[r] >= cols[c],
+    # and a cross rectangle, where none do.
+    cases = [(np.array([2, 5, 7, 9]), np.array([3, 5, 8, 9, 12])), (np.arange(6), np.arange(6, 11))]
+    for rows, cols in cases:
+        probs = CounterStream(RngSeed(60)).uniforms(rows.size * cols.size).reshape(rows.size, cols.size)
+        # A pair with rows[r] >= cols[c] would always be an edge if drawn.
+        probs[rows[:, None] >= cols[None, :]] = 1.0
+        expected = csr_array(
+            [
+                [float(i < j and _scalar_pair_uniform(seed, i, j) < probs[r, c]) for c, j in enumerate(cols.tolist())]
+                for r, i in enumerate(rows.tolist())
+            ]
+        )
+        assert 0 < expected.nnz < rows.size * cols.size
+        # Blocks of one row, two rows, three rows, and one block of all rows.
+        for block_pairs in (1, 10, 15, 1000):
+            monkeypatch.setattr(latent_models, "_GRAPH_BLOCK_PAIRS", block_pairs)
+            block = bernoulli_block(seed, rows, cols, lambda r, c: probs[r, c])
+            assert block.shape == expected.shape and block.has_canonical_format
+            assert np.array_equal(block.indptr, expected.indptr), (rows.tolist(), block_pairs)
+            assert np.array_equal(block.indices, expected.indices), (rows.tolist(), block_pairs)
+            assert np.array_equal(block.data, np.ones(expected.nnz))
+        with pytest.raises(InvalidParameterError, match="exceeds 1"):
+            bernoulli_block(seed, rows, cols, lambda r, c: 2.0 * probs[r, c])
+
+
+def test_bernoulli_block_draws_a_cross_rectangle_in_a_few_megabytes():
+    n = m = 3000
+    rows, cols = np.arange(n), np.arange(n, n + m)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        block = bernoulli_block(
+            RngSeed(70), rows, cols, lambda r, c: np.full((r.stop - r.start, c.stop - c.start), 0.001)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(block.nnz - 0.001 * n * m) <= 4.0 * math.sqrt(0.001 * n * m)
+    # One dense n x m float64 array would take 72 MB.
+    assert peak - start <= 8 * 2**20
 
 
 def test_sample_kernel_graph_edge_frequency():
