@@ -48,9 +48,10 @@ def operator_norm(matrix: np.ndarray) -> float:
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
         raise InvalidParameterError("operator_norm needs a nonempty matrix")
-    if not np.all(np.isfinite(mat)):
-        raise InvalidParameterError("operator_norm needs finite entries")
+    # The largest magnitude is NaN or inf wherever any entry is: one pass checks both.
     scale = float(np.abs(mat).max())
+    if not math.isfinite(scale):
+        raise InvalidParameterError("operator_norm needs finite entries")
     if scale == 0.0:
         return 0.0
     unit = mat / scale

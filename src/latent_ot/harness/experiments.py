@@ -27,6 +27,7 @@ two finished solves and every error diagnostic.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import time
 from contextlib import contextmanager
@@ -392,15 +393,46 @@ def _run_cell(args: tuple[ExperimentConfig, int, int]) -> tuple[list[ResultRow],
     return rows, timings
 
 
+# glibc's mallopt parameters, from <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed blocks in this process's heap for the next allocation.
+
+    Under glibc's default policy every n x m temporary of a cell is mapped
+    afresh and unmapped when freed, and the heap top is trimmed back to the
+    kernel, so each later allocation zero-fills the same pages again: several
+    thousand minor page faults per nonlocal cell.  Blocks below 32 MiB (the
+    largest mmap threshold glibc accepts) come from the heap, and the heap is
+    trimmed only past 1 GiB of free top; either setting alone raises the
+    fault count.  Does nothing where libc has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentTables:
     """Run every (N, seed) cell of the config and merge the rows.
 
     ``workers`` > 1 runs cells in separate processes; rows are merged by the
     parent in a canonical order either way, so the result table is
     independent of scheduling.
+
+    Every process that runs cells keeps the memory it frees for reuse, on
+    glibc (:func:`_keep_freed_memory`): otherwise each cell's n x m
+    temporaries cost thousands of minor page faults.  There is no switch; the
+    policy changes no value, and a plain ``import latent_ot`` leaves the
+    allocator as it is.
     """
     if workers < 1:
         raise InvalidParameterError(f"workers must be at least 1: {workers}")
+    _keep_freed_memory()
     # Largest N first, so no worker is left with a large cell at the end.
     cells = [(config, total, seed) for total in sorted(config.grid, reverse=True) for seed in config.seeds]
     if workers == 1 or len(cells) == 1:
@@ -408,7 +440,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentTabl
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells)), initializer=_keep_freed_memory) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     result_rows: list[ResultRow] = []
     timing_rows: list[ResultRow] = []

@@ -460,6 +460,11 @@ def sparse_log_rho(c: float, total: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _index_dtype(node_count: int, nnz: int) -> type:
+    """int32 where every index and offset of an adjacency fits, else int64."""
+    return np.int32 if max(node_count, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph stored as its adjacency matrix: a symmetric
@@ -497,7 +502,7 @@ class Graph:
             np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
             keys = keys[fresh]
             del fresh
-        index_dtype = np.int32 if max(node_count, keys.size) <= np.iinfo(np.int32).max else np.int64
+        index_dtype = _index_dtype(node_count, keys.size)
         row_starts = np.arange(node_count + 1, dtype=np.int64) * node_count
         indptr = np.searchsorted(keys, row_starts).astype(index_dtype)
         keys %= node_count
@@ -588,15 +593,22 @@ def sample_kernel_graph(
 
     Pair (i, j) with i < j is an edge with probability rho * w(z_i, z_j),
     drawn by :func:`bernoulli_block` over all N points against all N, so
-    memory does not grow as N x N.
+    memory does not grow as N x N.  The walker returns the canonical upper
+    triangle, so the adjacency is that block plus its transpose, with no
+    second sort; the sum carries the walker's int64 offsets, which are cast
+    back to the graph's index type.
     """
     points = latents.all_points()
     index = np.arange(points.shape[0])
     upper = bernoulli_block(
         seed, index, index, lambda rows, cols: kernel.rho * kernel.form.evaluate(points[rows], points[cols])
     )
-    edges = np.column_stack([np.repeat(index, np.diff(upper.indptr)), upper.indices])
-    return Graph.from_edges(index.size, edges)
+    adjacency = upper + upper.T
+    index_dtype = _index_dtype(index.size, adjacency.nnz)
+    adjacency.indptr = adjacency.indptr.astype(index_dtype)
+    adjacency.indices = adjacency.indices.astype(index_dtype)
+    adjacency.has_canonical_format = True
+    return Graph(adjacency)
 
 
 def h_schedule(total: int, k: int, c0: float) -> float:

@@ -2,7 +2,8 @@
 
 Run from anywhere:
 
-    python tests/golden/regenerate.py
+    python tests/golden/regenerate.py              # every table and the digests
+    python tests/golden/regenerate.py NAME...      # only the named tables
 
 Each config under ``configs/`` runs in-process at one worker, from the
 source tree of this checkout, and its result rows are written to
@@ -10,14 +11,17 @@ source tree of this checkout, and its result rows are written to
 largest configs run at their first three seeds only.  A change that means
 to move rows regenerates these files; the diff of the golden files is then
 the list of moved rows.  ``tests/test_golden.py`` compares a fresh run of
-each config against its file.
+each config against its file.  Name the configs a change means to move:
+on some hosts a full regeneration moves the last digits of other configs'
+solver residual rows, which would then show up in the diff too.  An
+unknown name exits with status 2 and writes nothing.
 
-It also writes ``tests/golden/graph_digests.txt``: the sha256 of the edge
-list (:func:`~latent_ot.latent_models.graph_to_edgelist`) of one observed
-graph per config that builds one, at its largest grid N and first seed, and
-of the CI workflow's ``fast_groups`` graph at N = 1200, whose rho < 1.  The
-result tables see a Bernoulli graph only through values compared to 1e-9
-relative; the digests pin its edges byte for byte.
+Without names it also writes ``tests/golden/graph_digests.txt``: the sha256
+of the edge list (:func:`~latent_ot.latent_models.graph_to_edgelist`) of one
+observed graph per config that builds one, at its largest grid N and first
+seed, and of the CI workflow's ``fast_groups`` graph at N = 1200, whose
+rho < 1.  The result tables see a Bernoulli graph only through values
+compared to 1e-9 relative; the digests pin its edges byte for byte.
 """
 
 from __future__ import annotations
@@ -89,16 +93,24 @@ def graph_digest(config: ExperimentConfig, total: int, seed: int) -> str:
     return hashlib.sha256(graph_to_edgelist(graph).encode("utf-8")).hexdigest()
 
 
-def main() -> None:
-    for name in config_names():
+def main(names: list[str]) -> int:
+    """Write the named tables, or every table and the digests if none is named."""
+    unknown = sorted(set(names) - set(config_names()))
+    if unknown:
+        print(f"unknown config {', '.join(unknown)}; known: {', '.join(config_names())}", file=sys.stderr)
+        return 2
+    for name in names or config_names():
         path = GOLDEN / f"{name}.csv"
         emit_csv(golden_results(name), path)
         print(f"wrote {path.relative_to(ROOT)}")
+    if names:
+        return 0
     cells = graph_cells()
     lines = [f"{name} {total} {seed} {graph_digest(config, total, seed)}\n" for name, config, total, seed in cells]
     GRAPH_DIGESTS.write_text("".join(lines), encoding="utf-8")
     print(f"wrote {GRAPH_DIGESTS.relative_to(ROOT)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -96,6 +96,12 @@ def test_operator_norm_validation():
         operator_norm(np.array([[np.nan]]))
     with pytest.raises(InvalidParameterError):
         operator_norm(np.empty((0, 2)))
+    # One non-finite entry inside a larger matrix, whatever its sign.
+    for bad in (np.inf, -np.inf, np.nan):
+        matrix = np.arange(12.0).reshape(3, 4)
+        matrix[1, 2] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            operator_norm(matrix)
 
 
 def test_operator_norm_reports_arpack_non_convergence(monkeypatch):

@@ -62,3 +62,12 @@ def test_graph_matches_golden_digest(cell):
     lines = regenerate.GRAPH_DIGESTS.read_text(encoding="utf-8").splitlines()
     golden = dict(line.rsplit(" ", 1) for line in lines)
     assert regenerate.graph_digest(config, total, seed) == golden[f"{name} {total} {seed}"]
+
+
+def test_regenerate_rejects_an_unknown_name_before_writing(capsys):
+    known = regenerate.GOLDEN / "quick_local.csv"
+    written = known.stat().st_mtime_ns
+    assert regenerate.main(["quick_local", "no_such_config"]) == 2
+    assert "no_such_config" in capsys.readouterr().err
+    assert known.stat().st_mtime_ns == written
+    assert not (regenerate.GOLDEN / "no_such_config.csv").exists()
