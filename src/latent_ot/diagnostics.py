@@ -2,7 +2,11 @@
 
 Operator norms come from ARPACK on the Gram matrix of the smaller side, one
 BLAS product, which the package runs on one BLAS thread so the bits do not
-depend on a thread count; a dense SVD is the test oracle.  Frobenius norms
+depend on a thread count; a dense SVD is the test oracle.  The Gram route
+stays, although products x -> A^T (A x) form no min(n, m)^2 array: the
+cells' gap matrices have flat tops (sigma_2 / sigma_1 of 0.976-0.995 at
+533 x 1067), where Lanczos needs 31-91 steps, and there one syrk plus steps
+on the smaller Gram matrix cost less than two gemv per step.  Frobenius norms
 are einsum sums of squares.
 """
 
@@ -15,6 +19,10 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import InvalidParameterError, NumericFailureError
+
+# ARPACK stops once the top Ritz pair's residual is at most this share of its
+# Ritz value.
+_ARPACK_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,21 @@ def operator_norm(matrix: np.ndarray) -> float:
     entries, and the start vector is fixed.  One row or one column gives the
     Euclidean norm.  Raises :class:`NumericFailureError` if ARPACK does not
     converge.
+
+    ARPACK stops at a residual ||r|| <= 1e-8 * theta of the Ritz value theta.
+    The Kato-Temple bound |lambda - theta| <= ||r||^2 / delta, with delta the
+    gap to the second eigenvalue, then leaves the top eigenvalue within 1e-14
+    relative wherever sigma_2 / sigma_1 <= 0.995, and within 1e-12 down to a
+    relative eigenvalue gap of 1e-4.  ARPACK's default, machine precision,
+    takes about 10-30 more steps on the cells' gaps for no digit a report
+    prints.
     """
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
         raise InvalidParameterError("operator_norm needs a nonempty matrix")
-    # The largest magnitude is NaN or inf wherever any entry is: one pass checks both.
-    scale = float(np.abs(mat).max())
+    # The largest magnitude, from the two extremes with no |mat| temporary; it
+    # is NaN or inf wherever any entry is, so the same passes check both.
+    scale = max(abs(float(mat.max())), abs(float(mat.min())))
     if not math.isfinite(scale):
         raise InvalidParameterError("operator_norm needs finite entries")
     if scale == 0.0:
@@ -62,7 +79,9 @@ def operator_norm(matrix: np.ndarray) -> float:
     # Not linspace or all-ones: a small-integer matrix can annihilate a rational start.
     start = np.cos(np.arange(gram.shape[0], dtype=np.float64))
     try:
-        top = float(eigsh(gram, k=1, which="LA", v0=start, return_eigenvectors=False)[0])
+        top = float(
+            eigsh(gram, k=1, which="LA", v0=start, tol=_ARPACK_TOLERANCE, return_eigenvectors=False)[0]
+        )
     except ArpackNoConvergence as exc:
         raise NumericFailureError("ARPACK did not converge on the operator norm") from exc
     return scale * math.sqrt(top)

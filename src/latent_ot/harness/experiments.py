@@ -47,6 +47,7 @@ from ..cost_estimators import (
 )
 from ..errors import InvalidParameterError
 from ..latent_models import (
+    _GRAPH_BLOCK_PAIRS,
     GaussianPowerKernel,
     Graph,
     LatentConfiguration,
@@ -61,6 +62,7 @@ from ..ot_core import (
     CostMatrix,
     DiscreteDistribution,
     OtResult,
+    StabilityReport,
     dual_ascent_boxed,
     report_from_solves,
     sinkhorn,
@@ -139,19 +141,9 @@ def _value_rows(cell: _Cell, label: str, true: OtResult, est: OtResult | BoxedRe
     return rows
 
 
-def _report_rows(
-    cell: _Cell,
-    label: str,
-    true: OtResult,
-    est: OtResult,
-    cost_true: CostMatrix,
-    cost_est: CostMatrix,
-    alpha: DiscreteDistribution,
-    beta: DiscreteDistribution,
-) -> list[ResultRow]:
+def _report_rows(cell: _Cell, label: str, true: OtResult, est: OtResult, report: StabilityReport) -> list[ResultRow]:
     """The value rows of two finished solves, then their stability report:
     cost gaps and every bound's ceiling and slack."""
-    report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, cell.config.solver)
     rows = _value_rows(cell, label, true, est) + [
         cell.row(label, "cost_sup_err", report.cost_sup_gap),
         cell.row(label, "cost_frobenius_err", report.cost_frobenius_gap),
@@ -170,14 +162,15 @@ def _cost_block_rows(
     cell: _Cell, label: str, true: OtResult, cost_true: CostMatrix, cost_est: CostMatrix
 ) -> list[ResultRow]:
     """Solve on the estimated cost block and report it against the finished
-    solve on the true block, both under uniform marginals."""
+    solve on the true block, both under uniform marginals.  The report's
+    ||C - C_hat||_op is the block's ``cost_operator_err``."""
     alpha, beta = _uniform_marginals(cell)
     with cell.stage("solve_est"):
         est = sinkhorn(cost_est, alpha, beta, cell.config.solver)
     with cell.stage("bounds"):
-        rows = _report_rows(cell, label, true, est, cost_true, cost_est, alpha, beta)
-        cost_operator_gap = diagnostics.operator_norm(cost_true.entries - cost_est.entries)
-        rows.append(cell.row(label, "cost_operator_err", cost_operator_gap))
+        report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, cell.config.solver)
+        rows = _report_rows(cell, label, true, est, report)
+        rows.append(cell.row(label, "cost_operator_err", report.cost_operator_gap))
         rows.append(cell.row(label, "ot_error_normalized", _normalized_gap(true.value, est.value)))
     return rows
 
@@ -254,10 +247,12 @@ def _shortest_path_rows(cell: _Cell, label: str) -> list[ResultRow]:
 def _kernel_frobenius_normalized(points: np.ndarray, form: GaussianPowerKernel, estimate: UsvtEstimate) -> float:
     """||W - W_est||_F / N over the upper triangle, since both matrices are
     symmetric: the diagonal once, the pairs j > i twice.  Summed over row
-    blocks [start, stop) x [start, N) of about 2^20 entries, so that neither
-    N x N matrix is formed."""
+    blocks [start, stop) x [start, N) of about ``_GRAPH_BLOCK_PAIRS`` entries,
+    the pair walker's block size, so that neither N x N matrix is formed, a
+    block's arrays stay near 1 MB, and the share of each block below the
+    diagonal, which is evaluated and then masked, stays small."""
     count = points.shape[0]
-    step = max(1, (1 << 20) // count)
+    step = max(1, _GRAPH_BLOCK_PAIRS // count)
     squared = 0.0
     for start in range(0, count, step):
         rows, cols = slice(start, start + step), slice(start, None)
@@ -329,7 +324,10 @@ def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
     with cell.stage("solve_est"):
         est = dual_ascent_boxed(k_block, alpha, beta, config.solver)
     with cell.stage("bounds"):
-        kernel_gap = weights - k_block
+        # W - K in place in W, which nothing reads after the draw: the CSR's
+        # entries are subtracted at their own positions.
+        kernel_gap = weights
+        kernel_gap[np.repeat(np.arange(cell.n), np.diff(k_block.indptr)), k_block.indices] -= k_block.data
         operator_gap = diagnostics.operator_norm(kernel_gap)
         frobenius = diagnostics.frobenius_norm(kernel_gap) / math.sqrt(cell.n * cell.m)
 
@@ -361,7 +359,8 @@ def _perturbation_pair_rows(cell: _Cell, label: str) -> list[ResultRow]:
     with cell.stage("solve_est"):
         est = sinkhorn(cost_est, alpha, beta, config.solver)
     with cell.stage("bounds"):
-        return _report_rows(cell, label, true, est, cost_true, cost_est, alpha, beta)
+        report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, config.solver)
+        return _report_rows(cell, label, true, est, report)
 
 
 # Each experiment's estimator label, which names its timing rows, and its

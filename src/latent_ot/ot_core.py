@@ -138,14 +138,16 @@ class CostMatrix:
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.ndim != 2 or entries.size == 0:
             raise InvalidParameterError("cost entries must form a nonempty matrix")
-        if not np.all(np.isfinite(entries)):
+        # NaN and +-inf reach the extremes, so they decide finiteness too.
+        low, high = float(entries.min()), float(entries.max())
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise InvalidParameterError("cost entries must be finite")
         if not (0.0 <= self.c_min <= self.c_max):
             raise InvalidParameterError(
                 f"cost bounds must satisfy 0 <= c_min <= c_max: ({self.c_min}, {self.c_max})"
             )
         slack = 1e-12 * max(1.0, abs(self.c_max))
-        if entries.min() < self.c_min - slack or entries.max() > self.c_max + slack:
+        if low < self.c_min - slack or high > self.c_max + slack:
             raise InvalidParameterError("cost entries violate the declared bounds")
         object.__setattr__(self, "entries", _readonly(entries))
 
@@ -182,7 +184,9 @@ class TransportPlan:
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.ndim != 2 or entries.size == 0:
             raise InvalidParameterError("plan entries must form a nonempty matrix")
-        if not np.all(np.isfinite(entries)) or np.any(entries < 0):
+        # NaN and +-inf reach the extremes, so they decide finiteness too.
+        low, high = float(entries.min()), float(entries.max())
+        if not (math.isfinite(low) and math.isfinite(high)) or low < 0:
             raise InvalidParameterError("plan entries must be finite and nonnegative")
         if abs(float(entries.sum()) - 1.0) > _PLAN_MASS_TOLERANCE:
             raise InvalidParameterError(
@@ -286,13 +290,15 @@ class StabilityReport:
     The four checks cover, in order: the sup-norm ceiling on the value gap,
     the spectral ceiling on the value gap, the ceiling on the KL divergence
     between the two optimal plans, and the Frobenius domination of the
-    kernel operator gap.
+    kernel operator gap.  ``cost_operator_gap``, ||C - C_hat||_op, is read
+    by no check; it comes from the one cost difference the report forms.
     """
 
     plan_divergence: float
     cost_sup_gap: float
     cost_frobenius_gap: float
     kernel_operator_gap: float
+    cost_operator_gap: float
     checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
 
     @property
@@ -355,10 +361,11 @@ def kl_plans(plan: TransportPlan, reference: TransportPlan) -> float:
     q = reference.entries
     if p.shape != q.shape:
         raise InvalidParameterError(f"plan shapes differ: {p.shape} vs {q.shape}")
-    support = p > 0
-    if not support.all():
+    # Plan entries are nonnegative, so a positive minimum means no zero.
+    if not p.min() > 0:
+        support = p > 0
         p, q = p[support], q[support]
-    if np.any(q == 0):
+    if not q.min() > 0:
         return math.inf
     log_ratio = np.log(p)
     log_ratio -= np.log(q)
@@ -777,7 +784,8 @@ def report_from_solves(
 
     Runs no solve.  The shared cost bounds are the union of the two matrices'
     bounds.  The four recorded inequalities, with eps = ``cfg.epsilon``,
-    dC = C - C_hat and dK = exp(-C/eps) - exp(-C_hat/eps):
+    dC = C - C_hat and dK = exp(-C/eps) - exp(-C_hat/eps), each formed once
+    (dK from two exponentials computed in place); ||dC||_op is reported too:
 
     * ``sup_norm``:  |value gap| <= sup|dC|
     * ``kernel_spectral``:  |value gap| <=
@@ -799,9 +807,13 @@ def report_from_solves(
     divergence = kl_plans(true.plan, est.plan)
 
     diff = cost_true.entries - cost_est.entries
-    sup_gap = float(np.abs(diff).max())
+    sup_gap = max(abs(float(diff.max())), abs(float(diff.min())))
     frobenius_gap = diagnostics.frobenius_norm(diff)
-    kernel_diff = np.exp(-cost_true.entries / eps) - np.exp(-cost_est.entries / eps)
+    cost_operator_gap = diagnostics.operator_norm(diff)
+    # dC is read by now: its buffer takes exp(-C/eps), less exp(-C_hat/eps).
+    kernel_diff = np.exp(np.divide(cost_true.entries, -eps, out=diff), out=diff)
+    kernel_est = cost_est.entries / -eps
+    kernel_diff -= np.exp(kernel_est, out=kernel_est)
     kernel_gap = diagnostics.operator_norm(kernel_diff)
 
     norm_a = alpha.euclidean_norm
@@ -824,5 +836,6 @@ def report_from_solves(
         cost_sup_gap=sup_gap,
         cost_frobenius_gap=frobenius_gap,
         kernel_operator_gap=kernel_gap,
+        cost_operator_gap=cost_operator_gap,
         checks=checks,
     )

@@ -89,6 +89,23 @@ def test_operator_norm_transpose_invariance():
     assert operator_norm(mat) == pytest.approx(operator_norm(mat.T), rel=1e-8)
 
 
+def test_operator_norm_of_flat_topped_gaps_matches_svd():
+    # A cell's kernel gap has a flat top: a constant kernel less an i.i.d.
+    # Bernoulli block of its mean has sigma_2 / sigma_1 close to 1, where
+    # ARPACK takes the most steps and a loose stopping tolerance shows.
+    rng = np.random.default_rng(0)
+    edges = (rng.random((533, 1067)) < 0.0375).astype(np.float64)
+    bernoulli_gap = 0.0375 - edges
+    # A repeated top singular value: U diag(s) V^T with s_1 = s_2.
+    left, _ = np.linalg.qr(rng.standard_normal((120, 120)))
+    right, _ = np.linalg.qr(rng.standard_normal((240, 120)))
+    values = np.concatenate([[3.0, 3.0], np.linspace(2.9, 0.1, 118)])
+    repeated = (left * values) @ right.T
+    for mat in (bernoulli_gap, repeated):
+        expected = float(np.linalg.svd(mat, compute_uv=False)[0])
+        assert operator_norm(mat) == pytest.approx(expected, rel=1e-12)
+
+
 def test_operator_norm_validation():
     with pytest.raises(InvalidParameterError):
         operator_norm(np.array([1.0, 2.0]))

@@ -22,7 +22,7 @@ import pytest
 import latent_ot
 import latent_ot.harness.cli as cli
 from latent_ot import ot_core
-from latent_ot.cost_estimators import fast_kernel_block
+from latent_ot.cost_estimators import UsvtParams, fast_kernel_block, usvt
 from latent_ot.errors import ConfigError, InvalidParameterError, NumericFailureError
 from latent_ot.harness import experiments
 from latent_ot.harness.config import (
@@ -857,6 +857,25 @@ def test_a_fixed_group_usvt_cell_matches_a_dense_eigh_oracle():
     expected = ot_core.sinkhorn(cost, uniform, uniform, SolverConfig(epsilon=0.5)).value
     assert rows["usvt_rank"].value == np.count_nonzero(keep) > 0
     assert abs(rows["ot_value_est"].value - expected) <= 1e-9 * abs(expected)
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7 * 60, 60 * 60])
+def test_kernel_frobenius_walk_matches_a_dense_oracle(monkeypatch, block_pairs):
+    # Row blocks of 1 row (60 blocks), of 7 rows (60 = 8 * 7 + 4, so the last
+    # block is ragged) and of all 60 rows (one block); every block masks the
+    # corner below the diagonal.
+    config = config_from_dict({**usvt_config_dict(), "grid": [60]})
+    latents, graph = sample_cell(config, 60, 0)
+    estimate = usvt(graph, UsvtParams(1.0, 1.0, config.form.bounds(config.manifold)))
+    assert estimate.rank > 0
+    # The oracle: both 60 x 60 matrices, formed densely.
+    points = latents.all_points()
+    truth = config.form.evaluate(points, points)
+    dense = np.clip((estimate.vectors * estimate.values) @ estimate.vectors.T, *estimate.params.clamp_range)
+    expected = np.linalg.norm(truth - dense) / 60
+    monkeypatch.setattr(experiments, "_GRAPH_BLOCK_PAIRS", block_pairs)
+    walked = experiments._kernel_frobenius_normalized(points, config.form, estimate)
+    assert walked == pytest.approx(expected, rel=1e-12)
 
 
 def test_a_fixed_group_usvt_cell_at_eight_thousand_nodes_stays_small():

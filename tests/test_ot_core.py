@@ -145,6 +145,12 @@ def test_cost_matrix_rejects_bounds_violations():
         CostMatrix(np.array([[np.inf]]), 0.0, 1.0)
     with pytest.raises(InvalidParameterError):
         CostMatrix(np.array([[0.5]]), -1.0, 1.0)
+    # One non-finite entry inside a larger matrix, whatever its sign.
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = np.full((3, 4), 0.5)
+        entries[1, 2] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            CostMatrix(entries, 0.0, 1.0)
 
 
 def test_distribution_validation():
@@ -162,6 +168,16 @@ def test_transport_plan_mass_check():
     with pytest.raises(InvalidParameterError):
         TransportPlan(np.array([[0.5, 0.5], [0.5, 0.5]]))
     TransportPlan(np.array([[0.25, 0.25], [0.25, 0.25]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = np.full((3, 4), 1.0 / 12.0)
+        entries[1, 2] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            TransportPlan(entries)
+    # Total mass 1, one entry negative.
+    entries = np.full((3, 4), 0.1)
+    entries[1, 2] = -0.1
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        TransportPlan(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +672,11 @@ def test_kl_plans_examples():
     assert kl_plans(q, p) == math.inf
     with pytest.raises(InvalidParameterError):
         kl_plans(p, TransportPlan(np.array([[1.0]])))
+    # Zeros of P are skipped; a zero of Q under P's support gives inf.
+    r = TransportPlan(np.array([[0.5, 0.0], [0.25, 0.25]]))
+    assert kl_plans(r, q) == pytest.approx(0.5 * math.log(0.5 / 0.25), abs=1e-12)
+    assert kl_plans(r, TransportPlan(np.array([[0.5, 0.5], [0.0, 0.0]]))) == math.inf
+    assert kl_plans(q, TransportPlan(np.array([[0.25, 0.25], [0.5, 0.0]]))) == math.inf
 
 
 def test_primal_value_infinite_off_product_support():
