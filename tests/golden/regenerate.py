@@ -1,31 +1,35 @@
-"""Regenerate the golden result tables of the shipped configs.
+"""Regenerate the golden result tables of every config.
 
 Run from anywhere:
 
     python tests/golden/regenerate.py              # every table and the digests
     python tests/golden/regenerate.py NAME...      # only the named tables
 
-Each config under ``configs/`` runs in-process at one worker, from the
-source tree of this checkout, and its result rows are written to
-``tests/golden/<config>.csv`` in the ``results.csv`` format.  The two
-largest configs run at their first three seeds only.  A change that means
-to move rows regenerates these files; the diff of the golden files is then
-the list of moved rows.  ``tests/test_golden.py`` compares a fresh run of
-each config against its file.  Name the configs a change means to move:
-on some hosts a full regeneration moves the last digits of other configs'
-solver residual rows, which would then show up in the diff too.  An
-unknown name exits with status 2 and writes nothing.
+Each config under ``configs/`` and ``configs/ci/`` runs in-process at one
+worker, from the source tree of this checkout, and its result rows are
+written to ``tests/golden/<config>.csv`` in the ``results.csv`` format.
+The two largest configs run at their first three seeds only.  A change
+that means to move rows regenerates these files; the diff of the golden
+files is then the list of moved rows.  ``tests/test_golden.py`` compares a
+fresh run of each config against its file.  Name the configs a change
+means to move: a table written under another OpenBLAS kernel moves the
+Sinkhorn iteration and residual rows of configs the change did not touch.
+An unknown name exits with status 2 and writes nothing.
+
+Each table's line in ``tests/golden/openblas_cores.txt`` records the
+OpenBLAS kernel set (``openblas_get_corename``) it was written under, so
+that the test knows when a fresh run follows another rounding path.
 
 Without names it also writes ``tests/golden/graph_digests.txt``: the sha256
 of the edge list (:func:`~latent_ot.latent_models.graph_to_edgelist`) of one
 observed graph per config that builds one, at its largest grid N and first
-seed, and of the CI workflow's ``fast_groups`` graph at N = 1200, whose
-rho < 1.  The result tables see a Bernoulli graph only through values
+seed.  The result tables see a Bernoulli graph only through values
 compared to 1e-9 relative; the digests pin its edges byte for byte.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import sys
@@ -39,39 +43,31 @@ GOLDEN = Path(__file__).resolve().parent
 SEED_LIMITS = {"fast_sphere": 3, "usvt_sphere": 3}
 
 GRAPH_DIGESTS = GOLDEN / "graph_digests.txt"
-# The CI workflow's fast_groups config: fixed groups n = m = 40 in graphs at
-# a c log N / N sparsity.
-FAST_GROUPS = {
-    "experiment": "fast_nonlocal",
-    "grid": [600, 1200],
-    "seeds": [0, 1],
-    "manifold": {"kind": "sphere"},
-    "kernel": {
-        "kind": "nonlocal",
-        "rho_log_coefficient": 2.0,
-        "form": {"kind": "gaussian_power", "p": 2, "sigma": 1.0},
-    },
-    "n": 40,
-    "m": 40,
-}
+OPENBLAS_CORES = GOLDEN / "openblas_cores.txt"
 
 if __name__ == "__main__":
     # As a script, write the tables from this checkout's source tree.
     sys.path.insert(0, str(ROOT / "src"))
 
-from latent_ot.harness.config import ExperimentConfig, config_from_dict, load_config  # noqa: E402
+from latent_ot._blas import openblas_calls  # noqa: E402
+from latent_ot.harness.config import ExperimentConfig, load_config  # noqa: E402
 from latent_ot.harness.experiments import run_experiment, sample_cell  # noqa: E402
 from latent_ot.harness.results import ResultTable, emit_csv  # noqa: E402
 from latent_ot.latent_models import graph_to_edgelist  # noqa: E402
 
 
+def config_paths() -> dict[str, Path]:
+    """Each config's file by name: the shipped configs, then CI's."""
+    return {path.stem: path for path in sorted(CONFIGS.glob("*.json")) + sorted(CONFIGS.glob("ci/*.json"))}
+
+
 def config_names() -> list[str]:
-    return sorted(path.stem for path in CONFIGS.glob("*.json"))
+    return list(config_paths())
 
 
 def golden_config(name: str) -> ExperimentConfig:
-    """The shipped config ``name``, cut to the seeds its golden file holds."""
-    config = load_config(CONFIGS / f"{name}.json")
+    """The config ``name``, cut to the seeds its golden file holds."""
+    config = load_config(config_paths()[name])
     limit = SEED_LIMITS.get(name)
     return config if limit is None else dataclasses.replace(config, seeds=config.seeds[:limit])
 
@@ -80,10 +76,21 @@ def golden_results(name: str) -> ResultTable:
     return run_experiment(golden_config(name), workers=1).results
 
 
+def openblas_core() -> str:
+    """The kernel set of each OpenBLAS in this process, such as ``SkylakeX``."""
+    calls = openblas_calls("get_corename", [], ctypes.c_char_p)
+    return "/".join(sorted({call().decode() for call in calls}))
+
+
+def recorded_cores() -> dict[str, str]:
+    """The OpenBLAS kernel set each golden table was written under."""
+    lines = OPENBLAS_CORES.read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" ", 1) for line in lines)
+
+
 def graph_cells() -> list[tuple[str, ExperimentConfig, int, int]]:
     """(name, config, N, seed) of each graph the digest file covers."""
-    configs = [(name, load_config(CONFIGS / f"{name}.json")) for name in config_names()]
-    configs.append(("fast_groups", config_from_dict(FAST_GROUPS)))
+    configs = [(name, load_config(path)) for name, path in config_paths().items()]
     return [(name, config, max(config.grid), config.seeds[0]) for name, config in configs if config.manifold]
 
 
@@ -99,10 +106,14 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown config {', '.join(unknown)}; known: {', '.join(config_names())}", file=sys.stderr)
         return 2
+    cores = recorded_cores()
     for name in names or config_names():
         path = GOLDEN / f"{name}.csv"
         emit_csv(golden_results(name), path)
+        cores[name] = openblas_core()
         print(f"wrote {path.relative_to(ROOT)}")
+    lines = [f"{name} {cores[name]}\n" for name in config_names() if name in cores]
+    OPENBLAS_CORES.write_text("".join(lines), encoding="utf-8")
     if names:
         return 0
     cells = graph_cells()

@@ -364,8 +364,17 @@ def test_usvt_reports_arpack_non_convergence(monkeypatch):
         usvt(np.ones((6, 6)), UsvtParams(gamma=0.1, rho=1.0))
 
 
-_USVT_RSS_SCRIPT = """
-import json, resource
+# A script's own peak RSS.  Not ru_maxrss: Linux carries a parent's peak
+# across fork and exec, so a script started from a pytest process that has
+# run large cells in-process would read that process's peak instead.
+_PEAK_KB = """
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+_USVT_RSS_SCRIPT = _PEAK_KB + """
+import json
 from latent_ot.cost_estimators import UsvtParams, usvt
 from latent_ot.latent_models import (
     Density, GaussianPowerKernel, NonlocalKernel, Sphere, sample_kernel_graph, sample_latents,
@@ -380,7 +389,7 @@ block = estimate.block(slice(0, n), slice(n, total))
 print(json.dumps({
     "rank": estimate.rank,
     "shape": list(block.shape),
-    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "maxrss_kb": peak_kb(),
 }))
 """
 

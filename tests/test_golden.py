@@ -1,14 +1,23 @@
-"""Golden results: each shipped config, run in-process, against its committed table.
+"""Golden results: each config, run in-process, against its committed table.
 
-The tables in ``tests/golden/`` were written by ``tests/golden/regenerate.py``.
-Row keys must match exactly, and so must the integer and flag rows; every
-other value must match to 1e-9 relative, so the check holds across the
-numpy and scipy versions ``pyproject.toml`` allows, where the last of the
-twelve printed digits may move.
+The tables in ``tests/golden/`` were written by ``tests/golden/regenerate.py``
+from the configs under ``configs/`` and ``configs/ci/``.  Row keys must
+match exactly, and so must the integer and flag rows; every other value
+must match to 1e-9 relative, so the check holds across the numpy and scipy
+versions ``pyproject.toml`` allows, where the last of the twelve printed
+digits may move.
+
+Dense Sinkhorn stops once its marginal residual reaches the tolerance, so
+its sweep count and final residual follow the rounding path of the
+OpenBLAS kernel set (``openblas_get_corename``) the process runs on.  On
+the kernel set a table was recorded under, every row is checked.  On any
+other, a solve whose golden and fresh residuals both lie within twice the
+config's ``marginal_tolerance`` met the stop on both: its residual row
+passes and its iteration row is not pinned.  Every other row keeps its
+check, ``solver_converged_*`` and the boxed solves' rows included.
 
 The observed graphs must match their committed sha256 digests exactly: one
-graph per shipped config that builds one, and the CI workflow's
-``fast_groups`` graph, whose rho < 1.
+graph per config that builds one.
 """
 
 import importlib.util
@@ -27,6 +36,9 @@ _spec.loader.exec_module(regenerate)
 _EXACT_PREFIXES = ("solver_iterations_", "solver_converged_")
 _EXACT_METRICS = {"usvt_rank", "graph_edges", "failed_disconnected", "all_bounds_hold"}
 _RELATIVE_TOLERANCE = 1e-9
+# A residual within this multiple of the marginal tolerance met the stop.
+_STOP_SLACK = 2.0
+_CORE = regenerate.openblas_core()
 
 
 def _is_exact(metric: str) -> bool:
@@ -37,13 +49,31 @@ def _key(row) -> tuple:
     return (row.experiment, row.seed, row.total, row.n, row.m, row.eps, row.estimator, row.metric)
 
 
+def _stopped_solves(fresh, golden, tolerance: float) -> set[tuple]:
+    """Keys of the iteration and residual rows of each solve whose fresh and
+    golden residuals both met the stop."""
+    stop = _STOP_SLACK * tolerance
+    keys = set()
+    for row, want in zip(fresh, golden):
+        if row.metric.startswith("solver_marginal_residual_") and max(row.value, want.value) <= stop:
+            side = row.metric.removeprefix("solver_marginal_residual_")
+            cell = _key(row)[:-1]
+            keys |= {cell + (row.metric,), cell + (f"solver_iterations_{side}",)}
+    return keys
+
+
 @pytest.mark.parametrize("name", regenerate.config_names())
 def test_results_match_golden(name):
     golden = parse_csv(_GOLDEN / f"{name}.csv").rows
     fresh = regenerate.golden_results(name).rows
     assert [_key(row) for row in fresh] == [_key(row) for row in golden]
+    stopped = set()
+    if regenerate.recorded_cores()[name] != _CORE:
+        stopped = _stopped_solves(fresh, golden, regenerate.golden_config(name).solver.marginal_tolerance)
     moved = []
     for row, want in zip(fresh, golden):
+        if _key(row) in stopped:
+            continue
         if _is_exact(row.metric):
             same = row.value == want.value
         else:

@@ -248,22 +248,12 @@ def test_nonpositive_kernel_scales_are_rejected_at_the_kernel():
             config_from_dict(data)
 
 
-def _ci_configs() -> dict[str, dict]:
-    """The extra configs the CI workflow runs, read from its echo lines."""
-    workflow = (REPO_ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
-    configs = {}
-    for line in workflow.splitlines():
-        line = line.strip()
-        if line.startswith("echo '{") and '"grid"' in line:
-            text, target = line.removeprefix("echo '").split("' > ")
-            configs[Path(target.strip('"')).stem] = json.loads(text)
-    return configs
-
-
 def test_each_grid_n_resolves_to_the_values_the_schedules_give():
-    paths = (REPO_ROOT / "configs").glob("*.json")
-    shipped = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in paths}
-    ci = _ci_configs()
+    def read(pattern):
+        paths = (REPO_ROOT / "configs").glob(pattern)
+        return {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in paths}
+
+    shipped, ci = read("*.json"), read("ci/*.json")
     # the CI configs reach the fixed h, c log N / N and m_ratio paths
     assert {"h", "rho_log_coefficient"} <= {key for data in ci.values() for key in data.get("kernel", {})}
     assert any("m_ratio" in data for data in ci.values())
@@ -744,18 +734,27 @@ def test_local_cell_reports_disconnection():
     assert tables.results.rows[0].value == 1.0
 
 
-_PEAK_RSS_SCRIPT = """
-import json, resource, sys, time
+# A script's own peak RSS.  Not ru_maxrss: Linux carries a parent's peak
+# across fork and exec, so a script started from a pytest process that has
+# run large cells in-process would read that process's peak instead.
+_PEAK_KB = """
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+_PEAK_RSS_SCRIPT = _PEAK_KB + """
+import json, sys, time
 from latent_ot.harness.config import config_from_dict
 from latent_ot.harness.experiments import run_experiment
 config = config_from_dict(json.loads(sys.argv[1]))
-imported_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+imported_kb = peak_kb()
 start = time.perf_counter()
 tables = run_experiment(config)
 print(json.dumps({
     "seconds": time.perf_counter() - start,
     "metrics": {r.metric: r.value for r in tables.results.rows},
-    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "maxrss_kb": peak_kb(),
     "imported_kb": imported_kb,
 }))
 """
@@ -805,8 +804,8 @@ def test_a_second_run_reuses_the_memory_the_first_freed():
     assert report["minor_faults"] < 1000
 
 
-_KERNEL_GRAPH_RSS_SCRIPT = """
-import json, resource
+_KERNEL_GRAPH_RSS_SCRIPT = _PEAK_KB + """
+import json
 from latent_ot.latent_models import (
     Density, GaussianPowerKernel, NonlocalKernel, Sphere, sample_kernel_graph, sample_latents,
     sparse_log_rho,
@@ -818,7 +817,7 @@ kernel = NonlocalKernel(rho=sparse_log_rho(2.0, total), form=GaussianPowerKernel
 graph = sample_kernel_graph(latents, kernel, RngSeed(6))
 print(json.dumps({
     "edges": graph.edge_count,
-    "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "maxrss_kb": peak_kb(),
 }))
 """
 
