@@ -38,6 +38,13 @@ from .ot_core import CostMatrix
 _FIRST_EIGENPAIRS = 6
 # scipy >= 1.16 draws ARPACK's restart vectors (few distinct eigenvalues) from ``rng``.
 _EIGSH_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
+# The Lanczos probe that sizes usvt's first ARPACK call: at most this many
+# steps, stopping once its count has not grown for _PROBE_STALL of them.
+_PROBE_STEPS = 30
+_PROBE_STALL = 6
+# Ritz values count only from this multiple of ||A||_F above the threshold,
+# far above the rounding error of the probe's and ARPACK's eigenvalues.
+_PROBE_MARGIN = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +256,76 @@ class UsvtEstimate:
         return np.clip(raw, *self.params.clamp_range, out=raw)
 
 
+def _probe_rank(matrix: csr_array, start: np.ndarray, threshold: float) -> int:
+    """A lower bound on the number of eigenvalues of the symmetric ``matrix``
+    at or above ``threshold``, from a short Lanczos run.
+
+    Lanczos from ``start`` with full reorthogonalisation (two Gram-Schmidt
+    passes per step) keeps an orthonormal basis Q of the Krylov space, and
+    the tridiagonal T of its recurrence is Q^T A Q up to rounding.  By Cauchy
+    interlacing, the i-th largest eigenvalue of Q^T A Q is at most A's i-th
+    largest for any orthonormal Q (Rayleigh-Ritz; Parlett, The Symmetric
+    Eigenvalue Problem, ch. 10-11), so T has no more eigenvalues at or above
+    the threshold than A has.  T's eigenvalues are counted, not computed: by
+    Sylvester's law of inertia, T - c I = L D L^T has as many positive
+    pivots as T has eigenvalues above c, and each step adds one pivot.  The
+    cutoff c sits ``_PROBE_MARGIN * ||A||_F`` above the threshold
+    (||A||_F >= ||A||_2), far more than the rounding in T, so rounding can
+    only lower the count.  The run stops after ``_PROBE_STEPS`` steps, once
+    its count has not grown for ``_PROBE_STALL`` of them, or when the Krylov
+    space is invariant (a breakdown, as on a rank-one matrix); any stop
+    gives a valid bound.
+    """
+    count = matrix.shape[0]
+    steps = min(_PROBE_STEPS, count)
+    basis = np.empty((steps, count))
+    scale = math.sqrt(float(matrix.data @ matrix.data))
+    cutoff = threshold + _PROBE_MARGIN * scale
+    vector = start / np.linalg.norm(start)
+    found = stalled = 0
+    pivot = residual = 0.0
+    for step in range(steps):
+        basis[step] = vector
+        kept = basis[: step + 1]
+        image = matrix @ vector
+        coefficients = kept @ image
+        image -= coefficients @ kept
+        image -= (kept @ image) @ kept
+        # The next pivot of T - c I = L D L^T.
+        pivot = float(coefficients[step]) - cutoff - (residual * residual / pivot if step else 0.0)
+        if pivot == 0.0:  # Lowering T's diagonal entry keeps the bound.
+            pivot = -_PROBE_MARGIN * scale
+        if pivot > 0.0:
+            found, stalled = found + 1, 0
+        else:
+            stalled += 1
+        residual = float(np.linalg.norm(image))
+        if stalled == _PROBE_STALL or residual <= _PROBE_MARGIN * scale:
+            break
+        vector = image / residual
+    return found
+
+
 def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
     """Kernel estimate by spectral hard thresholding (Chatterjee's USVT).
 
     Keeps the eigenpairs with eigenvalue at least gamma * sqrt(rho * N);
     Chatterjee thresholds |eigenvalue|, which agrees while no negative
     eigenvalue reaches -threshold.  ARPACK computes the top k, k doubling
-    until the smallest falls below the threshold; it needs k < N, so if all
-    N - 1 pass, the smallest eigenpair decides the last.  A dense symmetric
-    input is converted to CSR, so it gives the same bits as its Graph.
+    along 6, 12, 24, ... (capped at N - 1) until the smallest falls below
+    the threshold; it needs k < N, so if all N - 1 pass, the smallest
+    eigenpair decides the last.
+
+    Before any ARPACK call, :func:`_probe_rank` gives a lower bound L
+    on the number of eigenvalues at or above the threshold (Cauchy
+    interlacing; its Ritz values count only from a margin of 1e-8 ||A||_F
+    above the threshold, so rounding can only lower L).  Every k <= L of the
+    sequence has all of its top k eigenvalues above the threshold, so its
+    call could not end the loop; the loop starts at the first k above L.
+    The call that ends it has the same k and start as without the probe, so
+    the result keeps its bits, and a graph whose rank the probe sees takes
+    one call.  A dense symmetric input is converted to CSR, so it gives the
+    same bits as its Graph.
     """
     if isinstance(adjacency, Graph):
         matrix = adjacency.adjacency
@@ -271,12 +339,17 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
         raise InvalidParameterError("adjacency must have at least 2 nodes")
     threshold = params.threshold(count)
     # A fixed start (and restart seed) gives the same bits for the same matrix.
-    eigenpairs = partial(eigsh, matrix, v0=np.cos(np.arange(count, dtype=np.float64)), **_EIGSH_RNG)
-    k, values = 0, np.array([np.inf])
+    start = np.cos(np.arange(count, dtype=np.float64))
+    eigenpairs = partial(eigsh, matrix, v0=start, **_EIGSH_RNG)
+    k, lower_bound = _FIRST_EIGENPAIRS, _probe_rank(matrix, start, threshold)
+    while k <= lower_bound:
+        k *= 2
+    k = min(k, count - 1)
     try:
+        values, vectors = eigenpairs(k, which="LA")  # ascending
         while values[0] >= threshold and k < count - 1:
-            k = min(max(2 * k, _FIRST_EIGENPAIRS), count - 1)
-            values, vectors = eigenpairs(k, which="LA")  # ascending
+            k = min(2 * k, count - 1)
+            values, vectors = eigenpairs(k, which="LA")
         if values[0] >= threshold:
             last_value, last_vector = eigenpairs(1, which="SA")
             values, vectors = np.append(last_value, values), np.hstack([last_vector, vectors])

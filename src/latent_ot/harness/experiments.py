@@ -244,25 +244,32 @@ def _shortest_path_rows(cell: _Cell, label: str) -> list[ResultRow]:
     return rows + _cost_block_rows(cell, label, true, cost_true, cost_est)
 
 
-def _kernel_frobenius_normalized(points: np.ndarray, form: GaussianPowerKernel, estimate: UsvtEstimate) -> float:
-    """||W - W_est||_F / N over the upper triangle, since both matrices are
-    symmetric: the diagonal once, the pairs j > i twice.  Summed over row
-    blocks [start, stop) x [start, N) of about ``_GRAPH_BLOCK_PAIRS`` entries,
-    the pair walker's block size, so that neither N x N matrix is formed, a
-    block's arrays stay near 1 MB, and the share of each block below the
-    diagonal, which is evaluated and then masked, stays small."""
+def _kernel_frobenius_normalized(
+    points: np.ndarray, form: GaussianPowerKernel, estimates: list[UsvtEstimate]
+) -> list[float]:
+    """||W - W_est||_F / N for each of ``estimates``, over the upper triangle,
+    since both matrices are symmetric: the diagonal once, the pairs j > i
+    twice.  Summed over row blocks [start, stop) x [start, N) of about
+    ``_GRAPH_BLOCK_PAIRS`` entries, the pair walker's block size, so that
+    neither N x N matrix is formed, a block's arrays stay near 1 MB, and the
+    share of each block below the diagonal, which is evaluated and then
+    masked, stays small.  One walk serves every estimate: each block of W is
+    evaluated once, and each estimate's block is subtracted from it."""
     count = points.shape[0]
     step = max(1, _GRAPH_BLOCK_PAIRS // count)
-    squared = 0.0
+    squared = [0.0] * len(estimates)
     for start in range(0, count, step):
         rows, cols = slice(start, start + step), slice(start, None)
-        gap = form.evaluate(points[rows], points[cols]) - estimate.block(rows, cols)
-        corner = gap[:, : gap.shape[0]]
-        diagonal = np.diagonal(corner)
-        squared += float(np.einsum("i,i->", diagonal, diagonal))
-        corner[np.tri(corner.shape[0], dtype=bool)] = 0.0
-        squared += 2.0 * float(np.einsum("ij,ij->", gap, gap))
-    return math.sqrt(squared) / count
+        kernel = form.evaluate(points[rows], points[cols])
+        lower = np.tri(kernel.shape[0], dtype=bool)
+        for index, estimate in enumerate(estimates):
+            gap = kernel - estimate.block(rows, cols)
+            corner = gap[:, : gap.shape[0]]
+            diagonal = np.diagonal(corner)
+            squared[index] += float(np.einsum("i,i->", diagonal, diagonal))
+            corner[lower] = 0.0
+            squared[index] += 2.0 * float(np.einsum("ij,ij->", gap, gap))
+    return [math.sqrt(total) / count for total in squared]
 
 
 def _usvt_rows(cell: _Cell, gammas: dict[str, float]) -> list[ResultRow]:
@@ -279,10 +286,9 @@ def _usvt_rows(cell: _Cell, gammas: dict[str, float]) -> list[ResultRow]:
     # The kernel errors run before the true cost is formed, so that their row
     # blocks are never held at the same time as that cost and its plan.
     with cell.stage("bounds"):
-        points = latents.all_points()
-        for label, estimate in estimates.items():
-            frobenius = _kernel_frobenius_normalized(points, form, estimate)
-            rows.append(cell.row(label, "kernel_frobenius_normalized", frobenius))
+        frobenius = _kernel_frobenius_normalized(latents.all_points(), form, list(estimates.values()))
+        for (label, estimate), value in zip(estimates.items(), frobenius):
+            rows.append(cell.row(label, "kernel_frobenius_normalized", value))
             rows.append(cell.row(label, "rho_used", rho))
             rows.append(cell.row(label, "usvt_rank", float(estimate.rank)))
     with cell.stage("estimate"):

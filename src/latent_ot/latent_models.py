@@ -576,8 +576,9 @@ def bernoulli_block(seed: RngSeed, rows: np.ndarray, cols: np.ndarray, probabili
             raise InvalidParameterError("edge probability rho * w exceeds 1")
         hit = pair_uniforms(seed, rows[start:stop, None], cols[None, first:]) < block
         hit[:, : last - first] &= rows[start:stop, None] < cols[None, first:last]
-        # np.nonzero walks the block row-major: CSR order.
-        local_rows, local_cols = np.nonzero(hit)
+        # A row-major block's flat hits are in CSR order; one flat scan and a
+        # divmod take about a third of the time of the 2-D np.nonzero.
+        local_rows, local_cols = np.divmod(np.flatnonzero(hit), hit.shape[1])
         picked_cols.append(local_cols + first)
         row_counts.append(np.bincount(local_rows, minlength=stop - start))
     indices = np.concatenate(picked_cols)

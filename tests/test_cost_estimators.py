@@ -35,11 +35,14 @@ from latent_ot.errors import InvalidParameterError, NumericFailureError, Targets
 from latent_ot.latent_models import (
     Circle,
     Density,
+    GaussianPowerKernel,
     Graph,
     LatentConfiguration,
+    NonlocalKernel,
     Sphere,
     eps_graph,
     h_schedule,
+    sample_kernel_graph,
     sample_latents,
 )
 from latent_ot.rng import CounterStream, RngSeed
@@ -353,6 +356,98 @@ def test_usvt_repeats_its_bits_when_arpack_restarts():
     assert first.rank == 1
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.vectors, second.vectors)
+
+
+def _with_spectrum(values: np.ndarray, seed: int) -> np.ndarray:
+    """A symmetric matrix with the given eigenvalues in a random orthonormal basis."""
+    size = values.size
+    basis, _ = np.linalg.qr(CounterStream(RngSeed(seed)).normals(size * size).reshape(size, size))
+    matrix = (basis * values) @ basis.T
+    return 0.5 * (matrix + matrix.T)
+
+
+class _CountingMatrix:
+    """A CSR matrix that counts its matvecs."""
+
+    def __init__(self, matrix: csr_array):
+        self.matrix, self.shape, self.data, self.matvecs = matrix, matrix.shape, matrix.data, 0
+
+    def __matmul__(self, vector):
+        self.matvecs += 1
+        return self.matrix @ vector
+
+
+def _probe_and_oracle(matrix: np.ndarray, threshold: float) -> tuple[int, int]:
+    """The Lanczos probe's count at ``threshold`` and the dense eigvalsh count."""
+    start = np.cos(np.arange(matrix.shape[0], dtype=np.float64))
+    probed = cost_estimators._probe_rank(csr_array(matrix), start, threshold)
+    return probed, int(np.count_nonzero(np.linalg.eigvalsh(matrix) >= threshold))
+
+
+@pytest.mark.parametrize("split", [0.0, 0.02])
+def test_usvt_probe_never_overcounts_clustered_spectra(split):
+    # Clusters of multiplicity 1, 3, 5 and 7, as the spherical harmonics of
+    # degree 0-3 give on the sphere, exactly repeated or split by up to
+    # `split`, over a bulk in [-2, 2].  Thresholds fall between clusters,
+    # through the cluster at 6 and exactly on its centre.
+    clusters = [value + split * np.linspace(-1.0, 1.0, size) for value, size in ((12, 1), (9, 3), (6, 5), (4, 7))]
+    bulk = 4.0 * CounterStream(RngSeed(1)).uniforms(44) - 2.0
+    matrix = _with_spectrum(np.concatenate([*clusters, bulk]), seed=2)
+    for threshold in (13.0, 10.0, 7.5, 6.0 + 0.5 * split, 6.0, 5.0, 4.0, 3.0, 2.5):
+        probed, oracle = _probe_and_oracle(matrix, threshold)
+        assert probed <= oracle
+    assert _probe_and_oracle(matrix, 10.0) == (1, 1)
+    # Above the spectrum the count never grows, so the stall rule ends the run.
+    counting = _CountingMatrix(csr_array(matrix))
+    assert cost_estimators._probe_rank(counting, np.cos(np.arange(60.0)), 13.0) == 0
+    assert counting.matvecs == cost_estimators._PROBE_STALL
+
+
+def test_usvt_probe_stops_at_the_breakdown_of_a_rank_one_matrix():
+    v = np.array([0.9, 0.6, 0.3, 0.8, 0.5, 0.7, 0.2, 0.4])
+    matrix = np.outer(v, v)
+    # The second Lanczos vector completes an invariant space.
+    counting = _CountingMatrix(csr_array(matrix))
+    assert cost_estimators._probe_rank(counting, np.cos(np.arange(8.0)), 0.5 * v @ v) == 1
+    assert counting.matvecs == 2
+    assert _probe_and_oracle(matrix, 0.5 * v @ v) == (1, 1)
+    assert _probe_and_oracle(matrix, 1e-6) == (1, 1)
+    # On the eigenvalue itself the margin drops it: a lower bound still.
+    assert _probe_and_oracle(matrix, float(v @ v))[0] <= 1
+    assert _probe_and_oracle(matrix, 1.1 * v @ v) == (0, 0)
+
+
+@pytest.mark.parametrize("size", [2, 3, 6])
+def test_usvt_probe_on_tiny_matrices(size):
+    raw = CounterStream(RngSeed(size)).uniforms(size * size).reshape(size, size)
+    matrix = 0.5 * (raw + raw.T)
+    values = np.linalg.eigvalsh(matrix)
+    # On eigenvalues a lower bound; between them, with the whole space
+    # spanned in `size` steps, the exact count.
+    for threshold in values:
+        probed, oracle = _probe_and_oracle(matrix, float(threshold))
+        assert probed <= oracle
+    for threshold in [values[0] - 1.0, *(0.5 * (values[1:] + values[:-1])), values[-1] + 1.0]:
+        probed, oracle = _probe_and_oracle(matrix, float(threshold))
+        assert probed == oracle
+
+
+@pytest.mark.parametrize(("total", "sigma", "gamma"), [(240, 0.5, 0.5), (300, 0.4, 0.8)])
+def test_usvt_takes_one_arpack_call_when_the_probe_sees_the_rank(monkeypatch, total, sigma, gamma):
+    # Without the probe, k = 6 comes first, and at rank 6-11 all six of its
+    # eigenvalues pass the threshold, so a second call at k = 12 follows.
+    calls, real_eigsh = [], cost_estimators.eigsh
+
+    def counting_eigsh(matrix, k, **kwargs):
+        calls.append(k)
+        return real_eigsh(matrix, k, **kwargs)
+
+    monkeypatch.setattr(cost_estimators, "eigsh", counting_eigsh)
+    latents = sample_latents(Sphere(), Density(), total // 3, total - total // 3, total, RngSeed(40))
+    graph = sample_kernel_graph(latents, NonlocalKernel(rho=1.0, form=GaussianPowerKernel(sigma=sigma)), RngSeed(50))
+    estimate = usvt(graph, UsvtParams(gamma=gamma, rho=1.0))
+    assert 6 <= estimate.rank <= 11
+    assert calls == [12]
 
 
 def test_usvt_reports_arpack_non_convergence(monkeypatch):

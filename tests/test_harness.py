@@ -865,16 +865,18 @@ def test_kernel_frobenius_walk_matches_a_dense_oracle(monkeypatch, block_pairs):
     # corner below the diagonal.
     config = config_from_dict({**usvt_config_dict(), "grid": [60]})
     latents, graph = sample_cell(config, 60, 0)
-    estimate = usvt(graph, UsvtParams(1.0, 1.0, config.form.bounds(config.manifold)))
-    assert estimate.rank > 0
+    # One walk serves both gammas, as in a gamma sweep.
+    spectrum = usvt(graph, UsvtParams(0.5, 1.0, config.form.bounds(config.manifold)))
+    estimates = [spectrum, spectrum.at_gamma(1.0)]
+    assert estimates[0].rank > estimates[1].rank > 0
     # The oracle: both 60 x 60 matrices, formed densely.
     points = latents.all_points()
     truth = config.form.evaluate(points, points)
-    dense = np.clip((estimate.vectors * estimate.values) @ estimate.vectors.T, *estimate.params.clamp_range)
-    expected = np.linalg.norm(truth - dense) / 60
     monkeypatch.setattr(experiments, "_GRAPH_BLOCK_PAIRS", block_pairs)
-    walked = experiments._kernel_frobenius_normalized(points, config.form, estimate)
-    assert walked == pytest.approx(expected, rel=1e-12)
+    walked = experiments._kernel_frobenius_normalized(points, config.form, estimates)
+    for each, value in zip(estimates, walked, strict=True):
+        dense = np.clip((each.vectors * each.values) @ each.vectors.T, *each.params.clamp_range)
+        assert value == pytest.approx(np.linalg.norm(truth - dense) / 60, rel=1e-12)
 
 
 def test_a_fixed_group_usvt_cell_at_eight_thousand_nodes_stays_small():
