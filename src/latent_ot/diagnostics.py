@@ -60,8 +60,18 @@ def operator_norm(matrix: np.ndarray) -> float:
     relative eigenvalue gap of 1e-4.  ARPACK's default, machine precision,
     takes about 10-30 more steps on the cells' gaps for no digit a report
     prints.
+
+    Never writes to ``matrix``: it scales a copy, one more array of its
+    size.  A caller that owns a float64 matrix it reads no more passes it to
+    :func:`_operator_norm_in_place` instead, which scales it in place and
+    returns the same bits.
     """
-    mat = np.asarray(matrix, dtype=np.float64)
+    return _operator_norm_in_place(np.array(matrix, dtype=np.float64))
+
+
+def _operator_norm_in_place(mat: np.ndarray) -> float:
+    """:func:`operator_norm` of the float64 ``mat``, which it overwrites
+    with mat / max|mat_ij| rather than form that quotient in a new array."""
     if mat.ndim != 2 or mat.size == 0:
         raise InvalidParameterError("operator_norm needs a nonempty matrix")
     # The largest magnitude, from the two extremes with no |mat| temporary; it
@@ -71,7 +81,7 @@ def operator_norm(matrix: np.ndarray) -> float:
         raise InvalidParameterError("operator_norm needs finite entries")
     if scale == 0.0:
         return 0.0
-    unit = mat / scale
+    unit = np.divide(mat, scale, out=mat)
     if min(mat.shape) == 1:
         return scale * float(np.linalg.norm(unit))
 

@@ -126,7 +126,24 @@ def _uniform_marginals(cell: _Cell) -> tuple[DiscreteDistribution, DiscreteDistr
     return DiscreteDistribution.uniform(cell.n), DiscreteDistribution.uniform(cell.m)
 
 
-def _value_rows(cell: _Cell, label: str, true: OtResult, est: OtResult | BoxedResult) -> list[ResultRow]:
+@dataclass(frozen=True)
+class _SolveEnd:
+    """How a finished solve ended: the scalars its value rows read, without
+    its n x m plan."""
+
+    value: float
+    iterations: int
+    converged: bool
+    marginal_residual: float
+
+    @classmethod
+    def of(cls, solve: OtResult) -> "_SolveEnd":
+        return cls(solve.value, solve.iterations, solve.converged, solve.marginal_residual)
+
+
+def _value_rows(
+    cell: _Cell, label: str, true: OtResult | _SolveEnd, est: OtResult | BoxedResult
+) -> list[ResultRow]:
     """The transport values of the solves on the true and the estimated side,
     their gap, and how each solve ended."""
     rows = [
@@ -324,7 +341,10 @@ def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
         )
     with cell.stage("solve_true"):
         cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=form.max_distance_power(config.manifold))
-        true = sinkhorn(cost_true, alpha, beta, config.solver)
+        true = _SolveEnd.of(sinkhorn(cost_true, alpha, beta, config.solver))
+    # No row reads the distance powers, which the true cost holds, or the
+    # true plan: only the solve's scalars outlive it.
+    del powers, cost_true
     with cell.stage("estimate"):
         k_block = fast_kernel_block(cross_edges, rho, cell.n, cell.m)
     with cell.stage("solve_est"):
@@ -332,10 +352,11 @@ def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
     with cell.stage("bounds"):
         # W - K in place in W, which nothing reads after the draw: the CSR's
         # entries are subtracted at their own positions.
+        # Its operator norm then scales it in place, so it goes last.
         kernel_gap = weights
         kernel_gap[np.repeat(np.arange(cell.n), np.diff(k_block.indptr)), k_block.indices] -= k_block.data
-        operator_gap = diagnostics.operator_norm(kernel_gap)
         frobenius = diagnostics.frobenius_norm(kernel_gap) / math.sqrt(cell.n * cell.m)
+        operator_gap = diagnostics._operator_norm_in_place(kernel_gap)
 
     return _value_rows(cell, label, true, est) + [
         cell.row(label, "ot_error_normalized", _normalized_gap(true.value, est.value)),

@@ -62,10 +62,27 @@ _CONTRACTION_CAP = 0.995
 _SCALING_RANGE = (math.exp(-50.0), math.exp(50.0))
 
 
+# Row blocks of about this many entries (256 KB of float64) bound the
+# temporaries of a pass that reads an n x m array a block at a time.
+_BLOCK_ENTRIES = 1 << 15
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, copy=True)
-    out.setflags(write=False)
-    return out
+    """``arr`` frozen in place when it is a fresh array: float64, C-contiguous,
+    writeable and owner of its buffer.  Anything else (a view, a transpose,
+    another dtype, a read-only array) is copied and the copy frozen, so the
+    caller's array stays as it was."""
+    fresh = arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
+    if not fresh:
+        arr = np.array(arr, dtype=np.float64, copy=True)
+    arr.setflags(write=False)
+    return arr
+
+
+def _row_blocks(matrix: np.ndarray):
+    """Slices of ``matrix``'s first axis, each of about _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES * matrix.shape[0] // matrix.size)
+    return (slice(start, start + step) for start in range(0, matrix.shape[0], step))
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +98,10 @@ class DiscreteDistribution:
         weights: Nonnegative vector summing to one within 1e-12.  Zero-mass
             atoms are allowed; solvers strip them before iterating and
             scatter results back to the full index set.
+
+    Like every value type here, it keeps a fresh float64 array it is given
+    and freezes it in place, so a caller who passed one can no longer write
+    to it; any other input is copied (see :class:`CostMatrix`).
     """
 
     weights: np.ndarray
@@ -124,6 +145,16 @@ class DiscreteDistribution:
 class CostMatrix:
     """A nonnegative cost matrix with explicit entry bounds.
 
+    The value types own their arrays without copying what they need not.  A
+    fresh array (float64, C-contiguous, writeable and owner of its buffer,
+    such as ``cdist``, ``np.interp`` or ``np.exp`` return) becomes the stored
+    array and is frozen in place: a caller who passed it can no longer write
+    to it, and a write raises ``ValueError``.  A view, a transpose, a
+    read-only array or another dtype is copied, and the caller's array stays
+    writeable.  Views taken of a fresh array before it was passed keep their
+    own write flag, so a caller must not hand over an array it still writes
+    through a view.
+
     Attributes:
         entries: Matrix of pairwise costs, shape (n, m).
         c_min: Lower bound with 0 <= c_min <= min entry.
@@ -158,7 +189,12 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class DualPotentials:
-    """Dual variables (f, g) in cost units."""
+    """Dual variables (f, g) in cost units.
+
+    Fresh float64 vectors are kept and frozen in place, so a caller who
+    passed one can no longer write to it; other inputs are copied (see
+    :class:`CostMatrix`).
+    """
 
     f: np.ndarray
     g: np.ndarray
@@ -176,7 +212,13 @@ class DualPotentials:
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A coupling matrix: nonnegative entries with total mass one."""
+    """A coupling matrix: nonnegative entries with total mass one.
+
+    A fresh float64 array is kept and frozen in place, so a caller who passed
+    one can no longer write to it; other inputs are copied (see
+    :class:`CostMatrix`).  The solvers hand over the plan they built, so it
+    exists once.
+    """
 
     entries: np.ndarray
 
@@ -367,8 +409,11 @@ def kl_plans(plan: TransportPlan, reference: TransportPlan) -> float:
         p, q = p[support], q[support]
     if not q.min() > 0:
         return math.inf
+    # One array of terms; log Q is subtracted a row block at a time, and the
+    # whole array is summed at once, since block sums would round differently.
     log_ratio = np.log(p)
-    log_ratio -= np.log(q)
+    for rows in _row_blocks(log_ratio):
+        log_ratio[rows] -= np.log(q[rows])
     log_ratio *= p
     return float(np.sum(log_ratio))
 
@@ -402,7 +447,7 @@ class _ScalingAscent:
     """Alternating block ascent of the entropic dual, in scaling form.
 
     f = fbar + eps*log(u), g = gbar + eps*log(v); the absorbed offsets define
-    kernel = exp(log_k + (fbar_i + gbar_j)/eps), so the plan is diag(a*u)
+    kernel = exp((fbar_i + gbar_j - C_ij)/eps), so the plan is diag(a*u)
     kernel diag(b*v) and an exact block update is one product:
     u = 1/(kernel (b*v)), v = 1/(kernel^T (a*u)), each clipped to the box;
     :meth:`run` over-relaxes them.  A scaling leaving _SCALING_RANGE resets
@@ -411,10 +456,20 @@ class _ScalingAscent:
     kernel's entries (Schmitzer 2019; Peyre & Cuturi 2019, section 4.4).
     Here the kernel is a dense array and the products are BLAS gemv, on the
     one thread the package pins; :class:`_SparseScalingAscent` holds it as CSR.
+    The dense ascent reads the cost ``cost`` and never copies it.  No
+    log-kernel -C/eps outlives a rebuild: each rebuild drops the old kernel,
+    then forms -C/eps in the buffer that becomes the new one, and a
+    c-transform takes its max over row blocks of a few hundred KB.  So a
+    solve holds one n x m array beyond its cost.
     """
 
-    def __init__(self, log_k: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float, radius: float):
-        self.log_k, self.a, self.b, self.eps, self.radius = log_k, a, b, eps, radius
+    def __init__(self, cost: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float, radius: float):
+        self.cost = cost
+        self._start(a, b, eps, radius)
+
+    def _start(self, a: np.ndarray, b: np.ndarray, eps: float, radius: float) -> None:
+        """Absorb the hard c-transform of g = 0 and take the first value."""
+        self.a, self.b, self.eps, self.radius = a, b, eps, radius
         zeros = np.zeros(b.size)
         self._absorb(self._c_transform(zeros, axis=1), zeros)
         self.value = self._value(self.f, self.g, float(a @ self.row_sums))
@@ -522,6 +577,8 @@ class _ScalingAscent:
         eps, radius = self.eps, self.radius
         self.fbar, self.gbar = f, g
         self.u, self.v = np.ones(f.size), np.ones(g.size)
+        # Dropped first, so a dense solve never holds the old and the new kernel at once.
+        self.kernel = None
         self.kernel = self._rebuild(f / eps, g / eps)
         self.row_sums = self.kernel @ self.b
         with np.errstate(over="ignore"):
@@ -534,8 +591,9 @@ class _ScalingAscent:
         return np.clip(-self.eps * peak, -self.radius, self.radius)
 
     def _rebuild(self, f_scaled: np.ndarray, g_scaled: np.ndarray) -> np.ndarray:
-        """The kernel exp(log_k_ij + f_scaled_i + g_scaled_j)."""
-        exponent = self.log_k + f_scaled[:, None]
+        """The kernel exp(-C_ij/eps + f_scaled_i + g_scaled_j), in one new buffer."""
+        exponent = np.divide(self.cost, -self.eps)
+        exponent += f_scaled[:, None]
         exponent += g_scaled[None, :]
         return np.exp(exponent, out=exponent)
 
@@ -544,8 +602,18 @@ class _ScalingAscent:
         return weighted_rows @ self.kernel
 
     def _peak(self, scaled: np.ndarray, axis: int) -> np.ndarray:
-        """Max over ``axis`` of log_k plus ``scaled`` along it."""
-        return np.max(self.log_k + np.expand_dims(scaled, 1 - axis), axis=axis)
+        """Max over ``axis`` of -C/eps plus ``scaled`` along it, a row block at
+        a time; a max is exact, so the blocks change no bit."""
+        peak = np.full(self.cost.shape[1 - axis], -np.inf)
+        for rows in _row_blocks(self.cost):
+            block = np.divide(self.cost[rows], -self.eps)
+            if axis == 1:
+                block += scaled[None, :]
+                peak[rows] = block.max(axis=1)
+            else:
+                block += scaled[rows, None]
+                np.maximum(peak, block.max(axis=0), out=peak)
+        return peak
 
 
 class _SparseScalingAscent(_ScalingAscent):
@@ -559,9 +627,10 @@ class _SparseScalingAscent(_ScalingAscent):
     """
 
     def __init__(self, log_k: csr_array, a: np.ndarray, b: np.ndarray, eps: float, radius: float):
+        self.log_k = log_k
         # The row and the column of each stored entry.
         self._lines = (np.repeat(np.arange(log_k.shape[0]), np.diff(log_k.indptr)), log_k.indices)
-        super().__init__(log_k, a, b, eps, radius)
+        self._start(a, b, eps, radius)
 
     def _rebuild(self, f_scaled: np.ndarray, g_scaled: np.ndarray) -> csr_array:
         log_k, (rows, cols) = self.log_k, self._lines
@@ -618,10 +687,14 @@ def sinkhorn(
     settles long before.  The value is the dual objective at the final
     potentials.  Returns centered potentials and the plan
     P_ij = alpha_i beta_j exp((f_i + g_j - C_ij) / epsilon).
+
+    The solve reads ``cost.entries`` in place and holds one n x m array
+    beyond it, the stabilised kernel, in whose buffer the plan is built and
+    which the returned :class:`TransportPlan` keeps without a copy.
     """
     n, m = cost.shape
     _check_dims(n, m, alpha, beta)
-    rows, cols, a, b, log_k = _support(alpha, beta, cost.entries / -cfg.epsilon)
+    rows, cols, a, b, entries = _support(alpha, beta, cost.entries)
     block_start, block_gap, block_value = 0, math.inf, -math.inf
 
     def stop(iteration: int, previous: float, state: _ScalingAscent) -> bool:
@@ -641,9 +714,10 @@ def sinkhorn(
         block_start, block_gap, block_value = iteration, gap, value
         return False
 
-    state = _ScalingAscent(log_k, a, b, cfg.epsilon, math.inf)
+    state = _ScalingAscent(entries, a, b, cfg.epsilon, math.inf)
     iterations, converged = state.run(cfg.max_iterations, stop)
-    # The plan diag(a*u) kernel diag(b*v), built in the kernel's buffer.
+    # The plan diag(a*u) kernel diag(b*v), built in the kernel's buffer,
+    # which the TransportPlan keeps.
     plan = state.kernel
     plan *= (a * state.u)[:, None]
     plan *= (b * state.v)[None, :]
@@ -784,8 +858,9 @@ def report_from_solves(
 
     Runs no solve.  The shared cost bounds are the union of the two matrices'
     bounds.  The four recorded inequalities, with eps = ``cfg.epsilon``,
-    dC = C - C_hat and dK = exp(-C/eps) - exp(-C_hat/eps), each formed once
-    (dK from two exponentials computed in place); ||dC||_op is reported too:
+    dC = C - C_hat and dK = exp(-C/eps) - exp(-C_hat/eps), formed in turn in
+    one n x m buffer that both operator norms scale in place (exp(-C_hat/eps)
+    is subtracted a row block at a time); ||dC||_op is reported too:
 
     * ``sup_norm``:  |value gap| <= sup|dC|
     * ``kernel_spectral``:  |value gap| <=
@@ -809,12 +884,15 @@ def report_from_solves(
     diff = cost_true.entries - cost_est.entries
     sup_gap = max(abs(float(diff.max())), abs(float(diff.min())))
     frobenius_gap = diagnostics.frobenius_norm(diff)
-    cost_operator_gap = diagnostics.operator_norm(diff)
-    # dC is read by now: its buffer takes exp(-C/eps), less exp(-C_hat/eps).
+    # The report owns dC, so its norm scales it in place.
+    cost_operator_gap = diagnostics._operator_norm_in_place(diff)
+    # dC is read by now: its buffer takes exp(-C/eps), less exp(-C_hat/eps)
+    # a row block at a time.
     kernel_diff = np.exp(np.divide(cost_true.entries, -eps, out=diff), out=diff)
-    kernel_est = cost_est.entries / -eps
-    kernel_diff -= np.exp(kernel_est, out=kernel_est)
-    kernel_gap = diagnostics.operator_norm(kernel_diff)
+    for rows in _row_blocks(kernel_diff):
+        kernel_est = np.divide(cost_est.entries[rows], -eps)
+        kernel_diff[rows] -= np.exp(kernel_est, out=kernel_est)
+    kernel_gap = diagnostics._operator_norm_in_place(kernel_diff)
 
     norm_a = alpha.euclidean_norm
     norm_b = beta.euclidean_norm

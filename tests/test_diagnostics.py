@@ -18,7 +18,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import latent_ot
 import latent_ot.diagnostics as diagnostics
-from latent_ot.diagnostics import fit_rate, frobenius_norm, operator_norm
+from latent_ot.diagnostics import _operator_norm_in_place, fit_rate, frobenius_norm, operator_norm
 from latent_ot.errors import InvalidParameterError, NumericFailureError
 from latent_ot.rng import CounterStream, RngSeed
 
@@ -50,12 +50,17 @@ def test_operator_norm_matches_svd_on_random_matrices():
 
 def test_operator_norm_of_gram_shapes_matches_svd():
     # Two rows, two columns, tall and wide: the Gram matrix is formed on
-    # either side, at 2 x 2 as well as at 60 x 60.
+    # either side, at 2 x 2 as well as at 60 x 60.  The public norm leaves
+    # its argument as it was; the in-place one gives the same bits.
     rng = CounterStream(RngSeed(18))
     for rows, cols in ((2, 9), (9, 2), (2, 2), (150, 60), (60, 150)):
         mat = rng.uniforms(rows * cols).reshape(rows, cols) - 0.5
+        given = mat.copy()
         expected = float(np.linalg.svd(mat, compute_uv=False)[0])
-        assert operator_norm(mat) == pytest.approx(expected, rel=1e-12)
+        value = operator_norm(mat)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(mat, given)
+        assert _operator_norm_in_place(given) == value
 
 
 def test_operator_norm_of_one_row_or_one_column():

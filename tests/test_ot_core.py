@@ -180,6 +180,29 @@ def test_transport_plan_mass_check():
         TransportPlan(entries)
 
 
+def test_value_types_keep_a_fresh_array_and_freeze_it():
+    entries = np.full((3, 4), 0.5)
+    plan_entries = np.full((3, 4), 1.0 / 12.0)
+    kept_arrays = (CostMatrix(entries, 0.0, 1.0).entries, TransportPlan(plan_entries).entries)
+    for given, kept in zip((entries, plan_entries), kept_arrays):
+        assert np.shares_memory(given, kept)
+        with pytest.raises(ValueError):
+            given[0, 0] = 0.25
+
+
+def test_value_types_copy_views_transposes_and_other_dtypes():
+    cost_inputs = (np.full((4, 6), 0.5).T, np.full((4, 6), 0.5)[:3], np.ones((3, 4), dtype=np.int64))
+    plan_inputs = (np.full((6, 2), 1.0 / 12.0).T, np.full((4, 6), 1.0 / 12.0)[:2], np.array([[1, 0], [0, 0]]))
+    for make, inputs in ((lambda x: CostMatrix(x, 0.0, 1.0), cost_inputs), (TransportPlan, plan_inputs)):
+        for given in inputs:
+            kept = make(given).entries
+            before = kept[0, 0]
+            assert not np.shares_memory(given, kept)
+            assert not kept.flags.writeable
+            given[0, 0] = 0
+            assert kept[0, 0] == before
+
+
 # ---------------------------------------------------------------------------
 # Sinkhorn
 # ---------------------------------------------------------------------------
@@ -272,6 +295,25 @@ def test_zero_mass_atoms_are_stripped_and_scattered_back():
         CostMatrix(cost.entries[:2], 0.2, 0.9), uniform(2), uniform(2), SolverConfig(epsilon=0.5)
     )
     assert res.value == pytest.approx(sub.value, abs=1e-10)
+
+
+def test_sinkhorn_holds_one_n_by_m_array_beyond_its_cost():
+    # The bench cells' block size.  The column of cost 1 underflows its
+    # kernel column at eps = 0.01, so the solve absorbs and rebuilds its
+    # kernel mid-solve as well as at the start.
+    n, m = 533, 1067
+    entries = 0.1 * CounterStream(RngSeed(89)).uniforms(n * m).reshape(n, m)
+    entries[:, -1] = 1.0
+    cost = CostMatrix(entries, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        res = sinkhorn(cost, uniform(n), uniform(m), SolverConfig(epsilon=0.01))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    # The kernel, which becomes the plan, and row-block temporaries.
+    assert peak <= 1.25 * n * m * 8, f"traced peak {peak / (n * m * 8):.2f} n x m arrays"
 
 
 def test_budget_exhaustion_reports_unconverged():
