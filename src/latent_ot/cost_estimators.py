@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 from scipy.sparse import csr_array, sparray
 from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import (
     InvalidParameterError,
@@ -94,11 +94,9 @@ class CostMap:
         return cls("identity", np.array([0.0, upper]), np.array([0.0, upper]))
 
     @classmethod
-    def one_minus(cls, lower: float = 0.0, upper: float = 1.0) -> "CostMap":
-        """f(w) = 1 - w on [lower, upper] with 0 <= lower < upper <= 1."""
-        if not 0.0 <= lower < upper <= 1.0:
-            raise InvalidParameterError(f"need 0 <= lower < upper <= 1: ({lower}, {upper})")
-        return cls("one_minus", np.array([lower, upper]), np.array([1.0 - lower, 1.0 - upper]))
+    def one_minus(cls) -> "CostMap":
+        """f(w) = 1 - w on [0, 1]."""
+        return cls("one_minus", np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
     @classmethod
     def piecewise(cls, breakpoints, values) -> "CostMap":
@@ -325,7 +323,8 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
     The call that ends it has the same k and start as without the probe, so
     the result keeps its bits, and a graph whose rank the probe sees takes
     one call.  A dense symmetric input is converted to CSR, so it gives the
-    same bits as its Graph.
+    same bits as its Graph.  A graph with no edge has rank 0, and no ARPACK
+    call is made: its zero start vector would be an ARPACK error.
     """
     if isinstance(adjacency, Graph):
         matrix = adjacency.adjacency
@@ -337,6 +336,8 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
     count = matrix.shape[0]
     if count < 2:
         raise InvalidParameterError("adjacency must have at least 2 nodes")
+    if matrix.nnz == 0:  # No eigenvalue of the zero matrix reaches the positive threshold.
+        return UsvtEstimate(np.empty(0), np.empty((count, 0)), params)
     threshold = params.threshold(count)
     # A fixed start (and restart seed) gives the same bits for the same matrix.
     start = np.cos(np.arange(count, dtype=np.float64))
@@ -353,8 +354,8 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
         if values[0] >= threshold:
             last_value, last_vector = eigenpairs(1, which="SA")
             values, vectors = np.append(last_value, values), np.hstack([last_vector, vectors])
-    except ArpackNoConvergence as exc:
-        raise NumericFailureError("ARPACK did not converge on the top eigenpairs") from exc
+    except ArpackError as exc:
+        raise NumericFailureError(f"ARPACK failed on the top eigenpairs: {exc}") from exc
     keep = np.flatnonzero(values >= threshold)[::-1]
     return UsvtEstimate(values[keep], vectors[:, keep], params)
 
@@ -364,28 +365,19 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
 # ---------------------------------------------------------------------------
 
 
-def fast_kernel_block(adjacency: Graph | np.ndarray | sparray, rho: float, n: int, m: int) -> csr_array:
-    """Cross-group adjacency block divided by rho, as a CSR array in
-    canonical format.
+def fast_kernel_block(block: np.ndarray | sparray, rho: float) -> csr_array:
+    """The n x m cross-group adjacency block, dense or sparse, divided by
+    rho, as a CSR array in canonical format.
 
-    ``adjacency`` is a Graph whose groups are nodes [0, n) and [n, n + m)
-    (any further nodes are auxiliary and never read), or an array, dense or
-    sparse, holding only the n x m cross block.  The result stores 1/rho at
-    each cross edge and estimates the kernel block w(x_i, y_j) without
-    eigendecomposition; no n x m array is formed from a Graph or a sparse
-    block.
+    The result stores 1/rho at each cross edge and estimates the kernel
+    block w(x_i, y_j) without eigendecomposition; no n x m array is formed
+    from a sparse block.
     """
     if not 0.0 < rho <= 1.0:
         raise InvalidParameterError(f"rho must lie in (0, 1]: {rho}")
-    if n < 1 or m < 1:
-        raise InvalidParameterError(f"block sizes must be positive: n={n}, m={m}")
-    if isinstance(adjacency, Graph):
-        if n + m > adjacency.node_count:
-            raise InvalidParameterError(f"n + m = {n + m} exceeds the graph's {adjacency.node_count} nodes")
-        block = adjacency.adjacency[:n, n : n + m]
-    else:
-        if np.shape(adjacency) != (n, m):
-            raise InvalidParameterError(f"adjacency block must be ({n}, {m}): got {np.shape(adjacency)}")
-        block = csr_array(adjacency, dtype=np.float64, copy=True)
-        block.sum_duplicates()
-    return csr_array((block.data / rho, block.indices, block.indptr), shape=(n, m))
+    if len(np.shape(block)) != 2 or 0 in np.shape(block):
+        raise InvalidParameterError(f"adjacency block must be a nonempty matrix: got shape {np.shape(block)}")
+    kernel = csr_array(block, dtype=np.float64, copy=True)
+    kernel.sum_duplicates()
+    kernel.data /= rho
+    return kernel

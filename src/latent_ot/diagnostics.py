@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .errors import InvalidParameterError, NumericFailureError
 
@@ -92,8 +92,8 @@ def _operator_norm_in_place(mat: np.ndarray) -> float:
         top = float(
             eigsh(gram, k=1, which="LA", v0=start, tol=_ARPACK_TOLERANCE, return_eigenvectors=False)[0]
         )
-    except ArpackNoConvergence as exc:
-        raise NumericFailureError("ARPACK did not converge on the operator norm") from exc
+    except ArpackError as exc:
+        raise NumericFailureError(f"ARPACK failed on the operator norm: {exc}") from exc
     return scale * math.sqrt(top)
 
 

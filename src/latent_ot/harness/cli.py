@@ -3,10 +3,12 @@
 Subcommands: ``run`` executes an experiment config and writes the result and
 timing tables, ``props`` runs the randomized property suite, ``plot`` renders
 one metric of a results file to SVG, and ``gen`` samples a single graph and
-writes its edge list.
+writes its edge list (which no subcommand reads back).  ``run`` creates its
+output directories before the first cell runs.
 
-Exit codes: 0 success, 1 invalid configuration or arguments, 2 numeric
-failure, 3 property-suite failure.
+Exit codes: 0 success, 1 invalid configuration or arguments, or an output
+path that cannot be written, 2 numeric failure (including an ARPACK error),
+3 property-suite failure.
 """
 
 from __future__ import annotations
@@ -60,10 +62,13 @@ def _build_parser() -> _Parser:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    tables = run_experiment(config, workers=args.workers)
     out_dir = Path(args.out_dir)
     results_path = out_dir / config.output.results
     timings_path = out_dir / config.output.timings
+    # An output path that cannot be written fails before any cell runs.
+    for path in (results_path, timings_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    tables = run_experiment(config, workers=args.workers)
     emit_csv(tables.results, results_path)
     emit_csv(tables.timings, timings_path)
     cells = len(config.grid) * len(config.seeds)
@@ -138,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "plot":
             return _cmd_plot(args)
         return _cmd_gen(args)
-    except (ConfigError, InvalidParameterError) as exc:
+    except (ConfigError, InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LatentOtError as exc:

@@ -346,7 +346,7 @@ def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
     # true plan: only the solve's scalars outlive it.
     del powers, cost_true
     with cell.stage("estimate"):
-        k_block = fast_kernel_block(cross_edges, rho, cell.n, cell.m)
+        k_block = fast_kernel_block(cross_edges, rho)
     with cell.stage("solve_est"):
         est = dual_ascent_boxed(k_block, alpha, beta, config.solver)
     with cell.stage("bounds"):

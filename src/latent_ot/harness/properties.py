@@ -272,7 +272,7 @@ def _check_fast_block_binary(rng: CounterStream, scale: float) -> float:
     rho = 0.25 + 0.7 * rng.uniform()
     model = NonlocalKernel(rho=rho, form=GaussianPowerKernel(p=2.0, sigma=1.0))
     graph = sample_kernel_graph(latents, model, seed.derive("graph"))
-    block = fast_kernel_block(graph, rho, 8, 8).toarray()
+    block = fast_kernel_block(graph.adjacency[:8, 8:16], rho).toarray()
     distance = np.minimum(np.abs(block), np.abs(block - 1.0 / rho))
     return 1e-12 * scale - float(distance.max())
 

@@ -136,7 +136,6 @@ def table_to_csv_text(table: ResultTable) -> str:
 
 def emit_csv(table: ResultTable, path: str | Path) -> None:
     """Write the table; newline and float formatting are platform-independent."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(table_to_csv_text(table))
 

@@ -114,14 +114,8 @@ class Sphere(_RoundManifold):
     """Round sphere of the given radius embedded in R^3."""
 
     kind = "sphere"
-
-    @property
-    def ambient_dim(self) -> int:
-        return 3
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return 2
+    ambient_dim = 3
+    intrinsic_dim = 2
 
     def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
         draws = rng.normals(3 * count).reshape(count, 3)
@@ -141,22 +135,10 @@ class UnitSquare(Manifold):
     """The unit square [0,1]^2 with straight-line geodesics."""
 
     kind = "unit_square"
-
-    @property
-    def ambient_dim(self) -> int:
-        return 2
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return 2
-
-    @property
-    def diameter(self) -> float:
-        return math.sqrt(2.0)
-
-    @property
-    def euclidean_diameter(self) -> float:
-        return math.sqrt(2.0)
+    ambient_dim = 2
+    intrinsic_dim = 2
+    diameter = math.sqrt(2.0)
+    euclidean_diameter = math.sqrt(2.0)
 
     def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
         return rng.uniforms(2 * count).reshape(count, 2)
@@ -180,14 +162,8 @@ class Circle(_RoundManifold):
     """Circle of the given radius embedded in R^2; geodesics are arcs."""
 
     kind = "circle"
-
-    @property
-    def ambient_dim(self) -> int:
-        return 2
-
-    @property
-    def intrinsic_dim(self) -> int:
-        return 1
+    ambient_dim = 2
+    intrinsic_dim = 1
 
     def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
         angles = 2.0 * math.pi * rng.uniforms(count)
@@ -638,33 +614,3 @@ def graph_to_edgelist(graph: Graph) -> str:
     lines = [f"{graph.node_count} {graph.edge_count}"]
     lines.extend(f"{i} {j}" for i, j in graph.edges().tolist())
     return "\n".join(lines) + "\n"
-
-
-def graph_from_edgelist(text: str) -> Graph:
-    """Parse the edge-list format produced by :func:`graph_to_edgelist`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise InvalidParameterError("empty edge-list text")
-    try:
-        node_count, edge_count = (int(tok) for tok in lines[0].split())
-    except ValueError as exc:
-        raise InvalidParameterError(f"malformed header line: {lines[0]!r}") from exc
-    if len(lines) - 1 != edge_count:
-        raise InvalidParameterError(
-            f"header declares {edge_count} edges but {len(lines) - 1} lines follow"
-        )
-    edges = []
-    for line in lines[1:]:
-        try:
-            i, j = (int(tok) for tok in line.split())
-        except ValueError as exc:
-            raise InvalidParameterError(f"malformed edge line: {line!r}") from exc
-        if not i < j:
-            raise InvalidParameterError(f"edge lines must have i < j: {line!r}")
-        edges.append((i, j))
-    graph = Graph.from_edges(node_count, edges)
-    if graph.edge_count != edge_count:
-        raise InvalidParameterError(
-            f"header declares {edge_count} edges but the lines hold {graph.edge_count} distinct ones"
-        )
-    return graph

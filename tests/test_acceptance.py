@@ -358,7 +358,7 @@ def test_criterion_8_adjacency_block_unbiasedness():
     total = np.zeros((n, m))
     for d in range(draws):
         graph = sample_kernel_graph(latents, model, base.derive("graph", d))
-        total += fast_kernel_block(graph, rho, n, m).toarray()
+        total += fast_kernel_block(graph.adjacency[:n, n : n + m], rho).toarray()
     mean = total / draws
     p = rho * w_true
     std_err = np.sqrt(p * (1.0 - p) / draws) / rho

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import latent_ot
 import latent_ot.cost_estimators as cost_estimators
@@ -83,14 +83,8 @@ def test_identity_map():
 def test_one_minus_map():
     cm = CostMap.one_minus()
     assert np.allclose(cm.apply(np.array([0.0, 0.25, 1.0])), [1.0, 0.75, 0.0])
-    clipped = CostMap.one_minus(lower=0.2, upper=0.9)
-    assert clipped.cost_range == pytest.approx((0.1, 0.8), abs=1e-15)
-    # inputs below the floor saturate at the largest cost
-    assert clipped.apply(np.array([0.0]))[0] == pytest.approx(0.8)
-    with pytest.raises(InvalidParameterError):
-        CostMap.one_minus(lower=0.5, upper=0.5)
-    with pytest.raises(InvalidParameterError):
-        CostMap.one_minus(lower=-0.1, upper=1.0)
+    assert cm.cost_range == (0.0, 1.0)
+    assert cm.lipschitz_constant == 1.0
 
 
 def test_piecewise_map_interpolates():
@@ -451,12 +445,25 @@ def test_usvt_takes_one_arpack_call_when_the_probe_sees_the_rank(monkeypatch, to
 
 
 def test_usvt_reports_arpack_non_convergence(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((6, 0)))
+    # Non-convergence and any other ARPACK error (3: no shifts could be
+    # applied) are numeric failures, not tracebacks.
+    for failure in (ArpackNoConvergence("no convergence", np.empty(0), np.empty((6, 0))), ArpackError(3)):
 
-    monkeypatch.setattr(cost_estimators, "eigsh", no_convergence)
-    with pytest.raises(NumericFailureError):
-        usvt(np.ones((6, 6)), UsvtParams(gamma=0.1, rho=1.0))
+        def failing_eigsh(*args, failure=failure, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(cost_estimators, "eigsh", failing_eigsh)
+        with pytest.raises(NumericFailureError):
+            usvt(np.ones((6, 6)), UsvtParams(gamma=0.1, rho=1.0))
+
+
+def test_usvt_of_a_graph_with_no_edge_has_rank_zero():
+    # ARPACK cannot start from the zero vector that A v is for every v.
+    params = UsvtParams(gamma=1.0, rho=0.05, clamp_range=(0.0, 1.0))
+    for estimate in (usvt(Graph.from_edges(12, []), params), usvt(np.zeros((12, 12)), params)):
+        assert estimate.rank == 0
+        assert estimate.vectors.shape == (12, 0)
+        assert np.array_equal(estimate.block(slice(0, 5), slice(5, 12)), np.zeros((5, 7)))
 
 
 # A script's own peak RSS.  Not ru_maxrss: Linux carries a parent's peak
@@ -545,7 +552,7 @@ def test_usvt_does_not_depend_on_the_blas_thread_count():
 
 def test_fast_kernel_block_values_and_support():
     g = Graph.from_edges(5, [(0, 2), (0, 3), (1, 4), (0, 1), (2, 3)])
-    block = fast_kernel_block(g, rho=0.5, n=2, m=3)
+    block = fast_kernel_block(g.adjacency[:2, 2:5], rho=0.5)
     assert isinstance(block, csr_array) and block.has_canonical_format
     block = block.toarray()
     # cross edges are (0,2), (0,3), (1,4); within-group edges (0,1), (2,3)
@@ -553,16 +560,22 @@ def test_fast_kernel_block_values_and_support():
     expected = np.array([[2.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
     assert np.array_equal(block, expected)
     assert set(np.unique(block)) <= {0.0, 1.0 / 0.5}
-    # the cross block alone gives the same estimate
+    # the dense cross block gives the same estimate
     cross = g.adjacency.toarray()[:2, 2:]
-    assert np.array_equal(fast_kernel_block(cross, rho=0.5, n=2, m=3).toarray(), expected)
+    assert np.array_equal(fast_kernel_block(cross, rho=0.5).toarray(), expected)
+    # a CSR block holding an entry twice is summed into canonical format
+    repeated = csr_array((np.ones(3), np.array([1, 1, 0]), np.array([0, 2, 3])), shape=(2, 3))
+    summed = fast_kernel_block(repeated, rho=0.5)
+    assert summed.has_canonical_format
+    assert np.array_equal(summed.toarray(), [[0.0, 4.0, 0.0], [2.0, 0.0, 0.0]])
 
 
 def test_fast_kernel_block_ignores_within_group_edges():
     base = Graph.from_edges(4, [(0, 2), (1, 3)])
     extra = Graph.from_edges(4, [(0, 2), (1, 3), (0, 1), (2, 3)])
     assert np.array_equal(
-        fast_kernel_block(base, 1.0, 2, 2).toarray(), fast_kernel_block(extra, 1.0, 2, 2).toarray()
+        fast_kernel_block(base.adjacency[:2, 2:4], 1.0).toarray(),
+        fast_kernel_block(extra.adjacency[:2, 2:4], 1.0).toarray(),
     )
 
 
@@ -571,23 +584,18 @@ def test_fast_kernel_block_ignores_auxiliary_nodes():
     # among themselves, never show up
     base = Graph.from_edges(4, [(0, 2), (1, 3)])
     auxiliary = Graph.from_edges(7, [(0, 2), (1, 3), (0, 4), (3, 5), (1, 6), (4, 6)])
-    block = fast_kernel_block(auxiliary, 0.5, 2, 2).toarray()
-    assert np.array_equal(block, fast_kernel_block(base, 0.5, 2, 2).toarray())
+    block = fast_kernel_block(auxiliary.adjacency[:2, 2:4], 0.5).toarray()
+    assert np.array_equal(block, fast_kernel_block(base.adjacency[:2, 2:4], 0.5).toarray())
     assert np.array_equal(block, [[2.0, 0.0], [0.0, 2.0]])
 
 
 def test_fast_kernel_block_validation():
-    g = Graph.from_edges(4, [(0, 2)])
+    block = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InvalidParameterError):
-        fast_kernel_block(g, rho=0.0, n=2, m=2)
+        fast_kernel_block(block, rho=0.0)
     with pytest.raises(InvalidParameterError):
-        fast_kernel_block(g, rho=1.5, n=2, m=2)
-    with pytest.raises(InvalidParameterError):
-        fast_kernel_block(g, rho=1.0, n=3, m=3)
-    with pytest.raises(InvalidParameterError):
-        fast_kernel_block(g, rho=1.0, n=0, m=4)
-    with pytest.raises(InvalidParameterError):
-        fast_kernel_block(np.zeros((3, 2)), rho=1.0, n=2, m=2)
-    # an array must be the cross block itself, not a whole adjacency
-    with pytest.raises(InvalidParameterError):
-        fast_kernel_block(np.zeros((4, 4)), rho=1.0, n=2, m=2)
+        fast_kernel_block(block, rho=1.5)
+    # the block must be a nonempty matrix
+    for bad in (np.zeros((0, 4)), np.zeros((3, 0)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(InvalidParameterError):
+            fast_kernel_block(bad, rho=1.0)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import latent_ot
 import latent_ot.diagnostics as diagnostics
@@ -127,12 +127,16 @@ def test_operator_norm_validation():
 
 
 def test_operator_norm_reports_arpack_non_convergence(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0)))
+    # Non-convergence and any other ARPACK error (3: no shifts could be
+    # applied) are numeric failures, not tracebacks.
+    for failure in (ArpackNoConvergence("no convergence", np.empty(0), np.empty((3, 0))), ArpackError(3)):
 
-    monkeypatch.setattr(diagnostics, "eigsh", no_convergence)
-    with pytest.raises(NumericFailureError):
-        operator_norm(np.arange(9.0).reshape(3, 3))
+        def failing_eigsh(*args, failure=failure, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(diagnostics, "eigsh", failing_eigsh)
+        with pytest.raises(NumericFailureError):
+            operator_norm(np.arange(9.0).reshape(3, 3))
 
 
 # The operator norms of three matrices w - Bernoulli(w), then the two

@@ -8,6 +8,7 @@ checked end to end through ``main``.
 import copy
 import ctypes
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from latent_ot.cost_estimators import UsvtParams, fast_kernel_block, usvt
 from latent_ot.errors import ConfigError, InvalidParameterError, NumericFailureError
 from latent_ot.harness import experiments
 from latent_ot.harness.config import (
+    EXPERIMENT_KINDS,
     ExperimentConfig,
     GridPoint,
     _ratio_split,
@@ -50,7 +52,7 @@ from latent_ot.harness.results import (
 )
 from latent_ot.latent_models import (
     NonlocalKernel,
-    graph_from_edgelist,
+    graph_to_edgelist,
     h_schedule,
     sample_kernel_graph,
     sample_latents,
@@ -958,6 +960,42 @@ def test_a_one_sweep_budget_is_reported_as_unconverged(tmp_path, capsys, config_
     assert f", {2 * len(cells)} unconverged solves)" in capsys.readouterr().out
 
 
+def _tiny_config(experiment, total, seed, scale):
+    """One cell of ``experiment`` at N = ``total`` on the unit square.
+    ``scale`` is rho on the nonlocal routes, h on the local one and epsilon
+    in the stability suite."""
+    data = {"experiment": experiment, "grid": [total], "seeds": [seed]}
+    if experiment == "stability_suite":
+        return config_from_dict({**data, "epsilon": scale})
+    data["manifold"] = {"kind": "unit_square"}
+    if experiment == "local_geodesic":
+        data.update(kernel={"kind": "local", "h": scale}, n=1, m=1, epsilon=0.4)
+    else:
+        form = {"kind": "gaussian_power", "p": 1, "sigma": 0.3}
+        data["kernel"] = {"kind": "nonlocal", "rho": scale, "form": form}
+        if experiment != "fast_nonlocal":
+            data["epsilon"] = 0.4
+        if experiment == "gamma_sweep":
+            data["gammas"] = [0.5, 1.0]
+    return config_from_dict(data)
+
+
+def test_every_experiment_runs_on_tiny_and_edgeless_graphs():
+    # At rho = 0.05 most of these graphs have no edge; a spectral estimate of
+    # such a graph has rank 0, and the cell still writes its rows.
+    edgeless = 0
+    cases = itertools.product(EXPERIMENT_KINDS, (2, 3, 5, 12), range(3), (1.0, 0.05))
+    for experiment, total, seed, scale in cases:
+        config = _tiny_config(experiment, total, seed, scale)
+        rows = run_experiment(config).results.rows
+        assert rows, (experiment, total, seed, scale)
+        if experiment in ("usvt_nonlocal", "gamma_sweep") and sample_cell(config, total, seed)[1].edge_count == 0:
+            edgeless += 1
+            ranks = [row.value for row in rows if row.metric == "usvt_rank"]
+            assert ranks and set(ranks) == {0.0}, (experiment, total, seed, scale)
+    assert edgeless > 0
+
+
 def test_fast_route_draws_the_cross_block_of_the_cell_graph(monkeypatch):
     boxed_kernels = []
     solve = experiments.dual_ascent_boxed
@@ -977,7 +1015,7 @@ def test_fast_route_draws_the_cross_block_of_the_cell_graph(monkeypatch):
         run_experiment(config)
         _, graph = sample_cell(config, 30, 3)
         n, m = config.points[30].n, config.points[30].m
-        expected = fast_kernel_block(graph, rho, n, m).toarray()
+        expected = fast_kernel_block(graph.adjacency[:n, n : n + m], rho).toarray()
         assert expected.shape == (n, m) and n != m
         assert 0 < np.count_nonzero(expected) < n * m
         assert len(boxed_kernels) == 1 and np.array_equal(boxed_kernels[0].toarray(), expected)
@@ -1189,6 +1227,18 @@ def test_cli_rejects_zero_workers_before_writing(tmp_path, capsys):
     assert not (out / "results.csv").exists()
 
 
+def test_cli_run_rejects_an_unwritable_out_dir_before_any_cell(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path, usvt_config_dict())
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: calls.append(args))
+    assert cli.main(["run", "--config", str(path), "--out-dir", str(blocker / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert calls == []
+
+
 def test_cli_numeric_failures_exit_two(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, stability_config_dict())
 
@@ -1285,14 +1335,14 @@ def test_cli_gen_writes_the_graph_a_nonlocal_run_cell_sees(tmp_path, capsys):
     out = tmp_path / "graph.txt"
     assert cli.main(["gen", "--config", str(path), "--out", str(out)]) == 0
     capsys.readouterr()
-    graph = graph_from_edgelist(out.read_text(encoding="utf-8"))
 
     # the first cell's streams, derived as documented: latents then graph
     config = config_from_dict(data)
     n, m = config.points[30].n, config.points[30].m
     latents = sample_latents(config.manifold, config.density, n, m, 30, RngSeed(5).derive("latents", 30))
     model = NonlocalKernel(rho=1.0, form=config.form)
-    assert graph == sample_kernel_graph(latents, model, RngSeed(5).derive("graph", 30))
+    graph = sample_kernel_graph(latents, model, RngSeed(5).derive("graph", 30))
+    assert out.read_bytes() == graph_to_edgelist(graph).encode("utf-8")
 
     # and the run's kernel gaps at that cell are measured against this graph;
     # the dense SVD is independent of the ARPACK operator norm

@@ -27,7 +27,6 @@ from latent_ot.latent_models import (
     UnitSquare,
     bernoulli_block,
     eps_graph,
-    graph_from_edgelist,
     graph_to_edgelist,
     h_schedule,
     make_manifold,
@@ -524,19 +523,3 @@ def test_edgelist_roundtrip():
     text = graph_to_edgelist(g)
     assert text.splitlines()[0] == "5 3"
     assert text.splitlines()[1:] == ["0 1", "0 4", "1 2"]
-    assert graph_from_edgelist(text) == g
-
-
-def test_edgelist_parse_errors():
-    with pytest.raises(InvalidParameterError):
-        graph_from_edgelist("")
-    with pytest.raises(InvalidParameterError):
-        graph_from_edgelist("abc\n")
-    with pytest.raises(InvalidParameterError):
-        graph_from_edgelist("3 2\n0 1\n")
-    with pytest.raises(InvalidParameterError):
-        graph_from_edgelist("3 1\n1 0\n")
-    with pytest.raises(InvalidParameterError, match="distinct"):
-        graph_from_edgelist("3 2\n0 1\n0 1\n")
-    with pytest.raises(InvalidParameterError):
-        graph_from_edgelist("3 1\n0 x\n")
