@@ -57,13 +57,11 @@ class CostMap:
     """Monotone piecewise-linear map from distances or kernel values to costs.
 
     Attributes:
-        kind: "identity", "one_minus", or "piecewise".
         breakpoints: Ascending input grid; inputs are clamped to its span.
         values: Nonnegative outputs at the breakpoints, monotone in one
             direction.
     """
 
-    kind: str
     breakpoints: np.ndarray
     values: np.ndarray
 
@@ -91,16 +89,12 @@ class CostMap:
         """f(t) = t on [0, upper]."""
         if upper <= 0:
             raise InvalidParameterError(f"upper bound must be positive: {upper}")
-        return cls("identity", np.array([0.0, upper]), np.array([0.0, upper]))
+        return cls(np.array([0.0, upper]), np.array([0.0, upper]))
 
     @classmethod
     def one_minus(cls) -> "CostMap":
         """f(w) = 1 - w on [0, 1]."""
-        return cls("one_minus", np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-
-    @classmethod
-    def piecewise(cls, breakpoints, values) -> "CostMap":
-        return cls("piecewise", np.asarray(breakpoints), np.asarray(values))
+        return cls(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
     @property
     def cost_range(self) -> tuple[float, float]:

@@ -49,7 +49,7 @@ _EXPERIMENT_KEYS: dict[str, frozenset[str]] = {
     "usvt_nonlocal": _PIPELINE_KEYS | {"epsilon", "cost_map", "m_ratio", "gamma"},
     "fast_nonlocal": _PIPELINE_KEYS | {"m_ratio", "eta"},
     "gamma_sweep": _PIPELINE_KEYS | {"epsilon", "cost_map", "m_ratio", "gammas"},
-    "stability_suite": _COMMON_KEYS | {"epsilon", "cost_low", "cost_high"},
+    "stability_suite": _COMMON_KEYS | {"epsilon", "cost_low"},
 }
 
 EXPERIMENT_KINDS = tuple(_EXPERIMENT_KEYS)
@@ -141,11 +141,8 @@ class GridPoint:
 
 
 def _parse_manifold(data: dict, context: str) -> Manifold:
-    _reject_unknown(data, {"kind", "radius"}, context)
-    kind = _get(data, "kind", context, "string", required=True)
-    if kind == "unit_square" and "radius" in data:
-        raise ConfigError(f"{context}: 'radius' does not apply to unit_square")
-    return _build(context, make_manifold, kind, radius=_get(data, "radius", context, "number", default=1.0))
+    _reject_unknown(data, {"kind"}, context)
+    return _build(context, make_manifold, _get(data, "kind", context, "string", required=True))
 
 
 def _parse_density(data: dict, context: str, manifold: Manifold) -> Density:
@@ -233,7 +230,7 @@ def _parse_cost_map(data: dict, context: str, experiment: str, manifold: Manifol
         _reject_unknown(data, {"kind", "breakpoints", "values"}, context)
         breakpoints = _get_list(data, "breakpoints", context, "number")
         values = _get_list(data, "values", context, "number")
-        return _build(context, CostMap.piecewise, breakpoints, values)
+        return _build(context, CostMap, breakpoints, values)
     raise ConfigError(f"{context}: unknown cost map kind '{kind}'")
 
 
@@ -279,6 +276,8 @@ class ExperimentConfig:
     ``gammas`` holds the USVT threshold scales: the one ``gamma`` of
     ``usvt_nonlocal`` (default 1.0), the ``gammas`` list of
     ``gamma_sweep``, and nothing for the other experiments.
+    ``cost_low`` is the stability suite's least cost: it draws its costs in
+    ``[cost_low, 1]``.
     """
 
     experiment: str
@@ -293,7 +292,6 @@ class ExperimentConfig:
     cost_map: CostMap | None = None
     gammas: tuple[float, ...] = ()
     cost_low: float = 0.1
-    cost_high: float = 1.0
     output: OutputSettings = OutputSettings()
 
     def sizes_at(self, total: int) -> tuple[int, int]:
@@ -374,11 +372,10 @@ def config_from_dict(raw: object) -> ExperimentConfig:
 
     if experiment == "stability_suite":
         cost_low = _get(data, "cost_low", "config", "number", default=0.1)
-        cost_high = _get(data, "cost_high", "config", "number", default=1.0)
-        if cost_low < 0.0 or cost_high <= cost_low:
-            raise ConfigError(f"config: need 0 <= cost_low < cost_high, got [{cost_low}, {cost_high}]")
+        if not 0.0 <= cost_low < 1.0:
+            raise ConfigError(f"config: need 0 <= cost_low < 1, got {cost_low}")
         points = {total: GridPoint(total, total) for total in grid}
-        fields = {"cost_low": cost_low, "cost_high": cost_high, "points": points}
+        fields = {"cost_low": cost_low, "points": points}
     else:
         manifold = _section(data, "manifold", "config", _parse_manifold, required=True)
         expected_kind = "local" if experiment == "local_geodesic" else "nonlocal"

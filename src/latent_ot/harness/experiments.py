@@ -369,9 +369,9 @@ def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
 
 
 def _perturbation_pair_rows(cell: _Cell, label: str) -> list[ResultRow]:
-    """Random cost pairs and marginals; this route samples no latents or graph."""
+    """Random costs in [cost_low, 1] and marginals; this route samples no latents or graph."""
     config = cell.config
-    lo, hi = config.cost_low, config.cost_high
+    lo, hi = config.cost_low, 1.0
     side = cell.total
     with cell.stage("estimate"):
         rng = CounterStream(RngSeed(cell.seed).derive("stability", cell.total))

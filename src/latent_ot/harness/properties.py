@@ -30,6 +30,7 @@ from ..cost_estimators import (
 from ..errors import InvalidParameterError
 from ..latent_models import (
     GaussianPowerKernel,
+    LatentConfiguration,
     NonlocalKernel,
     Sphere,
     eps_graph,
@@ -216,10 +217,15 @@ def _check_boxed_matches_sinkhorn(rng: CounterStream, scale: float) -> float:
     return 1e-6 * scale - gap
 
 
-def _check_hop_distance_dominates(rng: CounterStream, scale: float) -> float:
-    sphere = Sphere()
+def _sphere_latents(rng: CounterStream, n: int, m: int, total: int) -> tuple[LatentConfiguration, RngSeed]:
+    """Uniform latents on the unit sphere from a seed drawn off ``rng``
+    (one word), and that seed."""
     seed = RngSeed(rng.word())
-    latents = sample_latents(sphere, Density(kind="uniform"), 6, 6, 80, seed)
+    return sample_latents(Sphere(), Density(kind="uniform"), n, m, total, seed), seed
+
+
+def _check_hop_distance_dominates(rng: CounterStream, scale: float) -> float:
+    latents, _ = _sphere_latents(rng, 6, 6, 80)
     h = 0.9
     graph = eps_graph(latents, h)
     hops = hop_counts(graph, range(6), range(6, 12))
@@ -233,9 +239,7 @@ def _check_hop_distance_dominates(rng: CounterStream, scale: float) -> float:
 
 
 def _check_hop_transpose(rng: CounterStream, scale: float) -> float:
-    sphere = Sphere()
-    seed = RngSeed(rng.word())
-    latents = sample_latents(sphere, Density(kind="uniform"), 5, 7, 40, seed)
+    latents, _ = _sphere_latents(rng, 5, 7, 40)
     graph = eps_graph(latents, 1.1)
     forward = hop_counts(graph, range(5), range(5, 12))
     backward = hop_counts(graph, range(5, 12), range(5))
@@ -266,9 +270,7 @@ def _check_usvt_idempotent(rng: CounterStream, scale: float) -> float:
 
 
 def _check_fast_block_binary(rng: CounterStream, scale: float) -> float:
-    sphere = Sphere()
-    seed = RngSeed(rng.word())
-    latents = sample_latents(sphere, Density(kind="uniform"), 8, 8, 16, seed)
+    latents, seed = _sphere_latents(rng, 8, 8, 16)
     rho = 0.25 + 0.7 * rng.uniform()
     model = NonlocalKernel(rho=rho, form=GaussianPowerKernel(p=2.0, sigma=1.0))
     graph = sample_kernel_graph(latents, model, seed.derive("graph"))
@@ -278,21 +280,19 @@ def _check_fast_block_binary(rng: CounterStream, scale: float) -> float:
 
 
 def _check_local_pipeline_sup_bound(rng: CounterStream, scale: float) -> float:
-    sphere = Sphere()
-    seed = RngSeed(rng.word())
-    latents = sample_latents(sphere, Density(kind="uniform"), 8, 8, 220, seed)
+    latents, _ = _sphere_latents(rng, 8, 8, 220)
     h = 0.55
     graph = eps_graph(latents, h)
     hops = hop_counts(graph, range(8), range(8, 16))
     if np.isinf(hops).any():
         return -1.0
-    cost_map = CostMap.identity(sphere.diameter)
+    cost_map = CostMap.identity(Sphere.diameter)
     d_est = geodesic_estimate(hops, h)
-    d_true = sphere.geodesic_matrix(latents.xs, latents.ys)
+    d_true = latents.manifold.geodesic_matrix(latents.xs, latents.ys)
     cost_true = cost_from_distances(d_true, cost_map)
     cost_est = cost_from_distances(d_est, cost_map)
     uniform = DiscreteDistribution.uniform(8)
-    eps = 0.1 * sphere.diameter
+    eps = 0.1 * Sphere.diameter
     result_true = _solve(cost_true, uniform, uniform, eps)
     result_est = _solve(cost_est, uniform, uniform, eps)
     sup_gap = float(np.abs(d_est - d_true).max())

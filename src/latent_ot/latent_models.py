@@ -1,6 +1,6 @@
 """Latent-position models and random graph generators.
 
-Latent points live on a compact manifold (sphere, unit square, or circle)
+Latent points live on a compact manifold (the unit sphere, square or circle)
 and are drawn i.i.d. from a uniform or tilted density.  Graphs over the
 points come in two flavors: deterministic connectivity graphs with edges
 between points within a radius, and Bernoulli graphs where each pair is an
@@ -35,27 +35,20 @@ _ON_MANIFOLD_TOLERANCE = 1e-12
 
 
 class Manifold(abc.ABC):
-    """A compact homogeneous submanifold with closed-form geodesics."""
+    """A compact homogeneous submanifold with closed-form geodesics.
+
+    Every manifold has one fixed size, so its dimensions and extents are
+    class constants: ``diameter`` is the largest geodesic distance between
+    two points, ``euclidean_diameter`` the largest ambient (chordal) one,
+    and ``coordinate_range`` the range of every ambient coordinate.
+    """
 
     kind: str
-
-    @property
-    @abc.abstractmethod
-    def ambient_dim(self) -> int: ...
-
-    @property
-    @abc.abstractmethod
-    def intrinsic_dim(self) -> int: ...
-
-    @property
-    @abc.abstractmethod
-    def diameter(self) -> float:
-        """Largest geodesic distance between two points."""
-
-    @property
-    @abc.abstractmethod
-    def euclidean_diameter(self) -> float:
-        """Largest ambient (chordal) distance between two points."""
+    ambient_dim: int
+    intrinsic_dim: int
+    diameter: float
+    euclidean_diameter: float
+    coordinate_range: tuple[float, float]
 
     @abc.abstractmethod
     def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
@@ -69,49 +62,30 @@ class Manifold(abc.ABC):
     def on_manifold(self, points: np.ndarray) -> bool: ...
 
     @abc.abstractmethod
-    def coordinate_range(self, axis: int) -> tuple[float, float]:
-        """Range of one ambient coordinate over the manifold."""
-
-    @abc.abstractmethod
     def region_anchors(self) -> tuple[np.ndarray, np.ndarray]:
         """Two well-separated reference points for two-region placement."""
 
 
-@dataclass(frozen=True)
 class _RoundManifold(Manifold):
-    """A round sphere of the given radius centred at the origin; geodesics
-    are great-circle arcs.  Subclasses fix the dimensions, the uniform
-    sampler and the region anchors."""
+    """A unit sphere centred at the origin; geodesics are great-circle arcs.
+    Subclasses fix the dimensions, the uniform sampler and the region
+    anchors."""
 
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise InvalidParameterError(f"radius must be positive: {self.radius}")
-
-    @property
-    def diameter(self) -> float:
-        return math.pi * self.radius
-
-    @property
-    def euclidean_diameter(self) -> float:
-        return 2.0 * self.radius
+    diameter = math.pi
+    euclidean_diameter = 2.0
+    coordinate_range = (-1.0, 1.0)
 
     def geodesic_matrix(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        cosines = (xs @ ys.T) / (self.radius * self.radius)
-        return self.radius * np.arccos(np.clip(cosines, -1.0, 1.0))
+        return np.arccos(np.clip(xs @ ys.T, -1.0, 1.0))
 
     def on_manifold(self, points: np.ndarray) -> bool:
         norms = np.linalg.norm(np.atleast_2d(points), axis=1)
-        return bool(np.all(np.abs(norms - self.radius) <= _ON_MANIFOLD_TOLERANCE * max(1.0, self.radius)))
-
-    def coordinate_range(self, axis: int) -> tuple[float, float]:
-        return (-self.radius, self.radius)
+        return bool(np.all(np.abs(norms - 1.0) <= _ON_MANIFOLD_TOLERANCE))
 
 
 @dataclass(frozen=True)
 class Sphere(_RoundManifold):
-    """Round sphere of the given radius embedded in R^3."""
+    """The unit sphere embedded in R^3."""
 
     kind = "sphere"
     ambient_dim = 3
@@ -121,13 +95,10 @@ class Sphere(_RoundManifold):
         draws = rng.normals(3 * count).reshape(count, 3)
         norms = np.linalg.norm(draws, axis=1)
         good = norms > 1e-12
-        return draws[good] / norms[good, None] * self.radius
+        return draws[good] / norms[good, None]
 
     def region_anchors(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([self.radius, 0.0, 0.0]),
-            np.array([-self.radius, 0.0, 0.0]),
-        )
+        return (np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]))
 
 
 @dataclass(frozen=True)
@@ -139,6 +110,7 @@ class UnitSquare(Manifold):
     intrinsic_dim = 2
     diameter = math.sqrt(2.0)
     euclidean_diameter = math.sqrt(2.0)
+    coordinate_range = (0.0, 1.0)
 
     def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
         return rng.uniforms(2 * count).reshape(count, 2)
@@ -150,16 +122,13 @@ class UnitSquare(Manifold):
         pts = np.atleast_2d(points)
         return bool(np.all(pts >= -_ON_MANIFOLD_TOLERANCE) and np.all(pts <= 1.0 + _ON_MANIFOLD_TOLERANCE))
 
-    def coordinate_range(self, axis: int) -> tuple[float, float]:
-        return (0.0, 1.0)
-
     def region_anchors(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array([0.25, 0.25]), np.array([0.75, 0.75]))
 
 
 @dataclass(frozen=True)
 class Circle(_RoundManifold):
-    """Circle of the given radius embedded in R^2; geodesics are arcs."""
+    """The unit circle embedded in R^2; geodesics are arcs."""
 
     kind = "circle"
     ambient_dim = 2
@@ -167,21 +136,20 @@ class Circle(_RoundManifold):
 
     def sample_uniform(self, rng: CounterStream, count: int) -> np.ndarray:
         angles = 2.0 * math.pi * rng.uniforms(count)
-        return self.radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        return np.column_stack([np.cos(angles), np.sin(angles)])
 
     def region_anchors(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.array([self.radius, 0.0]), np.array([-self.radius, 0.0]))
+        return (np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
 
 
-def make_manifold(kind: str, radius: float = 1.0) -> Manifold:
+_MANIFOLDS = {manifold.kind: manifold for manifold in (Sphere, UnitSquare, Circle)}
+
+
+def make_manifold(kind: str) -> Manifold:
     """Build a manifold by kind name: sphere, unit_square, or circle."""
-    if kind == "sphere":
-        return Sphere(radius)
-    if kind == "unit_square":
-        return UnitSquare()
-    if kind == "circle":
-        return Circle(radius)
-    raise InvalidParameterError(f"unknown manifold kind: {kind!r}")
+    if kind not in _MANIFOLDS:
+        raise InvalidParameterError(f"unknown manifold kind: {kind!r}")
+    return _MANIFOLDS[kind]()
 
 
 def pairwise_squared_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -222,7 +190,7 @@ class Density:
             raise DensityMisconfiguredError(
                 f"tilt axis {self.axis} outside ambient dimension {manifold.ambient_dim}"
             )
-        lo, hi = manifold.coordinate_range(self.axis)
+        lo, hi = manifold.coordinate_range
         candidates = (1.0 + self.strength * lo, 1.0 + self.strength * hi)
         bounds = (min(candidates), max(candidates))
         if bounds[0] <= 0.0:

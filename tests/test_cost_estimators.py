@@ -88,7 +88,7 @@ def test_one_minus_map():
 
 
 def test_piecewise_map_interpolates():
-    cm = CostMap.piecewise([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
+    cm = CostMap([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
     assert cm.apply(np.array([0.5]))[0] == pytest.approx(1.0)
     assert cm.apply(np.array([2.0]))[0] == pytest.approx(2.5)
     assert cm.lipschitz_constant == 2.0
@@ -96,19 +96,19 @@ def test_piecewise_map_interpolates():
 
 def test_cost_map_validation():
     with pytest.raises(InvalidParameterError):
-        CostMap.piecewise([0.0, 1.0], [0.0])
+        CostMap([0.0, 1.0], [0.0])
     with pytest.raises(InvalidParameterError):
-        CostMap.piecewise([1.0, 0.0], [0.0, 1.0])
+        CostMap([1.0, 0.0], [0.0, 1.0])
     with pytest.raises(InvalidParameterError):
-        CostMap.piecewise([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
+        CostMap([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
     with pytest.raises(InvalidParameterError):
-        CostMap.piecewise([0.0, 1.0], [-1.0, 0.0])
+        CostMap([0.0, 1.0], [-1.0, 0.0])
     with pytest.raises(InvalidParameterError):
-        CostMap.piecewise([0.0, np.inf], [0.0, 1.0])
+        CostMap([0.0, np.inf], [0.0, 1.0])
     with pytest.raises(InvalidParameterError):
-        CostMap.piecewise([0.0], [0.0])
+        CostMap([0.0], [0.0])
     # descending tables are allowed
-    CostMap.piecewise([0.0, 1.0, 2.0], [3.0, 1.0, 0.0])
+    CostMap([0.0, 1.0, 2.0], [3.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ checked end to end through ``main``.
 import copy
 import ctypes
 import dataclasses
+import importlib.util
 import itertools
 import json
 import math
@@ -160,6 +161,12 @@ def test_config_rejects_unknown_keys_at_every_level():
     data["manifold"] = {"kind": "sphere"}
     with pytest.raises(ConfigError, match="manifold"):
         config_from_dict(data)
+    # every manifold has one size, so none takes a radius, not even 1
+    for kind in ("sphere", "circle", "unit_square"):
+        data = local_config_dict()
+        data["manifold"] = {"kind": kind, "radius": 1.0}
+        with pytest.raises(ConfigError, match=r"^config\.manifold: unknown key\(s\) 'radius'$"):
+            config_from_dict(data)
 
 
 def test_config_top_level_validation():
@@ -295,17 +302,19 @@ def test_cost_map_pipeline_compatibility():
         config_from_dict(data)
     # defaults: distances map through identity, kernel values through 1 - w
     local = config_from_dict(local_config_dict())
-    assert local.cost_map is not None and local.cost_map.kind == "identity"
-    assert local.cost_map.breakpoints[-1] == pytest.approx(math.pi)
+    assert local.cost_map is not None
+    assert local.cost_map.breakpoints.tolist() == local.cost_map.values.tolist() == [0.0, math.pi]
     spectral = config_from_dict(usvt_config_dict())
-    assert spectral.cost_map is not None and spectral.cost_map.kind == "one_minus"
+    assert spectral.cost_map is not None
+    assert spectral.cost_map.breakpoints.tolist() == [0.0, 1.0]
+    assert spectral.cost_map.values.tolist() == [1.0, 0.0]
 
 
 def test_piecewise_cost_map_takes_numbers_only():
     data = usvt_config_dict()
     data["cost_map"] = {"kind": "piecewise", "breakpoints": [0, 0.5, 1], "values": [1, 0.3, 0]}
     cost_map = config_from_dict(data).cost_map
-    assert cost_map is not None and cost_map.kind == "piecewise"
+    assert cost_map is not None
     assert cost_map.breakpoints.tolist() == [0.0, 0.5, 1.0]
     assert cost_map.values.tolist() == [1.0, 0.3, 0.0]
     for key, bad in (("values", [1, "0.5"]), ("breakpoints", [0, True]), ("breakpoints", [1, 0])):
@@ -382,6 +391,22 @@ def test_sizes_at_ratio_and_stability():
     assert stability.sizes_at(4) == (4, 4)
 
 
+def test_bench_workloads_parse_to_what_the_bench_worker_reads(monkeypatch):
+    # perfbench/run.py puts its own directory on sys.path for its helpers.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_run", REPO_ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses resolve their module there
+    spec.loader.exec_module(bench)
+    expected_sizes = {"usvt_dense": (533, 1067), "fast_boxed": (533, 1067), "local_geodesic": (20, 20)}
+    assert set(bench.WORKLOADS) == set(expected_sizes)
+    for name, workload in bench.WORKLOADS.items():
+        config = config_from_dict(bench.workload_config(name, 0))
+        assert config.output.results == "results.csv", name
+        assert config.sizes_at(config.grid[0]) == expected_sizes[name], name
+        assert config.seeds == tuple(range(workload.cells)), name
+
+
 def test_fast_pipeline_epsilon_is_pinned_to_sigma():
     config = config_from_dict(fast_config_dict())
     assert config.solver.epsilon == 0.5
@@ -416,7 +441,7 @@ def test_fast_pipeline_eta_overflow_is_a_config_error():
 
 def test_domain_value_errors_are_config_errors_at_their_key_path():
     cases = [
-        (local_config_dict, ("manifold",), {"kind": "circle", "radius": -1.0}, "config.manifold: radius"),
+        (local_config_dict, ("manifold",), {"kind": "circle", "radius": -1.0}, "config.manifold: unknown key.s. 'radius'"),
         (local_config_dict, ("manifold",), {"kind": "torus"}, "config.manifold: unknown manifold"),
         (usvt_config_dict, ("density",), {"kind": "tilted", "axis": -1}, "config.density: tilt axis"),
         (usvt_config_dict, ("density",), {"kind": "lumpy"}, "config.density: unknown density"),
@@ -447,6 +472,21 @@ def test_epsilon_required_elsewhere():
     data = stability_config_dict()
     data["epsilon"] = -1.0
     with pytest.raises(ConfigError, match="positive"):
+        config_from_dict(data)
+
+
+def test_stability_costs_lie_between_cost_low_and_one():
+    data = stability_config_dict()
+    assert config_from_dict(data).cost_low == 0.1
+    data["cost_low"] = 0.0
+    assert config_from_dict(data).cost_low == 0.0
+    for bad in (-0.1, 1.0, 1.5):
+        data["cost_low"] = bad
+        with pytest.raises(ConfigError, match="need 0 <= cost_low < 1"):
+            config_from_dict(data)
+    data = stability_config_dict()
+    data["cost_high"] = 1.0
+    with pytest.raises(ConfigError, match="unknown key.*'cost_high'"):
         config_from_dict(data)
 
 

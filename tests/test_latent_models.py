@@ -44,27 +44,31 @@ from latent_ot.rng import CounterStream, RngSeed
 
 
 def test_sphere_geodesics_hand_values():
-    s = Sphere(radius=2.0)
-    north = np.array([0.0, 0.0, 2.0])
-    south = np.array([0.0, 0.0, -2.0])
-    equator = np.array([2.0, 0.0, 0.0])
+    s = Sphere()
+    north = np.array([0.0, 0.0, 1.0])
+    south = np.array([0.0, 0.0, -1.0])
+    equator = np.array([1.0, 0.0, 0.0])
     to_south, to_equator, to_north = s.geodesic_matrix(north[None, :], np.array([south, equator, north]))[0]
-    assert to_south == pytest.approx(2.0 * math.pi, abs=1e-12)
-    assert to_equator == pytest.approx(math.pi, abs=1e-12)
+    assert to_south == pytest.approx(math.pi, abs=1e-12)
+    assert to_equator == pytest.approx(math.pi / 2.0, abs=1e-12)
     assert to_north == 0.0
-    assert s.diameter == pytest.approx(2.0 * math.pi)
-    assert s.euclidean_diameter == 4.0
+    assert s.diameter == pytest.approx(math.pi)
+    assert s.euclidean_diameter == 2.0
+    assert s.coordinate_range == (-1.0, 1.0)
     assert s.ambient_dim == 3 and s.intrinsic_dim == 2
 
 
 def test_circle_geodesics_hand_values():
-    c = Circle(radius=1.0)
+    c = Circle()
     east = np.array([1.0, 0.0])
     north = np.array([0.0, 1.0])
     west = np.array([-1.0, 0.0])
     to_north, to_west = c.geodesic_matrix(east[None, :], np.array([north, west]))[0]
     assert to_north == pytest.approx(math.pi / 2.0, abs=1e-12)
     assert to_west == pytest.approx(math.pi, abs=1e-12)
+    assert c.diameter == pytest.approx(math.pi)
+    assert c.euclidean_diameter == 2.0
+    assert c.coordinate_range == (-1.0, 1.0)
     assert c.intrinsic_dim == 1 and c.ambient_dim == 2
 
 
@@ -74,21 +78,23 @@ def test_unit_square_geodesics_are_euclidean():
     b = np.array([1.0, 1.0])
     assert sq.geodesic_matrix(a[None, :], b[None, :])[0, 0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
     assert sq.diameter == pytest.approx(math.sqrt(2.0))
+    assert sq.coordinate_range == (0.0, 1.0)
 
 
 def test_make_manifold_dispatch():
     assert isinstance(make_manifold("sphere"), Sphere)
     assert isinstance(make_manifold("unit_square"), UnitSquare)
-    assert isinstance(make_manifold("circle", radius=3.0), Circle)
-    assert make_manifold("circle", radius=3.0).radius == 3.0
+    assert isinstance(make_manifold("circle"), Circle)
+    # Manifolds are values: equal by kind, hashable, and not interchangeable.
+    assert Sphere() == Sphere() and make_manifold("circle") == Circle()
+    assert hash(make_manifold("sphere")) == hash(Sphere())
+    assert Sphere() != Circle() and Circle() != UnitSquare()
     with pytest.raises(InvalidParameterError):
         make_manifold("torus")
-    with pytest.raises(InvalidParameterError):
-        Sphere(radius=0.0)
 
 
 def test_uniform_samples_lie_on_manifold_and_are_deterministic():
-    for manifold in (Sphere(), Circle(), UnitSquare(), Sphere(radius=0.5)):
+    for manifold in (Sphere(), Circle(), UnitSquare()):
         pts_a = manifold.sample_uniform(CounterStream(RngSeed(5)), 40)
         pts_b = manifold.sample_uniform(CounterStream(RngSeed(5)), 40)
         assert manifold.on_manifold(pts_a)
