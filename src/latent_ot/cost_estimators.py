@@ -20,12 +20,11 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_array, sparray
 from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import (
     InvalidParameterError,
@@ -306,7 +305,12 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
     eigenvalue reaches -threshold.  ARPACK computes the top k, k doubling
     along 6, 12, 24, ... (capped at N - 1) until the smallest falls below
     the threshold; it needs k < N, so if all N - 1 pass, the smallest
-    eigenpair decides the last.
+    eigenpair decides the last.  A call that fails with an ARPACK error
+    other than non-convergence, such as error 3 (no shifts could be applied)
+    on a small graph's repeated eigenvalues, is retried once at the same k
+    with ncv = min(N, 2 (2k + 1)) Lanczos vectors (scipy's default is
+    max(2k + 1, 20)); a second failure, or non-convergence, is a numeric
+    failure.
 
     Before any ARPACK call, :func:`_probe_rank` gives a lower bound L
     on the number of eigenvalues at or above the threshold (Cauchy
@@ -335,7 +339,15 @@ def usvt(adjacency: Graph | np.ndarray, params: UsvtParams) -> UsvtEstimate:
     threshold = params.threshold(count)
     # A fixed start (and restart seed) gives the same bits for the same matrix.
     start = np.cos(np.arange(count, dtype=np.float64))
-    eigenpairs = partial(eigsh, matrix, v0=start, **_EIGSH_RNG)
+
+    def eigenpairs(k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            return eigsh(matrix, k, which=which, v0=start, **_EIGSH_RNG)
+        except ArpackNoConvergence:
+            raise
+        except ArpackError:
+            return eigsh(matrix, k, which=which, v0=start, ncv=min(count, 2 * (2 * k + 1)), **_EIGSH_RNG)
+
     k, lower_bound = _FIRST_EIGENPAIRS, _probe_rank(matrix, start, threshold)
     while k <= lower_bound:
         k *= 2

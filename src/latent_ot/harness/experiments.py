@@ -129,7 +129,8 @@ def _uniform_marginals(cell: _Cell) -> tuple[DiscreteDistribution, DiscreteDistr
 @dataclass(frozen=True)
 class _SolveEnd:
     """How a finished solve ended: the scalars its value rows read, without
-    its n x m plan."""
+    the reference to its n x m cost that an :class:`OtResult` keeps for its
+    plan."""
 
     value: float
     iterations: int
@@ -301,7 +302,7 @@ def _usvt_rows(cell: _Cell, gammas: dict[str, float]) -> list[ResultRow]:
         estimates = {label: spectrum.at_gamma(gamma) for label, gamma in gammas.items()}
     rows: list[ResultRow] = []
     # The kernel errors run before the true cost is formed, so that their row
-    # blocks are never held at the same time as that cost and its plan.
+    # blocks are never held at the same time as that cost.
     with cell.stage("bounds"):
         frobenius = _kernel_frobenius_normalized(latents.all_points(), form, list(estimates.values()))
         for (label, estimate), value in zip(estimates.items(), frobenius):
@@ -343,7 +344,7 @@ def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
         cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=form.max_distance_power(config.manifold))
         true = _SolveEnd.of(sinkhorn(cost_true, alpha, beta, config.solver))
     # No row reads the distance powers, which the true cost holds, or the
-    # true plan: only the solve's scalars outlive it.
+    # true plan: only the solve's scalars outlive it, so the cost goes too.
     del powers, cost_true
     with cell.stage("estimate"):
         k_block = fast_kernel_block(cross_edges, rho)

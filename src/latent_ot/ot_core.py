@@ -14,10 +14,14 @@ from the contraction the sweeps measure as they go.  Sinkhorn's kernel
 exp(-C/eps) has no zeros and stays a dense array.  The boxed ascent takes its
 kernel as a nonnegative array, dense or sparse, since an estimated kernel
 need not be exp(-C/eps) of any cost, and sweeps over the CSR of its nonzero
-entries.  An exact assignment solver is the unregularized reference for
-uniform marginals.  :func:`report_from_solves` takes two finished solves, one
-on a true cost and one on its estimate, and evaluates how far the value and
-plan moved against the ceilings the perturbation bounds give.  The module
+entries.  A Sinkhorn solve returns its plan diag(a*u) K diag(b*v) as n + m
+factors, the scalings and the offsets of its last kernel, with a reference
+to its cost, and frees its kernel: an :class:`OtResult` builds the dense
+plan only when read.  An exact assignment solver is the unregularized
+reference for uniform marginals.  :func:`report_from_solves` takes two
+finished solves, one on a true cost and one on its estimate, and evaluates
+how far the value and plan moved against the ceilings the perturbation
+bounds give.  The module
 keeps no clock: a caller times the solves and the report where it runs them.
 Cost matrices carry explicit entry bounds ``c_min <= C_ij <= c_max`` because
 the perturbation bounds depend on them.  The solvers and the report read epsilon
@@ -79,10 +83,21 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _row_blocks(matrix: np.ndarray):
-    """Slices of ``matrix``'s first axis, each of about _BLOCK_ENTRIES entries."""
-    step = max(1, _BLOCK_ENTRIES * matrix.shape[0] // matrix.size)
-    return (slice(start, start + step) for start in range(0, matrix.shape[0], step))
+def _row_blocks(shape: tuple[int, int]):
+    """Slices of the first axis of an array of ``shape``, each of about
+    _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // shape[1])
+    return (slice(start, start + step) for start in range(0, shape[0], step))
+
+
+def _gibbs(cost: np.ndarray, f_scaled: np.ndarray, g_scaled: np.ndarray, eps: float) -> np.ndarray:
+    """exp(-cost_ij/eps + f_scaled_i + g_scaled_j), added in that order in one
+    new buffer: every kernel rebuild and every rebuilt plan row goes through
+    it, so both give an entry the same bits."""
+    exponent = np.divide(cost, -eps)
+    exponent += f_scaled[:, None]
+    exponent += g_scaled[None, :]
+    return np.exp(exponent, out=exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +231,9 @@ class TransportPlan:
 
     A fresh float64 array is kept and frozen in place, so a caller who passed
     one can no longer write to it; other inputs are copied (see
-    :class:`CostMatrix`).  The solvers hand over the plan they built, so it
-    exists once.
+    :class:`CostMatrix`).  No solver keeps one: an :class:`OtResult` holds
+    its plan as n + m factors and builds a TransportPlan only when its
+    ``plan`` is read.
     """
 
     entries: np.ndarray
@@ -275,14 +291,55 @@ class OtResult:
 
     ``marginal_residual`` is the final L1 row plus column marginal violation;
     a plateau stop can set ``converged`` while it is above the tolerance.
+
+    The plan diag(a*u) K diag(b*v), K = exp(-C/eps + fbar/eps + gbar/eps),
+    is kept as its n + m factors, not as an n x m array: ``offsets`` holds
+    fbar/eps and gbar/eps of the solver's last kernel rebuild and
+    ``scalings`` holds a*u and b*v, each over the atoms of positive mass,
+    whose indices ``support`` holds; ``cost`` is the cost solved, referenced,
+    not copied.  :attr:`plan` builds the dense plan on each access, and the
+    stability report rebuilds its rows a block at a time.  Both form each
+    entry with the operations, in the order, that formed it in the solver's
+    kernel buffer, so it keeps those bits.
     """
 
     value: float
-    plan: TransportPlan
     potentials: DualPotentials
     iterations: int
     converged: bool
     marginal_residual: float
+    cost: CostMatrix
+    epsilon: float
+    support: tuple[np.ndarray, np.ndarray]
+    offsets: tuple[np.ndarray, np.ndarray]
+    scalings: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def plan(self) -> TransportPlan:
+        """The n x m plan, built anew on each access; zero on zero-mass atoms."""
+        entries = np.empty(self.cost.shape)
+        for rows in _row_blocks(entries.shape):
+            entries[rows] = self._plan_rows(rows)
+        return TransportPlan(entries)
+
+    def _plan_rows(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of the plan, in a new array."""
+        n, m = self.cost.shape
+        kept, cols = self.support
+        f_scaled, g_scaled = self.offsets
+        row_scaling, col_scaling = self.scalings
+        # The supported rows among ``rows``: a run of ``kept``, which is sorted.
+        local = slice(*np.searchsorted(kept, (rows.start, min(rows.stop, n))))
+        full = kept.size == n and cols.size == m
+        cost = self.cost.entries[rows] if full else self.cost.entries[np.ix_(kept[local], cols)]
+        block = _gibbs(cost, f_scaled[local], g_scaled, self.epsilon)
+        block *= row_scaling[local, None]
+        block *= col_scaling[None, :]
+        if full:
+            return block
+        scattered = np.zeros((min(rows.stop, n) - rows.start, m))
+        scattered[np.ix_(kept[local] - rows.start, cols)] = block
+        return scattered
 
 
 @dataclass(frozen=True)
@@ -403,19 +460,34 @@ def kl_plans(plan: TransportPlan, reference: TransportPlan) -> float:
     q = reference.entries
     if p.shape != q.shape:
         raise InvalidParameterError(f"plan shapes differ: {p.shape} vs {q.shape}")
-    # Plan entries are nonnegative, so a positive minimum means no zero.
-    if not p.min() > 0:
-        support = p > 0
-        p, q = p[support], q[support]
-    if not q.min() > 0:
-        return math.inf
-    # One array of terms; log Q is subtracted a row block at a time, and the
-    # whole array is summed at once, since block sums would round differently.
-    log_ratio = np.log(p)
-    for rows in _row_blocks(log_ratio):
-        log_ratio[rows] -= np.log(q[rows])
-    log_ratio *= p
-    return float(np.sum(log_ratio))
+    return _kl_by_rows(p.shape, p.__getitem__, q.__getitem__)
+
+
+def _kl_by_rows(shape: tuple[int, int], plan_rows, reference_rows) -> float:
+    """KL(P | Q) of two plans of ``shape`` given by their rows:
+    ``plan_rows(rows)`` and ``reference_rows(rows)`` return the row block
+    ``rows`` of P and of Q.  The terms P (log P - log Q) of the entries with
+    P > 0 are written a row block at a time into one array, in row-major
+    order, and that array is summed once, since block sums would round
+    differently."""
+    terms = np.empty(shape[0] * shape[1])
+    filled = 0
+    for rows in _row_blocks(shape):
+        p, q = plan_rows(rows), reference_rows(rows)
+        # Plan entries are nonnegative, so a positive minimum means no zero.
+        if not p.min() > 0:
+            support = p > 0
+            p, q = p[support], q[support]
+            if p.size == 0:
+                continue
+        if not q.min() > 0:
+            return math.inf
+        block = terms[filled : filled + p.size].reshape(p.shape)
+        np.log(p, out=block)
+        block -= np.log(q)
+        block *= p
+        filled += p.size
+    return float(np.sum(terms[:filled]))
 
 
 def primal_value(
@@ -459,8 +531,8 @@ class _ScalingAscent:
     The dense ascent reads the cost ``cost`` and never copies it.  No
     log-kernel -C/eps outlives a rebuild: each rebuild drops the old kernel,
     then forms -C/eps in the buffer that becomes the new one, and a
-    c-transform takes its max over row blocks of a few hundred KB.  So a
-    solve holds one n x m array beyond its cost.
+    mid-solve c-transform takes its max over row blocks of a few hundred KB.
+    So a solve holds one n x m array beyond its cost.
     """
 
     def __init__(self, cost: np.ndarray, a: np.ndarray, b: np.ndarray, eps: float, radius: float):
@@ -470,9 +542,21 @@ class _ScalingAscent:
     def _start(self, a: np.ndarray, b: np.ndarray, eps: float, radius: float) -> None:
         """Absorb the hard c-transform of g = 0 and take the first value."""
         self.a, self.b, self.eps, self.radius = a, b, eps, radius
-        zeros = np.zeros(b.size)
-        self._absorb(self._c_transform(zeros, axis=1), zeros)
+        self._absorb_start()
         self.value = self._value(self.f, self.g, float(a @ self.row_sums))
+
+    def _absorb_start(self) -> None:
+        """Absorb the hard c-transform of g = 0, dividing the cost once:
+        -C/eps, formed in the buffer that becomes the first kernel, gives the
+        transform from its row maxima, then takes f/eps and is exponentiated
+        in place.  A rebuild would also add g/eps = 0, which changes at most
+        the sign of a zero exponent, and exp maps both zeros to 1, so the
+        kernel has a rebuild's bits."""
+        exponent = np.divide(self.cost, -self.eps)
+        f = np.clip(-self.eps * exponent.max(axis=1), -self.radius, self.radius)
+        f_scaled, zeros = f / self.eps, np.zeros(self.b.size)
+        exponent += f_scaled[:, None]
+        self._install(f, zeros, (f_scaled, zeros), np.exp(exponent, out=exponent))
 
     @property
     def f(self) -> np.ndarray:
@@ -574,13 +658,20 @@ class _ScalingAscent:
             return np.clip(target, *box)
 
     def _absorb(self, f: np.ndarray, g: np.ndarray) -> None:
-        eps, radius = self.eps, self.radius
-        self.fbar, self.gbar = f, g
-        self.u, self.v = np.ones(f.size), np.ones(g.size)
         # Dropped first, so a dense solve never holds the old and the new kernel at once.
         self.kernel = None
-        self.kernel = self._rebuild(f / eps, g / eps)
-        self.row_sums = self.kernel @ self.b
+        offsets = (f / self.eps, g / self.eps)
+        self._install(f, g, offsets, self._rebuild(*offsets))
+
+    def _install(
+        self, f: np.ndarray, g: np.ndarray, offsets: tuple[np.ndarray, np.ndarray], kernel: np.ndarray | csr_array
+    ) -> None:
+        """Take (f, g) as the absorbed offsets and ``kernel``, built from
+        ``offsets`` = (f/eps, g/eps), as the kernel; the scalings restart at one."""
+        eps, radius = self.eps, self.radius
+        self.fbar, self.gbar, self.offsets, self.kernel = f, g, offsets, kernel
+        self.u, self.v = np.ones(f.size), np.ones(g.size)
+        self.row_sums = kernel @ self.b
         with np.errstate(over="ignore"):
             self.u_box = (np.exp((-radius - f) / eps), np.exp((radius - f) / eps))
             self.v_box = (np.exp((-radius - g) / eps), np.exp((radius - g) / eps))
@@ -592,10 +683,7 @@ class _ScalingAscent:
 
     def _rebuild(self, f_scaled: np.ndarray, g_scaled: np.ndarray) -> np.ndarray:
         """The kernel exp(-C_ij/eps + f_scaled_i + g_scaled_j), in one new buffer."""
-        exponent = np.divide(self.cost, -self.eps)
-        exponent += f_scaled[:, None]
-        exponent += g_scaled[None, :]
-        return np.exp(exponent, out=exponent)
+        return _gibbs(self.cost, f_scaled, g_scaled, self.eps)
 
     def _col_sums(self, weighted_rows: np.ndarray) -> np.ndarray:
         """kernel^T weighted_rows."""
@@ -605,7 +693,7 @@ class _ScalingAscent:
         """Max over ``axis`` of -C/eps plus ``scaled`` along it, a row block at
         a time; a max is exact, so the blocks change no bit."""
         peak = np.full(self.cost.shape[1 - axis], -np.inf)
-        for rows in _row_blocks(self.cost):
+        for rows in _row_blocks(self.cost.shape):
             block = np.divide(self.cost[rows], -self.eps)
             if axis == 1:
                 block += scaled[None, :]
@@ -631,6 +719,10 @@ class _SparseScalingAscent(_ScalingAscent):
         # The row and the column of each stored entry.
         self._lines = (np.repeat(np.arange(log_k.shape[0]), np.diff(log_k.indptr)), log_k.indices)
         self._start(a, b, eps, radius)
+
+    def _absorb_start(self) -> None:
+        zeros = np.zeros(self.b.size)
+        self._absorb(self._c_transform(zeros, axis=1), zeros)
 
     def _rebuild(self, f_scaled: np.ndarray, g_scaled: np.ndarray) -> csr_array:
         log_k, (rows, cols) = self.log_k, self._lines
@@ -689,8 +781,10 @@ def sinkhorn(
     P_ij = alpha_i beta_j exp((f_i + g_j - C_ij) / epsilon).
 
     The solve reads ``cost.entries`` in place and holds one n x m array
-    beyond it, the stabilised kernel, in whose buffer the plan is built and
-    which the returned :class:`TransportPlan` keeps without a copy.
+    beyond it, the stabilised kernel, which it frees when it returns.  The
+    returned :class:`OtResult` holds the plan as its n + m factors and a
+    reference to ``cost``; the plan must be finite, nonnegative and of mass
+    one, which is checked on those factors.
     """
     n, m = cost.shape
     _check_dims(n, m, alpha, beta)
@@ -716,22 +810,36 @@ def sinkhorn(
 
     state = _ScalingAscent(entries, a, b, cfg.epsilon, math.inf)
     iterations, converged = state.run(cfg.max_iterations, stop)
-    # The plan diag(a*u) kernel diag(b*v), built in the kernel's buffer,
-    # which the TransportPlan keeps.
-    plan = state.kernel
-    plan *= (a * state.u)[:, None]
-    plan *= (b * state.v)[None, :]
-    if rows.size < n or cols.size < m:
-        plan = _scatter(plan, np.ix_(rows, cols), (n, m))
+    scalings = (a * state.u, b * state.v)
+    _check_plan(*scalings, state.row_sums)
     potentials = DualPotentials(_scatter(state.f, rows, n), _scatter(state.g, cols, m))
     return OtResult(
         value=state.value,
-        plan=TransportPlan(plan),
         potentials=center_potentials(potentials, alpha, beta),
         iterations=iterations,
         converged=converged,
         marginal_residual=state.row_gap + state.col_gap,
+        cost=cost,
+        epsilon=cfg.epsilon,
+        support=(rows, cols),
+        offsets=state.offsets,
+        scalings=scalings,
     )
+
+
+def _check_plan(row_scaling: np.ndarray, col_scaling: np.ndarray, row_sums: np.ndarray) -> None:
+    """Raise unless the plan diag(row_scaling) K diag(col_scaling) is finite,
+    nonnegative and of mass one, judged on its factors in O(n + m): K is an
+    exponential, so nonnegative, and ``row_sums`` = K col_scaling is finite
+    only if every kernel entry a positive column scaling weighs is."""
+    for factor in (row_scaling, col_scaling, row_sums):
+        # NaN and +-inf reach the extremes, so they decide finiteness too.
+        low, high = float(factor.min()), float(factor.max())
+        if not (math.isfinite(low) and math.isfinite(high)) or low < 0:
+            raise InvalidParameterError("plan entries must be finite and nonnegative")
+    mass = float(row_scaling @ row_sums)
+    if abs(mass - 1.0) > _PLAN_MASS_TOLERANCE:
+        raise InvalidParameterError(f"plan mass must be 1 within {_PLAN_MASS_TOLERANCE}: {mass!r}")
 
 
 def dual_ascent_boxed(
@@ -869,8 +977,13 @@ def report_from_solves(
       e^{2(c_max - c_min)/eps}/eps * ||alpha|| ||beta|| ||dC||_F
       + e^{(4 c_max - 3.5 c_min)/eps} * sqrt(||alpha|| ||beta|| ||dK||_op)
     * ``kernel_frobenius``:  ||dK||_op <= e^{-c_min/eps}/eps * ||dC||_F
+
+    KL(P | P_hat) is taken from the two solves' factors: each row block of
+    both plans is rebuilt with the solver's operations, so every entry and
+    the KL keep the bits of :func:`kl_plans` on the dense plans, and no
+    n x m plan is formed; the KL's terms fill one n x m array, summed once.
     """
-    shapes = (cost_true.shape, cost_est.shape, true.plan.entries.shape, est.plan.entries.shape)
+    shapes = (cost_true.shape, cost_est.shape, true.cost.shape, est.cost.shape)
     if len(set(shapes)) > 1:
         raise InvalidParameterError(f"cost and plan shapes differ: {shapes}")
     _check_dims(*cost_true.shape, alpha, beta)
@@ -879,7 +992,7 @@ def report_from_solves(
     c_max = max(cost_true.c_max, cost_est.c_max)
 
     value_gap = abs(true.value - est.value)
-    divergence = kl_plans(true.plan, est.plan)
+    divergence = _kl_by_rows(cost_true.shape, true._plan_rows, est._plan_rows)
 
     diff = cost_true.entries - cost_est.entries
     sup_gap = max(abs(float(diff.max())), abs(float(diff.min())))
@@ -889,7 +1002,7 @@ def report_from_solves(
     # dC is read by now: its buffer takes exp(-C/eps), less exp(-C_hat/eps)
     # a row block at a time.
     kernel_diff = np.exp(np.divide(cost_true.entries, -eps, out=diff), out=diff)
-    for rows in _row_blocks(kernel_diff):
+    for rows in _row_blocks(kernel_diff.shape):
         kernel_est = np.divide(cost_est.entries[rows], -eps)
         kernel_diff[rows] -= np.exp(kernel_est, out=kernel_est)
     kernel_gap = diagnostics._operator_norm_in_place(kernel_diff)

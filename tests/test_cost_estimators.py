@@ -457,6 +457,29 @@ def test_usvt_reports_arpack_non_convergence(monkeypatch):
             usvt(np.ones((6, 6)), UsvtParams(gamma=0.1, rho=1.0))
 
 
+def test_usvt_retries_a_failed_arpack_call_once_with_more_lanczos_vectors(monkeypatch):
+    # A plain ArpackError is retried at the same k with ncv = min(N, 2 (2k + 1));
+    # non-convergence is not retried.
+    calls, real_eigsh = [], cost_estimators.eigsh
+
+    def failing_first_eigsh(matrix, k, **kwargs):
+        calls.append((k, kwargs.get("ncv")))
+        if len(calls) == 1:
+            raise failure
+        return real_eigsh(matrix, k, **kwargs)
+
+    monkeypatch.setattr(cost_estimators, "eigsh", failing_first_eigsh)
+    adjacency = np.ones((30, 30)) - np.eye(30)
+    failure = ArpackError(3)
+    assert usvt(adjacency, UsvtParams(gamma=1.0, rho=1.0)).rank == 1
+    assert calls == [(6, None), (6, 26)]
+    calls.clear()
+    failure = ArpackNoConvergence("no convergence", np.empty(0), np.empty((30, 0)))
+    with pytest.raises(NumericFailureError):
+        usvt(adjacency, UsvtParams(gamma=1.0, rho=1.0))
+    assert calls == [(6, None)]
+
+
 def test_usvt_of_a_graph_with_no_edge_has_rank_zero():
     # ARPACK cannot start from the zero vector that A v is for every v.
     params = UsvtParams(gamma=1.0, rho=0.05, clamp_range=(0.0, 1.0))

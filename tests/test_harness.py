@@ -836,6 +836,18 @@ def test_a_sparse_adjacency_cell_holds_three_n_by_m_arrays_at_its_peak():
     assert report["maxrss_kb"] - report["imported_kb"] <= 110 * 1024
 
 
+def test_a_sparse_usvt_cell_keeps_no_plan_beyond_its_solve():
+    # CI's usvt_log_sparse cell: n + m = N = 4000, one 1333 x 2667 float64
+    # array is 27.1 MiB.  Each solve returns its plan as n + m factors, so no
+    # plan is held through the estimated solve and the bounds stage.  Its
+    # peak rose 102 MiB above import when this bound was set, and 157 MiB
+    # when each solve kept its n x m plan.
+    data = json.loads((REPO_ROOT / "configs" / "ci" / "usvt_log_sparse.json").read_text(encoding="utf-8"))
+    report = _run_json_script(_PEAK_RSS_SCRIPT, json.dumps(data))
+    assert report["metrics"]["solver_converged_true"] == report["metrics"]["solver_converged_est"] == 1.0
+    assert report["maxrss_kb"] - report["imported_kb"] <= 120 * 1024
+
+
 _MINOR_FAULTS_SCRIPT = """
 import json, resource, sys
 from latent_ot.harness.config import config_from_dict
@@ -949,6 +961,23 @@ def test_a_fixed_group_usvt_cell_at_eight_thousand_nodes_stays_small():
     assert report["metrics"]["solver_converged_est"] == 1.0
     assert report["seconds"] < 5.0
     assert report["maxrss_kb"] - report["imported_kb"] <= 80 * 1024
+
+
+def test_a_gamma_sweep_whose_first_arpack_call_fails_retries_it():
+    # N = 40: the probe sizes the first call at k = 12, and ARPACK fails on
+    # it at the default ncv = 25 with error 3 (no shifts could be applied)
+    # on the graph's repeated eigenvalues 1, 0 and -1.  The retry at ncv = 40
+    # succeeds, and the kept rank at gamma = 0.2 is the dense count.
+    data = sweep_config_dict()
+    data.update(grid=[40], seeds=[2], gammas=[0.2, 1.0])
+    data["kernel"]["rho"] = 0.3
+    config = config_from_dict(data)
+    rows = run_experiment(config).results.rows
+    assert len(rows) == 56
+    ranks = {r.estimator: r.value for r in rows if r.metric == "usvt_rank"}
+    _, graph = sample_cell(config, 40, 2)
+    values = np.linalg.eigvalsh(graph.adjacency.toarray())
+    assert ranks["usvt@gamma=0.2"] == np.count_nonzero(values >= 0.2 * math.sqrt(0.3 * 40)) == 14
 
 
 def test_gamma_sweep_labels_each_threshold():

@@ -17,6 +17,7 @@ import pytest
 from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
+from latent_ot import ot_core
 from latent_ot.errors import InvalidParameterError
 from latent_ot.ot_core import (
     BOUND_SLACK_TOLERANCE,
@@ -308,12 +309,102 @@ def test_sinkhorn_holds_one_n_by_m_array_beyond_its_cost():
     tracemalloc.start()
     try:
         res = sinkhorn(cost, uniform(n), uniform(m), SolverConfig(epsilon=0.01))
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert res.converged
-    # The kernel, which becomes the plan, and row-block temporaries.
+    # The kernel and row-block temporaries.
     assert peak <= 1.25 * n * m * 8, f"traced peak {peak / (n * m * 8):.2f} n x m arrays"
+    # The result holds its plan as n + m factors, and the kernel is freed.
+    assert held <= 0.05 * n * m * 8, f"the result holds {held / (n * m * 8):.2f} n x m arrays"
+
+
+def _mid_solve_absorb_cost(n, m):
+    """A cost whose column of cost 1 underflows its kernel column at eps =
+    0.01, so the solve rebuilds its kernel mid-solve."""
+    entries = 0.1 * CounterStream(RngSeed(89)).uniforms(n * m).reshape(n, m)
+    entries[:, -1] = 1.0
+    return CostMatrix(entries, 0.0, 1.0)
+
+
+def _zero_mass(size, seed, zeros):
+    weights = CounterStream(RngSeed(seed)).uniforms(size) + 0.1
+    weights[list(zeros)] = 0.0
+    return DiscreteDistribution(weights / weights.sum())
+
+
+def _shifted(cost):
+    """``cost`` with each entry moved by at most 0.025, clipped to [0, 1]."""
+    shift = CounterStream(RngSeed(97)).uniforms(cost.entries.size).reshape(cost.shape)
+    entries = np.clip(cost.entries + 0.05 * (shift - 0.5), 0.0, 1.0)
+    return CostMatrix(entries, float(entries.min()), float(entries.max()))
+
+
+def _plan_case(cost, alpha, beta, eps):
+    return cost, _shifted(cost), alpha, beta, eps
+
+
+# (true cost, estimated cost, alpha, beta, eps) of the plans whose rows are
+# rebuilt: a kernel from the start only, one rebuilt mid-solve, zero-mass
+# atoms, and eps = 0.0002, where plan entries underflow to 0 and the two
+# plans' supports differ.
+PLAN_CASES = {
+    "start_kernel": lambda: _plan_case(sphere_gaussian_cost(60, 90, 3), uniform(60), uniform(90), 0.15),
+    "rebuilt_kernel": lambda: _plan_case(_mid_solve_absorb_cost(40, 60), uniform(40), uniform(60), 0.01),
+    "zero_mass": lambda: _plan_case(
+        _mid_solve_absorb_cost(40, 60), _zero_mass(40, 3, (0, 7, 8)), _zero_mass(60, 4, (59,)), 0.01
+    ),
+    "tiny_eps": lambda: (*perturbation_pair(5, 4), 2e-4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_plan_rebuilt_from_factors_has_the_bits_of_the_solver_kernel(monkeypatch, case):
+    # The eager plan: diag(a*u) K diag(b*v) formed in the buffer of the
+    # solver's last kernel K, scattered to the full index set.
+    states, run = [], ot_core._ScalingAscent.run
+
+    def keeping_run(state, *args):
+        states.append(state)
+        return run(state, *args)
+
+    monkeypatch.setattr(ot_core._ScalingAscent, "run", keeping_run)
+    cost, _, alpha, beta, eps = PLAN_CASES[case]()
+    res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps))
+    (state,) = states
+    eager = state.kernel
+    eager *= (state.a * state.u)[:, None]
+    eager *= (state.b * state.v)[None, :]
+    rows, cols = np.flatnonzero(alpha.weights), np.flatnonzero(beta.weights)
+    expected = np.zeros(cost.shape)
+    expected[np.ix_(rows, cols)] = eager
+    assert np.array_equal(res.plan.entries, expected)
+    # Zero entries, from zero-mass atoms or from underflow, in those cases alone.
+    assert (case in ("zero_mass", "tiny_eps")) == (not res.plan.entries.all())
+
+
+def test_the_plan_check_runs_on_the_factors(monkeypatch):
+    # A scaling that drifted off leaves a plan of mass other than one.
+    run = ot_core._ScalingAscent.run
+
+    def drifting_run(state, *args):
+        done = run(state, *args)
+        state.u = 2.0 * state.u
+        return done
+
+    monkeypatch.setattr(ot_core._ScalingAscent, "run", drifting_run)
+    cost = _mid_solve_absorb_cost(4, 6)
+    with pytest.raises(InvalidParameterError, match="plan mass"):
+        sinkhorn(cost, uniform(4), uniform(6), SolverConfig(epsilon=0.5))
+
+    def nan_run(state, *args):
+        done = run(state, *args)
+        state.row_sums = np.full_like(state.row_sums, np.nan)
+        return done
+
+    monkeypatch.setattr(ot_core._ScalingAscent, "run", nan_run)
+    with pytest.raises(InvalidParameterError, match="finite and nonnegative"):
+        sinkhorn(cost, uniform(4), uniform(6), SolverConfig(epsilon=0.5))
 
 
 def test_budget_exhaustion_reports_unconverged():
@@ -364,17 +455,17 @@ def test_matches_plain_log_domain_sinkhorn_with_zero_mass_atoms():
     assert np.allclose(res.plan.entries, plan, rtol=0.0, atol=1e-8)
 
 
-def perturbation_pair_true_cost(seed, side, low=0.1, high=1.0):
-    """The true cost and marginals the stability suite draws for one cell."""
+def perturbation_pair(seed, side, low=0.1, high=1.0):
+    """The true and estimated costs and the marginals the stability suite
+    draws for one cell."""
     rng = CounterStream(RngSeed(seed).derive("stability", side))
-    entries = low + (high - low) * rng.uniforms(side * side).reshape(side, side)
-    rng.uniforms(side * side)  # the estimated cost
+    costs = [low + (high - low) * rng.uniforms(side * side).reshape(side, side) for _ in range(2)]
     marginals = []
     for _ in range(2):
         exponentials = -np.log(1.0 - rng.uniforms(side))
         weights = exponentials / exponentials.sum()
         marginals.append(DiscreteDistribution(weights / weights.sum()))
-    return CostMatrix(entries, low, high), *marginals
+    return *(CostMatrix(entries, low, high) for entries in costs), *marginals
 
 
 def sphere_gaussian_cost(n, m, seed, sigma=0.15):
@@ -386,7 +477,7 @@ def sphere_gaussian_cost(n, m, seed, sigma=0.15):
 def test_small_epsilon_stability_cost_matches_plain_log_domain_sinkhorn():
     # Seed 5 of the 4 x 4 stability suite at eps = 2e-4, the smallest eps
     # CI runs: most of its sweeps are relaxed, at the largest omega.
-    cost, alpha, beta = perturbation_pair_true_cost(5, 4)
+    cost, _, alpha, beta = perturbation_pair(5, 4)
     eps = 2e-4
     res = sinkhorn(cost, alpha, beta, SolverConfig(epsilon=eps))
     value, plan, _ = log_domain_sinkhorn(cost.entries, alpha.weights, beta.weights, eps, tolerance=1e-10)
@@ -808,6 +899,18 @@ def test_report_reads_the_solves_it_is_given():
     assert rep.plan_divergence == kl_plans(true.plan, est.plan)
     converged = sinkhorn(cost_est, alpha, beta, SolverConfig(epsilon=0.5))
     assert rep.plan_divergence != kl_plans(true.plan, converged.plan)
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_report_kl_is_kl_plans_of_the_materialised_plans(case):
+    # The report rebuilds both plans from their factors a row block at a
+    # time; its KL must have the bits of kl_plans on the dense plans,
+    # including the zero-support and the inf cases.
+    cost_true, cost_est, alpha, beta, eps = PLAN_CASES[case]()
+    true, est, rep = solve_and_report(cost_true, cost_est, alpha, beta, SolverConfig(epsilon=eps))
+    expected = kl_plans(true.plan, est.plan)
+    assert rep.plan_divergence == expected
+    assert (expected == math.inf) == (case == "tiny_eps")
 
 
 def test_an_infinite_ceiling_holds_with_infinite_slack():
