@@ -176,17 +176,14 @@ def _report_rows(cell: _Cell, label: str, true: OtResult, est: OtResult, report:
     return rows
 
 
-def _cost_block_rows(
-    cell: _Cell, label: str, true: OtResult, cost_true: CostMatrix, cost_est: CostMatrix
-) -> list[ResultRow]:
-    """Solve on the estimated cost block and report it against the finished
-    solve on the true block, both under uniform marginals.  The report's
-    ||C - C_hat||_op is the block's ``cost_operator_err``."""
-    alpha, beta = _uniform_marginals(cell)
+def _cost_block_rows(cell: _Cell, label: str, true: OtResult, cost_est: CostMatrix) -> list[ResultRow]:
+    """Solve on the estimated cost block under the marginals of the finished
+    solve on the true block, and report the one against the other.  The
+    report's ||C - C_hat||_op is the block's ``cost_operator_err``."""
     with cell.stage("solve_est"):
-        est = sinkhorn(cost_est, alpha, beta, cell.config.solver)
+        est = sinkhorn(cost_est, true.alpha, true.beta, cell.config.solver)
     with cell.stage("bounds"):
-        report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, cell.config.solver)
+        report = report_from_solves(true, est)
         rows = _report_rows(cell, label, true, est, report)
         rows.append(cell.row(label, "cost_operator_err", report.cost_operator_gap))
         rows.append(cell.row(label, "ot_error_normalized", _normalized_gap(true.value, est.value)))
@@ -259,7 +256,7 @@ def _shortest_path_rows(cell: _Cell, label: str) -> list[ResultRow]:
             cell.row(label, "graph_edges", float(graph.edge_count)),
             cell.row(label, "sp_sup_err", float(np.abs(d_est - d_true).max())),
         ]
-    return rows + _cost_block_rows(cell, label, true, cost_true, cost_est)
+    return rows + _cost_block_rows(cell, label, true, cost_est)
 
 
 def _kernel_frobenius_normalized(
@@ -318,7 +315,7 @@ def _usvt_rows(cell: _Cell, gammas: dict[str, float]) -> list[ResultRow]:
     for label, estimate in estimates.items():
         with cell.stage("estimate"):
             cost_est = cost_from_distances(estimate.block(xs, ys), config.cost_map)
-        rows.extend(_cost_block_rows(cell, label, true, cost_true, cost_est))
+        rows.extend(_cost_block_rows(cell, label, true, cost_est))
     return rows
 
 
@@ -387,7 +384,7 @@ def _perturbation_pair_rows(cell: _Cell, label: str) -> list[ResultRow]:
     with cell.stage("solve_est"):
         est = sinkhorn(cost_est, alpha, beta, config.solver)
     with cell.stage("bounds"):
-        report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, config.solver)
+        report = report_from_solves(true, est)
         return _report_rows(cell, label, true, est, report)
 
 

@@ -201,9 +201,7 @@ def _check_stability_bound(rng: CounterStream, scale: float, name: str) -> float
     cost_est = _random_cost(rng, n, m)
     alpha, beta = _random_weights(rng, n), _random_weights(rng, m)
     eps = _pick(rng, _EPS_CHOICES)
-    cfg = SolverConfig(epsilon=eps)
-    true, est = sinkhorn(cost_true, alpha, beta, cfg), sinkhorn(cost_est, alpha, beta, cfg)
-    check = report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg).check(name)
+    check = report_from_solves(_solve(cost_true, alpha, beta, eps), _solve(cost_est, alpha, beta, eps)).check(name)
     return check.rhs * scale + 1e-9 - check.lhs
 
 

@@ -24,9 +24,9 @@ how far the value and plan moved against the ceilings the perturbation
 bounds give.  The module
 keeps no clock: a caller times the solves and the report where it runs them.
 Cost matrices carry explicit entry bounds ``c_min <= C_ij <= c_max`` because
-the perturbation bounds depend on them.  The solvers and the report read epsilon
-from their :class:`SolverConfig` alone; only the standalone objectives
-:func:`primal_value` and :func:`dual_value` take it as an argument.
+the perturbation bounds depend on them.  The solvers read epsilon from their
+:class:`SolverConfig`, the report from its two solves; only the standalone
+objectives :func:`primal_value` and :func:`dual_value` take it as an argument.
 """
 
 from __future__ import annotations
@@ -296,11 +296,11 @@ class OtResult:
     is kept as its n + m factors, not as an n x m array: ``offsets`` holds
     fbar/eps and gbar/eps of the solver's last kernel rebuild and
     ``scalings`` holds a*u and b*v, each over the atoms of positive mass,
-    whose indices ``support`` holds; ``cost`` is the cost solved, referenced,
-    not copied.  :attr:`plan` builds the dense plan on each access, and the
-    stability report rebuilds its rows a block at a time.  Both form each
-    entry with the operations, in the order, that formed it in the solver's
-    kernel buffer, so it keeps those bits.
+    whose indices ``support`` holds; ``cost``, ``alpha`` and ``beta``, the
+    problem solved, are referenced, not copied.  :attr:`plan` builds the dense
+    plan on each access, and the stability report rebuilds its rows a block
+    at a time.  Both form each entry with the operations, in the order, that
+    formed it in the solver's kernel buffer, so it keeps those bits.
     """
 
     value: float
@@ -309,6 +309,8 @@ class OtResult:
     converged: bool
     marginal_residual: float
     cost: CostMatrix
+    alpha: DiscreteDistribution
+    beta: DiscreteDistribution
     epsilon: float
     support: tuple[np.ndarray, np.ndarray]
     offsets: tuple[np.ndarray, np.ndarray]
@@ -782,9 +784,9 @@ def sinkhorn(
 
     The solve reads ``cost.entries`` in place and holds one n x m array
     beyond it, the stabilised kernel, which it frees when it returns.  The
-    returned :class:`OtResult` holds the plan as its n + m factors and a
-    reference to ``cost``; the plan must be finite, nonnegative and of mass
-    one, which is checked on those factors.
+    returned :class:`OtResult` holds the plan as its n + m factors and
+    references to ``cost``, ``alpha`` and ``beta``; the plan must be finite,
+    nonnegative and of mass one, which is checked on those factors.
     """
     n, m = cost.shape
     _check_dims(n, m, alpha, beta)
@@ -820,6 +822,8 @@ def sinkhorn(
         converged=converged,
         marginal_residual=state.row_gap + state.col_gap,
         cost=cost,
+        alpha=alpha,
+        beta=beta,
         epsilon=cfg.epsilon,
         support=(rows, cols),
         offsets=state.offsets,
@@ -953,19 +957,13 @@ def _ceiling(prefactor: float, gap: float) -> float:
     return math.inf if prefactor == math.inf else float(prefactor * gap)
 
 
-def report_from_solves(
-    true: OtResult,
-    est: OtResult,
-    cost_true: CostMatrix,
-    cost_est: CostMatrix,
-    alpha: DiscreteDistribution,
-    beta: DiscreteDistribution,
-    cfg: SolverConfig,
-) -> StabilityReport:
-    """Compare the finished solves on ``cost_true`` and ``cost_est`` to their ceilings.
+def report_from_solves(true: OtResult, est: OtResult) -> StabilityReport:
+    """Compare a finished solve on a true cost C to one on its estimate C_hat.
 
-    Runs no solve.  The shared cost bounds are the union of the two matrices'
-    bounds.  The four recorded inequalities, with eps = ``cfg.epsilon``,
+    Runs no solve: C, C_hat, eps and the marginals come from the solves, which
+    must agree on cost shape, eps and marginal weights (an O(n + m) check) or
+    it raises :class:`InvalidParameterError`.  The shared cost bounds are the
+    union of the two matrices' bounds.  The four recorded inequalities, with
     dC = C - C_hat and dK = exp(-C/eps) - exp(-C_hat/eps), formed in turn in
     one n x m buffer that both operator norms scale in place (exp(-C_hat/eps)
     is subtracted a row block at a time); ||dC||_op is reported too:
@@ -983,11 +981,14 @@ def report_from_solves(
     the KL keep the bits of :func:`kl_plans` on the dense plans, and no
     n x m plan is formed; the KL's terms fill one n x m array, summed once.
     """
-    shapes = (cost_true.shape, cost_est.shape, true.cost.shape, est.cost.shape)
-    if len(set(shapes)) > 1:
-        raise InvalidParameterError(f"cost and plan shapes differ: {shapes}")
-    _check_dims(*cost_true.shape, alpha, beta)
-    eps = cfg.epsilon
+    cost_true, cost_est = true.cost, est.cost
+    alpha, beta, eps = true.alpha, true.beta, true.epsilon
+    if cost_true.shape != cost_est.shape:
+        raise InvalidParameterError(f"cost shapes differ: {cost_true.shape} and {cost_est.shape}")
+    if est.epsilon != eps:
+        raise InvalidParameterError(f"the solves ran at different epsilons: {eps} and {est.epsilon}")
+    if not (np.array_equal(alpha.weights, est.alpha.weights) and np.array_equal(beta.weights, est.beta.weights)):
+        raise InvalidParameterError("the solves ran under different marginals")
     c_min = min(cost_true.c_min, cost_est.c_min)
     c_max = max(cost_true.c_max, cost_est.c_max)
 

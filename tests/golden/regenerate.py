@@ -2,8 +2,8 @@
 
 Run from anywhere:
 
-    python tests/golden/regenerate.py              # every table and the digests
-    python tests/golden/regenerate.py NAME...      # only the named tables
+    python tests/golden/regenerate.py              # every table and digest
+    python tests/golden/regenerate.py NAME...      # the named tables and digests
 
 Each config under ``configs/`` and ``configs/ci/`` runs in-process at one
 worker, from the source tree of this checkout, and its result rows are
@@ -20,11 +20,12 @@ Each table's line in ``tests/golden/openblas_cores.txt`` records the
 OpenBLAS kernel set (``openblas_get_corename``) it was written under, so
 that the test knows when a fresh run follows another rounding path.
 
-Without names it also writes ``tests/golden/graph_digests.txt``: the sha256
-of the edge list (:func:`~latent_ot.latent_models.graph_to_edgelist`) of one
-observed graph per config that builds one, at its largest grid N and first
-seed.  The result tables see a Bernoulli graph only through values
-compared to 1e-9 relative; the digests pin its edges byte for byte.
+It also writes the named configs' lines of ``tests/golden/graph_digests.txt``
+and leaves every other line as it was: the sha256 of the edge list
+(:func:`~latent_ot.latent_models.graph_to_edgelist`) of one observed graph
+per config that builds one, at its largest grid N and first seed.  The
+result tables see a Bernoulli graph only through values compared to 1e-9
+relative; the digests pin its edges byte for byte.
 """
 
 from __future__ import annotations
@@ -82,10 +83,21 @@ def openblas_core() -> str:
     return "/".join(sorted({call().decode() for call in calls}))
 
 
+def recorded(path: Path) -> dict[str, str]:
+    """What each config's line of ``path`` holds after the config's name."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return dict(line.split(" ", 1) for line in lines)
+
+
+def write_recorded(path: Path, entries: dict[str, str]) -> None:
+    """One ``name entry`` line per config of ``entries``, in config order."""
+    lines = [f"{name} {entries[name]}\n" for name in config_names() if name in entries]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def recorded_cores() -> dict[str, str]:
     """The OpenBLAS kernel set each golden table was written under."""
-    lines = OPENBLAS_CORES.read_text(encoding="utf-8").splitlines()
-    return dict(line.split(" ", 1) for line in lines)
+    return recorded(OPENBLAS_CORES)
 
 
 def graph_cells() -> list[tuple[str, ExperimentConfig, int, int]]:
@@ -101,24 +113,24 @@ def graph_digest(config: ExperimentConfig, total: int, seed: int) -> str:
 
 
 def main(names: list[str]) -> int:
-    """Write the named tables, or every table and the digests if none is named."""
+    """Write the named tables and digests, or every one if none is named."""
     unknown = sorted(set(names) - set(config_names()))
     if unknown:
         print(f"unknown config {', '.join(unknown)}; known: {', '.join(config_names())}", file=sys.stderr)
         return 2
+    names = names or config_names()
     cores = recorded_cores()
-    for name in names or config_names():
+    for name in names:
         path = GOLDEN / f"{name}.csv"
         emit_csv(golden_results(name), path)
         cores[name] = openblas_core()
         print(f"wrote {path.relative_to(ROOT)}")
-    lines = [f"{name} {cores[name]}\n" for name in config_names() if name in cores]
-    OPENBLAS_CORES.write_text("".join(lines), encoding="utf-8")
-    if names:
-        return 0
-    cells = graph_cells()
-    lines = [f"{name} {total} {seed} {graph_digest(config, total, seed)}\n" for name, config, total, seed in cells]
-    GRAPH_DIGESTS.write_text("".join(lines), encoding="utf-8")
+    write_recorded(OPENBLAS_CORES, cores)
+    digests = {name: line for name, line in recorded(GRAPH_DIGESTS).items() if name not in names}
+    for name, config, total, seed in graph_cells():
+        if name in names:
+            digests[name] = f"{total} {seed} {graph_digest(config, total, seed)}"
+    write_recorded(GRAPH_DIGESTS, digests)
     print(f"wrote {GRAPH_DIGESTS.relative_to(ROOT)}")
     return 0
 

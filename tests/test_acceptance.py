@@ -84,7 +84,7 @@ def test_criterion_1_stability_bounds():
         eps = EPS_CHOICES[trial % 3]
         cfg = SolverConfig(epsilon=eps)
         true, est = sinkhorn(cost_true, alpha, beta, cfg), sinkhorn(cost_est, alpha, beta, cfg)
-        report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)
+        report = report_from_solves(true, est)
         worst = min(worst, min(check.slack for check in report.checks))
     elapsed = time.perf_counter() - start
     _verdict(

@@ -159,7 +159,7 @@ cost_est = CostMatrix(entries=half, c_min=0.0, c_max=1.0)
 alpha, beta = DiscreteDistribution.uniform(rows), DiscreteDistribution.uniform(cols)
 cfg = SolverConfig(epsilon=1.0)
 true, est = sinkhorn(cost_true, alpha, beta, cfg), sinkhorn(cost_est, alpha, beta, cfg)
-report = report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)
+report = report_from_solves(true, est)
 print(report.cost_frobenius_gap.hex())
 """
 

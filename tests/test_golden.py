@@ -101,3 +101,26 @@ def test_regenerate_rejects_an_unknown_name_before_writing(capsys):
     assert "no_such_config" in capsys.readouterr().err
     assert known.stat().st_mtime_ns == written
     assert not (regenerate.GOLDEN / "no_such_config.csv").exists()
+
+
+def test_regenerate_rewrites_the_digest_lines_of_the_named_configs_alone(tmp_path, monkeypatch):
+    # Two stale digests: the named config's line is rewritten, the other
+    # stale line and every line of a config not named keep their bytes.
+    lines = regenerate.GRAPH_DIGESTS.read_text(encoding="utf-8").splitlines(keepends=True)
+    index = {line.split(" ", 1)[0]: at for at, line in enumerate(lines)}
+    stale = list(lines)
+    for name in ("quick_local", "fast_sparse"):
+        line = lines[index[name]]
+        stale[index[name]] = line[: line.rindex(" ") + 1] + "0" * 64 + "\n"
+    golden = tmp_path / "tests" / "golden"
+    golden.mkdir(parents=True)
+    (golden / "graph_digests.txt").write_text("".join(stale), encoding="utf-8")
+    (golden / "openblas_cores.txt").write_bytes(regenerate.OPENBLAS_CORES.read_bytes())
+    monkeypatch.setattr(regenerate, "ROOT", tmp_path)
+    monkeypatch.setattr(regenerate, "GOLDEN", golden)
+    monkeypatch.setattr(regenerate, "GRAPH_DIGESTS", golden / "graph_digests.txt")
+    monkeypatch.setattr(regenerate, "OPENBLAS_CORES", golden / "openblas_cores.txt")
+    assert regenerate.main(["quick_local"]) == 0
+    expected = list(lines)
+    expected[index["fast_sparse"]] = stale[index["fast_sparse"]]
+    assert (golden / "graph_digests.txt").read_text(encoding="utf-8") == "".join(expected)

@@ -827,7 +827,7 @@ def test_primal_value_infinite_off_product_support():
 def solve_and_report(cost_true, cost_est, alpha, beta, cfg):
     """Both solves under ``cfg`` and the report on them, as every cell runs them."""
     true, est = sinkhorn(cost_true, alpha, beta, cfg), sinkhorn(cost_est, alpha, beta, cfg)
-    return true, est, report_from_solves(true, est, cost_true, cost_est, alpha, beta, cfg)
+    return true, est, report_from_solves(true, est)
 
 
 def test_identical_costs_give_zero_gaps():
@@ -872,20 +872,25 @@ def test_all_bounds_hold_on_random_instances():
         }
 
 
-def test_report_shape_and_epsilon_validation():
-    cost = CostMatrix(np.array([[0.5]]), 0.5, 0.5)
-    other = CostMatrix(np.array([[0.5, 0.5]]), 0.5, 0.5)
+def test_report_rejects_solves_of_different_problems():
+    # The bounds hold at one eps under one pair of marginals, so the report
+    # reads them from the solves and refuses two solves that disagree.
+    rng = CounterStream(RngSeed(67))
+    cost, other = random_cost(rng, 3, 4), random_cost(rng, 3, 4)
+    alpha, beta = uniform(3), uniform(4)
     cfg = SolverConfig(epsilon=0.5)
-    single = sinkhorn(cost, uniform(1), uniform(1), cfg)
-    # Costs of two shapes.
-    with pytest.raises(InvalidParameterError):
-        report_from_solves(single, single, cost, other, uniform(1), uniform(1), cfg)
-    with pytest.raises(InvalidParameterError):
-        report_from_solves(single, single, cost, cost, uniform(1), uniform(1), SolverConfig(epsilon=0.0))
-    # Costs of one shape, plans of another.
-    wide = sinkhorn(other, uniform(1), uniform(2), cfg)
-    with pytest.raises(InvalidParameterError):
-        report_from_solves(wide, wide, cost, cost, uniform(1), uniform(1), cfg)
+    true = sinkhorn(cost, alpha, beta, cfg)
+    assert report_from_solves(true, sinkhorn(other, alpha, beta, cfg)).all_passed
+    wide = sinkhorn(random_cost(rng, 3, 5), alpha, uniform(5), cfg)
+    with pytest.raises(InvalidParameterError, match="cost shapes differ"):
+        report_from_solves(true, wide)
+    coarse = sinkhorn(other, alpha, beta, SolverConfig(epsilon=0.05))
+    with pytest.raises(InvalidParameterError, match="epsilons"):
+        report_from_solves(true, coarse)
+    weighted = DiscreteDistribution(np.array([0.1, 0.2, 0.3, 0.4]))
+    for a, b in ((alpha, weighted), (DiscreteDistribution(np.array([0.5, 0.25, 0.25])), beta)):
+        with pytest.raises(InvalidParameterError, match="marginals"):
+            report_from_solves(true, sinkhorn(other, a, b, cfg))
 
 
 def test_report_reads_the_solves_it_is_given():
