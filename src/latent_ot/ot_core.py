@@ -391,15 +391,13 @@ class StabilityReport:
     The four checks cover, in order: the sup-norm ceiling on the value gap,
     the spectral ceiling on the value gap, the ceiling on the KL divergence
     between the two optimal plans, and the Frobenius domination of the
-    kernel operator gap.  ``cost_operator_gap``, ||C - C_hat||_op, is read
-    by no check; it comes from the one cost difference the report forms.
+    kernel operator gap.  Its one operator norm is the kernel gap's, ||dK||_op.
     """
 
     plan_divergence: float
     cost_sup_gap: float
     cost_frobenius_gap: float
     kernel_operator_gap: float
-    cost_operator_gap: float
     checks: tuple[BoundCheck, ...] = field(default_factory=tuple)
 
     @property
@@ -965,8 +963,8 @@ def report_from_solves(true: OtResult, est: OtResult) -> StabilityReport:
     it raises :class:`InvalidParameterError`.  The shared cost bounds are the
     union of the two matrices' bounds.  The four recorded inequalities, with
     dC = C - C_hat and dK = exp(-C/eps) - exp(-C_hat/eps), formed in turn in
-    one n x m buffer that both operator norms scale in place (exp(-C_hat/eps)
-    is subtracted a row block at a time); ||dC||_op is reported too:
+    one n x m buffer (exp(-C_hat/eps) is subtracted a row block at a time)
+    that the report's one operator norm, ||dK||_op, scales in place:
 
     * ``sup_norm``:  |value gap| <= sup|dC|
     * ``kernel_spectral``:  |value gap| <=
@@ -998,8 +996,6 @@ def report_from_solves(true: OtResult, est: OtResult) -> StabilityReport:
     diff = cost_true.entries - cost_est.entries
     sup_gap = max(abs(float(diff.max())), abs(float(diff.min())))
     frobenius_gap = diagnostics.frobenius_norm(diff)
-    # The report owns dC, so its norm scales it in place.
-    cost_operator_gap = diagnostics._operator_norm_in_place(diff)
     # dC is read by now: its buffer takes exp(-C/eps), less exp(-C_hat/eps)
     # a row block at a time.
     kernel_diff = np.exp(np.divide(cost_true.entries, -eps, out=diff), out=diff)
@@ -1028,6 +1024,5 @@ def report_from_solves(true: OtResult, est: OtResult) -> StabilityReport:
         cost_sup_gap=sup_gap,
         cost_frobenius_gap=frobenius_gap,
         kernel_operator_gap=kernel_gap,
-        cost_operator_gap=cost_operator_gap,
         checks=checks,
     )

@@ -708,7 +708,7 @@ REPORT_METRICS = {
     *(f"bound_{name}_rhs" for name in BOUND_NAMES),
     *(f"slack_{name}" for name in BOUND_NAMES),
 } | SOLVER_METRICS
-COST_BLOCK_METRICS = REPORT_METRICS | {"cost_operator_err", "ot_error_normalized"}
+COST_BLOCK_METRICS = REPORT_METRICS | {"ot_error_normalized"}
 USVT_METRICS = COST_BLOCK_METRICS | {"kernel_frobenius_normalized", "rho_used", "usvt_rank"}
 STAGES = ("latents", "graph", "estimate", "solve_true", "solve_est", "bounds")
 
@@ -973,7 +973,7 @@ def test_a_gamma_sweep_whose_first_arpack_call_fails_retries_it():
     data["kernel"]["rho"] = 0.3
     config = config_from_dict(data)
     rows = run_experiment(config).results.rows
-    assert len(rows) == 56
+    assert len(rows) == 54
     ranks = {r.estimator: r.value for r in rows if r.metric == "usvt_rank"}
     _, graph = sample_cell(config, 40, 2)
     values = np.linalg.eigvalsh(graph.adjacency.toarray())
@@ -1423,7 +1423,7 @@ def test_cli_gen_writes_the_graph_a_nonlocal_run_cell_sees(tmp_path, capsys):
 
 def test_cli_results_do_not_depend_on_the_blas_thread_count(tmp_path):
     # The thread count is set only in each child's environment.  A usvt
-    # cell takes two operator norms, of its kernel and its cost blocks.
+    # cell takes one operator norm, of its report's kernel gap.
     fast = fast_config_dict()
     fast["grid"] = [200]
     fast["seeds"] = [0, 1]

@@ -17,7 +17,7 @@ import pytest
 from scipy.sparse import csr_array
 from scipy.special import logsumexp
 
-from latent_ot import ot_core
+from latent_ot import diagnostics, ot_core
 from latent_ot.errors import InvalidParameterError
 from latent_ot.ot_core import (
     BOUND_SLACK_TOLERANCE,
@@ -904,6 +904,26 @@ def test_report_reads_the_solves_it_is_given():
     assert rep.plan_divergence == kl_plans(true.plan, est.plan)
     converged = sinkhorn(cost_est, alpha, beta, SolverConfig(epsilon=0.5))
     assert rep.plan_divergence != kl_plans(true.plan, converged.plan)
+
+
+def test_the_report_takes_one_operator_norm_that_of_the_kernel_gap(monkeypatch):
+    # No check reads ||C - C_hat||_op, so the report takes no Gram of it:
+    # its one operator norm is ||dK||_op, with the bits of operator_norm.
+    calls, in_place = [], diagnostics._operator_norm_in_place
+
+    def counting(mat):
+        calls.append(mat.shape)
+        return in_place(mat)
+
+    monkeypatch.setattr(diagnostics, "_operator_norm_in_place", counting)
+    rng = CounterStream(RngSeed(71))
+    cost_true, cost_est = random_cost(rng, 6, 5), random_cost(rng, 6, 5)
+    eps = 0.5
+    _, _, rep = solve_and_report(cost_true, cost_est, uniform(6), uniform(5), SolverConfig(epsilon=eps))
+    assert calls == [(6, 5)]
+    kernel_diff = np.exp(-cost_true.entries / eps) - np.exp(-cost_est.entries / eps)
+    assert rep.kernel_operator_gap == diagnostics.operator_norm(kernel_diff)
+    assert not hasattr(rep, "cost_operator_gap")
 
 
 @pytest.mark.parametrize("case", sorted(PLAN_CASES))
