@@ -455,7 +455,7 @@ def _check_dims(n: int, m: int, alpha: DiscreteDistribution, beta: DiscreteDistr
 
 
 def kl_plans(plan: TransportPlan, reference: TransportPlan) -> float:
-    """KL(P | Q) over plan entries with 0 log 0 = 0; inf when Q_ij = 0 < P_ij."""
+    """KL(P | Q) of two plans, in the generalised form of :func:`_kl_by_rows`."""
     p = plan.entries
     q = reference.entries
     if p.shape != q.shape:
@@ -464,30 +464,31 @@ def kl_plans(plan: TransportPlan, reference: TransportPlan) -> float:
 
 
 def _kl_by_rows(shape: tuple[int, int], plan_rows, reference_rows) -> float:
-    """KL(P | Q) of two plans of ``shape`` given by their rows:
-    ``plan_rows(rows)`` and ``reference_rows(rows)`` return the row block
-    ``rows`` of P and of Q.  The terms P (log P - log Q) of the entries with
-    P > 0 are written a row block at a time into one array, in row-major
-    order, and that array is summed once, since block sums would round
-    differently."""
-    terms = np.empty(shape[0] * shape[1])
-    filled = 0
-    for rows in _row_blocks(shape):
-        p, q = plan_rows(rows), reference_rows(rows)
-        # Plan entries are nonnegative, so a positive minimum means no zero.
-        if not p.min() > 0:
-            support = p > 0
-            p, q = p[support], q[support]
-            if p.size == 0:
-                continue
-        if not q.min() > 0:
-            return math.inf
-        block = terms[filled : filled + p.size].reshape(p.shape)
-        np.log(p, out=block)
-        block -= np.log(q)
-        block *= p
-        filled += p.size
-    return float(np.sum(terms[:filled]))
+    """The generalised KL, sum P log(P/Q) - P + Q, of two nonnegative arrays
+    of ``shape`` whose row block ``rows`` is ``plan_rows(rows)`` (P) and
+    ``reference_rows(rows)`` (Q), summed a block at a time.  At unit masses
+    it is KL(P | Q), and to first order it does not move with either mass.
+    Each term is Q ((1 + r) log1p(r) - r) with 1 + r = P/Q, accurate where
+    P is near Q; where that is not finite it is P (log P - log Q) - P + Q, or
+    Q where P = 0, so the KL is +inf exactly when some Q = 0 < P."""
+    total = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rows in _row_blocks(shape):
+            p, q = plan_rows(rows), reference_rows(rows)
+            ratio = np.divide(p, q)
+            r = ratio - 1.0
+            terms = np.log1p(r)
+            terms *= ratio
+            terms -= r
+            terms *= q
+            block = float(np.sum(terms))
+            if not math.isfinite(block):
+                odd = ~np.isfinite(terms)
+                p, q = p[odd], q[odd]
+                terms[odd] = np.where(p > 0, p * (np.log(p) - np.log(q)) - p + q, q)
+                block = float(np.sum(terms))
+            total += block
+    return total
 
 
 def primal_value(
@@ -502,7 +503,7 @@ def primal_value(
         raise InvalidParameterError(f"epsilon must be positive: {epsilon}")
     p = plan.entries
     _check_dims(p.shape[0], p.shape[1], alpha, beta)
-    divergence = kl_plans(plan, TransportPlan(np.outer(alpha.weights, beta.weights)))
+    divergence = _kl_by_rows(p.shape, p.__getitem__, lambda rows: np.outer(alpha.weights[rows], beta.weights))
     return float(np.sum(p * cost.entries)) + epsilon * divergence
 
 
@@ -977,7 +978,7 @@ def report_from_solves(true: OtResult, est: OtResult) -> StabilityReport:
     KL(P | P_hat) is taken from the two solves' factors: each row block of
     both plans is rebuilt with the solver's operations, so every entry and
     the KL keep the bits of :func:`kl_plans` on the dense plans, and no
-    n x m plan is formed; the KL's terms fill one n x m array, summed once.
+    n x m plan is formed.
     """
     cost_true, cost_est = true.cost, est.cost
     alpha, beta, eps = true.alpha, true.beta, true.epsilon

@@ -3,9 +3,11 @@
 The tables in ``tests/golden/`` were written by ``tests/golden/regenerate.py``
 from the configs under ``configs/`` and ``configs/ci/``.  Row keys must
 match exactly, and so must the integer and flag rows; every other value
-must match to 1e-9 relative, so the check holds across the numpy and scipy
-versions ``pyproject.toml`` allows, where the last of the twelve printed
-digits may move.
+must match to 1e-9 relative, where the last of the twelve printed digits
+may move.  The check has been run on one numpy and scipy build (numpy 2.4,
+scipy 1.17) under the OpenBLAS kernel sets SkylakeX, Haswell, Sandybridge
+and Prescott; it is not known to hold under another numpy build, whose SIMD
+``exp`` and ``log`` may round differently.
 
 Dense Sinkhorn stops once its marginal residual reaches the tolerance, so
 its sweep count and final residual follow the rounding path of the

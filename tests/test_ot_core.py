@@ -4,13 +4,15 @@ Derived values are checked against oracles implemented in this file:
 a one-parameter brute-force minimization for the symmetric 2x2 family,
 plain log-domain Sinkhorn (values and sweep counts) and clipped log-domain
 ascent for the scaling solver, permutation enumeration for the assignment reference, a scan
-oracle for the minimal potential box, and direct inequality evaluation
-for the perturbation bounds.
+oracle for the minimal potential box, a 50-digit ``decimal`` evaluation of
+the plans' generalised KL, and direct inequality evaluation for the
+perturbation bounds.
 """
 
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -805,7 +807,7 @@ def test_kl_plans_examples():
     assert kl_plans(q, p) == math.inf
     with pytest.raises(InvalidParameterError):
         kl_plans(p, TransportPlan(np.array([[1.0]])))
-    # Zeros of P are skipped; a zero of Q under P's support gives inf.
+    # A zero of P adds Q; a zero of Q under P's support gives inf.
     r = TransportPlan(np.array([[0.5, 0.0], [0.25, 0.25]]))
     assert kl_plans(r, q) == pytest.approx(0.5 * math.log(0.5 / 0.25), abs=1e-12)
     assert kl_plans(r, TransportPlan(np.array([[0.5, 0.5], [0.0, 0.0]]))) == math.inf
@@ -817,6 +819,79 @@ def test_primal_value_infinite_off_product_support():
     cost = CostMatrix(np.array([[0.1], [0.2]]), 0.1, 0.2)
     alpha = DiscreteDistribution(np.array([1.0, 0.0]))
     assert primal_value(plan, cost, alpha, uniform(1), 1.0) == math.inf
+
+
+def test_primal_value_forms_no_product_plan():
+    # The KL against alpha x beta reads the product a row block at a time;
+    # the one n x m temporary left is the transport cost's P * C.
+    n, m = 600, 1200
+    cost = _mid_solve_absorb_cost(n, m)
+    plan = TransportPlan(np.full((n, m), 1.0 / (n * m)))
+    tracemalloc.start()
+    try:
+        value = primal_value(plan, cost, uniform(n), uniform(m), 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(float(np.mean(cost.entries)), abs=1e-12)
+    assert peak <= 1.25 * n * m * 8, f"traced peak {peak / (n * m * 8):.2f} n x m arrays"
+
+
+def generalised_kl_oracle(p, q):
+    """sum P log(P/Q) - P + Q over the exact values of the floats, at 50
+    digits; an entry with P = 0 adds Q."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = Decimal(0)
+        for a, b in zip(np.ravel(p).tolist(), np.ravel(q).tolist()):
+            a, b = Decimal(a), Decimal(b)
+            total += b if a == 0 else a * (a / b).ln() - a + b
+    return total
+
+
+def near_equal_plans(seed, spread, mass=1.0):
+    """A 12 x 15 plan Q and a plan P within about ``spread`` of it entry by
+    entry, P scaled to ``mass``."""
+    rng = CounterStream(RngSeed(seed))
+    q = rng.uniforms(180).reshape(12, 15) + 0.5
+    q /= q.sum()
+    p = q * (1.0 + spread * (rng.uniforms(180).reshape(12, 15) - 0.5))
+    p *= mass / p.sum()
+    return p, q
+
+
+def test_kl_plans_matches_a_decimal_oracle_on_near_equal_plans():
+    # The solves' plans are this close (KL near 1e-6 on the usvt_paths
+    # cells), and their masses differ from 1 by rounding.
+    with_zero, q = near_equal_plans(101, 1e-3)
+    with_zero[3, 4] = 0.0
+    with_zero /= with_zero.sum()
+    pairs = [
+        near_equal_plans(101, 1e-2),
+        near_equal_plans(103, 1e-3),
+        near_equal_plans(107, 1e-3, mass=1.0 + 1e-15),
+        (with_zero, q),
+    ]
+    for p, q in pairs:
+        exact = generalised_kl_oracle(p, q)
+        kl = kl_plans(TransportPlan(p), TransportPlan(q))
+        assert abs(Decimal(kl) - exact) <= Decimal(1e-13) * exact, (kl, exact)
+
+
+def test_kl_plans_does_not_follow_the_reference_mass():
+    # Sum P log(P/Q) alone moves by log(1 + c) when Q is scaled by 1 + c;
+    # the -P + Q terms cancel that to first order.
+    p, q = near_equal_plans(109, 1e-3)
+    kl = kl_plans(TransportPlan(p), TransportPlan(q))
+    assert 1e-8 < kl < 1e-6
+    assert abs(kl_plans(TransportPlan(p), TransportPlan(q * (1.0 + 1e-12))) - kl) < 1e-18
+
+
+def test_kl_plans_stays_finite_where_p_over_q_overflows():
+    p, q = np.array([[0.5, 0.5]]), np.array([[1e-310, 1.0]])
+    kl = kl_plans(TransportPlan(p), TransportPlan(q))
+    assert math.isfinite(kl)
+    assert abs(Decimal(kl) - generalised_kl_oracle(p, q)) <= Decimal(1e-14) * Decimal(kl)
 
 
 # ---------------------------------------------------------------------------
@@ -936,6 +1011,23 @@ def test_report_kl_is_kl_plans_of_the_materialised_plans(case):
     expected = kl_plans(true.plan, est.plan)
     assert rep.plan_divergence == expected
     assert (expected == math.inf) == (case == "tiny_eps")
+
+
+def test_report_kl_holds_no_n_by_m_array():
+    # The report's KL rebuilds both plans a row block at a time and sums
+    # each block's terms as it goes.
+    n, m = 600, 1200
+    cost = _mid_solve_absorb_cost(n, m)
+    cfg = SolverConfig(epsilon=0.1)
+    true, est = sinkhorn(cost, uniform(n), uniform(m), cfg), sinkhorn(_shifted(cost), uniform(n), uniform(m), cfg)
+    tracemalloc.start()
+    try:
+        divergence = ot_core._kl_by_rows(cost.shape, true._plan_rows, est._plan_rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert divergence == kl_plans(true.plan, est.plan)
+    assert peak < n * m * 8, f"traced peak {peak / (n * m * 8):.2f} n x m arrays"
 
 
 def test_an_infinite_ceiling_holds_with_infinite_slack():
