@@ -12,13 +12,9 @@ The two largest configs run at their first three seeds only.  A change
 that means to move rows regenerates these files; the diff of the golden
 files is then the list of moved rows.  ``tests/test_golden.py`` compares a
 fresh run of each config against its file.  Name the configs a change
-means to move: a table written under another OpenBLAS kernel moves the
+means to move: a table written on another CPU or numpy build moves the
 Sinkhorn iteration and residual rows of configs the change did not touch.
 An unknown name exits with status 2 and writes nothing.
-
-Each table's line in ``tests/golden/openblas_cores.txt`` records the
-OpenBLAS kernel set (``openblas_get_corename``) it was written under, so
-that the test knows when a fresh run follows another rounding path.
 
 It also writes the named configs' lines of ``tests/golden/graph_digests.txt``
 and leaves every other line as it was: the sha256 of the edge list
@@ -30,7 +26,6 @@ relative; the digests pin its edges byte for byte.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import hashlib
 import sys
@@ -44,13 +39,11 @@ GOLDEN = Path(__file__).resolve().parent
 SEED_LIMITS = {"fast_sphere": 3, "usvt_sphere": 3}
 
 GRAPH_DIGESTS = GOLDEN / "graph_digests.txt"
-OPENBLAS_CORES = GOLDEN / "openblas_cores.txt"
 
 if __name__ == "__main__":
     # As a script, write the tables from this checkout's source tree.
     sys.path.insert(0, str(ROOT / "src"))
 
-from latent_ot._blas import openblas_calls  # noqa: E402
 from latent_ot.harness.config import ExperimentConfig, load_config  # noqa: E402
 from latent_ot.harness.experiments import run_experiment, sample_cell  # noqa: E402
 from latent_ot.harness.results import ResultTable, emit_csv  # noqa: E402
@@ -77,12 +70,6 @@ def golden_results(name: str) -> ResultTable:
     return run_experiment(golden_config(name), workers=1).results
 
 
-def openblas_core() -> str:
-    """The kernel set of each OpenBLAS in this process, such as ``SkylakeX``."""
-    calls = openblas_calls("get_corename", [], ctypes.c_char_p)
-    return "/".join(sorted({call().decode() for call in calls}))
-
-
 def recorded(path: Path) -> dict[str, str]:
     """What each config's line of ``path`` holds after the config's name."""
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -93,11 +80,6 @@ def write_recorded(path: Path, entries: dict[str, str]) -> None:
     """One ``name entry`` line per config of ``entries``, in config order."""
     lines = [f"{name} {entries[name]}\n" for name in config_names() if name in entries]
     path.write_text("".join(lines), encoding="utf-8")
-
-
-def recorded_cores() -> dict[str, str]:
-    """The OpenBLAS kernel set each golden table was written under."""
-    return recorded(OPENBLAS_CORES)
 
 
 def graph_cells() -> list[tuple[str, ExperimentConfig, int, int]]:
@@ -119,13 +101,10 @@ def main(names: list[str]) -> int:
         print(f"unknown config {', '.join(unknown)}; known: {', '.join(config_names())}", file=sys.stderr)
         return 2
     names = names or config_names()
-    cores = recorded_cores()
     for name in names:
         path = GOLDEN / f"{name}.csv"
         emit_csv(golden_results(name), path)
-        cores[name] = openblas_core()
         print(f"wrote {path.relative_to(ROOT)}")
-    write_recorded(OPENBLAS_CORES, cores)
     digests = {name: line for name, line in recorded(GRAPH_DIGESTS).items() if name not in names}
     for name, config, total, seed in graph_cells():
         if name in names:
