@@ -322,32 +322,40 @@ def _fast_adjacency_rows(cell: _Cell, label: str) -> list[ResultRow]:
     """The boxed dual on the raw cross-group adjacency block.  The walker
     that draws :func:`sample_cell`'s graph walks only the n x m cross pairs
     (i, n + j), so they get that graph's edges.  Each row block reads its
-    probabilities from the kernel block the gap norms read too, so no
-    n x m block of rho * w is formed, and the edges stay sparse from the draw
-    to the solve."""
+    probabilities from its block of the distance powers, which the true cost
+    holds too, so no n x m block of rho * w is formed, and the edges stay
+    sparse from the draw to the solve.  The kernel block the gap norms read
+    is formed after the true solve, so that solve holds only the distance
+    powers and its own kernel."""
     config = cell.config
     form, rho = config.form, cell.graph_scale
     latents = _timed_latents(cell)
     alpha, beta = _uniform_marginals(cell)
     with cell.stage("graph"):
         powers = form.distance_power(latents.xs, latents.ys)
-        weights = form.of_powers(powers)
+
+        def probabilities(rows: slice, cols: slice) -> np.ndarray:
+            block = form.of_powers(powers[rows, cols])
+            block *= rho
+            return block
+
         xs_index, ys_index = np.arange(cell.n), np.arange(cell.n, cell.n + cell.m)
-        cross_edges = bernoulli_block(
-            _graph_seed(cell.seed, cell.total), xs_index, ys_index, lambda rows, cols: rho * weights[rows, cols]
-        )
+        cross_edges = bernoulli_block(_graph_seed(cell.seed, cell.total), xs_index, ys_index, probabilities)
     with cell.stage("solve_true"):
         cost_true = CostMatrix(entries=powers, c_min=0.0, c_max=form.max_distance_power(config.manifold))
         true = _SolveEnd.of(sinkhorn(cost_true, alpha, beta, config.solver))
+    with cell.stage("bounds"):
+        weights = form.of_powers(powers)
     # No row reads the distance powers, which the true cost holds, or the
-    # true plan: only the solve's scalars outlive it, so the cost goes too.
+    # true plan: only the solve's scalars and the kernel block formed from
+    # the powers outlive the solve, so the powers and the cost go too.
     del powers, cost_true
     with cell.stage("estimate"):
         k_block = fast_kernel_block(cross_edges, rho)
     with cell.stage("solve_est"):
         est = dual_ascent_boxed(k_block, alpha, beta, config.solver)
     with cell.stage("bounds"):
-        # W - K in place in W, which nothing reads after the draw: the CSR's
+        # W - K in place in W, which no row reads as it is: the CSR's
         # entries are subtracted at their own positions.
         # Its operator norm then scales it in place, so it goes last.
         kernel_gap = weights

@@ -359,8 +359,7 @@ class GaussianPowerKernel:
     def of_powers(self, powers: np.ndarray) -> np.ndarray:
         """The kernel from distance powers already computed by
         :meth:`distance_power`."""
-        out = np.negative(powers)
-        out /= self.sigma
+        out = np.divide(powers, -self.sigma)
         return np.exp(out, out=out)
 
     def max_distance_power(self, manifold: Manifold) -> float:
@@ -545,9 +544,13 @@ def sample_kernel_graph(
     """
     points = latents.all_points()
     index = np.arange(points.shape[0])
-    upper = bernoulli_block(
-        seed, index, index, lambda rows, cols: kernel.rho * kernel.form.evaluate(points[rows], points[cols])
-    )
+
+    def probabilities(rows: slice, cols: slice) -> np.ndarray:
+        block = kernel.form.evaluate(points[rows], points[cols])
+        block *= kernel.rho
+        return block
+
+    upper = bernoulli_block(seed, index, index, probabilities)
     adjacency = upper + upper.T
     index_dtype = _index_dtype(index.size, adjacency.nnz)
     adjacency.indptr = adjacency.indptr.astype(index_dtype)

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -823,17 +824,62 @@ def test_local_cell_at_thirty_thousand_points_holds_no_n_by_n_array():
     assert report["maxrss_kb"] < 600 * 1024
 
 
-def test_a_sparse_adjacency_cell_holds_three_n_by_m_arrays_at_its_peak():
+def test_a_sparse_adjacency_cell_holds_two_n_by_m_arrays_at_its_peak():
     # CI's fast_log_sparse cell: n + m = N = 4000, one 1333 x 2667 float64
     # array is 27.1 MiB.  At its peak, inside the true solve, the cell holds
-    # the distance powers (the true cost), the kernel block and the solver's
-    # kernel; its peak rose 87.5 MiB above import when this bound was set,
-    # and 169 MiB when the value types copied their arrays and the true plan
-    # was kept.  The bound leaves 25% over the measured rise.
+    # the distance powers (the true cost) and the solver's kernel; the kernel
+    # block is formed from the powers after that solve.  Its peak rose
+    # 60.1 MiB above import when this bound was set, 87.4 MiB when the kernel
+    # block was held through the true solve, and 169 MiB when the value
+    # types copied their arrays and the true plan was kept.  The bound
+    # leaves 25% over the measured rise.
     data = json.loads((REPO_ROOT / "configs" / "ci" / "fast_log_sparse.json").read_text(encoding="utf-8"))
     report = _run_json_script(_PEAK_RSS_SCRIPT, json.dumps(data))
     assert report["metrics"]["solver_converged_true"] == report["metrics"]["solver_converged_est"] == 1.0
-    assert report["maxrss_kb"] - report["imported_kb"] <= 110 * 1024
+    assert report["maxrss_kb"] - report["imported_kb"] <= 75 * 1024
+
+
+def test_an_adjacency_cell_traces_two_n_by_m_arrays_at_its_peak():
+    # The bench's fast_boxed cell: n = 533, m = 1067.  The true solve holds
+    # the distance powers (its cost) and its own kernel; the kernel block
+    # the gap norms read is formed only after it, from the powers, which are
+    # then freed.  The traced peak read 2.13 arrays when this bound was set,
+    # and 3.13 when the kernel block was held through the true solve.
+    data = fast_config_dict()
+    data.update(grid=[1600], eta=1e6)
+    data["kernel"]["form"]["sigma"] = 0.15
+    config = config_from_dict(data)
+    tracemalloc.start()
+    try:
+        rows = run_experiment(config).results.rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    metrics = {r.metric: r.value for r in rows}
+    assert metrics["solver_converged_true"] == metrics["solver_converged_est"] == 1.0
+    array = rows[0].n * rows[0].m * 8
+    assert peak <= 2.5 * array, f"traced peak {peak / array:.2f} n x m arrays"
+
+
+@pytest.mark.skipif(not os.environ.get("LATENT_OT_LARGE_CELLS"), reason="set LATENT_OT_LARGE_CELLS=1 to run")
+def test_a_sixteen_thousand_node_adjacency_cell_rises_at_most_1_1_gib():
+    # n + m = N = 16 000, where one 5333 x 10 667 float64 array is 434 MiB
+    # and the bench's N = 1600 cells cannot see a change of that size.  The
+    # true solve holds the distance powers and its own kernel; the kernel
+    # block is formed after it.  The peak rose 872 MiB above import when
+    # this bound was set, and 1306 MiB when the kernel block was held
+    # through the true solve.  About 10 s and 1 GB, so CI runs it in a step
+    # of its own.
+    data = fast_config_dict()
+    data["grid"] = [16000]
+    data["kernel"] = {
+        "kind": "nonlocal",
+        "rho_log_coefficient": 2.0,
+        "form": {"kind": "gaussian_power", "p": 2, "sigma": 1.0},
+    }
+    report = _run_json_script(_PEAK_RSS_SCRIPT, json.dumps(data))
+    assert report["metrics"]["solver_converged_true"] == report["metrics"]["solver_converged_est"] == 1.0
+    assert report["maxrss_kb"] - report["imported_kb"] <= 1.1 * 1024 * 1024
 
 
 def test_a_sparse_usvt_cell_keeps_no_plan_beyond_its_solve():
