@@ -32,7 +32,7 @@ from .errors import (
     TargetsDisconnectedError,
 )
 from .latent_models import Graph
-from .ot_core import CostMatrix
+from .ot_core import CostMatrix, _owned
 
 _FIRST_EIGENPAIRS = 6
 # scipy >= 1.16 draws ARPACK's restart vectors (few distinct eigenvalues) from ``rng``.
@@ -105,8 +105,33 @@ class CostMap:
         return float(slopes.max())
 
     def apply(self, inputs: np.ndarray) -> np.ndarray:
-        """Interpolate the table; inputs outside the breakpoints take the end values."""
-        return np.interp(np.asarray(inputs, dtype=np.float64), self.breakpoints, self.values)
+        """Interpolate the table into a new array; inputs outside the
+        breakpoints take the end values."""
+        return self.apply_in_place(np.array(inputs, dtype=np.float64))
+
+    def apply_in_place(self, values: np.ndarray) -> np.ndarray:
+        """Write the map of a float64 array into its own buffer; returns it.
+
+        The bits are ``np.interp``'s.  A two-breakpoint map, from (x0, y0) to
+        (x1, y1), clips into [x0, x1] and applies np.interp's own formula
+        slope * (x - x0) + y0 one operation at a time, so no second array is
+        formed.  np.interp gives y1 at and above x1; where the formula
+        misses y1 at x1, those entries are set to it.  A longer table writes
+        np.interp's result back into the buffer.
+        """
+        if self.breakpoints.size > 2:
+            values[...] = np.interp(values, self.breakpoints, self.values)
+            return values
+        (x0, x1), (y0, y1) = self.breakpoints, self.values
+        slope = (y1 - y0) / (x1 - x0)
+        top = values >= x1 if slope * (x1 - x0) + y0 != y1 else None
+        np.clip(values, x0, x1, out=values)
+        values -= x0
+        values *= slope
+        values += y0
+        if top is not None:
+            values[top] = y1
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +202,16 @@ def geodesic_estimate(hops: np.ndarray, h: float) -> np.ndarray:
 
 
 def cost_from_distances(dhat: np.ndarray, cost_map: CostMap) -> CostMatrix:
-    """Apply a cost map entrywise; bounds come from the map's range."""
-    entries = cost_map.apply(np.asarray(dhat, dtype=np.float64))
+    """Apply a cost map entrywise; bounds come from the map's range.
+
+    The costs are written into the buffer of a fresh float64 array, the kind
+    a :class:`CostMatrix` keeps without a copy (:func:`CostMap.apply_in_place`),
+    which then becomes the cost's frozen entries, so no second n x m array is
+    formed.  A caller that still reads its distances must read them before
+    this call.  A view, a read-only array or another dtype is copied first
+    and stays as it was.
+    """
+    entries = cost_map.apply_in_place(_owned(np.asarray(dhat, dtype=np.float64)))
     lo, hi = cost_map.cost_range
     return CostMatrix(entries=entries, c_min=lo, c_max=hi)
 

@@ -245,36 +245,49 @@ def _shortest_path_rows(cell: _Cell, label: str) -> list[ResultRow]:
             return [cell.row(label, "failed_disconnected", 1.0)]
         d_est = geodesic_estimate(hops, cell.graph_scale)
         d_true = config.manifold.geodesic_matrix(latents.xs, latents.ys)
+    # Read before the cost map writes the costs into the distances' buffers.
+    with cell.stage("bounds"):
+        sup_err = float(np.abs(d_est - d_true).max())
+    with cell.stage("estimate"):
         cost_true = cost_from_distances(d_true, config.cost_map)
         cost_est = cost_from_distances(d_est, config.cost_map)
     with cell.stage("solve_true"):
         true = sinkhorn(cost_true, *_uniform_marginals(cell), config.solver)
-    with cell.stage("bounds"):
-        rows = [
-            cell.row(label, "graph_h", cell.graph_scale),
-            cell.row(label, "graph_edges", float(graph.edge_count)),
-            cell.row(label, "sp_sup_err", float(np.abs(d_est - d_true).max())),
-        ]
+    rows = [
+        cell.row(label, "graph_h", cell.graph_scale),
+        cell.row(label, "graph_edges", float(graph.edge_count)),
+        cell.row(label, "sp_sup_err", sup_err),
+    ]
     return rows + _cost_block_rows(cell, label, true, cost_est)
 
 
 def _kernel_frobenius_normalized(
-    points: np.ndarray, form: GaussianPowerKernel, estimates: list[UsvtEstimate]
-) -> list[float]:
-    """||W - W_est||_F / N for each of ``estimates``, over the upper triangle,
-    since both matrices are symmetric: the diagonal once, the pairs j > i
-    twice.  Summed over row blocks [start, stop) x [start, N) of about
-    ``_GRAPH_BLOCK_PAIRS`` entries, the pair walker's block size, so that
-    neither N x N matrix is formed, a block's arrays stay near 1 MB, and the
-    share of each block below the diagonal, which is evaluated and then
-    masked, stays small.  One walk serves every estimate: each block of W is
-    evaluated once, and each estimate's block is subtracted from it."""
+    points: np.ndarray, form: GaussianPowerKernel, estimates: list[UsvtEstimate], n: int, m: int
+) -> tuple[list[float], np.ndarray]:
+    """||W - W_est||_F / N for each of ``estimates``, and the cross block
+    W[:n, n:n + m] = w(xs, ys) of the two groups, nodes [0, n) and
+    [n, n + m) of ``points``.
+
+    The norms run over the upper triangle, since both matrices are
+    symmetric: the diagonal once, the pairs j > i twice.  Summed over row
+    blocks [start, stop) x [start, N) of about ``_GRAPH_BLOCK_PAIRS``
+    entries, the pair walker's block size, so that neither N x N matrix is
+    formed, a block's arrays stay near 1 MB, and the share of each block
+    below the diagonal, which is evaluated and then masked, stays small.
+    One walk serves every estimate: each block of W is evaluated once, and
+    each estimate's block is subtracted from it.  The rows of a block below
+    n hold a piece of the cross block, which is copied out: the kernel is
+    evaluated entry by entry, so the block has the bits of
+    ``form.evaluate(xs, ys)``."""
     count = points.shape[0]
     step = max(1, _GRAPH_BLOCK_PAIRS // count)
     squared = [0.0] * len(estimates)
+    cross = np.empty((n, m))
     for start in range(0, count, step):
         rows, cols = slice(start, start + step), slice(start, None)
         kernel = form.evaluate(points[rows], points[cols])
+        if start < n:
+            cross[rows] = kernel[: n - start, n - start : n - start + m]
         lower = np.tri(kernel.shape[0], dtype=bool)
         for index, estimate in enumerate(estimates):
             gap = kernel - estimate.block(rows, cols)
@@ -283,7 +296,7 @@ def _kernel_frobenius_normalized(
             squared[index] += float(np.einsum("i,i->", diagonal, diagonal))
             corner[lower] = 0.0
             squared[index] += 2.0 * float(np.einsum("ij,ij->", gap, gap))
-    return [math.sqrt(total) / count for total in squared]
+    return [math.sqrt(total) / count for total in squared], cross
 
 
 def _usvt_rows(cell: _Cell, gammas: dict[str, float]) -> list[ResultRow]:
@@ -297,16 +310,19 @@ def _usvt_rows(cell: _Cell, gammas: dict[str, float]) -> list[ResultRow]:
         spectrum = usvt(graph, UsvtParams(min(gammas.values()), rho, form.bounds(config.manifold)))
         estimates = {label: spectrum.at_gamma(gamma) for label, gamma in gammas.items()}
     rows: list[ResultRow] = []
-    # The kernel errors run before the true cost is formed, so that their row
-    # blocks are never held at the same time as that cost.
+    # The kernel errors' walk evaluates every block of the kernel once, the
+    # cross block w(xs, ys) included, and the true cost is mapped into the
+    # buffer of that block.
     with cell.stage("bounds"):
-        frobenius = _kernel_frobenius_normalized(latents.all_points(), form, list(estimates.values()))
+        frobenius, cross_kernel = _kernel_frobenius_normalized(
+            latents.all_points(), form, list(estimates.values()), cell.n, cell.m
+        )
         for (label, estimate), value in zip(estimates.items(), frobenius):
             rows.append(cell.row(label, "kernel_frobenius_normalized", value))
             rows.append(cell.row(label, "rho_used", rho))
             rows.append(cell.row(label, "usvt_rank", float(estimate.rank)))
     with cell.stage("estimate"):
-        cost_true = cost_from_distances(form.evaluate(latents.xs, latents.ys), config.cost_map)
+        cost_true = cost_from_distances(cross_kernel, config.cost_map)
     # One solve on the true cost serves every gamma too.
     with cell.stage("solve_true"):
         true = sinkhorn(cost_true, *_uniform_marginals(cell), config.solver)

@@ -71,14 +71,19 @@ _SCALING_RANGE = (math.exp(-50.0), math.exp(50.0))
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    """``arr`` frozen in place when it is a fresh array: float64, C-contiguous,
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when it is a fresh array: float64, C-contiguous,
     writeable and owner of its buffer.  Anything else (a view, a transpose,
-    another dtype, a read-only array) is copied and the copy frozen, so the
-    caller's array stays as it was."""
+    another dtype, a read-only array) is copied, so the caller's array stays
+    as it was."""
     fresh = arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable and arr.flags.owndata
-    if not fresh:
-        arr = np.array(arr, dtype=np.float64, copy=True)
+    return arr if fresh else np.array(arr, dtype=np.float64, copy=True)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` frozen in place when it is fresh (see :func:`_owned`), else a
+    frozen copy."""
+    arr = _owned(arr)
     arr.setflags(write=False)
     return arr
 

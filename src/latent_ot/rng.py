@@ -48,11 +48,16 @@ def _splitmix64_words(seed: int, counters: np.ndarray) -> np.ndarray:
     The hash runs in place on ``counters`` and returns it.
     """
     z = counters
-    shifted = np.empty_like(z)
     # uint64 array arithmetic wraps modulo 2^64.
     z += np.uint64(1)
     z *= np.uint64(_SPLITMIX_GAMMA)
     z += np.uint64(seed)
+    return _splitmix64_mix(z)
+
+
+def _splitmix64_mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on each ``uint64`` state, in place."""
+    shifted = np.empty_like(z)
     z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(_SPLITMIX_MUL1)
     z ^= np.right_shift(z, np.uint64(27), out=shifted)
@@ -101,9 +106,8 @@ class RngSeed:
 _PAIR_INDEX_LIMIT = 1 << 32
 
 
-def _counter_uniforms(seed: RngSeed, counters: np.ndarray) -> np.ndarray:
-    """The top 53 bits of each counter's SplitMix64 output, scaled into [0, 1)."""
-    z = _splitmix64_words(seed.value, counters)
+def _uniforms_of_words(z: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each SplitMix64 output, scaled into [0, 1)."""
     z >>= np.uint64(11)
     uniforms = z.astype(np.float64)
     uniforms *= _U53
@@ -117,14 +121,23 @@ def pair_uniforms(seed: RngSeed, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
 
     Pair (i, j) gets the top 53 bits of SplitMix64's output at counter
     ``c = (i << 32) | j``, scaled by 2^-53.  Indices must lie in [0, 2^32)
-    so that distinct pairs get distinct counters.
+    so that distinct pairs get distinct counters.  The state
+    seed + (c + 1) gamma splits, mod 2^64, into a row term
+    seed + gamma + (i << 32) gamma and a column term j gamma, so a rectangle's
+    states take one broadcast add of two index vectors.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     for name, index in (("rows", rows), ("cols", cols)):
         if index.size and (index.min() < 0 or index.max() >= _PAIR_INDEX_LIMIT):
             raise InvalidParameterError(f"pair {name} must lie in [0, 2^32)")
-    return _counter_uniforms(seed, (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64))
+    # uint64 array arithmetic wraps modulo 2^64.
+    row_terms = rows.astype(np.uint64) << np.uint64(32)
+    row_terms *= np.uint64(_SPLITMIX_GAMMA)
+    row_terms += np.uint64((seed.value + _SPLITMIX_GAMMA) & _MASK64)
+    col_terms = cols.astype(np.uint64)
+    col_terms *= np.uint64(_SPLITMIX_GAMMA)
+    return _uniforms_of_words(_splitmix64_mix(row_terms + col_terms))
 
 
 class CounterStream:
@@ -159,7 +172,7 @@ class CounterStream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """A vector of ``count`` uniforms in [0, 1)."""
-        return _counter_uniforms(self.seed, self._counters(count))
+        return _uniforms_of_words(_splitmix64_words(self.seed.value, self._counters(count)))
 
     def normals(self, count: int) -> np.ndarray:
         """A vector of ``count`` standard normals via Box-Muller pairs."""

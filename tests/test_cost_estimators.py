@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import latent_ot
 import latent_ot.cost_estimators as cost_estimators
 from latent_ot.cost_estimators import (
     CostMap,
+    UsvtEstimate,
     UsvtParams,
     cost_from_distances,
     fast_kernel_block,
@@ -234,6 +236,85 @@ def test_cost_from_distances_applies_the_map():
     cost = cost_from_distances(dhat, CostMap.identity(1.0))
     assert np.allclose(cost.entries, np.array([[0.2, 0.6], [1.0, 0.0]]))
     assert cost.c_min == 0.0 and cost.c_max == 1.0
+
+
+# np.interp is the oracle of the maps applied in place.  The general
+# two-point map is one where slope * (x1 - x0) + y0 misses y1, so its entries
+# at and above x1 are set to y1; usvt_paths' three-point map goes through
+# np.interp itself.
+_ORACLE_MAPS = {
+    "identity": CostMap.identity(math.pi),
+    "one_minus": CostMap.one_minus(),
+    "two_point": CostMap(np.array([0.3, 1.7]), np.array([2.5, 0.1])),
+    "usvt_paths": CostMap(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.3, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_MAPS))
+def test_cost_maps_applied_in_place_match_np_interp(name):
+    cost_map = _ORACLE_MAPS[name]
+    breakpoints, values = cost_map.breakpoints, cost_map.values
+    lo, hi = breakpoints[0], breakpoints[-1]
+    inputs = np.concatenate([
+        CounterStream(RngSeed(11)).uniforms(100_000) * (hi - lo) + lo,
+        breakpoints,
+        np.nextafter(breakpoints, -np.inf),
+        np.nextafter(breakpoints, np.inf),
+        [lo - 1.0, hi + 1.0, -np.inf, np.inf, 0.0, -0.0, 1e-300, 5e-324],
+    ])
+    expected = np.interp(inputs, breakpoints, values)
+    assert np.array_equal(cost_map.apply(inputs), expected)
+    buffer = inputs.copy()
+    assert cost_map.apply_in_place(buffer) is buffer
+    assert np.array_equal(buffer, expected)
+    if name == "two_point":
+        (x0, x1), (y0, y1) = breakpoints, values
+        assert (y1 - y0) / (x1 - x0) * (x1 - x0) + y0 != y1
+
+
+def test_cost_from_distances_maps_a_fresh_array_in_its_own_buffer():
+    cost_map = CostMap.one_minus()
+    fresh = CounterStream(RngSeed(12)).uniforms(12).reshape(3, 4).copy()
+    expected = np.interp(fresh, cost_map.breakpoints, cost_map.values)
+    cost = cost_from_distances(fresh, cost_map)
+    assert cost.entries is fresh
+    assert np.array_equal(cost.entries, expected)
+    assert not fresh.flags.writeable
+    # A view, a read-only array and a float32 array are copied and left as
+    # they were.
+    base = CounterStream(RngSeed(13)).uniforms(24).reshape(4, 6)
+    readonly = base.copy()
+    readonly.setflags(write=False)
+    for dhat in (base[:, ::2], readonly, base.astype(np.float32)):
+        before = dhat.copy()
+        cost = cost_from_distances(dhat, cost_map)
+        assert not np.shares_memory(cost.entries, dhat)
+        assert np.array_equal(dhat, before)
+        assert dhat.dtype == before.dtype
+        assert np.array_equal(cost.entries, np.interp(np.asarray(dhat, np.float64), (0.0, 1.0), (1.0, 0.0)))
+    assert base.flags.writeable
+
+
+def test_forming_a_usvt_cost_adds_no_n_by_m_array():
+    # The bench's usvt_dense cross block: n = 533, m = 1067.  The cost map
+    # writes 1 - w into the block's own buffer; a map into a new array
+    # would allocate one more n x m array.
+    n, total = 533, 1600
+    stream = CounterStream(RngSeed(14))
+    vectors = stream.uniforms(total * 3).reshape(total, 3) / math.sqrt(total)
+    estimate = UsvtEstimate(np.array([900.0, 500.0, 200.0]), vectors, UsvtParams(1.0, 1.0))
+    block = estimate.block(slice(0, n), slice(n, total))
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cost = cost_from_distances(block, CostMap.one_minus())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    array = block.size * 8
+    assert peak - start <= 0.25 * array, f"forming the cost allocated {(peak - start) / array:.2f} n x m arrays"
+    assert cost.entries is block
 
 
 # ---------------------------------------------------------------------------
